@@ -593,15 +593,19 @@ def read_lexicon(path) -> LexiconStats:
                 raise FormatError(f"{path}:{lineno}: expected 7 columns")
             word, total, pos, present, absent, inverted, vbn = parts
             entry = lex._entry(word)
-            entry.total = int(total)
-            if pos:
-                for pair in pos.split(","):
-                    tag, n = pair.rsplit(":", 1)
-                    entry.pos[tag] = int(n)
-            entry.obj_present = int(present)
-            entry.obj_absent = int(absent)
-            entry.inverted = int(inverted)
-            entry.vbn = int(vbn)
+            try:
+                entry.total = int(total)
+                if pos:
+                    for pair in pos.split(","):
+                        tag, n = pair.rsplit(":", 1)
+                        entry.pos[tag] = int(n)
+                entry.obj_present = int(present)
+                entry.obj_absent = int(absent)
+                entry.inverted = int(inverted)
+                entry.vbn = int(vbn)
+            except ValueError as exc:
+                raise FormatError(f"{path}:{lineno}: expected integer counts and "
+                                  f"TAG:COUNT pos pairs") from exc
     return lex
 
 

@@ -83,10 +83,15 @@ def read_surprisal_file(path) -> list[SurprisalRecord]:
             if len(parts) != 4:
                 raise FormatError(f"{path}:{lineno}: expected 4 columns")
             sid, idx, tok, surp = parts
+            try:
+                entry = (int(idx), tok, float(surp) * scale)
+            except ValueError as exc:
+                raise FormatError(f"{path}:{lineno}: expected an integer index "
+                                  f"and a numeric surprisal") from exc
             if sid not in rows:
                 rows[sid] = []
                 order.append(sid)
-            rows[sid].append((int(idx), tok, float(surp) * scale))
+            rows[sid].append(entry)
     records = []
     seen = set()
     for sid in order:

@@ -177,11 +177,8 @@ def test_score_with_adapter_canonicalizes(tmp_path):
     assert back == records
 
 
-def test_score_with_pcfg_model(tmp_path):
-    # A grammar over a two-word language, plus a hand suite file for it.
-    grammar = tmp_path / "g.pcfg"
-    grammar.write_text("1.0 S -> A B\n0.75 A -> fast\n0.25 A -> slow\n"
-                       "1.0 B -> go\n")
+def _tiny_suite(tmp_path):
+    """A hand suite file with one item over the language {fast, slow} go."""
     suite_file = tmp_path / "tiny.suite"
     suite_file.write_text(
         "#syntax-probe-suite v1\n"
@@ -192,6 +189,15 @@ def test_score_with_pcfg_model(tmp_path):
         "\tregion_start\tregion_end\n"
         "tiny.b2.fast.f00\ttiny\tfast\tsingular\t2\tgram\tfast go\t0\t1\n"
         "tiny.b2.fast.f00\ttiny\tfast\tsingular\t2\tungram\tslow go\t0\t1\n")
+    return suite_file
+
+
+def test_score_with_pcfg_model(tmp_path):
+    # A grammar over a two-word language, plus a hand suite file for it.
+    grammar = tmp_path / "g.pcfg"
+    grammar.write_text("1.0 S -> A B\n0.75 A -> fast\n0.25 A -> slow\n"
+                       "1.0 B -> go\n")
+    suite_file = _tiny_suite(tmp_path)
     out = tmp_path / "out"
     config = _write_config(tmp_path)
     rc = run(["--config", config, "--out", str(out), "score",
@@ -218,3 +224,42 @@ def test_bad_model_spec_is_usage_error(tmp_path, capsys):
                      "--model", "nonsense"])
     assert rc == 2
     assert "error:usage-error" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# Malformed artifacts end in error:format-error, not a traceback
+
+
+@pytest.mark.parametrize("row", [
+    "go\tx\tVB:1\t0\t0\t0\t0",    # non-integer total
+    "go\t1\tVB\t0\t0\t0\t0",      # pos pair without ':'
+    "go\t1\tVB:one\t0\t0\t0\t0",  # non-integer pos count
+    "go\t1\tVB:1\t0\t0\t0\t1.5",  # non-integer vbn count
+])
+def test_bad_lexicon_row_is_format_error(tmp_path, capsys, row):
+    lexicon = tmp_path / "lexicon.tsv"
+    lexicon.write_text("#syntax-probe-lexicon v1 lowercase=1\n"
+                       "go\t2\tVB:2\t0\t0\t0\t0\n" + row + "\n")
+    rc = run(["--config", _write_config(tmp_path), "--out", str(tmp_path / "out"),
+              "stats", "--lexicon", str(lexicon)])
+    assert rc == 1
+    assert f"error:format-error: {lexicon}:3:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("row", [
+    "tiny.b2.fast.f00:gram\tzero\tfast\t1.0",  # non-integer index
+    "tiny.b2.fast.f00:gram\t0\tfast\tabc",     # non-float surprisal
+])
+def test_bad_surprisal_row_is_format_error(tmp_path, capsys, row):
+    surp = tmp_path / "bad.surp"
+    surp.write_text(f"{scoring.SURPRISAL_HEADER} base=2\n{row}\n")
+    base = ["--config", _write_config(tmp_path), "--out", str(tmp_path / "out")]
+    suite_file = str(_tiny_suite(tmp_path))
+    rc = run(base + ["eval", "--suite-file", suite_file,
+                     "--surprisal-file", str(surp)])
+    assert rc == 1
+    assert f"error:format-error: {surp}:2:" in capsys.readouterr().err
+    rc = run(base + ["score", "--suite-file", suite_file,
+                     "--model", f"adapter:{surp}"])
+    assert rc == 1
+    assert f"error:format-error: {surp}:2:" in capsys.readouterr().err

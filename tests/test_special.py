@@ -1,0 +1,76 @@
+"""The in-house special functions against scipy, and the no-scipy import path.
+
+scipy is a test-only dependency: each comparison skips when it is missing.
+"""
+
+import math
+import os
+import pathlib
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+
+import syntaxprobe
+from syntaxprobe.stats import expit, ndtri, pearson_test
+
+
+@pytest.mark.parametrize("module", ["syntaxprobe.cli", "syntaxprobe.pcfg_scorer"])
+def test_entry_points_do_not_import_scipy(module):
+    src = str(pathlib.Path(syntaxprobe.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    code = (f"import sys, {module}\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m == 'scipy' or m.startswith('scipy.')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
+
+
+def test_expit_matches_scipy_bits():
+    special = pytest.importorskip("scipy.special")
+    # Past -709.78 exp(-x) overflows and both give exactly 0.0.
+    x = np.concatenate([np.linspace(-800.0, 800.0, 400_001),
+                        np.random.default_rng(0).normal(0.0, 4.0, 50_000)])
+    got, want = expit(x), special.expit(x)
+    assert got.shape == x.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert expit(x[:6].reshape(2, 3)).shape == (2, 3)
+
+
+def test_wilson_z_matches_norm_ppf():
+    scipy_stats = pytest.importorskip("scipy.stats")
+    # The argument wilson_ci passes for levels 0.0001 ... 0.9999.
+    qs = [0.5 + (i / 10_000) / 2.0 for i in range(1, 10_000)]
+    assert [ndtri(q) for q in qs] == scipy_stats.norm.ppf(qs).tolist()
+
+
+def test_ndtri_matches_scipy_in_every_branch():
+    special = pytest.importorskip("scipy.special")
+    rng = np.random.default_rng(1)
+    ys = np.concatenate([
+        np.linspace(1e-6, 1.0 - 1e-6, 20_001),   # central approximation
+        10.0 ** -rng.uniform(0.9, 13.9, 5_000),  # tail, z < 8
+        10.0 ** -rng.uniform(13.9, 300.0, 5_000),  # far tail, z >= 8
+        1.0 - 10.0 ** -rng.uniform(1.0, 15.0, 5_000),  # upper tail
+    ])
+    got = np.array([ndtri(float(y)) for y in ys])
+    assert np.array_equal(got, special.ndtri(ys))
+    assert ndtri(0.0) == -math.inf and ndtri(1.0) == math.inf
+    assert math.isnan(ndtri(1.5))
+
+
+def test_pearson_p_matches_student_t():
+    scipy_stats = pytest.importorskip("scipy.stats")
+    rng = np.random.default_rng(2)
+    for df in range(1, 201):
+        x = rng.normal(size=df + 2)
+        for rho in (0.05, 0.5, 0.95, 0.99):
+            y = rho * x + math.sqrt(1.0 - rho * rho) * rng.normal(size=df + 2)
+            result = pearson_test(x, y)
+            want = min(1.0, 2.0 * float(scipy_stats.t.sf(abs(result.t), df)))
+            assert math.isclose(result.p, want, rel_tol=1e-12, abs_tol=0.0), \
+                (df, rho, result.p, want)
