@@ -32,7 +32,6 @@ from .beamsearch import (
     ToyPCFG,
     exact_marginal,
     parse_grammar,
-    pcfg_action_model,
     word_sync_beam,
 )
 from .scoring import (

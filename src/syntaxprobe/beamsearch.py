@@ -276,10 +276,6 @@ class PCFGActionModel(GenerativeActionModel):
         return out
 
 
-def pcfg_action_model(grammar: ToyPCFG) -> PCFGActionModel:
-    return PCFGActionModel(grammar)
-
-
 # ---------------------------------------------------------------------------
 # Grammar files: one rule per line, ``P LHS -> RHS...``
 

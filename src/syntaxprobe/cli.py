@@ -16,7 +16,6 @@ import math
 import os
 import shlex
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -34,7 +33,6 @@ class RunConfig:
     irregular: str = ""
     out: str = "out"
     seed: str = ""
-    jobs: str = "1"
     lowercase: str = "false"
     filler_min_count: str = "50"
     punct_exempt: str = "true"
@@ -267,18 +265,9 @@ def cmd_score(cfg: RunConfig, args) -> int:
         scoring.align(suite, records)
     elif kind == "ngram":
         model = ngram.read_model(_require(arg, "ngram model (run train-ngram)"))
-
-        def score_one(pair):
-            sid, tokens = pair
-            return scoring.SurprisalRecord(sid, tuple(tokens),
+        records = [scoring.SurprisalRecord(sid, tuple(tokens),
                                            tuple(model.surprisals(tokens)))
-
-        jobs = max(1, int(cfg.jobs))
-        if jobs > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                records = list(pool.map(score_one, sentences))
-        else:
-            records = [score_one(p) for p in sentences]
+                   for sid, tokens in sentences]
     else:
         if kind == "pcfg":
             model = beamsearch.PCFGActionModel(
@@ -329,6 +318,17 @@ def _items_by_group(paths):
     return groups
 
 
+def _fit_rows(key: tuple, X, y, labels, clusters) -> list:
+    """fits.csv rows (key + term, estimate, se, z, p) for one logistic fit;
+    a separated or rank-deficient design gives one ``error:`` row."""
+    try:
+        fit = stats.fit_logistic(X, y, labels=labels, clusters=clusters)
+    except (stats.SeparationError, stats.RankError) as exc:
+        return [key + (f"error:{exc.category}",) + (math.nan,) * 4]
+    return [key + (label, fit.coef[i], fit.se[i], fit.z[i], fit.p[i])
+            for i, label in enumerate(fit.labels)]
+
+
 def cmd_analyze(cfg: RunConfig, args) -> int:
     lex = _load_lexicon(cfg, args)
     groups = _items_by_group(args.items)
@@ -343,16 +343,8 @@ def cmd_analyze(cfg: RunConfig, args) -> int:
 
         # Exposure effect on accuracy, raw occurrence counts as predictor,
         # cluster-robust by target word.
-        try:
-            fit = stats.fit_logistic(counts[:, None], correct,
-                                     labels=["occurrences"], clusters=targets)
-            for i, label in enumerate(fit.labels):
-                fits_rows.append((suite_id, model, "exposure", label,
-                                  fit.coef[i], fit.se[i], fit.z[i], fit.p[i]))
-        except (stats.SeparationError, stats.RankError) as exc:
-            fits_rows.append((suite_id, model, "exposure",
-                              f"error:{exc.category}", math.nan, math.nan,
-                              math.nan, math.nan))
+        fits_rows += _fit_rows((suite_id, model, "exposure"), counts[:, None],
+                               correct, ["occurrences"], targets)
 
         curve = stats.accuracy_curve(list(zip(counts, correct)))
         for x, p, lo, hi in curve.samples:
@@ -403,29 +395,21 @@ def cmd_analyze(cfg: RunConfig, args) -> int:
                 y.append(int(r["correct"]))
                 clusters.append(r["item_id"])
         labels = [f"model:{m}" for m in contrasts] + ["bucket_log10"]
-        try:
-            fit = stats.fit_logistic(np.array(X), np.array(y), labels=labels,
-                                     clusters=clusters)
-            for i, label in enumerate(fit.labels):
-                fits_rows.append((suite_id, "*", "supervision", label,
-                                  fit.coef[i], fit.se[i], fit.z[i], fit.p[i]))
-        except (stats.SeparationError, stats.RankError) as exc:
-            fits_rows.append((suite_id, "*", "supervision",
-                              f"error:{exc.category}", math.nan, math.nan,
-                              math.nan, math.nan))
+        fits_rows += _fit_rows((suite_id, "*", "supervision"), np.array(X),
+                               np.array(y), labels, clusters)
 
     fits_out = _outdir(cfg, "analysis", "fits.csv")
-    with open(fits_out, "w", encoding="utf-8") as fh:
-        fh.write("suite,model,analysis,term,estimate,se,z,p,stars\n")
-        for suite_id, model, analysis, term, est, se, z, p in fits_rows:
-            star = stats.stars(p) if not math.isnan(p) else ""
-            fh.write(f"{suite_id},{model},{analysis},{term},{est:.6f},"
-                     f"{se:.6f},{z:.4f},{p:.6g},{star}\n")
-    curves_out = _outdir(cfg, "analysis", "curves.csv")
-    with open(curves_out, "w", encoding="utf-8") as fh:
-        fh.write("suite,model,log10_exposure,p_hat,band_lo,band_hi\n")
-        for suite_id, model, x, p, lo, hi in curve_rows:
-            fh.write(f"{suite_id},{model},{x:.6f},{p:.6f},{lo:.6f},{hi:.6f}\n")
+    scoring.write_csv(
+        fits_out, ["suite", "model", "analysis", "term", "estimate", "se", "z",
+                   "p", "stars"],
+        ([suite_id, model, analysis, term, f"{est:.6f}", f"{se:.6f}",
+          f"{z:.4f}", f"{p:.6g}", stats.stars(p) if not math.isnan(p) else ""]
+         for suite_id, model, analysis, term, est, se, z, p in fits_rows))
+    scoring.write_csv(
+        _outdir(cfg, "analysis", "curves.csv"),
+        ["suite", "model", "log10_exposure", "p_hat", "band_lo", "band_hi"],
+        ([suite_id, model, f"{x:.6f}", f"{p:.6f}", f"{lo:.6f}", f"{hi:.6f}"]
+         for suite_id, model, x, p, lo, hi in curve_rows))
     charts_out = _outdir(cfg, "analysis", "charts.json")
     with open(charts_out, "w", encoding="utf-8") as fh:
         json.dump({"version": 1, "charts": charts}, fh, sort_keys=True, indent=2)
@@ -459,22 +443,20 @@ def cmd_report(cfg: RunConfig, args) -> int:
             if row["analysis"] == "supervision" and row["term"].startswith("model:"):
                 star_cols[(row["suite"], row["term"][len("model:"):])] = row["stars"]
 
-    table_csv = _outdir(cfg, "report", "table.csv")
-    with open(table_csv, "w", encoding="utf-8") as fh:
-        header = ["suite"] + [f"{m}_above_chance" for m in models]
+    header = ["suite"] + [f"{m}_above_chance" for m in models]
+    if star_cols:
+        header += [f"{m}_vs_reference" for m in models]
+    rows = []
+    for suite_id in suites_seen:
+        row = [suite_id]
+        for m in models:
+            above, total = cells.get((suite_id, m), (0, 0))
+            row.append(f"{above}/{total}" if total else "-")
         if star_cols:
-            header += [f"{m}_vs_reference" for m in models]
-        fh.write(",".join(header) + "\n")
-        for suite_id in suites_seen:
-            row = [suite_id]
             for m in models:
-                above, total = cells.get((suite_id, m), (0, 0))
-                row.append(f"{above}/{total}" if total else "-")
-            if star_cols:
-                for m in models:
-                    row.append(star_cols.get((suite_id, m), "n.s.")
-                               if (suite_id, m) in star_cols else "")
-            fh.write(",".join(row) + "\n")
+                row.append(star_cols.get((suite_id, m), ""))
+        rows.append(row)
+    scoring.write_csv(_outdir(cfg, "report", "table.csv"), header, rows)
 
     table_txt = _outdir(cfg, "report", "table.txt")
     with open(table_txt, "w", encoding="utf-8") as fh:
@@ -507,7 +489,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", help="INI config file ([syntaxprobe] section)")
     parser.add_argument("--seed", type=int, help="generation seed")
-    parser.add_argument("--jobs", type=int, help="worker cap for scoring")
     parser.add_argument("--out", help="output directory")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -561,7 +542,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config, os.environ,
-                          {"seed": args.seed, "jobs": args.jobs, "out": args.out})
+                          {"seed": args.seed, "out": args.out})
         return _COMMANDS[args.command](cfg, args)
     except SyntaxProbeError as exc:
         print(f"error:{exc.category}: {exc}", file=sys.stderr)

@@ -566,16 +566,20 @@ def read_irregular_verbs(path) -> frozenset:
         )
 
 
+def _lexicon_row(word: str, s: WordStats) -> str:
+    """One lexicon.tsv line; also the unit that lexicon_digest hashes."""
+    pos = ",".join(f"{tag}:{n}" for tag, n in sorted(s.pos.items()))
+    return (f"{word}\t{s.total}\t{pos}\t{s.obj_present}\t{s.obj_absent}"
+            f"\t{s.inverted}\t{s.vbn}\n")
+
+
 def write_lexicon(lex: LexiconStats, path) -> None:
     """Deterministic sorted TSV: word, total, tag:count pairs, evidence columns."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("#syntax-probe-lexicon v1 lowercase=%d\n" % int(lex.lowercase))
         fh.write("#word\ttotal\tpos\tobj_present\tobj_absent\tinverted\tvbn\n")
         for word in lex.words():
-            s = lex.stats(word)
-            pos = ",".join(f"{tag}:{n}" for tag, n in sorted(s.pos.items()))
-            fh.write(f"{word}\t{s.total}\t{pos}\t{s.obj_present}\t{s.obj_absent}"
-                     f"\t{s.inverted}\t{s.vbn}\n")
+            fh.write(_lexicon_row(word, lex.stats(word)))
 
 
 def read_lexicon(path) -> LexiconStats:
@@ -614,10 +618,7 @@ def lexicon_digest(lex: LexiconStats) -> str:
     h = hashlib.sha256()
     h.update(b"lowercase=%d\n" % int(lex.lowercase))
     for word in lex.words():
-        s = lex.stats(word)
-        pos = ",".join(f"{t}:{n}" for t, n in sorted(s.pos.items()))
-        h.update(f"{word}\t{s.total}\t{pos}\t{s.obj_present}\t{s.obj_absent}"
-                 f"\t{s.inverted}\t{s.vbn}\n".encode())
+        h.update(_lexicon_row(word, lex.stats(word)).encode())
     return h.hexdigest()
 
 

@@ -30,7 +30,6 @@ from typing import Iterable, Sequence
 from .errors import FormatError, InputError, TrainingError
 
 BOS = "<s>"
-EOS = "</s>"  # reserved; not a prediction event (see module docstring)
 UNK = "<unk>"
 
 _LOG2 = math.log(2.0)
@@ -170,6 +169,23 @@ def _estimate_discounts(counts: Iterable[int], order_k: int):
     return tuple(out), False
 
 
+def _context_tables(grams_by_order: list[dict]) -> list[dict]:
+    """Per order, context -> _ContextEntry from {gram: adjusted count}."""
+    tables: list[dict] = []
+    for grams in grams_by_order:
+        ctxs: dict = {}
+        for gram, c in grams.items():
+            ctxs.setdefault(gram[:-1], {})[gram[-1]] = c
+        table = {}
+        for ctx, counts in ctxs.items():
+            n1 = sum(1 for c in counts.values() if c == 1)
+            n2 = sum(1 for c in counts.values() if c == 2)
+            n3p = sum(1 for c in counts.values() if c >= 3)
+            table[ctx] = _ContextEntry(counts, sum(counts.values()), n1, n2, n3p)
+        tables.append(table)
+    return tables
+
+
 def train(sentences: Iterable[Sequence[str]], order: int = 5,
           map_singletons: bool = False) -> NGramModel:
     """Count, adjust, and discount; returns an immutable scoring model."""
@@ -212,21 +228,7 @@ def train(sentences: Iterable[Sequence[str]], order: int = 5,
         if fell:
             fallback.append(k)
 
-    tables: list[dict] = []
-    for k in range(1, order + 1):
-        ctxs: dict = {}
-        for gram, c in adjusted[k - 1].items():
-            ctx, w = gram[:-1], gram[-1]
-            ctxs.setdefault(ctx, {})[w] = c
-        table = {}
-        for ctx, counts in ctxs.items():
-            n1 = sum(1 for c in counts.values() if c == 1)
-            n2 = sum(1 for c in counts.values() if c == 2)
-            n3p = sum(1 for c in counts.values() if c >= 3)
-            table[ctx] = _ContextEntry(counts, sum(counts.values()), n1, n2, n3p)
-        tables.append(table)
-
-    return NGramModel(order, support, discounts, tables,
+    return NGramModel(order, support, discounts, _context_tables(adjusted),
                       map_singletons=map_singletons,
                       fallback_orders=tuple(fallback))
 
@@ -268,45 +270,39 @@ def read_model(path) -> NGramModel:
     for lineno, line in enumerate(lines[1:], start=2):
         if not line:
             continue
-        if line.startswith("[discounts]"):
-            section = "discounts"
-            continue
-        if line.startswith("[ngrams "):
-            k = int(line[len("[ngrams "):-1])
-            while len(grams) < k:
-                grams.append({})
-            section = ("ngrams", k)
-            continue
-        parts = line.split("\t")
-        if section is None:
-            key, value = parts[0], parts[1]
-            if key == "order":
-                order = int(value)
-            elif key == "unk":
-                unk = bool(int(value))
-            elif key == "fallback":
-                fallback = tuple(int(x) for x in value.split(",") if x)
-        elif section == "discounts":
-            discounts.append((float(parts[1]), float(parts[2]), float(parts[3])))
-        else:
-            _, k = section
-            gram = tuple(parts[0].split(" "))
-            grams[k - 1][gram] = int(parts[1])
+        try:
+            if line.startswith("[discounts]"):
+                section = "discounts"
+                continue
+            if line.startswith("[ngrams "):
+                k = int(line[len("[ngrams "):-1])
+                while len(grams) < k:
+                    grams.append({})
+                section = ("ngrams", k)
+                continue
+            parts = line.split("\t")
+            if section is None:
+                key, value = parts[0], parts[1]
+                if key == "order":
+                    order = int(value)
+                elif key == "unk":
+                    unk = bool(int(value))
+                elif key == "fallback":
+                    fallback = tuple(int(x) for x in value.split(",") if x)
+            elif section == "discounts":
+                discounts.append((float(parts[1]), float(parts[2]), float(parts[3])))
+            else:
+                _, k = section
+                gram = tuple(parts[0].split(" "))
+                if len(gram) != k:
+                    raise FormatError(f"{path}:{lineno}: expected a {k}-gram")
+                grams[k - 1][gram] = int(parts[1])
+        except (ValueError, IndexError) as exc:
+            raise FormatError(f"{path}:{lineno}: malformed model line "
+                              f"{line!r}") from exc
     if order is None or len(discounts) != order or len(grams) != order:
         raise FormatError(f"{path}: incomplete model file")
 
-    tables: list[dict] = []
-    for k in range(1, order + 1):
-        ctxs: dict = {}
-        for gram, c in grams[k - 1].items():
-            ctxs.setdefault(gram[:-1], {})[gram[-1]] = c
-        table = {}
-        for ctx, counts in ctxs.items():
-            n1 = sum(1 for c in counts.values() if c == 1)
-            n2 = sum(1 for c in counts.values() if c == 2)
-            n3p = sum(1 for c in counts.values() if c >= 3)
-            table[ctx] = _ContextEntry(counts, sum(counts.values()), n1, n2, n3p)
-        tables.append(table)
     support = tuple(sorted(w for (w,) in grams[0]))
-    return NGramModel(order, support, discounts, tables,
+    return NGramModel(order, support, discounts, _context_tables(grams),
                       map_singletons=unk, fallback_orders=fallback)

@@ -14,6 +14,7 @@ files (``base=e``) are converted to bits on read.
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass
 from typing import Iterable
@@ -114,6 +115,13 @@ def read_surprisal_file(path) -> list[SurprisalRecord]:
 # Alignment and region scoring
 
 
+def _first_divergence(a, b) -> int:
+    """First index where two token sequences differ (the shorter length if
+    one is a prefix of the other)."""
+    return next((i for i, (x, y) in enumerate(zip(a, b)) if x != y),
+                min(len(a), len(b)))
+
+
 def align(suite, records: Iterable[SurprisalRecord]) -> dict:
     """Map item_id -> {condition: record}, verifying token identity.
 
@@ -131,12 +139,9 @@ def align(suite, records: Iterable[SurprisalRecord]) -> dict:
             raise AlignmentError(f"duplicate sentence id {rec.sentence_id!r}")
         expected = items[item_id].tokens(condition)
         if rec.tokens != tuple(expected):
-            diverge = next(
-                (i for i, (a, b) in enumerate(zip(rec.tokens, expected)) if a != b),
-                min(len(rec.tokens), len(expected)),
-            )
             raise AlignmentError(
-                f"{rec.sentence_id}: token mismatch at index {diverge} "
+                f"{rec.sentence_id}: token mismatch at index "
+                f"{_first_divergence(rec.tokens, expected)} "
                 f"(got {list(rec.tokens)!r}, suite has {list(expected)!r})"
             )
         by_item[item_id][condition] = rec
@@ -156,11 +161,8 @@ def region_surprisal(item, record: SurprisalRecord, condition: str) -> float:
     """Summed surprisal over the item's critical region (joint log prob)."""
     expected = tuple(item.tokens(condition))
     if record.tokens != expected:
-        diverge = next(
-            (i for i, (a, b) in enumerate(zip(record.tokens, expected)) if a != b),
-            min(len(record.tokens), len(expected)),
-        )
-        raise AlignmentError(f"{record.sentence_id}: token mismatch at index {diverge}")
+        raise AlignmentError(f"{record.sentence_id}: token mismatch at index "
+                             f"{_first_divergence(record.tokens, expected)}")
     start, end = item.region(condition)
     return math.fsum(record.surprisals[start:end])
 
@@ -266,40 +268,38 @@ def evaluate_suite(suite, records, eps_tie: float = DEFAULT_TIE_EPS):
 # CSV emission (tidy, deterministic)
 
 
+def write_csv(path, header, rows) -> None:
+    """RFC 4180 table with ``\n`` line ends; fields are quoted only when
+    they contain a comma, a quote or a line break."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def write_eval_csv(result: EvalResult, path, model: str = "-") -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("suite,model,bucket,category,n,k,accuracy,ci_lo,ci_hi,"
-                 "p_above_chance\n")
-        for cell in result.cells:
-            s = cell.summary
-            fh.write(
-                f"{result.suite_id},{model},{cell.bucket},{cell.category},"
-                f"{s.n},{s.k},{s.accuracy:.6f},{s.ci_lo:.6f},{s.ci_hi:.6f},"
-                f"{s.p_above_chance:.6g}\n"
-            )
+    rows = []
+    for cell in result.cells:
+        s = cell.summary
+        rows.append([result.suite_id, model, cell.bucket, cell.category, s.n, s.k,
+                     f"{s.accuracy:.6f}", f"{s.ci_lo:.6f}", f"{s.ci_hi:.6f}",
+                     f"{s.p_above_chance:.6g}"])
+    write_csv(path, ["suite", "model", "bucket", "category", "n", "k", "accuracy",
+                     "ci_lo", "ci_hi", "p_above_chance"], rows)
 
 
 def write_items_csv(results: Iterable[ItemResult], path, suite_id: str,
                     model: str = "-") -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("suite,model,item_id,bucket,category,target,"
-                 "gram_bits,ungram_bits,correct\n")
-        for r in results:
-            fh.write(
-                f"{suite_id},{model},{r.item_id},{r.bucket},{r.category},"
-                f"{r.target},{r.gram_bits:.10f},{r.ungram_bits:.10f},{r.correct}\n"
-            )
+    write_csv(path, ["suite", "model", "item_id", "bucket", "category", "target",
+                     "gram_bits", "ungram_bits", "correct"],
+              ([suite_id, model, r.item_id, r.bucket, r.category, r.target,
+                f"{r.gram_bits:.10f}", f"{r.ungram_bits:.10f}", r.correct]
+               for r in results))
 
 
 def read_items_csv(path) -> list[dict]:
-    rows = []
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n").split(",")
-        for line in fh:
-            if not line.strip():
-                continue
-            rows.append(dict(zip(header, line.rstrip("\n").split(","))))
-    return rows
+    with open(path, encoding="utf-8", newline="") as fh:
+        return list(csv.DictReader(fh))
 
 
 def read_eval_csv(path) -> list[dict]:

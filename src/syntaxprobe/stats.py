@@ -258,6 +258,7 @@ class LogisticFit:
     loglik: float
     converged: bool
     iterations: int
+    cov: np.ndarray  # covariance of coef (CR1 when clustered)
     cluster_robust: bool = False
 
     def coefficient(self, label: str) -> float:
@@ -367,7 +368,8 @@ def fit_logistic(
         zval = np.where(se > 0, beta / se, np.inf)
     pval = np.array([math.erfc(abs(zi) / math.sqrt(2.0)) for zi in zval])
     return LogisticFit(list(labels), beta, se, zval, pval,
-                       _loglik(y, eta), converged, iterations, cluster_robust)
+                       _loglik(y, eta), converged, iterations, cov,
+                       cluster_robust)
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +427,10 @@ class CurveFit:
 
 
 def accuracy_curve(points, n_samples: int = 100, clusters=None) -> CurveFit:
-    """Fit accuracy ~ log10(exposure count) on raw (count, correct) pairs."""
+    """Fit accuracy ~ log10(exposure count) on raw (count, correct) pairs.
+
+    With ``clusters`` the bands use the cluster-robust covariance.
+    """
     pts = [(float(c), int(o)) for c, o in points]
     if not pts:
         raise InputError("no points")
@@ -449,11 +454,7 @@ def accuracy_curve(points, n_samples: int = 100, clusters=None) -> CurveFit:
         return CurveFit(None, True, samples, mean_acc)
     eta = fit.coef[0] + fit.coef[1] * grid
     design = np.column_stack([np.ones_like(grid), grid])
-    p_obs = expit(fit.coef[0] + fit.coef[1] * xs)
-    H = np.column_stack([np.ones_like(xs), xs]) * (p_obs * (1 - p_obs))[:, None]
-    info = H.T @ np.column_stack([np.ones_like(xs), xs])
-    cov = np.linalg.inv(info)
-    se_eta = np.sqrt(np.einsum("ij,jk,ik->i", design, cov, design))
+    se_eta = np.sqrt(np.einsum("ij,jk,ik->i", design, fit.cov, design))
     samples = np.column_stack([grid, expit(eta), expit(eta - se_eta),
                                expit(eta + se_eta)])
     return CurveFit(fit, False, samples, mean_acc)

@@ -338,14 +338,8 @@ def _condition_frames(defn: SuiteDef, category: str, meta: dict):
         tense = meta["tense"]
         return (frame, {"aux": defn.values[f"aux_{category}_{tense}"]}), \
                (frame, {"aux": defn.values[f"aux_{other}_{tense}"]})
-    if defn.kind == "object_manipulation":
-        with_f = defn.frames["frame_with_object"]
-        without_f = defn.frames["frame_without_object"]
-        pair = (with_f, without_f) if category == "transitive" else (without_f, with_f)
-        return (pair[0], {}), (pair[1], {})
-    if defn.kind == "passive_aux":
-        with_f = defn.frames["frame_with_aux"]
-        without_f = defn.frames["frame_without_aux"]
+    if defn.kind in ("object_manipulation", "passive_aux"):
+        with_f, without_f = (defn.frames[k] for k in _KIND_REQUIRED[defn.kind])
         pair = (with_f, without_f) if category == "transitive" else (without_f, with_f)
         return (pair[0], {}), (pair[1], {})
     raise InputError(f"unknown kind {defn.kind!r}")
@@ -380,17 +374,24 @@ def instantiate(
     if not (0 <= region[0] < region[1] <= len(tokens)):
         raise GenerationError(f"region {region} outside sentence of {len(tokens)} tokens")
     if lex is not None:
-        for tok in tokens:
-            if tok == target:
-                continue
-            if punct_exempt and is_punct(tok):
-                continue
-            if lex.count(tok) < filler_min_count:
-                raise GenerationError(
-                    f"filler {tok!r} occurs {lex.count(tok)} times "
-                    f"(< {filler_min_count})"
-                )
+        tok = next(_rare_fillers(tokens, target, lex, filler_min_count,
+                                 punct_exempt), None)
+        if tok is not None:
+            raise GenerationError(
+                f"filler {tok!r} occurs {lex.count(tok)} times "
+                f"(< {filler_min_count})"
+            )
     return tuple(tokens), region
+
+
+def _rare_fillers(tokens, target: str, lex: LexiconStats, filler_min_count: int,
+                  punct_exempt: bool):
+    """Non-target tokens below the frequency threshold, in sentence order."""
+    for tok in tokens:
+        if tok == target or (punct_exempt and is_punct(tok)):
+            continue
+        if lex.count(tok) < filler_min_count:
+            yield tok
 
 
 def _instances(defn: SuiteDef, target: str, k: int, rng: random.Random):
@@ -595,15 +596,11 @@ def validate_suite(
                 bad(item.item_id, "target-count",
                     f"target occurs {n_target} times in {condition} sentence")
             if lex is not None:
-                for tok in tokens:
-                    if tok == item.target:
-                        continue
-                    if punct_exempt and is_punct(tok):
-                        continue
-                    if lex.count(tok) < filler_min_count:
-                        bad(item.item_id, "filler-frequency",
-                            f"filler {tok!r} occurs {lex.count(tok)} times "
-                            f"(< {filler_min_count})")
+                for tok in _rare_fillers(tokens, item.target, lex,
+                                         filler_min_count, punct_exempt):
+                    bad(item.item_id, "filler-frequency",
+                        f"filler {tok!r} occurs {lex.count(tok)} times "
+                        f"(< {filler_min_count})")
 
         _, gmid, umid = _diff_spans(item.gram_tokens, item.ungram_tokens)
         rule = suite.condition_rule
@@ -681,6 +678,7 @@ def read_suite(path) -> TestSuite:
     shortfalls: list = []
     rows: dict = {}
     order: list = []
+    invariance = False
     with open(path, encoding="utf-8") as fh:
         first = fh.readline().rstrip("\n")
         if first != SUITE_HEADER:
@@ -689,29 +687,35 @@ def read_suite(path) -> TestSuite:
             line = line.rstrip("\n")
             if not line:
                 continue
-            if line.startswith("#"):
-                parts = line[1:].split("\t")
-                if parts[0] in ("suite_id", "kind", "condition_rule", "invariance"):
-                    meta[parts[0]] = parts[1]
-                elif parts[0] == "provenance":
-                    for kv in parts[1:]:
-                        if kv:
-                            k, _, v = kv.partition("=")
-                            provenance[k] = v
-                elif parts[0] == "shortfall":
-                    shortfalls.append((int(parts[1]), parts[2],
-                                       int(parts[3]), int(parts[4])))
-                continue
-            parts = line.split("\t")
-            if len(parts) != 9:
-                raise FormatError(f"{path}:{lineno}: expected 9 columns")
-            item_id, suite_id, target, category, bucket, condition, toks, rs, re_ = parts
-            key = item_id
-            if key not in rows:
-                rows[key] = {"suite_id": suite_id, "target": target,
-                             "category": category, "bucket": int(bucket)}
-                order.append(key)
-            rows[key][condition] = (tuple(toks.split(" ")), (int(rs), int(re_)))
+            try:
+                if line.startswith("#"):
+                    parts = line[1:].split("\t")
+                    if parts[0] in ("suite_id", "kind", "condition_rule"):
+                        meta[parts[0]] = parts[1]
+                    elif parts[0] == "invariance":
+                        invariance = bool(int(parts[1]))
+                    elif parts[0] == "provenance":
+                        for kv in parts[1:]:
+                            if kv:
+                                k, _, v = kv.partition("=")
+                                provenance[k] = v
+                    elif parts[0] == "shortfall":
+                        shortfalls.append((int(parts[1]), parts[2],
+                                           int(parts[3]), int(parts[4])))
+                    continue
+                parts = line.split("\t")
+                if len(parts) != 9:
+                    raise FormatError(f"{path}:{lineno}: expected 9 columns")
+                item_id, suite_id, target, category, bucket, condition, toks, rs, re_ = parts
+                key = item_id
+                if key not in rows:
+                    rows[key] = {"suite_id": suite_id, "target": target,
+                                 "category": category, "bucket": int(bucket)}
+                    order.append(key)
+                rows[key][condition] = (tuple(toks.split(" ")), (int(rs), int(re_)))
+            except (ValueError, IndexError) as exc:
+                raise FormatError(f"{path}:{lineno}: malformed suite line "
+                                  f"{line!r}") from exc
     items = []
     for item_id in order:
         row = rows[item_id]
@@ -735,5 +739,5 @@ def read_suite(path) -> TestSuite:
         items=items,
         provenance=provenance,
         shortfalls=shortfalls,
-        invariance=bool(int(meta.get("invariance", "0"))),
+        invariance=invariance,
     )

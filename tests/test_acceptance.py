@@ -7,6 +7,7 @@ directory of ``.mrg`` files; they are skipped otherwise.
 """
 
 import glob
+import hashlib
 import math
 import os
 import random
@@ -282,8 +283,27 @@ def _run_pipeline(tmp_path, tag):
     return out
 
 
+GOLDEN_DIGESTS = os.path.join(os.path.dirname(__file__), "data", "golden",
+                              "toy_pipeline.sha256")
+
+
 def test_pipeline_determinism(tmp_path):
     first = _run_pipeline(tmp_path, "run1")
+    # Every artifact but analysis/, whose floats depend on the BLAS build,
+    # must match the recorded digests byte for byte.
+    with open(GOLDEN_DIGESTS, encoding="utf-8") as fh:
+        golden = {rel: digest for digest, rel in map(str.split, fh)}
+    got = {}
+    for root, _dirs, files in os.walk(first):
+        for name in files:
+            path = os.path.join(root, name)
+            rel = os.path.relpath(path, str(first)).replace(os.sep, "/")
+            if not rel.startswith("analysis/"):
+                with open(path, "rb") as fh:
+                    got[rel] = hashlib.sha256(fh.read()).hexdigest()
+    assert sorted(got) == sorted(golden)
+    for rel, digest in sorted(golden.items()):
+        assert got[rel] == digest, rel
     second = _run_pipeline(tmp_path, "run2")
     compared = 0
     for root, _dirs, files in os.walk(first):
@@ -295,7 +315,7 @@ def test_pipeline_determinism(tmp_path):
             compared += 1
     assert compared >= 40  # suites, model, surprisals, evals, report
     _ok(f"two full pipeline runs produced byte-identical artifacts "
-        f"({compared} files)")
+        f"({compared} files, {len(golden)} matching recorded digests)")
 
 
 # ---------------------------------------------------------------------------

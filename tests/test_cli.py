@@ -1,9 +1,10 @@
+import csv
 import os
 import pathlib
 
 import pytest
 
-from syntaxprobe import cli, scoring, toydata
+from syntaxprobe import cli, ngram, scoring, toydata
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -59,10 +60,11 @@ def test_config_precedence_env_then_flags(tmp_path, monkeypatch):
 
 
 def test_unknown_config_key_is_usage_error(tmp_path):
-    path = tmp_path / "bad.cfg"
-    path.write_text("[syntaxprobe]\nmystery = 1\n")
-    with pytest.raises(cli.UsageError):
-        cli.load_config(str(path), {}, {})
+    for key in ("mystery", "jobs"):
+        path = tmp_path / f"{key}.cfg"
+        path.write_text(f"[syntaxprobe]\n{key} = 1\n")
+        with pytest.raises(cli.UsageError):
+            cli.load_config(str(path), {}, {})
 
 
 def test_missing_upstream_artifact(tmp_path, capsys):
@@ -128,6 +130,39 @@ def test_full_toy_pipeline_emits_all_artifacts(tmp_path, capsys):
         "analysis/charts.json", "report/table.csv", "report/table.txt",
     ):
         assert (out / artifact).exists(), artifact
+
+
+def test_model_name_with_comma_round_trips(tmp_path):
+    config = _toy_config(tmp_path)
+    out = tmp_path / "out"
+    base = ["--config", config, "--out", str(out)]
+    assert run(base + ["ingest"]) == 0
+    assert run(base + ["gen", "--suite", "argstruct_active_inf"]) == 0
+    assert run(base + ["train-ngram"]) == 0
+    suite_file = str(out / "suites" / "argstruct_active_inf.suite")
+    names = ("a", "kn,5")  # "a" sorts first, so it is the reference model
+    for name in names:
+        assert run(base + ["score", "--suite-file", suite_file,
+                           "--model-name", name]) == 0
+        assert run(base + ["eval", "--suite-file", suite_file, "--surprisal-file",
+                           str(out / "surprisals" / f"argstruct_active_inf.{name}.surp"),
+                           "--model-name", name]) == 0
+    assert run(base + ["analyze", "--items"] +
+               [str(out / "eval" / f"argstruct_active_inf.{n}.items.csv") for n in names]) == 0
+    fits = out / "analysis" / "fits.csv"
+    assert run(base + ["report", "--eval"] +
+               [str(out / "eval" / f"argstruct_active_inf.{n}.eval.csv") for n in names] +
+               ["--fits", str(fits)]) == 0
+
+    assert {"a", "kn,5"} == {row["model"] for row in scoring.read_items_csv(fits)
+                             if row["analysis"] == "exposure"}
+    assert "model:kn,5" in {row["term"] for row in scoring.read_items_csv(fits)}
+    with open(out / "report" / "table.csv", encoding="utf-8", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == ["suite", "a_above_chance", "kn,5_above_chance",
+                      "a_vs_reference", "kn,5_vs_reference"]
+    assert len(rows) == 1 and len(rows[0]) == len(header)
+    assert rows[0][0] == "argstruct_active_inf" and rows[0][1] == rows[0][2]
 
 
 def test_eval_mismatched_inputs_fail_with_alignment_error(tmp_path, capsys):
@@ -244,6 +279,61 @@ def test_bad_lexicon_row_is_format_error(tmp_path, capsys, row):
               "stats", "--lexicon", str(lexicon)])
     assert rc == 1
     assert f"error:format-error: {lexicon}:3:" in capsys.readouterr().err
+
+
+def _corrupt(path, old, new) -> int:
+    """Replace the first ``old`` in a file by ``new``; the first changed line."""
+    good = path.read_text()
+    assert old in good
+    path.write_text(good.replace(old, new, 1))
+    bad = path.read_text().splitlines()
+    return next(i for i, (a, b) in enumerate(zip(good.splitlines(), bad), start=1)
+                if a != b)
+
+
+@pytest.mark.parametrize("old, new", [
+    ("\t2\tgram\t", "\ttwo\tgram\t"),
+    ("slow go\t0\t1", "slow go\t0\tone"),
+    ("#invariance\t0", "#invariance\tno"),
+    ("#invariance\t0", "#invariance"),
+    ("#item_id", "#shortfall\t2\tsingular\n#item_id"),
+], ids=["bucket", "region-end", "invariance", "key-without-value",
+        "short-shortfall"])
+def test_bad_suite_row_is_format_error(tmp_path, capsys, old, new):
+    suite_file = _tiny_suite(tmp_path)
+    lineno = _corrupt(suite_file, old, new)
+    surp = tmp_path / "tiny.surp"
+    surp.write_text(f"{scoring.SURPRISAL_HEADER} base=2\n")
+    base = ["--config", _write_config(tmp_path), "--out", str(tmp_path / "out")]
+    rc = run(base + ["eval", "--suite-file", str(suite_file),
+                     "--surprisal-file", str(surp)])
+    assert rc == 1
+    assert f"error:format-error: {suite_file}:{lineno}:" in capsys.readouterr().err
+    rc = run(base + ["score", "--suite-file", str(suite_file),
+                     "--model", f"adapter:{surp}"])
+    assert rc == 1
+    assert f"error:format-error: {suite_file}:{lineno}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("old, new", [
+    ("order\t2", "order\tfive"),
+    ("unk\t0", "unk"),
+    ("2\t0.5\t0.5\t0.5", "2\t0.5\t0.5"),
+    ("[ngrams 2]", "[ngrams two]"),
+    ("fast go\t1", "fast go\tone"),
+    ("fast\t1", "fast go\t1"),
+], ids=["order", "key-without-tab", "short-discounts", "ngrams-header", "count",
+        "gram-length"])
+def test_bad_model_row_is_format_error(tmp_path, capsys, old, new):
+    model = tmp_path / "bad.model"
+    ngram.write_model(ngram.train([["fast", "go"], ["slow", "go"]], order=2),
+                      model)
+    lineno = _corrupt(model, old, new)
+    rc = run(["--config", _write_config(tmp_path), "--out", str(tmp_path / "out"),
+              "score", "--suite-file", str(_tiny_suite(tmp_path)),
+              "--model", f"ngram:{model}"])
+    assert rc == 1
+    assert f"error:format-error: {model}:{lineno}:" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("row", [

@@ -184,6 +184,17 @@ def test_cluster_robust_changes_se_only():
     assert not np.allclose(plain.se, robust.se)
 
 
+def test_cov_diagonal_gives_se():
+    rng = np.random.default_rng(4)
+    x = rng.normal(size=200)
+    y = (rng.random(200) < expit(x)).astype(int)
+    for clusters in (None, [i // 10 for i in range(200)]):
+        fit = fit_logistic(x[:, None], y, clusters=clusters)
+        assert fit.cov.shape == (2, 2)
+        assert np.allclose(fit.cov, fit.cov.T)
+        assert np.array_equal(np.sqrt(np.diag(fit.cov)), fit.se)
+
+
 # ---------------------------------------------------------------------------
 # Pearson
 
@@ -248,6 +259,18 @@ def test_accuracy_curve_samples_and_bands():
     assert curve.samples.shape == (50, 4)
     assert np.all(curve.samples[:, 2] <= curve.samples[:, 1])
     assert np.all(curve.samples[:, 1] <= curve.samples[:, 3])
+
+
+def test_accuracy_curve_clusters_change_bands_only():
+    rng = np.random.default_rng(9)
+    counts = rng.choice([2, 3, 5, 10, 20, 50, 100], size=400)
+    correct = (rng.random(400) < expit(-0.5 + np.log10(counts))).astype(int)
+    points = list(zip(counts, correct))
+    plain = accuracy_curve(points)
+    robust = accuracy_curve(points, clusters=[i // 10 for i in range(400)])
+    assert robust.fit.cluster_robust
+    assert np.allclose(plain.samples[:, :2], robust.samples[:, :2])
+    assert not np.allclose(plain.samples[:, 2:], robust.samples[:, 2:])
 
 
 def test_accuracy_curve_all_correct_falls_back_flat():
