@@ -20,6 +20,8 @@ from __future__ import annotations
 import math
 import subprocess
 from dataclasses import dataclass
+from itertools import compress, islice
+from operator import attrgetter, eq
 from typing import NamedTuple, Sequence
 
 from .errors import (
@@ -53,10 +55,6 @@ class OpenNT(NamedTuple):
 # (label, children) with children a tuple of completed items.
 
 
-def _symbol(item) -> str:
-    return item if isinstance(item, str) else item[0]
-
-
 NT = "NT"
 GEN = "GEN"
 REDUCE = ("REDUCE",)
@@ -70,71 +68,113 @@ def gen(word: str) -> tuple:
     return (GEN, word)
 
 
-@dataclass(frozen=True)
 class ParserState:
-    """Immutable search hypothesis: stack, words generated, history, log2 prob."""
+    """Immutable search hypothesis: words generated, log2 prob, and the
+    partial parse.
 
-    stack: tuple
-    words: int
-    history: tuple
-    logprob: float
+    A successor shares all but O(1) of its parent, so an action costs the
+    same at any point in the sentence:
+
+    - ``frame`` is ``((label, child symbols), child items, outer frame)``
+      for the innermost open constituent, or None when nothing is open;
+    - ``chain`` is ``(last action, earlier chain)``, or None before the
+      first action;
+    - ``tree`` is the completed root constituent, once its REDUCE is done.
+
+    ``stack`` and ``history`` rebuild the flat tuples from these chains.
+    """
+
+    __slots__ = ("words", "logprob", "frame", "chain", "tree")
+
+    def __init__(self, words: int, logprob: float, frame=None, chain=None,
+                 tree=None):
+        self.words = words
+        self.logprob = logprob
+        self.frame = frame
+        self.chain = chain
+        self.tree = tree
+
+    @property
+    def history(self) -> tuple:
+        """The actions taken so far, first to last."""
+        out = []
+        node = self.chain
+        while node is not None:
+            action, node = node
+            out.append(action)
+        out.reverse()
+        return tuple(out)
+
+    @property
+    def stack(self) -> tuple:
+        """Open nonterminals and completed items, bottom to top."""
+        if self.tree is not None:
+            return (self.tree,)
+        parts = []
+        frame = self.frame
+        while frame is not None:
+            (label, _), items, frame = frame
+            parts.append((OpenNT(label),) + items)
+        return tuple(item for part in reversed(parts) for item in part)
 
     def innermost_open(self):
         """(label, symbols of completed children) of the last open NT, or None."""
-        for i in range(len(self.stack) - 1, -1, -1):
-            if isinstance(self.stack[i], OpenNT):
-                children = tuple(_symbol(x) for x in self.stack[i + 1:])
-                return self.stack[i].label, children
-        return None
+        return None if self.frame is None else self.frame[0]
 
     @property
     def is_complete(self) -> bool:
-        return (
-            len(self.stack) == 1
-            and not isinstance(self.stack[0], OpenNT)
-            and not isinstance(self.stack[0], str)
-            and len(self.history) > 0
-        )
+        return self.tree is not None
+
+    def __repr__(self) -> str:
+        return (f"ParserState(stack={self.stack!r}, words={self.words!r}, "
+                f"history={self.history!r}, logprob={self.logprob!r})")
 
 
-INITIAL_STATE = ParserState((), 0, (), 0.0)
+INITIAL_STATE = ParserState(0, 0.0)
 
 
 def action_is_legal(state: ParserState, action: tuple) -> bool:
     kind = action[0]
-    has_open = any(isinstance(x, OpenNT) for x in state.stack)
+    stack = state.stack
+    has_open = any(isinstance(x, OpenNT) for x in stack)
     if kind == NT:
-        return not state.stack or has_open
+        return not stack or has_open
     if kind == GEN:
         return has_open
     if kind == "REDUCE":
-        for i in range(len(state.stack) - 1, -1, -1):
-            if isinstance(state.stack[i], OpenNT):
-                return i < len(state.stack) - 1  # at least one completed child
+        for i in range(len(stack) - 1, -1, -1):
+            if isinstance(stack[i], OpenNT):
+                return i < len(stack) - 1  # at least one completed child
         return False
     return False
 
 
 def apply_action(state: ParserState, action: tuple, logprob: float,
                  validate: bool = False) -> ParserState:
+    """The successor of ``state`` under ``action``, which must be legal
+    (checked against the stack when ``validate`` is set)."""
     if validate and not action_is_legal(state, action):
         raise InputError(f"illegal action {serialize_action(action)} in state {state}")
     kind = action[0]
+    words = state.words
+    tree = None
     if kind == NT:
-        stack = state.stack + (OpenNT(action[1]),)
-        words = state.words
+        frame = ((action[1], ()), (), state.frame)
     elif kind == GEN:
-        stack = state.stack + (action[1],)
-        words = state.words + 1
+        (label, symbols), items, outer = state.frame
+        word = action[1]
+        frame = ((label, symbols + (word,)), items + (word,), outer)
+        words += 1
     else:  # REDUCE
-        i = len(state.stack) - 1
-        while i >= 0 and not isinstance(state.stack[i], OpenNT):
-            i -= 1
-        children = tuple(state.stack[i + 1:])
-        stack = state.stack[:i] + ((state.stack[i].label, children),)
-        words = state.words
-    return ParserState(stack, words, state.history + (action,),
-                       state.logprob + logprob)
+        (label, _), items, outer = state.frame
+        done = (label, items)
+        if outer is None:
+            frame, tree = None, done
+        else:
+            (olabel, osymbols), oitems, oouter = outer
+            frame = ((olabel, osymbols + (label,)), oitems + (done,), oouter)
+    return ParserState(words, state.logprob + logprob, frame,
+                       (action, state.chain), tree)
 
 
 def serialize_action(action: tuple) -> str:
@@ -233,7 +273,9 @@ class PCFGActionModel(GenerativeActionModel):
     Rule choice is deferred: the conditional probability of each next action
     is the grammar mass of rules consistent with the children built so far.
     The per-constituent conditionals telescope to the rule probability, so
-    normalization over legal actions is exact by construction.
+    normalization over legal actions is exact by construction.  Action
+    lists are cached per open constituent; given ``next_word``, generation
+    actions are pruned to that word's, in the same order as the full list.
     """
 
     def __init__(self, grammar: ToyPCFG):
@@ -249,21 +291,18 @@ class PCFGActionModel(GenerativeActionModel):
                     node.mass += r.prob
                 node.stop += r.prob
             self._tries[lhs] = root
+        # (label, child symbols) -> (actions, structural actions,
+        # {word: actions pruned to that word's GEN, built on first use})
+        self._lists: dict = {}
 
-    def actions(self, state: ParserState, next_word: str | None = None):
-        if not state.stack:
-            return [] if state.history else [(nt(self.grammar.start), 0.0)]
-        top = state.innermost_open()
-        if top is None:
-            return []  # complete
-        label, children = top
+    def _node_lists(self, label: str, children: tuple) -> tuple:
         node = self._tries.get(label)
         for sym in children:
             if node is None:
-                return []
+                break
             node = node.next.get(sym)
         if node is None:
-            return []
+            return (), (), {}
         out = []
         for sym, child in sorted(node.next.items()):
             lp = math.log2(child.mass / node.mass)
@@ -273,7 +312,28 @@ class PCFGActionModel(GenerativeActionModel):
                 out.append((gen(sym), lp))
         if node.stop > 0.0:
             out.append((REDUCE, math.log2(node.stop / node.mass)))
-        return out
+        structural = tuple(p for p in out if p[0][0] != GEN)
+        return tuple(out), structural, dict.fromkeys(
+            p[0][1] for p in out if p[0][0] == GEN)
+
+    def actions(self, state: ParserState, next_word: str | None = None):
+        top = state.innermost_open()
+        if top is None:
+            # Before the first action only the start symbol can open.
+            if state.chain is None:
+                return [(nt(self.grammar.start), 0.0)]
+            return []
+        lists = self._lists.get(top)
+        if lists is None:
+            lists = self._lists[top] = self._node_lists(*top)
+        full, structural, by_word = lists
+        if next_word is None:
+            return list(full)
+        pruned = by_word.get(next_word, structural)
+        if pruned is None:
+            pruned = by_word[next_word] = tuple(
+                p for p in full if p[0][0] != GEN or p[0][1] == next_word)
+        return list(pruned)
 
 
 # ---------------------------------------------------------------------------
@@ -331,8 +391,41 @@ class BeamResult:
     beam: list
 
 
-def _rank(state: ParserState):
-    return (-state.logprob, state.history)
+_LOGPROB = attrgetter("logprob")
+_HISTORY = attrgetter("history")
+
+
+def _rank_sort(states: list, k: int) -> None:
+    """Reorder ``states`` so that its first ``k`` are the ``k`` best by
+    ``(-logprob, history)``, in that order.
+
+    Sorting on that key directly would rebuild every history.  Instead the
+    floats are sorted, and only runs of equal logprob that reach into the
+    first ``k`` are re-sorted by history, which gives the same order.
+    """
+    states.sort(key=_LOGPROB, reverse=True)
+    n = len(states)
+    end = min(k, n)
+    if end == 0:
+        return
+    while end < n and states[end].logprob == states[end - 1].logprob:
+        end += 1  # the run cut by the k-th place is decided by history
+    lps = list(map(_LOGPROB, islice(states, end)))
+    stop = 0
+    for i in compress(range(end - 1), map(eq, lps, islice(lps, 1, None))):
+        if i < stop:
+            continue  # inside a run already sorted
+        stop = i + 2
+        while stop < end and lps[stop] == lps[i]:
+            stop += 1
+        states[i:stop] = sorted(states[i:stop], key=_HISTORY)
+
+
+def _keep_best(states: list, k: int) -> None:
+    """Cut ``states`` to its ``k`` best, in no particular order."""
+    if len(states) > k:
+        _rank_sort(states, k)
+        del states[k:]
 
 
 def word_sync_beam(
@@ -348,7 +441,9 @@ def word_sync_beam(
 
     With beams large enough to hold every live state the marginals are
     exact; under pruning they are lower bounds (mass over a subset) and are
-    reported as-is, not renormalized.
+    reported as-is, not renormalized.  Survivors are ranked by log
+    probability, ties broken by action history, so the result does not
+    depend on the order in which the model lists its actions.
     """
     sentence = list(sentence)
     if not sentence:
@@ -369,27 +464,29 @@ def word_sync_beam(
         while frontier and rounds < max_struct_rounds:
             rounds += 1
             gen_succs: list[ParserState] = []
-            struct_succs: list[ParserState] = []
+            pool: list[ParserState] = []
             for st in frontier:
                 for action, lp in model.actions(st, next_word=word):
                     if action[0] == GEN:
                         if action[1] == word:
                             gen_succs.append(apply_action(st, action, lp, validate))
                     else:
-                        struct_succs.append(apply_action(st, action, lp, validate))
-            gen_succs.sort(key=_rank)
-            completed.extend(gen_succs[:fast_track_k])
-            pool = struct_succs + gen_succs[fast_track_k:]
-            pool.sort(key=_rank)
+                        pool.append(apply_action(st, action, lp, validate))
+            if len(gen_succs) > fast_track_k:
+                _rank_sort(gen_succs, fast_track_k)
+                pool.extend(gen_succs[fast_track_k:])
+                del gen_succs[fast_track_k:]
+            completed.extend(gen_succs)
+            _keep_best(pool, action_beam_k)
             frontier = []
-            for st in pool[:action_beam_k]:
-                if st.history[-1][0] == GEN:
+            for st in pool:
+                if st.chain[0][0] == GEN:
                     completed.append(st)
                 else:
                     frontier.append(st)
         if not completed:
             raise DeadBeamError(t, word)
-        completed.sort(key=_rank)
+        _rank_sort(completed, word_beam_k)
         beam = completed[:word_beam_k]
         marginals.append(log2sumexp(s.logprob for s in beam))
 
@@ -410,9 +507,9 @@ def word_sync_beam(
                 if action[0] == GEN:
                     continue
                 nxt.append(apply_action(st, action, lp, validate))
-        nxt.sort(key=_rank)
-        frontier = nxt[:action_beam_k]
-    finals.sort(key=_rank)
+        _keep_best(nxt, action_beam_k)
+        frontier = nxt
+    _rank_sort(finals, word_beam_k)
     finals = finals[:word_beam_k]
 
     prev = 0.0
@@ -422,7 +519,7 @@ def word_sync_beam(
         prev = m
     if finals:
         top = finals[0]
-        result_parse = bracket(top.stack[0])
+        result_parse = bracket(top.tree)
         top_lp = top.logprob
     else:
         result_parse, top_lp = None, NEG_INF
@@ -457,10 +554,10 @@ def exact_marginal(model: GenerativeActionModel, sentence: Sequence[str],
     complete_logs: list = []
     parses: list = []
 
-    stack = [model.initial_state()]
+    stack = [(model.initial_state(), 0)]
     while stack:
-        state = stack.pop()
-        if len(state.history) > max_actions:
+        state, depth = stack.pop()
+        if depth > max_actions:
             raise OracleInfeasibleError(
                 f"derivation exceeded {max_actions} actions; grammar not "
                 "finitely enumerable under this bound"
@@ -469,7 +566,7 @@ def exact_marginal(model: GenerativeActionModel, sentence: Sequence[str],
         if not actions:
             if state.is_complete and state.words == n:
                 complete_logs.append(state.logprob)
-                parses.append((bracket(state.stack[0]), state.logprob))
+                parses.append((bracket(state.tree), state.logprob))
             continue
         for action, lp in actions:
             if action[0] == GEN:
@@ -477,9 +574,9 @@ def exact_marginal(model: GenerativeActionModel, sentence: Sequence[str],
                     continue
                 succ = apply_action(state, action, lp)
                 prefix_logs[succ.words].append(succ.logprob)
-                stack.append(succ)
+                stack.append((succ, depth + 1))
             else:
-                stack.append(apply_action(state, action, lp))
+                stack.append((apply_action(state, action, lp), depth + 1))
 
     marginals = [log2sumexp(prefix_logs[t]) for t in range(1, n + 1)]
     prev = 0.0
@@ -496,6 +593,9 @@ def exact_marginal(model: GenerativeActionModel, sentence: Sequence[str],
 
 
 PROTOCOL_HEADER = "#syntax-probe-scorer v1"
+
+# Seconds a scorer child has to exit after QUIT before it is killed.
+CLOSE_TIMEOUT_S = 10.0
 
 
 class SubprocessActionModel(GenerativeActionModel):
@@ -538,13 +638,24 @@ class SubprocessActionModel(GenerativeActionModel):
         return out
 
     def close(self):
+        """Send QUIT and reap the child, killing it if it does not exit
+        within ``CLOSE_TIMEOUT_S``, then close the pipes."""
         if self._proc.poll() is None:
             try:
                 self._proc.stdin.write("QUIT\n")
                 self._proc.stdin.flush()
             except (BrokenPipeError, ValueError):
                 pass
-            self._proc.wait(timeout=10)
+            try:
+                self._proc.wait(timeout=CLOSE_TIMEOUT_S)
+            except subprocess.TimeoutExpired:
+                self._proc.kill()
+                self._proc.wait()
+        for pipe in (self._proc.stdin, self._proc.stdout):
+            try:
+                pipe.close()
+            except BrokenPipeError:
+                pass  # unflushed bytes for a child that is gone
 
     def __enter__(self):
         return self

@@ -312,7 +312,8 @@ def cmd_eval(cfg: RunConfig, args) -> int:
 def _items_by_group(paths):
     groups: dict = {}
     for path in paths:
-        for row in scoring.read_items_csv(_require(path, "items csv")):
+        for row in scoring.read_items_csv(_require(path, "items csv"),
+                                          scoring.ITEMS_COLUMNS):
             key = (row["suite"], row["model"])
             groups.setdefault(key, []).append(row)
     return groups
@@ -327,6 +328,10 @@ def _fit_rows(key: tuple, X, y, labels, clusters) -> list:
         return [key + (f"error:{exc.category}",) + (math.nan,) * 4]
     return [key + (label, fit.coef[i], fit.se[i], fit.z[i], fit.p[i])
             for i, label in enumerate(fit.labels)]
+
+
+FITS_COLUMNS = ("suite", "model", "analysis", "term", "estimate", "se", "z", "p",
+                "stars")
 
 
 def cmd_analyze(cfg: RunConfig, args) -> int:
@@ -400,8 +405,7 @@ def cmd_analyze(cfg: RunConfig, args) -> int:
 
     fits_out = _outdir(cfg, "analysis", "fits.csv")
     scoring.write_csv(
-        fits_out, ["suite", "model", "analysis", "term", "estimate", "se", "z",
-                   "p", "stars"],
+        fits_out, FITS_COLUMNS,
         ([suite_id, model, analysis, term, f"{est:.6f}", f"{se:.6f}",
           f"{z:.4f}", f"{p:.6g}", stats.stars(p) if not math.isnan(p) else ""]
          for suite_id, model, analysis, term, est, se, z, p in fits_rows))
@@ -439,7 +443,8 @@ def cmd_report(cfg: RunConfig, args) -> int:
 
     star_cols: dict = {}
     if args.fits:
-        for row in scoring.read_items_csv(_require(args.fits, "fits csv")):
+        for row in scoring.read_items_csv(_require(args.fits, "fits csv"),
+                                          FITS_COLUMNS):
             if row["analysis"] == "supervision" and row["term"].startswith("model:"):
                 star_cols[(row["suite"], row["term"][len("model:"):])] = row["stars"]
 

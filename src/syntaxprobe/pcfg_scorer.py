@@ -2,9 +2,9 @@
 
 Run as ``python -m syntaxprobe.pcfg_scorer GRAMMAR_FILE``: announces the
 protocol header, then answers SCORE requests by replaying the action
-history through the transition system and scoring with the PCFG adapter.
-Generation actions are pruned to the requested next word when one is given
-(structural scores are unchanged, so the response sums to at most 1).
+history through the transition system and scoring with the PCFG adapter,
+which prunes generation actions to the requested next word when one is
+given (structural scores are unchanged, so the response sums to at most 1).
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 import sys
 
 from .beamsearch import (
-    GEN,
     PROTOCOL_HEADER,
     PCFGActionModel,
     apply_action,
@@ -39,12 +38,7 @@ def serve(grammar_path: str, stdin=None, stdout=None) -> None:
         for token in history.split(" "):
             if token:
                 state = apply_action(state, parse_action(token), 0.0)
-        actions = model.actions(state)
-        if next_word:
-            actions = [
-                (a, lp) for a, lp in actions
-                if a[0] != GEN or a[1] == next_word
-            ]
+        actions = model.actions(state, next_word or None)
         stdout.write(
             " ".join(f"{serialize_action(a)}={lp!r}" for a, lp in actions) + "\n"
         )

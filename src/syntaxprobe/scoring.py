@@ -277,6 +277,12 @@ def write_csv(path, header, rows) -> None:
         writer.writerows(rows)
 
 
+EVAL_COLUMNS = ("suite", "model", "bucket", "category", "n", "k", "accuracy",
+                "ci_lo", "ci_hi", "p_above_chance")
+ITEMS_COLUMNS = ("suite", "model", "item_id", "bucket", "category", "target",
+                 "gram_bits", "ungram_bits", "correct")
+
+
 def write_eval_csv(result: EvalResult, path, model: str = "-") -> None:
     rows = []
     for cell in result.cells:
@@ -284,23 +290,35 @@ def write_eval_csv(result: EvalResult, path, model: str = "-") -> None:
         rows.append([result.suite_id, model, cell.bucket, cell.category, s.n, s.k,
                      f"{s.accuracy:.6f}", f"{s.ci_lo:.6f}", f"{s.ci_hi:.6f}",
                      f"{s.p_above_chance:.6g}"])
-    write_csv(path, ["suite", "model", "bucket", "category", "n", "k", "accuracy",
-                     "ci_lo", "ci_hi", "p_above_chance"], rows)
+    write_csv(path, EVAL_COLUMNS, rows)
 
 
 def write_items_csv(results: Iterable[ItemResult], path, suite_id: str,
                     model: str = "-") -> None:
-    write_csv(path, ["suite", "model", "item_id", "bucket", "category", "target",
-                     "gram_bits", "ungram_bits", "correct"],
+    write_csv(path, ITEMS_COLUMNS,
               ([suite_id, model, r.item_id, r.bucket, r.category, r.target,
                 f"{r.gram_bits:.10f}", f"{r.ungram_bits:.10f}", r.correct]
                for r in results))
 
 
-def read_items_csv(path) -> list[dict]:
+def read_items_csv(path, required=()) -> list[dict]:
+    """Rows of a table written by :func:`write_csv`, as dicts keyed by its
+    header.  A header without every ``required`` column, or a row with more
+    or fewer fields than the header, is a FormatError at its line."""
     with open(path, encoding="utf-8", newline="") as fh:
-        return list(csv.DictReader(fh))
+        reader = csv.DictReader(fh)
+        header = reader.fieldnames or []
+        missing = [c for c in required if c not in header]
+        if missing:
+            raise FormatError(f"{path}:1: missing column(s) {', '.join(missing)}")
+        rows = []
+        for row in reader:
+            if None in row or None in row.values():
+                raise FormatError(f"{path}:{reader.line_num}: expected "
+                                  f"{len(header)} fields")
+            rows.append(row)
+        return rows
 
 
 def read_eval_csv(path) -> list[dict]:
-    return read_items_csv(path)
+    return read_items_csv(path, EVAL_COLUMNS)

@@ -1,10 +1,14 @@
+import io
+import json
 import math
 import random
 import sys
+from pathlib import Path
 
 import pytest
 
 from syntaxprobe import beamsearch as bs
+from syntaxprobe import pcfg_scorer
 from syntaxprobe.errors import (
     DeadBeamError,
     FormatError,
@@ -35,6 +39,28 @@ DOG_TEXT = """
 1.0 V -> barks
 """
 
+# Unary chains with p=1.0 and equal-weight alternatives: many partial
+# derivations share a log probability, so narrow beams cut through ties.
+TIES_TEXT = """
+0.25 S -> X X
+0.25 S -> Y
+0.25 S -> X X X
+0.25 S -> Z X
+1.0 X -> A
+1.0 A -> P
+0.5 P -> a
+0.5 P -> Q
+0.5 Y -> A A
+0.5 Y -> Q Q
+1.0 Q -> R
+0.5 R -> a
+0.5 R -> b
+1.0 Z -> Q
+"""
+TIES_SENTENCES = (["a", "b"], ["b", "a", "a"], ["a", "a"])
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
+
 
 @pytest.fixture(scope="module")
 def two_parse_model():
@@ -44,6 +70,18 @@ def two_parse_model():
 @pytest.fixture(scope="module")
 def dog_model():
     return bs.PCFGActionModel(bs.parse_grammar(DOG_TEXT))
+
+
+def _walk(model, words):
+    """Every state reached depth-first from the initial state, following
+    generation actions only for ``words``."""
+    stack = [model.initial_state()]
+    while stack:
+        st = stack.pop()
+        yield st
+        for action, lp in model.actions(st):
+            if action[0] != bs.GEN or action[1] in words:
+                stack.append(bs.apply_action(st, action, lp))
 
 
 # ---------------------------------------------------------------------------
@@ -95,6 +133,22 @@ def test_action_scores_normalize(dog_model):
                 continue
             stack.append(bs.apply_action(st, action, lp))
     assert seen > 5
+
+
+@pytest.mark.parametrize("text, words", [
+    (DOG_TEXT, ("the", "dog", "barks", "cat")),
+    (TIES_TEXT, ("a", "b", "c")),
+], ids=["dog", "ties"])
+def test_next_word_prunes_only_generation(text, words):
+    model = bs.PCFGActionModel(bs.parse_grammar(text))
+    seen = 0
+    for st in _walk(model, words):
+        full = model.actions(st)
+        for w in words:
+            assert model.actions(st, w) == [
+                p for p in full if p[0][0] != bs.GEN or p[0][1] == w]
+        seen += 1
+    assert seen > 10
 
 
 def test_derivation_probability_is_rule_product():
@@ -219,8 +273,64 @@ def test_random_grammars_beam_equals_exact():
             assert abs(a - b) <= 1e-9
 
 
+def _narrow_beam_records() -> list:
+    """Surprisals, top parse and the ordered final beam of narrow searches
+    over the ties grammar and ``random_pcfg(0..5)``."""
+    cases = [("ties", bs.parse_grammar(TIES_TEXT), s) for s in TIES_SENTENCES]
+    for seed in range(6):
+        grammar = random_pcfg(seed)
+        cases.append((f"random_pcfg({seed})", grammar,
+                      sample_sentence(grammar, random.Random(1000 + seed))))
+    records = []
+    for name, grammar, sent in cases:
+        model = bs.PCFGActionModel(grammar)
+        for wk in (1, 2, 3, 4):
+            for ak in (2, 4, 8):
+                for ft in (0, 2):
+                    rec = {"grammar": name, "sentence": " ".join(sent),
+                           "word_beam_k": wk, "action_beam_k": ak,
+                           "fast_track_k": ft}
+                    try:
+                        r = bs.word_sync_beam(model, sent, wk, ak, ft,
+                                              validate=True)
+                    except DeadBeamError as exc:
+                        rec["dead_at"] = exc.word_index
+                    else:
+                        rec["surprisals"] = [repr(x) for x in r.surprisals]
+                        rec["top_parse"] = r.top_parse
+                        rec["top_parse_logprob"] = repr(r.top_parse_logprob)
+                        rec["beam"] = [
+                            [" ".join(map(bs.serialize_action, st.history)),
+                             repr(st.logprob)]
+                            for st in r.beam]
+                    records.append(rec)
+    return records
+
+
+def test_pruned_beam_matches_recorded():
+    # Recorded from the search that copied whole states and fully sorted
+    # every pool by (-logprob, history): survivors, their order and every
+    # float must not move.
+    expected = json.loads((GOLDEN / "beam_ties.json").read_text())
+    got = _narrow_beam_records()
+    assert len(got) == len(expected)
+    for g, e in zip(got, expected):
+        assert g == e
+
+
 # ---------------------------------------------------------------------------
 # Subprocess scorer protocol
+
+
+def test_scorer_responses_match_recorded(tmp_path):
+    # The requests cover every state of the dog walk, each with no next
+    # word, each sentence word and an unknown word.
+    path = tmp_path / "g.pcfg"
+    bs.write_grammar(bs.parse_grammar(DOG_TEXT), path)
+    out = io.StringIO()
+    requests = (GOLDEN / "scorer_dog.requests").read_text()
+    pcfg_scorer.serve(str(path), stdin=io.StringIO(requests), stdout=out)
+    assert out.getvalue() == (GOLDEN / "scorer_dog.responses").read_text()
 
 
 def test_subprocess_scorer_matches_in_process(tmp_path):
@@ -241,3 +351,16 @@ def test_subprocess_scorer_bad_header():
     argv = [sys.executable, "-c", "print('hello')"]
     with pytest.raises(FormatError):
         bs.SubprocessActionModel(argv)
+
+
+def test_close_kills_a_scorer_that_ignores_quit(monkeypatch):
+    monkeypatch.setattr(bs, "CLOSE_TIMEOUT_S", 0.2)
+    script = ("import sys\n"
+              f"print({bs.PROTOCOL_HEADER!r}, flush=True)\n"
+              "for line in sys.stdin:\n"
+              "    pass\n")
+    model = bs.SubprocessActionModel([sys.executable, "-c", script])
+    model.close()
+    assert model._proc.returncode is not None
+    assert model._proc.returncode != 0
+    assert model._proc.stdin.closed and model._proc.stdout.closed

@@ -353,3 +353,45 @@ def test_bad_surprisal_row_is_format_error(tmp_path, capsys, row):
                      "--model", f"adapter:{surp}"])
     assert rc == 1
     assert f"error:format-error: {surp}:2:" in capsys.readouterr().err
+
+
+_ITEMS_HEAD = "suite,model,item_id,bucket,category,target,gram_bits,ungram_bits,correct"
+_ITEMS_ROW = "tiny,m,tiny.b2.fast.f00,2,singular,fast,1.0,2.0,1"
+_EVAL_HEAD = "suite,model,bucket,category,n,k,accuracy,ci_lo,ci_hi,p_above_chance"
+_EVAL_ROW = "tiny,m,2,all,1,1,1.000000,0.206543,1.000000,0.5"
+
+
+@pytest.mark.parametrize("text, lineno", [
+    (f"{_ITEMS_HEAD}\n{_ITEMS_ROW}\n{_ITEMS_ROW[:-2]}\n", 3),
+    (f"{_ITEMS_HEAD}\n{_ITEMS_ROW}\n{_ITEMS_ROW},1\n", 3),
+    (f"{_ITEMS_HEAD[:-8]}\n{_ITEMS_ROW[:-2]}\n", 1),
+], ids=["short-row", "long-row", "missing-column"])
+def test_bad_items_csv_is_format_error(tmp_path, capsys, text, lineno):
+    items = tmp_path / "tiny.m.items.csv"
+    items.write_text(text)
+    lexicon = tmp_path / "lexicon.tsv"
+    lexicon.write_text("#syntax-probe-lexicon v1 lowercase=1\n"
+                       "fast\t2\tJJ:2\t0\t0\t0\t0\n")
+    rc = run(["--config", _write_config(tmp_path), "--out", str(tmp_path / "out"),
+              "analyze", "--items", str(items), "--lexicon", str(lexicon)])
+    assert rc == 1
+    assert f"error:format-error: {items}:{lineno}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("which, text, lineno", [
+    ("eval", _EVAL_HEAD.replace("category,", "") + "\n"
+     + _EVAL_ROW.replace("all,", "") + "\n", 1),
+    ("eval", f"{_EVAL_HEAD}\n{_EVAL_ROW}\n{_EVAL_ROW[:-4]}\n", 3),
+    ("fits", "suite,model,analysis,term,estimate,se,z,p\n"
+     "tiny,*,supervision,model:m,0.1,0.1,1.0,0.3\n", 1),
+], ids=["eval-missing-category", "eval-short-row", "fits-missing-stars"])
+def test_bad_report_input_is_format_error(tmp_path, capsys, which, text, lineno):
+    evals = tmp_path / "tiny.m.eval.csv"
+    evals.write_text(f"{_EVAL_HEAD}\n{_EVAL_ROW}\n")
+    fits = tmp_path / "fits.csv"
+    bad = evals if which == "eval" else fits
+    bad.write_text(text)
+    rc = run(["--config", _write_config(tmp_path), "--out", str(tmp_path / "out"),
+              "report", "--eval", str(evals), "--fits", str(fits)])
+    assert rc == 1
+    assert f"error:format-error: {bad}:{lineno}:" in capsys.readouterr().err
