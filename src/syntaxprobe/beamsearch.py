@@ -10,9 +10,13 @@ generating successors bypassing the structural cutoff each round.  The log
 sum over the surviving word beam approximates the prefix marginal, whose
 per-word differences are surprisals in bits.
 
-The in-repo model is an adapter over a small explicit PCFG, for which
-:func:`exact_marginal` enumerates the full action space; external scorers
-attach through a line-oriented subprocess protocol.
+The search asks the model for the action lists of a whole frontier at
+once (:meth:`GenerativeActionModel.actions_for`): one call per structural
+round, and one per closing round after the last word.  The in-repo model is
+an adapter over a small explicit PCFG, for which :func:`exact_marginal`
+enumerates the full action space; external scorers attach through a
+line-oriented subprocess protocol (:class:`SubprocessActionModel`) that
+answers each such call in one pipe round trip.
 """
 
 from __future__ import annotations
@@ -134,18 +138,16 @@ INITIAL_STATE = ParserState(0, 0.0)
 
 
 def action_is_legal(state: ParserState, action: tuple) -> bool:
+    """O(1) on the frame chain: NT needs an open constituent or an empty
+    stack, GEN an open constituent, REDUCE one with a completed child."""
     kind = action[0]
-    stack = state.stack
-    has_open = any(isinstance(x, OpenNT) for x in stack)
+    frame = state.frame
     if kind == NT:
-        return not stack or has_open
+        return frame is not None or state.tree is None
     if kind == GEN:
-        return has_open
+        return frame is not None
     if kind == "REDUCE":
-        for i in range(len(stack) - 1, -1, -1):
-            if isinstance(stack[i], OpenNT):
-                return i < len(stack) - 1  # at least one completed child
-        return False
+        return frame is not None and bool(frame[1])
     return False
 
 
@@ -213,6 +215,8 @@ class GenerativeActionModel:
     for legal actions, normalized within 1e-9 over the full legal set; an
     implementation may prune generation actions to ``next_word`` (the sum
     then being <= 1).  Scores must depend only on the state.
+    ``actions_for(states, next_word)`` returns one such list per state, in
+    order; the search calls it once per round.
     """
 
     def initial_state(self) -> ParserState:
@@ -220,6 +224,10 @@ class GenerativeActionModel:
 
     def actions(self, state: ParserState, next_word: str | None = None):
         raise NotImplementedError
+
+    def actions_for(self, states: Sequence[ParserState],
+                    next_word: str | None = None) -> list:
+        return [self.actions(s, next_word) for s in states]
 
 
 @dataclass(frozen=True)
@@ -465,8 +473,8 @@ def word_sync_beam(
             rounds += 1
             gen_succs: list[ParserState] = []
             pool: list[ParserState] = []
-            for st in frontier:
-                for action, lp in model.actions(st, next_word=word):
+            for st, actions in zip(frontier, model.actions_for(frontier, word)):
+                for action, lp in actions:
                     if action[0] == GEN:
                         if action[1] == word:
                             gen_succs.append(apply_action(st, action, lp, validate))
@@ -497,8 +505,7 @@ def word_sync_beam(
     while frontier and rounds < max_struct_rounds:
         rounds += 1
         nxt: list[ParserState] = []
-        for st in frontier:
-            actions = model.actions(st)
+        for st, actions in zip(frontier, model.actions_for(frontier)):
             if not actions:
                 if st.is_complete:
                     finals.append(st)
@@ -592,19 +599,52 @@ def exact_marginal(model: GenerativeActionModel, sentence: Sequence[str],
 # Subprocess scorer protocol (line-oriented, versioned header)
 
 
-PROTOCOL_HEADER = "#syntax-probe-scorer v1"
+PROTOCOL_HEADER = "#syntax-probe-scorer v2"
 
 # Seconds a scorer child has to exit after QUIT before it is killed.
 CLOSE_TIMEOUT_S = 10.0
 
 
-class SubprocessActionModel(GenerativeActionModel):
-    """Adapter speaking the external scorer protocol.
+def parse_action_list(field: str) -> list:
+    """``[(action, log2prob), ...]`` from space-joined ``action=log2prob``."""
+    out = []
+    for entry in field.split(" ") if field else ():
+        token, _, lp = entry.rpartition("=")
+        if not token:
+            raise FormatError(f"bad scorer response entry {entry!r}")
+        try:
+            out.append((parse_action(token), float(lp)))
+        except ValueError as exc:
+            raise FormatError(f"bad scorer response entry {entry!r}") from exc
+    return out
 
-    On startup the child prints the versioned header line.  Each request is
-    ``SCORE<TAB>action history (space-joined)<TAB>next word (may be empty)``
-    and each response one line of space-joined ``action=log2prob`` entries
-    (empty line: no legal actions).  ``QUIT`` ends the session.
+
+def format_action_list(actions) -> str:
+    return " ".join(f"{serialize_action(a)}={lp!r}" for a, lp in actions)
+
+
+class SubprocessActionModel(GenerativeActionModel):
+    """Adapter speaking the external scorer protocol, version 2.
+
+    On startup the child prints the versioned header line.  A request is
+    ``SCORE<TAB>next word (may be empty)<TAB>refs``; the space-joined refs
+    name the states to score, each one of
+
+    - ``ID``: a state the scorer already knows;
+    - ``ID=PARENT:ACTION``: a new state, one action past a known state;
+    - ``ID=``: the initial state, which starts a sentence and clears both
+      id tables, so neither side holds more than one sentence's states.
+
+    The response is one line: the tab-joined action lists of the refs, in
+    order, each a space-joined list of ``action=log2prob`` entries (empty:
+    no legal actions).  A request the scorer cannot answer gets one
+    ``ERR <reason>`` line instead, raised here as a FormatError, and the
+    session goes on.  ``QUIT`` ends it.
+
+    The client keys its ids by the identity of a state's action chain, and
+    holds the chain, so an id is never reused while it is known.  The search
+    scores every state's parent before the state, so each new state costs
+    one definition; unknown ancestors are defined first otherwise.
     """
 
     def __init__(self, argv: Sequence[str]):
@@ -612,6 +652,7 @@ class SubprocessActionModel(GenerativeActionModel):
             list(argv), stdin=subprocess.PIPE, stdout=subprocess.PIPE,
             text=True, bufsize=1,
         )
+        self._ids: dict = {}  # id(chain) -> (state id, chain)
         header = self._proc.stdout.readline().strip()
         if header != PROTOCOL_HEADER:
             self.close()
@@ -619,23 +660,56 @@ class SubprocessActionModel(GenerativeActionModel):
                 f"scorer did not announce {PROTOCOL_HEADER!r} (got {header!r})"
             )
 
-    def actions(self, state: ParserState, next_word: str | None = None):
-        history = " ".join(serialize_action(a) for a in state.history)
-        self._proc.stdin.write(f"SCORE\t{history}\t{next_word or ''}\n")
+    def _add_refs(self, chain, refs: list) -> None:
+        """Append the refs that name the state with ``chain``, defining it
+        and its unknown ancestors, oldest first."""
+        if chain is None:
+            self._ids.clear()  # a new sentence
+        missing = []
+        while id(chain) not in self._ids:
+            missing.append(chain)
+            if chain is None:
+                break
+            chain = chain[1]
+        if not missing:
+            refs.append(self._ids[id(chain)][0])
+        for node in reversed(missing):
+            if node is None:
+                definition = ""
+            else:
+                definition = (f"{self._ids[id(node[1])][0]}:"
+                              f"{serialize_action(node[0])}")
+            sid = str(len(self._ids))
+            self._ids[id(node)] = (sid, node)
+            refs.append(f"{sid}={definition}")
+
+    def actions_for(self, states: Sequence[ParserState],
+                    next_word: str | None = None) -> list:
+        if not states:
+            return []
+        refs: list = []
+        replies = []  # index of each state's list in the response
+        for st in states:
+            self._add_refs(st.chain, refs)
+            replies.append(len(refs) - 1)
+        self._proc.stdin.write(f"SCORE\t{next_word or ''}\t{' '.join(refs)}\n")
         self._proc.stdin.flush()
         line = self._proc.stdout.readline()
         if line == "":
             raise FormatError("scorer closed the stream mid-session")
         line = line.rstrip("\n")
-        if not line:
-            return []
-        out = []
-        for entry in line.split(" "):
-            token, _, lp = entry.rpartition("=")
-            if not token:
-                raise FormatError(f"bad scorer response entry {entry!r}")
-            out.append((parse_action(token), float(lp)))
-        return out
+        if line.startswith("ERR "):
+            self._ids.clear()  # the next request redefines from ``ID=``
+            raise FormatError(f"scorer error: {line[4:]}")
+        fields = line.split("\t")
+        if len(fields) != len(refs):
+            self._ids.clear()
+            raise FormatError(f"scorer answered {len(fields)} of {len(refs)} "
+                              "states")
+        return [parse_action_list(fields[i]) for i in replies]
+
+    def actions(self, state: ParserState, next_word: str | None = None):
+        return self.actions_for([state], next_word)[0]
 
     def close(self):
         """Send QUIT and reap the child, killing it if it does not exit

@@ -309,11 +309,20 @@ def cmd_eval(cfg: RunConfig, args) -> int:
     return 0
 
 
+def _bucket(text: str) -> int:
+    """An exposure bucket, which analyze takes the log of."""
+    value = int(text)
+    if value < 1:
+        raise ValueError(text)
+    return value
+
+
 def _items_by_group(paths):
     groups: dict = {}
     for path in paths:
         for row in scoring.read_items_csv(_require(path, "items csv"),
-                                          scoring.ITEMS_COLUMNS):
+                                          scoring.ITEMS_COLUMNS,
+                                          {"correct": int, "bucket": _bucket}):
             key = (row["suite"], row["model"])
             groups.setdefault(key, []).append(row)
     return groups
@@ -343,7 +352,7 @@ def cmd_analyze(cfg: RunConfig, args) -> int:
 
     for (suite_id, model), rows in sorted(groups.items()):
         counts = np.array([max(1, lex.count(r["target"])) for r in rows], float)
-        correct = np.array([int(r["correct"]) for r in rows])
+        correct = np.array([r["correct"] for r in rows])
         targets = [r["target"] for r in rows]
 
         # Exposure effect on accuracy, raw occurrence counts as predictor,
@@ -355,10 +364,10 @@ def cmd_analyze(cfg: RunConfig, args) -> int:
         for x, p, lo, hi in curve.samples:
             curve_rows.append((suite_id, model, x, p, lo, hi))
 
-        buckets = sorted({int(r["bucket"]) for r in rows})
+        buckets = sorted({r["bucket"] for r in rows})
         points = []
         for b in buckets:
-            sub = [int(r["correct"]) for r in rows if int(r["bucket"]) == b]
+            sub = [r["correct"] for r in rows if r["bucket"] == b]
             summ = stats.BinomialSummary.from_counts(sum(sub), len(sub))
             points.append({"bucket": b, "log10_exposure": math.log10(b),
                            "accuracy": summ.accuracy, "ci_lo": summ.ci_lo,
@@ -396,8 +405,8 @@ def cmd_analyze(cfg: RunConfig, args) -> int:
         for m in names:
             for r in models[m]:
                 dummies = [1.0 if m == c else 0.0 for c in contrasts]
-                X.append(dummies + [math.log10(int(r["bucket"]))])
-                y.append(int(r["correct"]))
+                X.append(dummies + [math.log10(r["bucket"])])
+                y.append(r["correct"])
                 clusters.append(r["item_id"])
         labels = [f"model:{m}" for m in contrasts] + ["bucket_log10"]
         fits_rows += _fit_rows((suite_id, "*", "supervision"), np.array(X),
@@ -435,7 +444,7 @@ def cmd_report(cfg: RunConfig, args) -> int:
                 models.append(row["model"])
             if row["suite"] not in suites_seen:
                 suites_seen.append(row["suite"])
-            above = float(row["p_above_chance"]) < 0.05
+            above = row["p_above_chance"] < 0.05
             got = cells.setdefault(key, [0, 0])
             got[0] += int(above)
             got[1] += 1

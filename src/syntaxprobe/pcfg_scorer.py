@@ -1,10 +1,16 @@
-"""Reference external scorer for the subprocess protocol.
+"""Reference external scorer for the subprocess protocol (version 2).
 
 Run as ``python -m syntaxprobe.pcfg_scorer GRAMMAR_FILE``: announces the
-protocol header, then answers SCORE requests by replaying the action
-history through the transition system and scoring with the PCFG adapter,
-which prunes generation actions to the requested next word when one is
-given (structural scores are unchanged, so the response sums to at most 1).
+protocol header, then answers each ``SCORE<TAB>next word<TAB>refs`` request
+with one line holding the tab-joined action lists of its refs (see
+:class:`~syntaxprobe.beamsearch.SubprocessActionModel` for the wire format).
+It keeps a table from state id to parser state, so a new state
+``ID=PARENT:ACTION`` costs one legality-checked transition from its parent;
+``ID=`` (the initial state) clears the table.  Actions are scored with the
+PCFG adapter, which prunes generation actions to the requested next word
+when one is given (structural scores are unchanged, so a list sums to at
+most 1).  A malformed or illegal request is answered with one
+``ERR <reason>`` line, and the scorer goes on serving.
 """
 
 from __future__ import annotations
@@ -15,10 +21,41 @@ from .beamsearch import (
     PROTOCOL_HEADER,
     PCFGActionModel,
     apply_action,
+    format_action_list,
     parse_action,
     read_grammar,
-    serialize_action,
 )
+from .errors import FormatError, SyntaxProbeError
+
+
+def _score(model: PCFGActionModel, states: dict, line: str) -> str:
+    """The response line to one request, updating ``states`` in order."""
+    fields = line.split("\t")
+    if len(fields) != 3 or fields[0] != "SCORE":
+        raise FormatError(
+            f"expected SCORE<TAB>next word<TAB>refs, got {line[:80]!r}")
+    _, next_word, refs = fields
+    out = []
+    for ref in refs.split(" "):
+        sid, is_new, definition = ref.partition("=")
+        if not is_new:
+            state = states.get(sid)
+            if state is None:
+                raise FormatError(f"unknown state id {sid!r}")
+        elif not sid:
+            raise FormatError(f"ref {ref!r} has no state id")
+        elif not definition:
+            states.clear()  # a new sentence
+            state = model.initial_state()
+        else:
+            parent, _, token = definition.partition(":")
+            if parent not in states:
+                raise FormatError(f"unknown parent id {parent!r} in {ref!r}")
+            state = apply_action(states[parent], parse_action(token), 0.0,
+                                 validate=True)
+        states[sid] = state
+        out.append(format_action_list(model.actions(state, next_word or None)))
+    return "\t".join(out)
 
 
 def serve(grammar_path: str, stdin=None, stdout=None) -> None:
@@ -27,21 +64,16 @@ def serve(grammar_path: str, stdin=None, stdout=None) -> None:
     model = PCFGActionModel(read_grammar(grammar_path))
     stdout.write(PROTOCOL_HEADER + "\n")
     stdout.flush()
+    states: dict = {}
     for line in stdin:
         line = line.rstrip("\n")
         if line == "QUIT":
             break
-        verb, history, next_word = line.split("\t")
-        if verb != "SCORE":
-            raise SystemExit(f"unknown request {verb!r}")
-        state = model.initial_state()
-        for token in history.split(" "):
-            if token:
-                state = apply_action(state, parse_action(token), 0.0)
-        actions = model.actions(state, next_word or None)
-        stdout.write(
-            " ".join(f"{serialize_action(a)}={lp!r}" for a, lp in actions) + "\n"
-        )
+        try:
+            reply = _score(model, states, line)
+        except SyntaxProbeError as exc:
+            reply = "ERR " + " ".join(str(exc).split())
+        stdout.write(reply + "\n")
         stdout.flush()
 
 

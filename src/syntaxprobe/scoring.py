@@ -301,10 +301,13 @@ def write_items_csv(results: Iterable[ItemResult], path, suite_id: str,
                for r in results))
 
 
-def read_items_csv(path, required=()) -> list[dict]:
+def read_items_csv(path, required=(), types=None) -> list[dict]:
     """Rows of a table written by :func:`write_csv`, as dicts keyed by its
-    header.  A header without every ``required`` column, or a row with more
-    or fewer fields than the header, is a FormatError at its line."""
+    header, with each column named in ``types`` converted by its type.  A
+    header without every ``required`` column, a row with more or fewer
+    fields than the header, or a value its type rejects is a FormatError at
+    its line."""
+    types = types or {}
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
         header = reader.fieldnames or []
@@ -316,9 +319,16 @@ def read_items_csv(path, required=()) -> list[dict]:
             if None in row or None in row.values():
                 raise FormatError(f"{path}:{reader.line_num}: expected "
                                   f"{len(header)} fields")
+            for column, convert in types.items():
+                try:
+                    row[column] = convert(row[column])
+                except ValueError:
+                    raise FormatError(
+                        f"{path}:{reader.line_num}: bad {column} "
+                        f"{row[column]!r}") from None
             rows.append(row)
         return rows
 
 
 def read_eval_csv(path) -> list[dict]:
-    return read_items_csv(path, EVAL_COLUMNS)
+    return read_items_csv(path, EVAL_COLUMNS, {"p_above_chance": float})

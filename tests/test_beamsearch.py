@@ -322,20 +322,49 @@ def test_pruned_beam_matches_recorded():
 # Subprocess scorer protocol
 
 
-def test_scorer_responses_match_recorded(tmp_path):
-    # The requests cover every state of the dog walk, each with no next
-    # word, each sentence word and an unknown word.
+def _dog_grammar_file(tmp_path):
     path = tmp_path / "g.pcfg"
     bs.write_grammar(bs.parse_grammar(DOG_TEXT), path)
+    return path
+
+
+def test_scorer_responses_match_recorded(tmp_path):
+    # The requests were recorded in protocol v1, one history per request;
+    # they cover every state of the dog walk, each with no next word, each
+    # sentence word and an unknown word.  Each history is sent as a chain of
+    # v2 definitions from ``0=``, and the list for every state on the chain
+    # must equal the recorded reply for that state and next word.
+    requests = [tuple(line.split("\t")[1:]) for line in
+                (GOLDEN / "scorer_dog.requests").read_text().splitlines()
+                if line != "QUIT"]
+    replies = (GOLDEN / "scorer_dog.responses").read_text().splitlines()[1:]
+    assert len(requests) == len(replies) == 155
+    recorded = dict(zip(requests, replies))
+
+    lines = []
+    for history, next_word in requests:
+        tokens = history.split()
+        refs = ["0="] + [f"{i + 1}={i}:{tok}" for i, tok in enumerate(tokens)]
+        lines.append(f"SCORE\t{next_word}\t{' '.join(refs)}\n")
     out = io.StringIO()
-    requests = (GOLDEN / "scorer_dog.requests").read_text()
-    pcfg_scorer.serve(str(path), stdin=io.StringIO(requests), stdout=out)
-    assert out.getvalue() == (GOLDEN / "scorer_dog.responses").read_text()
+    pcfg_scorer.serve(str(_dog_grammar_file(tmp_path)),
+                      stdin=io.StringIO("".join(lines) + "QUIT\n"), stdout=out)
+    got = out.getvalue().splitlines()
+    assert got[0] == bs.PROTOCOL_HEADER
+    assert len(got) == 1 + len(requests)
+    checked = 0
+    for (history, next_word), line in zip(requests, got[1:]):
+        tokens = history.split()
+        fields = line.split("\t")
+        assert len(fields) == len(tokens) + 1
+        for i, field in enumerate(fields):
+            assert field == recorded[(" ".join(tokens[:i]), next_word)]
+            checked += 1
+    assert checked > len(requests)
 
 
 def test_subprocess_scorer_matches_in_process(tmp_path):
-    path = tmp_path / "g.pcfg"
-    bs.write_grammar(bs.parse_grammar(DOG_TEXT), path)
+    path = _dog_grammar_file(tmp_path)
     direct = bs.word_sync_beam(
         bs.PCFGActionModel(bs.read_grammar(path)), ["the", "dog", "barks"],
         word_beam_k=32)
@@ -364,3 +393,151 @@ def test_close_kills_a_scorer_that_ignores_quit(monkeypatch):
     assert model._proc.returncode is not None
     assert model._proc.returncode != 0
     assert model._proc.stdin.closed and model._proc.stdout.closed
+
+
+def _scorer_argv(path):
+    return [sys.executable, "-m", "syntaxprobe.pcfg_scorer", str(path)]
+
+
+@pytest.mark.parametrize("seed", [None, 0, 1, 2, 3], ids=[
+    "dog", "random_pcfg(0)", "random_pcfg(1)", "random_pcfg(2)",
+    "random_pcfg(3)"])
+def test_subprocess_surprisals_equal_in_process(tmp_path, seed):
+    # log2probs cross the pipe as repr, so the search sees the same floats.
+    if seed is None:
+        grammar = bs.parse_grammar(DOG_TEXT)
+        sentences = [["the", "dog", "barks"]]
+    else:
+        grammar = random_pcfg(seed)
+        rng = random.Random(1000 + seed)
+        sentences = [sample_sentence(grammar, rng) for _ in range(3)]
+    path = tmp_path / "g.pcfg"
+    bs.write_grammar(grammar, path)
+    local = bs.PCFGActionModel(bs.read_grammar(path))
+
+    def search(model, sent, k, ft):
+        try:
+            r = bs.word_sync_beam(model, sent, k, fast_track_k=ft)
+        except DeadBeamError as exc:
+            return exc.word_index
+        return (r.surprisals, r.marginals, r.top_parse, r.top_parse_logprob,
+                r.complete_logprob, [s.history for s in r.beam])
+
+    searched = 0
+    with bs.SubprocessActionModel(_scorer_argv(path)) as remote:
+        for sent in sentences:
+            for k, ft in ((100, 5), (2, 1)):
+                expected = search(local, sent, k, ft)
+                assert search(remote, sent, k, ft) == expected
+                searched += not isinstance(expected, int)
+    assert searched >= len(sentences)
+
+
+class _CountingModel(bs.PCFGActionModel):
+    """Records the number of states in each ``actions_for`` call."""
+
+    def __init__(self, grammar):
+        super().__init__(grammar)
+        self.batches = []
+
+    def actions_for(self, states, next_word=None):
+        self.batches.append(len(states))
+        return super().actions_for(states, next_word)
+
+
+def test_one_request_per_round(tmp_path):
+    # The scorer runs behind a wrapper that logs every request line it reads.
+    path = _dog_grammar_file(tmp_path)
+    log = tmp_path / "requests.log"
+    script = ("import sys\n"
+              "from syntaxprobe import pcfg_scorer\n"
+              "log = open(sys.argv[2], 'w')\n"
+              "def lines():\n"
+              "    for line in sys.stdin:\n"
+              "        log.write(line)\n"
+              "        log.flush()\n"
+              "        yield line\n"
+              "pcfg_scorer.serve(sys.argv[1], stdin=lines())\n")
+    sent = ["the", "dog", "barks"]
+    counting = _CountingModel(bs.parse_grammar(DOG_TEXT))
+    bs.word_sync_beam(counting, sent, word_beam_k=4)
+    with bs.SubprocessActionModel(
+            [sys.executable, "-c", script, str(path), str(log)]) as remote:
+        assert remote.actions_for([], "the") == []  # no request
+        bs.word_sync_beam(remote, sent, word_beam_k=4)
+    requests = [line for line in log.read_text().splitlines()
+                if line.startswith("SCORE\t")]
+    assert len(requests) == len(counting.batches)
+    assert [len(r.split("\t")[2].split(" ")) for r in requests] == counting.batches
+    assert sum(counting.batches) > len(requests)
+
+
+def test_client_ids_restart_each_sentence(tmp_path):
+    path = _dog_grammar_file(tmp_path)
+    counting = _CountingModel(bs.parse_grammar(DOG_TEXT))
+    with bs.SubprocessActionModel(_scorer_argv(path)) as remote:
+        bs.word_sync_beam(remote, ["the", "dog", "barks"], word_beam_k=8)
+        first = len(remote._ids)
+        bs.word_sync_beam(remote, ["the", "dog"], word_beam_k=8)
+        bs.word_sync_beam(counting, ["the", "dog"], word_beam_k=8)
+        # Only the second sentence's states are held, numbered from 0.
+        assert len(remote._ids) == sum(counting.batches) < first
+        assert sorted(int(sid) for sid, _ in remote._ids.values()) == list(
+            range(len(remote._ids)))
+
+
+def test_client_defines_unknown_ancestors(tmp_path):
+    path = _dog_grammar_file(tmp_path)
+    local = bs.PCFGActionModel(bs.parse_grammar(DOG_TEXT))
+    state = bs.INITIAL_STATE
+    for action in (bs.nt("S"), bs.nt("NP"), bs.nt("D"), bs.gen("the")):
+        state = bs.apply_action(state, action, 0.0)
+    with bs.SubprocessActionModel(_scorer_argv(path)) as remote:
+        assert remote.actions(state, "x") == local.actions(state, "x")
+        assert remote.actions(state) == local.actions(state)
+
+
+@pytest.mark.parametrize("line, reason", [
+    ("SCORE\t\t0= 1=0:GEN(the)", "illegal action GEN(the)"),
+    ("SCORE\t\t0= 1=0:REDUCE", "illegal action REDUCE"),
+    ("SCORE\t\t0= 1=0:SHIFT", "bad action token 'SHIFT'"),
+    ("SCORE\t0= 1=0:NT(S)", "expected SCORE<TAB>next word<TAB>refs"),
+    ("SCORE\t\t0= 2=1:NT(S)", "unknown parent id '1'"),
+    ("SCORE\t\t7", "unknown state id '7'"),
+], ids=["gen-first", "reduce-first", "shift", "field-count", "unknown-parent",
+        "unknown-id"])
+def test_scorer_answers_bad_requests_with_err(tmp_path, line, reason):
+    path = _dog_grammar_file(tmp_path)
+    out = io.StringIO()
+    pcfg_scorer.serve(str(path), stdin=io.StringIO(
+        f"{line}\nSCORE\tthe\t0= 1=0:NT(S)\nQUIT\n"), stdout=out)
+    header, err, good = out.getvalue().splitlines()
+    assert header == bs.PROTOCOL_HEADER
+    assert err.startswith("ERR ") and reason in err
+    assert good == "NT(S)=0.0\tNT(NP)=0.0"  # still serving
+
+
+def test_scorer_forgets_ids_at_new_sentence(tmp_path):
+    out = io.StringIO()
+    pcfg_scorer.serve(str(_dog_grammar_file(tmp_path)), stdin=io.StringIO(
+        "SCORE\t\t0= 1=0:NT(S)\nSCORE\t\t1 0=\nSCORE\t\t1\nQUIT\n"),
+        stdout=out)
+    _, first, again, forgotten = out.getvalue().splitlines()
+    assert first.split("\t")[1] == again.split("\t")[0]
+    assert forgotten.startswith("ERR unknown state id '1'")
+
+
+@pytest.mark.parametrize("action", [bs.gen("the"), bs.REDUCE],
+                         ids=["gen-first", "reduce-first"])
+def test_client_raises_scorer_error(tmp_path, action):
+    path = _dog_grammar_file(tmp_path)
+    local = bs.PCFGActionModel(bs.parse_grammar(DOG_TEXT))
+    illegal = bs.ParserState(0, 0.0, chain=(action, None))
+    with bs.SubprocessActionModel(_scorer_argv(path)) as remote:
+        with pytest.raises(FormatError) as err:
+            remote.actions(illegal)
+        assert f"illegal action {bs.serialize_action(action)}" in str(err.value)
+        # The session goes on, and the next search starts afresh.
+        sent = ["the", "dog", "barks"]
+        assert (bs.word_sync_beam(remote, sent).surprisals
+                == bs.word_sync_beam(local, sent).surprisals)

@@ -1,6 +1,8 @@
 import csv
 import os
 import pathlib
+import shlex
+import sys
 
 import pytest
 
@@ -248,6 +250,21 @@ def test_score_with_pcfg_model(tmp_path):
         -math.log2(0.25))
 
 
+def test_score_with_subprocess_model_matches_pcfg(tmp_path):
+    grammar = tmp_path / "g.pcfg"
+    grammar.write_text("1.0 S -> A B\n0.75 A -> fast\n0.25 A -> slow\n"
+                       "1.0 B -> go\n")
+    scorer = shlex.join([sys.executable, "-m", "syntaxprobe.pcfg_scorer",
+                         str(grammar)])
+    base = ["--config", _write_config(tmp_path), "--out", str(tmp_path / "out"),
+            "score", "--suite-file", str(_tiny_suite(tmp_path))]
+    assert run(base + ["--model", f"pcfg:{grammar}", "--model-name", "a"]) == 0
+    assert run(base + ["--model", f"subprocess:{scorer}", "--model-name", "b"]) == 0
+    surprisals = tmp_path / "out" / "surprisals"
+    assert (surprisals / "tiny.b.surp").read_bytes() == (
+        surprisals / "tiny.a.surp").read_bytes()
+
+
 def test_bad_model_spec_is_usage_error(tmp_path, capsys):
     config = _toy_config(tmp_path)
     out = tmp_path / "out"
@@ -365,7 +382,11 @@ _EVAL_ROW = "tiny,m,2,all,1,1,1.000000,0.206543,1.000000,0.5"
     (f"{_ITEMS_HEAD}\n{_ITEMS_ROW}\n{_ITEMS_ROW[:-2]}\n", 3),
     (f"{_ITEMS_HEAD}\n{_ITEMS_ROW}\n{_ITEMS_ROW},1\n", 3),
     (f"{_ITEMS_HEAD[:-8]}\n{_ITEMS_ROW[:-2]}\n", 1),
-], ids=["short-row", "long-row", "missing-column"])
+    (f"{_ITEMS_HEAD}\n{_ITEMS_ROW}\n{_ITEMS_ROW[:-1]}yes\n", 3),
+    (f"{_ITEMS_HEAD}\n{_ITEMS_ROW.replace(',2,', ',two,')}\n", 2),
+    (f"{_ITEMS_HEAD}\n{_ITEMS_ROW}\n{_ITEMS_ROW.replace(',2,', ',0,')}\n", 3),
+], ids=["short-row", "long-row", "missing-column", "correct-not-int",
+        "bucket-not-int", "bucket-zero"])
 def test_bad_items_csv_is_format_error(tmp_path, capsys, text, lineno):
     items = tmp_path / "tiny.m.items.csv"
     items.write_text(text)
@@ -384,7 +405,9 @@ def test_bad_items_csv_is_format_error(tmp_path, capsys, text, lineno):
     ("eval", f"{_EVAL_HEAD}\n{_EVAL_ROW}\n{_EVAL_ROW[:-4]}\n", 3),
     ("fits", "suite,model,analysis,term,estimate,se,z,p\n"
      "tiny,*,supervision,model:m,0.1,0.1,1.0,0.3\n", 1),
-], ids=["eval-missing-category", "eval-short-row", "fits-missing-stars"])
+    ("eval", f"{_EVAL_HEAD}\n{_EVAL_ROW[:-3]}n/a\n", 2),
+], ids=["eval-missing-category", "eval-short-row", "fits-missing-stars",
+        "eval-p-not-float"])
 def test_bad_report_input_is_format_error(tmp_path, capsys, which, text, lineno):
     evals = tmp_path / "tiny.m.eval.csv"
     evals.write_text(f"{_EVAL_HEAD}\n{_EVAL_ROW}\n")
