@@ -252,15 +252,16 @@ class ToyPCFG:
             sym for r in rules for sym in r.rhs if sym not in self.nonterminals
         }
         by_lhs: dict = {}
+        # Both probability checks are written so that NaN fails them.
         for r in rules:
-            if r.prob <= 0:
-                raise GrammarError(f"rule {r} has non-positive probability")
+            if not r.prob > 0:
+                raise GrammarError(f"rule {r} needs a positive probability")
             if not r.rhs:
                 raise GrammarError(f"rule {r} has an empty right-hand side")
             by_lhs.setdefault(r.lhs, []).append(r)
         for lhs, group in by_lhs.items():
             total = math.fsum(r.prob for r in group)
-            if abs(total - 1.0) > 1e-9:
+            if not abs(total - 1.0) <= 1e-9:
                 raise GrammarError(f"probabilities for {lhs} sum to {total}")
         self.by_lhs = by_lhs
 
@@ -373,7 +374,12 @@ def parse_grammar(text: str) -> ToyPCFG:
 
 def read_grammar(path) -> ToyPCFG:
     with open(path, encoding="utf-8") as fh:
-        return parse_grammar(fh.read())
+        text = fh.read()
+    try:
+        return parse_grammar(text)
+    except (FormatError, GrammarError) as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
 
 
 def write_grammar(grammar: ToyPCFG, path) -> None:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import beamsearch, corpus, ngram, scoring, stats, suites, toydata
-from .errors import SyntaxProbeError, UsageError
+from .errors import FormatError, SyntaxProbeError, UsageError
 
 
 @dataclass
@@ -85,6 +85,18 @@ class RunConfig:
 
 _CONFIG_KEYS = tuple(f.name for f in fields(RunConfig))
 
+#: Numeric config keys: the type each value must parse as, and its range.
+_NUMBERS = {
+    "seed": (int, -math.inf, math.inf),
+    "order": (int, 1, math.inf),
+    "words_per_category": (int, 1, math.inf),
+    "frames_per_word": (int, 1, math.inf),
+    "filler_min_count": (int, 0, math.inf),
+    "transitive_hi": (float, 0.0, 1.0),
+    "intransitive_lo": (float, 0.0, 1.0),
+    "eps_tie": (float, 0.0, math.inf),
+}
+
 
 def load_config(path: str | None, env: dict, overrides: dict) -> RunConfig:
     cfg = RunConfig()
@@ -92,7 +104,11 @@ def load_config(path: str | None, env: dict, overrides: dict) -> RunConfig:
         if not os.path.exists(path):
             raise UsageError(f"config file {path!r} does not exist")
         parser = configparser.ConfigParser(interpolation=None)
-        parser.read(path)
+        try:
+            with open(path, encoding="utf-8") as fh:
+                parser.read_file(fh)
+        except configparser.Error as exc:
+            raise UsageError(f"bad config file: {' '.join(str(exc).split())}") from exc
         section = parser["syntaxprobe"] if parser.has_section("syntaxprobe") \
             else parser["DEFAULT"]
         for key in section:
@@ -106,6 +122,17 @@ def load_config(path: str | None, env: dict, overrides: dict) -> RunConfig:
     for key, value in overrides.items():
         if value is not None:
             setattr(cfg, key, str(value))
+    for key, (kind, lo, hi) in _NUMBERS.items():
+        text = getattr(cfg, key)
+        if key == "seed" and not text.strip():
+            continue  # only gen needs a seed, and seed_value() says so
+        try:
+            value = kind(text)
+        except ValueError:
+            value = math.nan
+        if not lo <= value <= hi:
+            raise UsageError(f"config key {key} must be {kind.__name__} in "
+                             f"[{lo}, {hi}], got {text!r}")
     return cfg
 
 
@@ -559,8 +586,14 @@ def main(argv=None) -> int:
                           {"seed": args.seed, "out": args.out})
         return _COMMANDS[args.command](cfg, args)
     except SyntaxProbeError as exc:
-        print(f"error:{exc.category}: {exc}", file=sys.stderr)
-        return 2 if isinstance(exc, UsageError) else 1
+        error = exc
+    except UnicodeDecodeError as exc:
+        error = FormatError(f"input is not UTF-8: {exc}")
+    except OSError as exc:
+        error = UsageError(f"{exc.filename}: {exc.strerror}" if exc.filename
+                           else str(exc))
+    print(f"error:{error.category}: {error}", file=sys.stderr)
+    return 2 if isinstance(error, UsageError) else 1
 
 
 if __name__ == "__main__":

@@ -15,9 +15,11 @@ over a concatenation equals the merge of the parts (see
 from __future__ import annotations
 
 import hashlib
+import re
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import islice
 from typing import Iterable, Mapping
 
 from .errors import FormatError, InputError, TreebankParseError
@@ -65,11 +67,13 @@ class Tree:
 
     def terminals(self):
         """Yield ``(word, tag)`` pairs in surface order."""
-        if self.is_terminal:
-            yield (self.word, self.label)
-        else:
-            for child in self.children:
-                yield from child.terminals()
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            if node.word is not None:
+                yield (node.word, node.label)
+            else:
+                stack.extend(reversed(node.children))
 
     def pretty(self) -> str:
         """Canonical single-space bracketing; inverse of :func:`parse_treebank`."""
@@ -98,83 +102,78 @@ def base_label(label: str) -> str:
     return label.split("-")[0].split("=")[0]
 
 
-def _skip_ws(text: str, i: int) -> int:
-    n = len(text)
-    while i < n and text[i].isspace():
-        i += 1
-    return i
+#: The tokens of ``"\n" + text``: a comment line (matched with the newline
+#: before it, so that only comments start with one), a bracket, or an atom.
+#: ``\s`` is exactly ``str.isspace``.
+_TOKEN = re.compile(r"\n[^\S\n]*#.*|[()]|[^\s()]+")
 
 
-def _atom(text: str, i: int) -> tuple[str, int]:
-    n = len(text)
-    j = i
-    while j < n and not text[j].isspace() and text[j] not in "()":
-        j += 1
-    return text[i:j], j
-
-
-def _parse_node(text: str, i: int) -> tuple[Tree, int]:
-    start = i
-    i = _skip_ws(text, i + 1)  # past '('
-    label, i = _atom(text, i)
-    children: list[Tree] = []
-    word: str | None = None
-    n = len(text)
-    while True:
-        i = _skip_ws(text, i)
-        if i >= n:
-            raise TreebankParseError("unclosed '('", offset=start)
-        ch = text[i]
-        if ch == ")":
-            i += 1
-            break
-        if ch == "(":
-            if word is not None:
-                raise TreebankParseError("child after terminal word", offset=i)
-            child, i = _parse_node(text, i)
-            children.append(child)
-        else:
-            atom, i = _atom(text, i)
-            if children or word is not None:
-                raise TreebankParseError(f"unexpected token {atom!r}", offset=i - len(atom))
-            word = atom
-    if word is not None:
-        if not label:
-            raise TreebankParseError("empty node label", offset=start)
-        return Tree(label, word=word), i
-    if not children:
-        raise TreebankParseError("empty constituent", offset=start)
-    if not label:
-        # PTB files wrap each tree in an unlabeled top bracket; unwrap it.
-        if len(children) == 1:
-            return children[0], i
-        raise TreebankParseError("empty node label", offset=start)
-    return Tree(label, children), i
+def _parse_error(text: str, k: int, message: str) -> TreebankParseError:
+    """The error at the ``k``-th token of ``text``, at that token's offset
+    (found only on error, so the parser loops over plain strings)."""
+    m = next(islice(_TOKEN.finditer("\n" + text), k, None))
+    return TreebankParseError(message, offset=m.start() - 1)
 
 
 def parse_treebank(text: str) -> list[Tree]:
     """Parse a sequence of bracketed trees.
 
-    Raises :class:`TreebankParseError` with the byte offset of the offending
-    bracket on unbalanced input or empty labels.
+    Lines whose first non-blank character is ``#`` are comments.  Raises
+    :class:`TreebankParseError` with the offset in ``text`` of the offending
+    bracket or token on unbalanced input or empty labels.
     """
-    trees = []
-    i = _skip_ws(text, 0)
-    n = len(text)
-    while i < n:
-        if text[i] != "(":
-            raise TreebankParseError(f"expected '(' but found {text[i]!r}", offset=i)
-        tree, i = _parse_node(text, i)
-        trees.append(tree)
-        i = _skip_ws(text, i)
+    trees: list[Tree] = []
+    stack: list[list] = []  # open brackets: [token index, label, children, word]
+    for k, tok in enumerate(_TOKEN.findall("\n" + text)):
+        if tok == "(":
+            if stack:
+                top = stack[-1]
+                if top[1] is None:
+                    top[1] = ""
+                elif top[3] is not None:
+                    raise _parse_error(text, k, "child after terminal word")
+            stack.append([k, None, [], None])
+        elif tok[0] == "\n":
+            continue
+        elif not stack:
+            raise _parse_error(text, k, f"expected '(' but found {tok[0]!r}")
+        elif tok == ")":
+            start, label, children, word = stack.pop()
+            if word is not None:
+                node = Tree(label, word=word)
+            elif not children:
+                raise _parse_error(text, start, "empty constituent")
+            elif label:
+                node = Tree(label, children)
+            elif len(children) == 1:
+                # PTB files wrap each tree in an unlabeled top bracket; unwrap it.
+                node = children[0]
+            else:
+                raise _parse_error(text, start, "empty node label")
+            (stack[-1][2] if stack else trees).append(node)
+        else:
+            top = stack[-1]
+            if top[1] is None:
+                top[1] = tok
+            elif top[2] or top[3] is not None:
+                raise _parse_error(text, k, f"unexpected token {tok!r}")
+            else:
+                top[3] = tok
+    if stack:
+        raise _parse_error(text, stack[-1][0], "unclosed '('")
     return trees
 
 
-def read_treebank(path, comment_prefix: str = "#") -> list[Tree]:
-    """Read trees from a file, skipping lines that start with ``comment_prefix``."""
+def read_treebank(path) -> list[Tree]:
+    """Read trees from a file; a parse error reads ``<path>:<line>: ...``."""
     with open(path, encoding="utf-8") as fh:
-        lines = [ln for ln in fh if not ln.lstrip().startswith(comment_prefix)]
-    return parse_treebank("".join(lines))
+        text = fh.read()
+    try:
+        return parse_treebank(text)
+    except TreebankParseError as exc:
+        line = text.count("\n", 0, exc.offset) + 1
+        exc.args = (f"{path}:{line}: {exc}",)
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -282,31 +281,29 @@ def _detect_inversion(tree: Tree, aux_forms: frozenset) -> str | None:
     path = [tree]
     while not path[-1].is_terminal:
         path.append(path[-1].children[0])
-    # Innermost ancestor whose right siblings contain an NP wins.
-    for depth in range(len(path) - 2, -1, -1):
-        parent = path[depth]
-        below = path[depth + 1]
-        idx = parent.children.index(below)
-        for sib in parent.children[idx + 1:]:
+    # Innermost ancestor whose right siblings contain an NP wins; the path
+    # follows first children, so those siblings are children[1:].
+    for parent in reversed(path[:-1]):
+        for sib in parent.children[1:]:
             if not sib.is_terminal and base_label(sib.label) == "NP":
                 return _np_head_noun(sib)
     return None
 
 
-def _object_evidence(node: Tree, object_tags: frozenset, out: list):
+def _object_evidence(tree: Tree, object_tags: frozenset, out: list):
     """Collect (verb, has_following_np) pairs from VP-internal verbs."""
-    if node.is_terminal:
-        return
-    if base_label(node.label) == "VP":
-        for i, child in enumerate(node.children):
-            if child.is_terminal and child.label in object_tags:
-                has_np = any(
-                    not sib.is_terminal and base_label(sib.label) == "NP"
-                    for sib in node.children[i + 1:]
-                )
-                out.append((child.word, has_np))
-    for child in node.children:
-        _object_evidence(child, object_tags, out)
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if not node.is_terminal and base_label(node.label) == "VP":
+            for i, child in enumerate(node.children):
+                if child.is_terminal and child.label in object_tags:
+                    has_np = any(
+                        not sib.is_terminal and base_label(sib.label) == "NP"
+                        for sib in node.children[i + 1:]
+                    )
+                    out.append((child.word, has_np))
+        stack.extend(reversed(node.children))
 
 
 def build_lexicon(

@@ -75,8 +75,8 @@ def read_surprisal_file(path) -> list[SurprisalRecord]:
             scale = 1.0 / math.log(2.0)
         else:
             raise FormatError(f"{path}: unsupported base declaration {base_field!r}")
-        rows: dict[str, list] = {}
-        order: list[str] = []
+        rows: dict[str, list] = {}  # in file order; one block of lines per id
+        last = None
         for lineno, line in enumerate(fh, start=2):
             if not line.strip() or line.startswith("#"):
                 continue
@@ -89,17 +89,15 @@ def read_surprisal_file(path) -> list[SurprisalRecord]:
             except ValueError as exc:
                 raise FormatError(f"{path}:{lineno}: expected an integer index "
                                   f"and a numeric surprisal") from exc
-            if sid not in rows:
+            if sid != last:
+                if sid in rows:
+                    raise FormatError(f"{path}:{lineno}: duplicate sentence id "
+                                      f"{sid!r}")
                 rows[sid] = []
-                order.append(sid)
+                last = sid
             rows[sid].append(entry)
     records = []
-    seen = set()
-    for sid in order:
-        if sid in seen:
-            raise FormatError(f"{path}: duplicate sentence id {sid!r}")
-        seen.add(sid)
-        entries = rows[sid]
+    for sid, entries in rows.items():
         indices = [i for i, _, _ in entries]
         if indices != list(range(len(entries))):
             raise FormatError(f"{path}: non-sequential token indices for {sid!r}")

@@ -732,6 +732,8 @@ def read_suite(path) -> TestSuite:
             ungram_tokens=row["ungram"][0],
             ungram_region=row["ungram"][1],
         ))
+    if not items:
+        raise FormatError(f"{path}: suite has no items")
     return TestSuite(
         suite_id=meta.get("suite_id", ""),
         kind=meta.get("kind", ""),

@@ -418,3 +418,130 @@ def test_bad_report_input_is_format_error(tmp_path, capsys, which, text, lineno)
               "report", "--eval", str(evals), "--fits", str(fits)])
     assert rc == 1
     assert f"error:format-error: {bad}:{lineno}:" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# Bad config values, unreadable inputs and deep trees
+
+
+@pytest.mark.parametrize("key, value, command", [
+    ("seed", "x", ["ingest"]),
+    ("order", "five", ["train-ngram"]),
+    ("words_per_category", "-3", ["gen", "--suite", "number_base"]),
+    ("frames_per_word", "2.5", ["gen", "--suite", "number_base"]),
+    ("filler_min_count", "", ["gen", "--suite", "number_base"]),
+    ("transitive_hi", "nan", ["stats"]),
+    ("intransitive_lo", "low", ["stats"]),
+    ("eps_tie", "tiny", ["eval", "--suite-file", "s", "--surprisal-file", "p"]),
+])
+def test_bad_config_value_is_usage_error(tmp_path, capsys, monkeypatch, key,
+                                         value, command):
+    monkeypatch.setenv("SP_" + key.upper(), value)
+    rc = run(["--config", _write_config(tmp_path), "--out", str(tmp_path / "out")]
+             + command)
+    assert rc == 2
+    assert f"error:usage-error: config key {key} " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", [
+    "seed = 1\n",
+    "[syntaxprobe]\nseed = 1\nseed = 2\n",
+], ids=["no-section-header", "repeated-key"])
+def test_bad_config_file_is_usage_error(tmp_path, capsys, text):
+    config = tmp_path / "bad.cfg"
+    config.write_text(text)
+    assert run(["--config", str(config), "ingest"]) == 2
+    assert "error:usage-error: bad config file:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("which", [
+    "surprisal-file", "lexicon", "items", "SP_TRANSITIVITY", "SP_SUITE_DEFS"])
+def test_non_utf8_input_is_format_error(tmp_path, capsys, monkeypatch, which):
+    bad = tmp_path / "latin1.txt"
+    bad.write_bytes("#syntax-probe café\n".encode("latin-1"))
+    lexicon = tmp_path / "lexicon.tsv"
+    lexicon.write_text("#syntax-probe-lexicon v1 lowercase=1\n"
+                       "fast\t2\tJJ:2\t0\t0\t0\t0\n")
+    args = {
+        "surprisal-file": ["eval", "--suite-file", str(_tiny_suite(tmp_path)),
+                           "--surprisal-file", str(bad)],
+        "lexicon": ["stats", "--lexicon", str(bad)],
+        "items": ["analyze", "--items", str(bad), "--lexicon", str(lexicon)],
+        "SP_TRANSITIVITY": ["stats", "--lexicon", str(lexicon)],
+        "SP_SUITE_DEFS": ["gen", "--suite", "all", "--lexicon", str(lexicon)],
+    }[which]
+    if which.startswith("SP_"):
+        monkeypatch.setenv(which, str(bad))
+    rc = run(["--config", _write_config(tmp_path), "--out", str(tmp_path / "out")]
+             + args)
+    assert rc == 1
+    assert "error:format-error: input is not UTF-8" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("which", ["suite-file", "config"])
+def test_directory_as_input_is_usage_error(tmp_path, capsys, which):
+    config = str(tmp_path) if which == "config" else _write_config(tmp_path)
+    suite = str(tmp_path) if which == "suite-file" else "x"
+    rc = run(["--config", config, "--out", str(tmp_path / "out"),
+              "eval", "--suite-file", suite, "--surprisal-file", "x"])
+    assert rc == 2
+    assert f"error:usage-error: {tmp_path}: Is a directory" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("1.0 S -> A B\n1.0 A -> a\nB -> b\n",
+     "format-error: {grammar}: line 3: expected 'P LHS -> RHS...'"),
+    ("1.0 S -> A B\nnan A -> a\n1.0 B -> b\n", "grammar-error: {grammar}: rule "),
+], ids=["bad-line", "nan-probability"])
+def test_bad_grammar_names_file(tmp_path, capsys, text, expected):
+    grammar = tmp_path / "bad.pcfg"
+    grammar.write_text(text)
+    rc = run(["--config", _write_config(tmp_path), "--out", str(tmp_path / "out"),
+              "score", "--suite-file", str(_tiny_suite(tmp_path)),
+              "--model", f"pcfg:{grammar}"])
+    assert rc == 1
+    assert "error:" + expected.format(grammar=grammar) in capsys.readouterr().err
+
+
+def test_suite_without_items_is_format_error(tmp_path, capsys):
+    suite_file = _tiny_suite(tmp_path)
+    suite_file.write_text("".join(suite_file.read_text().splitlines(True)[:-2]))
+    surp = tmp_path / "tiny.surp"
+    surp.write_text(f"{scoring.SURPRISAL_HEADER} base=2\n")
+    out = tmp_path / "out"
+    base = ["--config", _write_config(tmp_path), "--out", str(out)]
+    assert run(base + ["eval", "--suite-file", str(suite_file),
+                       "--surprisal-file", str(surp)]) == 1
+    assert run(base + ["score", "--suite-file", str(suite_file),
+                       "--model", f"adapter:{surp}"]) == 1
+    err = capsys.readouterr().err
+    assert err.count(f"error:format-error: {suite_file}: suite has no items") == 2
+    assert not (out / "surprisals").exists()
+
+
+def test_surprisal_id_that_comes_back_is_duplicate(tmp_path, capsys):
+    surp = tmp_path / "dup.surp"
+    surp.write_text(f"{scoring.SURPRISAL_HEADER} base=2\n"
+                    "tiny.b2.fast.f00:gram\t0\tfast\t1.0\n"
+                    "tiny.b2.fast.f00:ungram\t0\tslow\t1.0\n"
+                    "tiny.b2.fast.f00:gram\t0\tfast\t1.0\n")
+    rc = run(["--config", _write_config(tmp_path), "--out", str(tmp_path / "out"),
+              "eval", "--suite-file", str(_tiny_suite(tmp_path)),
+              "--surprisal-file", str(surp)])
+    assert rc == 1
+    assert (f"error:format-error: {surp}:4: duplicate sentence id"
+            in capsys.readouterr().err)
+
+
+def test_deep_tree_goes_through_ingest_and_train_ngram(tmp_path):
+    depth = 5000
+    treebank = tmp_path / "deep.mrg"
+    treebank.write_text(toydata.toy_treebank_path().read_text(encoding="utf-8")
+                        + "\n" + "(S " * depth + "(NN abyss)" + ")" * depth + "\n")
+    out = tmp_path / "out"
+    base = ["--config", _toy_config(tmp_path, corpus=str(treebank)),
+            "--out", str(out)]
+    assert run(base + ["ingest"]) == 0
+    assert run(base + ["train-ngram"]) == 0
+    assert "\nabyss\t1\tNN:1\t0\t0\t0\t0\n" in (out / "lexicon.tsv").read_text()
+    assert "abyss" in ngram.read_model(out / "ngram.model").support

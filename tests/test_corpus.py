@@ -1,3 +1,5 @@
+import json
+import pathlib
 import textwrap
 
 import pytest
@@ -19,6 +21,8 @@ from syntaxprobe.corpus import (
     vbn_fraction,
 )
 from syntaxprobe.errors import InputError
+
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 # ---------------------------------------------------------------------------
@@ -61,6 +65,37 @@ def test_read_treebank_skips_comments(tmp_path):
     path = tmp_path / "c.mrg"
     path.write_text("# header\n(S (NN a))\n")
     assert len(corpus.read_treebank(path)) == 1
+
+
+_RECORDED = json.loads((DATA / "golden" / "treebank_parse.json").read_text())
+
+
+@pytest.mark.parametrize("case", _RECORDED, ids=[c["name"] for c in _RECORDED])
+def test_parse_matches_recorded(case):
+    """Comment-free inputs give the trees, or the message and offset, that
+    the recursive parser gave."""
+    if "trees" in case:
+        assert [t.pretty() for t in parse_treebank(case["text"])] == case["trees"]
+    else:
+        with pytest.raises(TreebankParseError) as err:
+            parse_treebank(case["text"])
+        assert (str(err.value), err.value.offset) == (case["error"], case["offset"])
+
+
+def test_parse_skips_whole_comment_lines():
+    text = "# head\n(S (NN a)\n  # inside a tree\n (# #))\n#tail"
+    assert [t.pretty() for t in parse_treebank(text)] == ["(S (NN a) (# #))"]
+
+
+def test_read_treebank_error_names_file_line_and_offset(tmp_path):
+    text = ("# header\n(S (NP (NN a))\n   (VP (VB b)))\n# between trees\n"
+            "(S (NP (NN c))\n(S (NN d))\n")
+    path = tmp_path / "broken.mrg"
+    path.write_text(text)
+    with pytest.raises(TreebankParseError) as err:
+        corpus.read_treebank(path)
+    assert err.value.offset == text.index("(S (NP (NN c))")
+    assert str(err.value).startswith(f"{path}:5: unclosed '('")
 
 
 _labels = st.sampled_from(["S", "NP", "VP", "PP", "ADJP"])
