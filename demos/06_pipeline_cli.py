@@ -30,14 +30,14 @@ with tempfile.TemporaryDirectory() as tmp:
     steps = [["ingest"], ["stats"]]
     steps += [["gen", "--suite", s] for s in SUITES]
     steps += [["train-ngram"]]
-    for suite_id in SUITES:
-        suite_file = str(out / "suites" / f"{suite_id}.suite")
-        steps.append(["score", "--suite-file", suite_file,
-                      "--model-name", "ngram5"])
-        steps.append(["eval", "--suite-file", suite_file,
-                      "--surprisal-file",
-                      str(out / "surprisals" / f"{suite_id}.ngram5.surp"),
-                      "--model-name", "ngram5"])
+    # One score call and one eval call cover every suite: the model is
+    # loaded once, and eval pairs suite and surprisal files by position.
+    suite_files = [str(out / "suites" / f"{s}.suite") for s in SUITES]
+    steps.append(["score", "--suite-file"] + suite_files +
+                 ["--model-name", "ngram5"])
+    steps.append(["eval", "--suite-file"] + suite_files + ["--surprisal-file"] +
+                 [str(out / "surprisals" / f"{s}.ngram5.surp") for s in SUITES] +
+                 ["--model-name", "ngram5"])
     steps.append(["analyze", "--items"] +
                  [str(out / "eval" / f"{s}.ngram5.items.csv") for s in SUITES])
     steps.append(["report", "--eval"] +

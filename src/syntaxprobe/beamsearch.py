@@ -34,6 +34,7 @@ from .errors import (
     GrammarError,
     InputError,
     OracleInfeasibleError,
+    open_text,
 )
 
 NEG_INF = float("-inf")
@@ -373,7 +374,7 @@ def parse_grammar(text: str) -> ToyPCFG:
 
 
 def read_grammar(path) -> ToyPCFG:
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         text = fh.read()
     try:
         return parse_grammar(text)

@@ -18,10 +18,8 @@ import shlex
 import sys
 from dataclasses import dataclass, fields
 
-import numpy as np
-
 from . import beamsearch, corpus, ngram, scoring, stats, suites, toydata
-from .errors import FormatError, SyntaxProbeError, UsageError
+from .errors import FormatError, SyntaxProbeError, UsageError, open_text
 
 
 @dataclass
@@ -105,7 +103,7 @@ def load_config(path: str | None, env: dict, overrides: dict) -> RunConfig:
             raise UsageError(f"config file {path!r} does not exist")
         parser = configparser.ConfigParser(interpolation=None)
         try:
-            with open(path, encoding="utf-8") as fh:
+            with open_text(path) as fh:
                 parser.read_file(fh)
         except configparser.Error as exc:
             raise UsageError(f"bad config file: {' '.join(str(exc).split())}") from exc
@@ -277,62 +275,83 @@ def _model_spec(cfg: RunConfig, args):
     return kind, arg
 
 
+def _sentences(suite) -> list:
+    """(sentence id, tokens) for each item's two conditions, in file order."""
+    return [(scoring.sentence_id(item.item_id, condition), item.tokens(condition))
+            for item in suite.items for condition in ("gram", "ungram")]
+
+
+def _write_surprisals(cfg: RunConfig, suite, name: str, records) -> None:
+    out = _outdir(cfg, "surprisals", f"{suite.suite_id}.{name}.surp")
+    scoring.write_surprisal_file(records, out)
+    print(f"score: {len(records)} sentences with {name} -> {out}")
+
+
 def cmd_score(cfg: RunConfig, args) -> int:
-    suite = suites.read_suite(_require(args.suite_file, "suite file"))
+    """Score every suite under one model, loaded once.  All suite files are
+    read before the first surprisal file is written."""
+    loaded = [suites.read_suite(_require(path, "suite file"))
+              for path in args.suite_file]
     kind, arg = _model_spec(cfg, args)
     name = args.model_name or kind
-    sentences = []
-    for item in suite.items:
-        for condition in ("gram", "ungram"):
-            sentences.append((scoring.sentence_id(item.item_id, condition),
-                              item.tokens(condition)))
 
     if kind == "adapter":
+        if len(loaded) > 1:
+            raise UsageError("adapter:PATH takes one --suite-file: one adapter "
+                             "file aligns to one suite")
         records = scoring.read_surprisal_file(_require(arg, "adapter surprisal file"))
-        scoring.align(suite, records)
-    elif kind == "ngram":
+        scoring.align(loaded[0], records)
+        _write_surprisals(cfg, loaded[0], name, records)
+        return 0
+
+    closer = None
+    if kind == "ngram":
         model = ngram.read_model(_require(arg, "ngram model (run train-ngram)"))
-        records = [scoring.SurprisalRecord(sid, tuple(tokens),
-                                           tuple(model.surprisals(tokens)))
-                   for sid, tokens in sentences]
+        surprisals = model.surprisals
     else:
         if kind == "pcfg":
             model = beamsearch.PCFGActionModel(
                 beamsearch.read_grammar(_require(arg, "grammar file")))
-            closer = None
         else:
-            model = beamsearch.SubprocessActionModel(shlex.split(arg))
-            closer = model
-        try:
-            records = []
-            for sid, tokens in sentences:
-                result = beamsearch.word_sync_beam(model, tokens)
-                records.append(scoring.SurprisalRecord(
-                    sid, tuple(tokens), tuple(result.surprisals)))
-        finally:
-            if closer is not None:
-                closer.close()
+            model = closer = beamsearch.SubprocessActionModel(shlex.split(arg))
 
-    out = _outdir(cfg, "surprisals", f"{suite.suite_id}.{name}.surp")
-    scoring.write_surprisal_file(records, out)
-    print(f"score: {len(records)} sentences with {name} -> {out}")
+        def surprisals(tokens):
+            return beamsearch.word_sync_beam(model, tokens).surprisals
+    try:
+        for suite in loaded:
+            records = [scoring.SurprisalRecord(sid, tuple(tokens),
+                                               tuple(surprisals(tokens)))
+                       for sid, tokens in _sentences(suite)]
+            _write_surprisals(cfg, suite, name, records)
+    finally:
+        if closer is not None:
+            closer.close()
     return 0
 
 
 def cmd_eval(cfg: RunConfig, args) -> int:
-    suite = suites.read_suite(_require(args.suite_file, "suite file"))
-    records = scoring.read_surprisal_file(
-        _require(args.surprisal_file, "surprisal file"))
-    results, agg = scoring.evaluate_suite(suite, records,
-                                          eps_tie=float(cfg.eps_tie))
+    """Evaluate each suite against the surprisal file in the same position.
+    Every input is read and aligned before the first output is written."""
+    if len(args.suite_file) != len(args.surprisal_file):
+        raise UsageError(f"{len(args.suite_file)} --suite-file paths but "
+                         f"{len(args.surprisal_file)} --surprisal-file paths; "
+                         "eval pairs them by position")
+    evaluated = []
+    for suite_path, surprisal_path in zip(args.suite_file, args.surprisal_file):
+        suite = suites.read_suite(_require(suite_path, "suite file"))
+        records = scoring.read_surprisal_file(
+            _require(surprisal_path, "surprisal file"))
+        evaluated.append((suite, *scoring.evaluate_suite(
+            suite, records, eps_tie=float(cfg.eps_tie))))
     name = args.model_name or "model"
-    items_out = _outdir(cfg, "eval", f"{suite.suite_id}.{name}.items.csv")
-    scoring.write_items_csv(results, items_out, suite.suite_id, name)
-    eval_out = _outdir(cfg, "eval", f"{suite.suite_id}.{name}.eval.csv")
-    scoring.write_eval_csv(agg, eval_out, name)
-    pooled = sum(r.correct for r in results) / len(results)
-    print(f"eval: {suite.suite_id} x {name}: accuracy {pooled:.3f} "
-          f"({len(results)} items) -> {eval_out}")
+    for suite, results, agg in evaluated:
+        items_out = _outdir(cfg, "eval", f"{suite.suite_id}.{name}.items.csv")
+        scoring.write_items_csv(results, items_out, suite.suite_id, name)
+        eval_out = _outdir(cfg, "eval", f"{suite.suite_id}.{name}.eval.csv")
+        scoring.write_eval_csv(agg, eval_out, name)
+        pooled = sum(r.correct for r in results) / len(results)
+        print(f"eval: {suite.suite_id} x {name}: accuracy {pooled:.3f} "
+              f"({len(results)} items) -> {eval_out}")
     return 0
 
 
@@ -378,17 +397,25 @@ def cmd_analyze(cfg: RunConfig, args) -> int:
     charts = []
 
     for (suite_id, model), rows in sorted(groups.items()):
-        counts = np.array([max(1, lex.count(r["target"])) for r in rows], float)
-        correct = np.array([r["correct"] for r in rows])
+        counts = [float(max(1, lex.count(r["target"]))) for r in rows]
+        correct = [r["correct"] for r in rows]
         targets = [r["target"] for r in rows]
 
         # Exposure effect on accuracy, raw occurrence counts as predictor,
         # cluster-robust by target word.
-        fits_rows += _fit_rows((suite_id, model, "exposure"), counts[:, None],
-                               correct, ["occurrences"], targets)
+        fits_rows += _fit_rows((suite_id, model, "exposure"),
+                               [[c] for c in counts], correct, ["occurrences"],
+                               targets)
 
-        curve = stats.accuracy_curve(list(zip(counts, correct)))
-        for x, p, lo, hi in curve.samples:
+        # A group whose curve cannot be fit (one exposure value, a singular
+        # design) gets no curve and names the error, like _fit_rows.
+        try:
+            curve = stats.accuracy_curve(list(zip(counts, correct)))
+        except (stats.InputError, stats.RankError) as exc:
+            samples, separated, curve_error = [], False, f"error:{exc.category}"
+        else:
+            samples, separated, curve_error = curve.samples, curve.separated, None
+        for x, p, lo, hi in samples:
             curve_rows.append((suite_id, model, x, p, lo, hi))
 
         buckets = sorted({r["bucket"] for r in rows})
@@ -399,7 +426,7 @@ def cmd_analyze(cfg: RunConfig, args) -> int:
             points.append({"bucket": b, "log10_exposure": math.log10(b),
                            "accuracy": summ.accuracy, "ci_lo": summ.ci_lo,
                            "ci_hi": summ.ci_hi, "n": summ.n})
-        charts.append({
+        chart = {
             "title": f"{suite_id} / {model}",
             "suite": suite_id,
             "model": model,
@@ -413,9 +440,12 @@ def cmd_analyze(cfg: RunConfig, args) -> int:
             "points": points,
             "curve": [{"log10_exposure": float(x), "accuracy": float(p),
                        "band_lo": float(lo), "band_hi": float(hi)}
-                      for x, p, lo, hi in curve.samples],
-            "curve_separated": curve.separated,
-        })
+                      for x, p, lo, hi in samples],
+            "curve_separated": separated,
+        }
+        if curve_error is not None:
+            chart["curve_error"] = curve_error
+        charts.append(chart)
 
     # Structural-supervision contrast: accuracy ~ model + bucket, fit over
     # all models per suite, cluster-robust by item id.
@@ -436,8 +466,8 @@ def cmd_analyze(cfg: RunConfig, args) -> int:
                 y.append(r["correct"])
                 clusters.append(r["item_id"])
         labels = [f"model:{m}" for m in contrasts] + ["bucket_log10"]
-        fits_rows += _fit_rows((suite_id, "*", "supervision"), np.array(X),
-                               np.array(y), labels, clusters)
+        fits_rows += _fit_rows((suite_id, "*", "supervision"), X, y, labels,
+                               clusters)
 
     fits_out = _outdir(cfg, "analysis", "fits.csv")
     scoring.write_csv(
@@ -545,15 +575,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train-ngram", help="train the n-gram baseline")
     p.add_argument("--model-out")
 
-    p = sub.add_parser("score", help="surprisals for a suite under a model")
-    p.add_argument("--suite-file", required=True)
+    p = sub.add_parser("score", help="surprisals for suites under a model")
+    p.add_argument("--suite-file", nargs="+", required=True)
     p.add_argument("--model", help="ngram:PATH | adapter:PATH | pcfg:PATH | "
                                    "subprocess:CMD")
     p.add_argument("--model-name")
 
     p = sub.add_parser("eval", help="accuracy per bucket and category")
-    p.add_argument("--suite-file", required=True)
-    p.add_argument("--surprisal-file", required=True)
+    p.add_argument("--suite-file", nargs="+", required=True)
+    p.add_argument("--surprisal-file", nargs="+", required=True,
+                   help="one per --suite-file, paired by position")
     p.add_argument("--model-name")
 
     p = sub.add_parser("analyze", help="exposure and supervision fits")

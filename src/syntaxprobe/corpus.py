@@ -22,7 +22,7 @@ from enum import Enum
 from itertools import islice
 from typing import Iterable, Mapping
 
-from .errors import FormatError, InputError, TreebankParseError
+from .errors import FormatError, InputError, TreebankParseError, open_text
 
 NOUN_TAGS = ("NN", "NNS", "NNP", "NNPS")
 
@@ -166,7 +166,7 @@ def parse_treebank(text: str) -> list[Tree]:
 
 def read_treebank(path) -> list[Tree]:
     """Read trees from a file; a parse error reads ``<path>:<line>: ...``."""
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         text = fh.read()
     try:
         return parse_treebank(text)
@@ -365,7 +365,7 @@ def read_dependency_sidecar(path) -> dict[int, frozenset]:
     listed with any relation are considered covered by the sidecar.
     """
     covered: dict[int, set] = {}
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
@@ -543,7 +543,7 @@ def active_only_verbs(lex: LexiconStats, irregular: frozenset = frozenset()) -> 
 def read_transitivity_lexicon(path) -> dict[str, str]:
     """Two-column ``verb<TAB>transitive|intransitive`` file."""
     marks: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
@@ -556,7 +556,7 @@ def read_transitivity_lexicon(path) -> dict[str, str]:
 
 
 def read_irregular_verbs(path) -> frozenset:
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         return frozenset(
             line.strip() for line in fh
             if line.strip() and not line.lstrip().startswith("#")
@@ -580,7 +580,7 @@ def write_lexicon(lex: LexiconStats, path) -> None:
 
 
 def read_lexicon(path) -> LexiconStats:
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         header = fh.readline().strip()
         if not header.startswith("#syntax-probe-lexicon v1"):
             raise FormatError(f"{path}: not a lexicon table")

@@ -6,6 +6,8 @@ prints on stderr, so scripted callers can switch on it without parsing prose.
 
 from __future__ import annotations
 
+import contextlib
+
 
 class SyntaxProbeError(Exception):
     """Base class; ``category`` is a stable token, never localized."""
@@ -87,3 +89,24 @@ class RankError(SyntaxProbeError):
 
 class UsageError(SyntaxProbeError):
     category = "usage-error"
+
+
+@contextlib.contextmanager
+def open_text(path, newline=None):
+    """``open(path, encoding="utf-8")`` for the readers: a byte that is not
+    UTF-8 raises FormatError naming the file and the line it is on."""
+    try:
+        with open(path, encoding="utf-8", newline=newline) as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        # exc.start counts from the decoder's current chunk, so decode the
+        # whole file again to find the byte's absolute offset.
+        with open(path, "rb") as fh:
+            data = fh.read()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as whole:
+            line = data.count(b"\n", 0, whole.start) + 1
+            raise FormatError(f"input is not UTF-8: {path}:{line}: "
+                              f"byte 0x{data[whole.start]:02x}") from exc
+        raise

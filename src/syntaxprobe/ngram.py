@@ -27,7 +27,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import FormatError, InputError, TrainingError
+from .errors import FormatError, InputError, TrainingError, open_text
 
 BOS = "<s>"
 UNK = "<unk>"
@@ -257,7 +257,7 @@ def write_model(model: NGramModel, path) -> None:
 
 
 def read_model(path) -> NGramModel:
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0] != "#syntax-probe-ngram v1":
         raise FormatError(f"{path}: not an n-gram model file")

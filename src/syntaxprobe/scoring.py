@@ -19,7 +19,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import AlignmentError, FormatError, IncompleteResultsError, InputError
+from .errors import (AlignmentError, FormatError, IncompleteResultsError, InputError,
+                     open_text)
 from .stats import BinomialSummary
 
 SURPRISAL_HEADER = "#syntax-probe-surprisal v1"
@@ -64,7 +65,7 @@ def write_surprisal_file(records: Iterable[SurprisalRecord], path) -> None:
 
 def read_surprisal_file(path) -> list[SurprisalRecord]:
     """Read adapter records; base=e values are converted to bits."""
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         header = fh.readline().rstrip("\n")
         if not header.startswith(SURPRISAL_HEADER):
             raise FormatError(f"{path}: missing {SURPRISAL_HEADER!r} header")
@@ -306,7 +307,7 @@ def read_items_csv(path, required=(), types=None) -> list[dict]:
     fields than the header, or a value its type rejects is a FormatError at
     its line."""
     types = types or {}
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open_text(path, newline="") as fh:
         reader = csv.DictReader(fh)
         header = reader.fieldnames or []
         missing = [c for c in required if c not in header]

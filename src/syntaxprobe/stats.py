@@ -8,7 +8,8 @@ correlation test.  Nothing here aims to be a general stats library.
 
 The three special functions these need (the logistic sigmoid, the normal
 quantile and the Student t tail) are implemented here on numpy and the
-standard library.  ``expit`` and ``ndtri`` return the same bits as the
+standard library.  numpy is imported inside the functions that use it, so
+importing this module (and the CLI stages that never fit) does not load it.  ``expit`` and ``ndtri`` return the same bits as the
 usual C implementations (Cephes ``ndtri``, ``1/(1+exp(-x))`` with libm
 ``exp``), so written curves and intervals do not move by an ulp.
 """
@@ -18,10 +19,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import InputError, RankError, SeparationError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 SIGNIFICANCE_TIERS = ((0.001, "***"), (0.01, "**"), (0.05, "*"))
 
@@ -50,6 +53,8 @@ def expit(x) -> np.ndarray:
     Evaluated one element at a time with libm ``exp``: numpy's vectorised
     ``exp`` differs from it in the last bit on a few percent of inputs.
     """
+    import numpy as np
+
     x = np.asarray(x, dtype=float)
     return np.fromiter(map(_expit1, x.ravel().tolist()), float,
                        x.size).reshape(x.shape)
@@ -269,6 +274,8 @@ class LogisticFit:
 
 
 def _loglik(y, eta):
+    import numpy as np
+
     # log L = sum y*eta - log(1 + e^eta), stable via logaddexp
     return float(np.sum(y * eta - np.logaddexp(0.0, eta)))
 
@@ -290,6 +297,8 @@ def fit_logistic(
     models.  Complete separation (a coefficient running away while the
     likelihood still improves) and singular information matrices raise.
     """
+    import numpy as np
+
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float).ravel()
     if X.shape[0] != y.shape[0]:
@@ -386,6 +395,8 @@ class CorrelationResult:
 
 def pearson_test(x, y) -> CorrelationResult:
     """Pearson r with the t-test two-sided p-value (n - 2 df)."""
+    import numpy as np
+
     x = np.asarray(x, dtype=float).ravel()
     y = np.asarray(y, dtype=float).ravel()
     if x.shape != y.shape:
@@ -431,6 +442,8 @@ def accuracy_curve(points, n_samples: int = 100, clusters=None) -> CurveFit:
 
     With ``clusters`` the bands use the cluster-robust covariance.
     """
+    import numpy as np
+
     pts = [(float(c), int(o)) for c, o in points]
     if not pts:
         raise InputError("no points")

@@ -33,7 +33,7 @@ from .corpus import (
     is_punct,
     lexicon_digest,
 )
-from .errors import EmptyPoolError, FormatError, GenerationError, InputError
+from .errors import EmptyPoolError, FormatError, GenerationError, InputError, open_text
 
 NOUN_CATEGORIES = ("singular", "plural")
 VERB_CATEGORIES = ("transitive", "intransitive")
@@ -169,7 +169,7 @@ def parse_suite_defs(text: str) -> SuiteDefs:
 
 
 def read_suite_defs(path) -> SuiteDefs:
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         return parse_suite_defs(fh.read())
 
 
@@ -679,7 +679,7 @@ def read_suite(path) -> TestSuite:
     rows: dict = {}
     order: list = []
     invariance = False
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         first = fh.readline().rstrip("\n")
         if first != SUITE_HEADER:
             raise FormatError(f"{path}: not a suite file")

@@ -1,4 +1,6 @@
 import csv
+import hashlib
+import json
 import os
 import pathlib
 import shlex
@@ -6,7 +8,8 @@ import sys
 
 import pytest
 
-from syntaxprobe import cli, ngram, scoring, toydata
+from syntaxprobe import beamsearch, cli, ngram, scoring, toydata
+from syntaxprobe.errors import FormatError, open_text
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -279,6 +282,113 @@ def test_bad_model_spec_is_usage_error(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
+# Many suites per score/eval call
+
+
+def _tiny_grammar(tmp_path):
+    grammar = tmp_path / "g.pcfg"
+    grammar.write_text("1.0 S -> A B\n0.75 A -> fast\n0.25 A -> slow\n"
+                       "1.0 B -> go\n")
+    return grammar
+
+
+def _two_tiny_suites(tmp_path):
+    first = _tiny_suite(tmp_path)
+    second = tmp_path / "tiny2.suite"
+    second.write_text(first.read_text().replace("tiny", "tiny2"))
+    return [str(first), str(second)]
+
+
+def test_one_score_and_one_eval_call_match_golden(tmp_path, capsys):
+    # The golden digests come from the README config, which keeps the
+    # defaults for these two keys.
+    config = _toy_config(tmp_path, filler_min_count="50", order="5")
+    out = tmp_path / "out"
+    base = ["--config", config, "--out", str(out)]
+    for step in (["ingest"], ["gen", "--suite", "all"], ["train-ngram"]):
+        assert run(base + step) == 0
+    suite_files = sorted((out / "suites").glob("*.suite"))
+    assert len(suite_files) == 13
+    surps = [out / "surprisals" / f"{p.stem}.ngram5.surp" for p in suite_files]
+    capsys.readouterr()
+    assert run(base + ["score", "--suite-file", *map(str, suite_files),
+                       "--model-name", "ngram5"]) == 0
+    assert run(base + ["eval", "--suite-file", *map(str, suite_files),
+                       "--surprisal-file", *map(str, surps),
+                       "--model-name", "ngram5"]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert sum(line.startswith("score: ") for line in printed) == 13
+    assert sum(line.startswith("eval: ") for line in printed) == 13
+    with open(DATA / "golden" / "toy_pipeline.sha256", encoding="utf-8") as fh:
+        golden = {rel: digest for digest, rel in map(str.split, fh)}
+    for stage in ("surprisals", "eval"):
+        written = sorted(f"{stage}/{p.name}" for p in (out / stage).iterdir())
+        assert written == sorted(r for r in golden if r.startswith(stage + "/"))
+        for rel in written:
+            assert hashlib.sha256((out / rel).read_bytes()).hexdigest() \
+                == golden[rel], rel
+
+
+def test_eval_with_unequal_file_counts_is_usage_error(tmp_path, capsys):
+    suites = _two_tiny_suites(tmp_path)
+    out = tmp_path / "out"
+    rc = run(["--config", _write_config(tmp_path), "--out", str(out),
+              "eval", "--suite-file", *suites, "--surprisal-file", "a.surp"])
+    assert rc == 2
+    assert ("error:usage-error: 2 --suite-file paths but 1 --surprisal-file"
+            in capsys.readouterr().err)
+    assert not (out / "eval").exists()
+
+
+def test_adapter_with_two_suites_is_usage_error(tmp_path, capsys):
+    surp = tmp_path / "tiny.surp"
+    surp.write_text(f"{scoring.SURPRISAL_HEADER} base=2\n")
+    out = tmp_path / "out"
+    rc = run(["--config", _write_config(tmp_path), "--out", str(out),
+              "score", "--suite-file", *_two_tiny_suites(tmp_path),
+              "--model", f"adapter:{surp}"])
+    assert rc == 2
+    assert "error:usage-error: adapter:PATH takes one" in capsys.readouterr().err
+    assert not (out / "surprisals").exists()
+
+
+def test_malformed_second_suite_writes_no_surprisals(tmp_path, capsys):
+    good, bad = _two_tiny_suites(tmp_path)
+    _corrupt(pathlib.Path(bad), "\t2\tgram\t", "\ttwo\tgram\t")
+    out = tmp_path / "out"
+    rc = run(["--config", _write_config(tmp_path), "--out", str(out),
+              "score", "--suite-file", good, bad,
+              "--model", f"pcfg:{_tiny_grammar(tmp_path)}"])
+    assert rc == 1
+    assert f"error:format-error: {bad}:" in capsys.readouterr().err
+    assert not (out / "surprisals").exists()
+
+
+def test_subprocess_model_starts_one_scorer_for_many_suites(tmp_path,
+                                                             monkeypatch):
+    grammar = _tiny_grammar(tmp_path)
+    started = []
+
+    class CountingModel(beamsearch.SubprocessActionModel):
+        def __init__(self, argv):
+            started.append(argv)
+            super().__init__(argv)
+
+    monkeypatch.setattr(beamsearch, "SubprocessActionModel", CountingModel)
+    scorer = shlex.join([sys.executable, "-m", "syntaxprobe.pcfg_scorer",
+                         str(grammar)])
+    base = ["--config", _write_config(tmp_path), "--out", str(tmp_path / "out"),
+            "score", "--suite-file", *_two_tiny_suites(tmp_path)]
+    assert run(base + ["--model", f"pcfg:{grammar}", "--model-name", "a"]) == 0
+    assert run(base + ["--model", f"subprocess:{scorer}", "--model-name", "b"]) == 0
+    assert len(started) == 1
+    surprisals = tmp_path / "out" / "surprisals"
+    for suite_id in ("tiny", "tiny2"):
+        assert (surprisals / f"{suite_id}.b.surp").read_bytes() == (
+            surprisals / f"{suite_id}.a.surp").read_bytes()
+
+
+# ---------------------------------------------------------------------------
 # Malformed artifacts end in error:format-error, not a traceback
 
 
@@ -420,6 +530,36 @@ def test_bad_report_input_is_format_error(tmp_path, capsys, which, text, lineno)
     assert f"error:format-error: {bad}:{lineno}:" in capsys.readouterr().err
 
 
+def test_analyze_records_a_curve_it_cannot_fit(tmp_path):
+    # Group "flat": both targets occur twice, so there is one exposure value
+    # and no curve.  Group "spread": three exposure values and mixed outcomes.
+    lexicon = tmp_path / "lexicon.tsv"
+    lexicon.write_text("#syntax-probe-lexicon v1 lowercase=1\n"
+                       + "".join(f"{w}\t{n}\tJJ:{n}\t0\t0\t0\t0\n"
+                                 for w, n in (("fast", 2), ("slow", 2),
+                                              ("calm", 5), ("wild", 30))))
+    rows = [_ITEMS_HEAD]
+    for suite, targets in (("flat", ("fast", "slow")),
+                           ("spread", ("fast", "calm", "wild"))):
+        for i in range(12):
+            target = targets[i % len(targets)]
+            rows.append(f"{suite},m,{suite}.{i},2,singular,{target},1.0,2.0,"
+                        f"{(i // 2) % 2}")
+    items = tmp_path / "m.items.csv"
+    items.write_text("\n".join(rows) + "\n")
+    out = tmp_path / "out"
+    assert run(["--config", _write_config(tmp_path), "--out", str(out),
+                "analyze", "--items", str(items), "--lexicon", str(lexicon)]) == 0
+    charts = {c["suite"]: c for c in json.loads(
+        (out / "analysis" / "charts.json").read_text())["charts"]}
+    assert charts["flat"]["curve"] == []
+    assert charts["flat"]["curve_error"] == "error:undefined-input"
+    assert len(charts["spread"]["curve"]) == 100
+    assert "curve_error" not in charts["spread"]
+    with open(out / "analysis" / "curves.csv", newline="") as fh:
+        assert {r["suite"] for r in csv.DictReader(fh)} == {"spread"}
+
+
 # ---------------------------------------------------------------------------
 # Bad config values, unreadable inputs and deep trees
 
@@ -476,6 +616,50 @@ def test_non_utf8_input_is_format_error(tmp_path, capsys, monkeypatch, which):
              + args)
     assert rc == 1
     assert "error:format-error: input is not UTF-8" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("which", [
+    "surprisal-file", "lexicon", "items", "SP_TRANSITIVITY", "SP_SUITE_DEFS"])
+def test_non_utf8_input_names_file_and_line(tmp_path, capsys, monkeypatch,
+                                            which):
+    bad = tmp_path / "latin1.txt"
+    bad.write_bytes("#syntax-probe\ncafé\n".encode("latin-1"))
+    lexicon = tmp_path / "lexicon.tsv"
+    lexicon.write_text("#syntax-probe-lexicon v1 lowercase=1\n"
+                       "fast\t2\tJJ:2\t0\t0\t0\t0\n")
+    args = {
+        "surprisal-file": ["eval", "--suite-file", str(_tiny_suite(tmp_path)),
+                           "--surprisal-file", str(bad)],
+        "lexicon": ["stats", "--lexicon", str(bad)],
+        "items": ["analyze", "--items", str(bad), "--lexicon", str(lexicon)],
+        "SP_TRANSITIVITY": ["stats", "--lexicon", str(lexicon)],
+        "SP_SUITE_DEFS": ["gen", "--suite", "all", "--lexicon", str(lexicon)],
+    }[which]
+    if which.startswith("SP_"):
+        monkeypatch.setenv(which, str(bad))
+    rc = run(["--config", _write_config(tmp_path), "--out", str(tmp_path / "out")]
+             + args)
+    assert rc == 1
+    assert (f"error:format-error: input is not UTF-8: {bad}:2: byte 0xe9"
+            in capsys.readouterr().err)
+
+
+def test_non_utf8_line_counts_past_the_first_decoded_chunk(tmp_path):
+    # The text reader decodes 8 KiB at a time, so the byte's offset within
+    # its chunk is not its offset in the file.
+    bad = tmp_path / "long.txt"
+    bad.write_bytes(b"ok\n" * 5000 + b"caf\xe9\n")
+    with pytest.raises(FormatError, match=f"{bad}:5001: byte 0xe9"):
+        with open_text(bad) as fh:
+            fh.read()
+
+
+def test_non_utf8_config_is_format_error(tmp_path, capsys):
+    config = tmp_path / "probe.cfg"
+    config.write_bytes(b"[syntaxprobe]\nseed = 1\n# caf\xe9\n")
+    assert run(["--config", str(config), "ingest"]) == 1
+    assert (f"error:format-error: input is not UTF-8: {config}:3: byte 0xe9"
+            in capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("which", ["suite-file", "config"])

@@ -1,4 +1,5 @@
-"""The in-house special functions against scipy, and the no-scipy import path.
+"""The in-house special functions against scipy, and the import paths that
+load neither scipy nor (outside analyze) numpy.
 
 scipy is a test-only dependency: each comparison skips when it is missing.
 """
@@ -6,6 +7,7 @@ scipy is a test-only dependency: each comparison skips when it is missing.
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -13,6 +15,7 @@ import numpy as np
 import pytest
 
 import syntaxprobe
+import syntaxprobe.toydata
 from syntaxprobe.stats import expit, ndtri, pearson_test
 
 
@@ -28,6 +31,55 @@ def test_entry_points_do_not_import_scipy(module):
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def _src_env():
+    src = str(pathlib.Path(syntaxprobe.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
+@pytest.mark.parametrize("module", [
+    "syntaxprobe", "syntaxprobe.cli", "syntaxprobe.pcfg_scorer"])
+def test_entry_points_do_not_import_numpy(module):
+    code = (f"import sys, {module}\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m == 'numpy' or m.startswith('numpy.')))")
+    out = subprocess.run([sys.executable, "-c", code], env=_src_env(),
+                         check=True, capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
+
+
+def test_only_analyze_imports_numpy(tmp_path):
+    # Each stage of the toy pipeline in a fresh interpreter; -X importtime
+    # names every module the stage imports on stderr.
+    config = tmp_path / "probe.cfg"
+    config.write_text("[syntaxprobe]\n"
+                      f"corpus = {syntaxprobe.toydata.toy_treebank_path()}\n"
+                      "lowercase = true\nseed = 13\nwords_per_category = 2\n")
+    suite, surp = "out/suites/number_base.suite", "out/surprisals/number_base.m.surp"
+    stages = [
+        ["ingest"], ["stats"], ["gen", "--suite", "number_base"], ["train-ngram"],
+        ["score", "--suite-file", suite, "--model-name", "m"],
+        ["eval", "--suite-file", suite, "--surprisal-file", surp,
+         "--model-name", "m"],
+        ["analyze", "--items", "out/eval/number_base.m.items.csv"],
+        ["report", "--eval", "out/eval/number_base.m.eval.csv",
+         "--fits", "out/analysis/fits.csv"],
+    ]
+    base = [sys.executable, "-X", "importtime", "-m", "syntaxprobe.cli",
+            "--config", str(config), "--out", "out"]
+    for stage in stages:
+        proc = subprocess.run(base + stage, cwd=tmp_path, env=_src_env(),
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        imported = re.findall(r"^import time:.*\|\s*([\w.]+)\s*$", proc.stderr,
+                              re.M)
+        assert "syntaxprobe.stats" in imported
+        uses_numpy = any(m == "numpy" or m.startswith("numpy.") for m in imported)
+        assert uses_numpy == (stage[0] == "analyze"), stage[0]
 
 
 def test_expit_matches_scipy_bits():
