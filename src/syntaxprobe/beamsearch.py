@@ -35,6 +35,7 @@ from .errors import (
     InputError,
     OracleInfeasibleError,
     open_text,
+    write_text,
 )
 
 NEG_INF = float("-inf")
@@ -384,7 +385,7 @@ def read_grammar(path) -> ToyPCFG:
 
 
 def write_grammar(grammar: ToyPCFG, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with write_text(path) as fh:
         for r in grammar.rules:
             fh.write(f"{r.prob!r} {r.lhs} -> {' '.join(r.rhs)}\n")
 

@@ -19,7 +19,7 @@ import sys
 from dataclasses import dataclass, fields
 
 from . import beamsearch, corpus, ngram, scoring, stats, suites, toydata
-from .errors import FormatError, SyntaxProbeError, UsageError, open_text
+from .errors import FormatError, SyntaxProbeError, UsageError, open_text, write_text
 
 
 @dataclass
@@ -33,7 +33,6 @@ class RunConfig:
     seed: str = ""
     lowercase: str = "false"
     filler_min_count: str = "50"
-    punct_exempt: str = "true"
     transitive_hi: str = "0.9"
     intransitive_lo: str = "0.1"
     eps_tie: str = "1e-9"
@@ -134,17 +133,6 @@ def load_config(path: str | None, env: dict, overrides: dict) -> RunConfig:
     return cfg
 
 
-def _ensure_dir(cfg: RunConfig, *parts) -> str:
-    path = os.path.join(cfg.out, *parts)
-    os.makedirs(path, exist_ok=True)
-    return path
-
-
-def _outdir(cfg: RunConfig, *parts) -> str:
-    _ensure_dir(cfg, *parts[:-1])
-    return os.path.join(cfg.out, *parts)
-
-
 def _require(path: str, what: str) -> str:
     if not os.path.exists(path):
         raise UsageError(f"missing upstream artifact: {what} ({path})")
@@ -169,7 +157,7 @@ def cmd_ingest(cfg: RunConfig, args) -> int:
         deps = corpus.read_dependency_sidecar(_require(cfg.dependencies, "sidecar"))
     lex = corpus.build_lexicon(trees, lowercase=cfg._bool("lowercase"),
                                dependencies=deps)
-    out = _outdir(cfg, "lexicon.tsv")
+    out = os.path.join(cfg.out, "lexicon.tsv")
     corpus.write_lexicon(lex, out)
     print(f"ingest: {len(trees)} trees, {len(lex)} word forms -> {out}")
     return 0
@@ -191,9 +179,9 @@ def _resources(cfg: RunConfig, lex) -> suites.SuiteResources:
 def cmd_stats(cfg: RunConfig, args) -> int:
     lex = _load_lexicon(cfg, args)
     res = _resources(cfg, lex)
-    base = _ensure_dir(cfg, "wordstats")
+    base = os.path.join(cfg.out, "wordstats")
 
-    with open(os.path.join(base, "transitivity.tsv"), "w", encoding="utf-8") as fh:
+    with write_text(os.path.join(base, "transitivity.tsv")) as fh:
         fh.write("#word\tmarked\tclass\treason\tobj_fraction\n")
         for word in sorted(res.transitivity_calls):
             c = res.transitivity_calls[word]
@@ -201,19 +189,19 @@ def cmd_stats(cfg: RunConfig, args) -> int:
             fh.write(f"{word}\t{c.marked}\t{c.klass.value}\t{c.reason}\t{frac}\n")
 
     active = corpus.active_only_verbs(lex, res.irregular)
-    with open(os.path.join(base, "active_only.txt"), "w", encoding="utf-8") as fh:
+    with write_text(os.path.join(base, "active_only.txt")) as fh:
         for w in active:
             fh.write(w + "\n")
 
     nouns = [w for w in lex.words()
              if suites._majority_tag(lex.stats(w)) in ("NN", "NNS")]
     kept, removed = corpus.filter_polar_overlap(nouns, lex)
-    with open(os.path.join(base, "polar_overlap.tsv"), "w", encoding="utf-8") as fh:
+    with write_text(os.path.join(base, "polar_overlap.tsv")) as fh:
         fh.write(f"#nouns\t{len(nouns)}\tremoved\t{len(removed)}\n")
         for w in removed:
             fh.write(f"{w}\tremoved\n")
 
-    with open(os.path.join(base, "vbn_fractions.tsv"), "w", encoding="utf-8") as fh:
+    with write_text(os.path.join(base, "vbn_fractions.tsv")) as fh:
         fh.write("#word\ttotal\tvbn\tfraction\n")
         for word in sorted(res.transitivity_calls):
             if lex.count(word) == 0:
@@ -238,10 +226,9 @@ def cmd_gen(cfg: RunConfig, args) -> int:
             words_per_category=int(cfg.words_per_category),
             frames_per_word=int(cfg.frames_per_word),
             filler_min_count=int(cfg.filler_min_count),
-            punct_exempt=cfg._bool("punct_exempt"),
             bucket_table=cfg.bucket_table(),
         )
-        out = _outdir(cfg, "suites", f"{suite_id}.suite")
+        out = os.path.join(cfg.out, "suites", f"{suite_id}.suite")
         suites.write_suite(suite, out)
         note = f" ({len(suite.shortfalls)} shortfalls)" if suite.shortfalls else ""
         print(f"gen: {suite_id}: {len(suite.items)} items, "
@@ -254,7 +241,7 @@ def cmd_train_ngram(cfg: RunConfig, args) -> int:
     sentences = [[w for w, _ in t.terminals()] for t in trees]
     model = ngram.train(sentences, order=int(cfg.order),
                         map_singletons=cfg._bool("map_singletons"))
-    out = args.model_out or _outdir(cfg, "ngram.model")
+    out = os.path.join(cfg.out, "ngram.model")
     ngram.write_model(model, out)
     print(f"train-ngram: order {model.order}, |V|={len(model.support)} -> {out}")
     return 0
@@ -282,7 +269,7 @@ def _sentences(suite) -> list:
 
 
 def _write_surprisals(cfg: RunConfig, suite, name: str, records) -> None:
-    out = _outdir(cfg, "surprisals", f"{suite.suite_id}.{name}.surp")
+    out = os.path.join(cfg.out, "surprisals", f"{suite.suite_id}.{name}.surp")
     scoring.write_surprisal_file(records, out)
     print(f"score: {len(records)} sentences with {name} -> {out}")
 
@@ -345,9 +332,9 @@ def cmd_eval(cfg: RunConfig, args) -> int:
             suite, records, eps_tie=float(cfg.eps_tie))))
     name = args.model_name or "model"
     for suite, results, agg in evaluated:
-        items_out = _outdir(cfg, "eval", f"{suite.suite_id}.{name}.items.csv")
+        items_out = os.path.join(cfg.out, "eval", f"{suite.suite_id}.{name}.items.csv")
         scoring.write_items_csv(results, items_out, suite.suite_id, name)
-        eval_out = _outdir(cfg, "eval", f"{suite.suite_id}.{name}.eval.csv")
+        eval_out = os.path.join(cfg.out, "eval", f"{suite.suite_id}.{name}.eval.csv")
         scoring.write_eval_csv(agg, eval_out, name)
         pooled = sum(r.correct for r in results) / len(results)
         print(f"eval: {suite.suite_id} x {name}: accuracy {pooled:.3f} "
@@ -469,19 +456,18 @@ def cmd_analyze(cfg: RunConfig, args) -> int:
         fits_rows += _fit_rows((suite_id, "*", "supervision"), X, y, labels,
                                clusters)
 
-    fits_out = _outdir(cfg, "analysis", "fits.csv")
+    fits_out = os.path.join(cfg.out, "analysis", "fits.csv")
     scoring.write_csv(
         fits_out, FITS_COLUMNS,
         ([suite_id, model, analysis, term, f"{est:.6f}", f"{se:.6f}",
           f"{z:.4f}", f"{p:.6g}", stats.stars(p) if not math.isnan(p) else ""]
          for suite_id, model, analysis, term, est, se, z, p in fits_rows))
     scoring.write_csv(
-        _outdir(cfg, "analysis", "curves.csv"),
+        os.path.join(cfg.out, "analysis", "curves.csv"),
         ["suite", "model", "log10_exposure", "p_hat", "band_lo", "band_hi"],
         ([suite_id, model, f"{x:.6f}", f"{p:.6f}", f"{lo:.6f}", f"{hi:.6f}"]
          for suite_id, model, x, p, lo, hi in curve_rows))
-    charts_out = _outdir(cfg, "analysis", "charts.json")
-    with open(charts_out, "w", encoding="utf-8") as fh:
+    with write_text(os.path.join(cfg.out, "analysis", "charts.json")) as fh:
         json.dump({"version": 1, "charts": charts}, fh, sort_keys=True, indent=2)
         fh.write("\n")
     print(f"analyze: {len(groups)} suite/model groups -> {fits_out}")
@@ -527,10 +513,10 @@ def cmd_report(cfg: RunConfig, args) -> int:
             for m in models:
                 row.append(star_cols.get((suite_id, m), ""))
         rows.append(row)
-    scoring.write_csv(_outdir(cfg, "report", "table.csv"), header, rows)
+    scoring.write_csv(os.path.join(cfg.out, "report", "table.csv"), header, rows)
 
-    table_txt = _outdir(cfg, "report", "table.txt")
-    with open(table_txt, "w", encoding="utf-8") as fh:
+    table_txt = os.path.join(cfg.out, "report", "table.txt")
+    with write_text(table_txt) as fh:
         width = max([len(s) for s in suites_seen] + [5])
         cols = [f"{m}" for m in models]
         fh.write("suite".ljust(width) + "  " +
@@ -572,8 +558,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", required=True, help="suite id or 'all'")
     p.add_argument("--lexicon")
 
-    p = sub.add_parser("train-ngram", help="train the n-gram baseline")
-    p.add_argument("--model-out")
+    sub.add_parser("train-ngram", help="train the n-gram baseline")
 
     p = sub.add_parser("score", help="surprisals for suites under a model")
     p.add_argument("--suite-file", nargs="+", required=True)

@@ -22,7 +22,7 @@ from enum import Enum
 from itertools import islice
 from typing import Iterable, Mapping
 
-from .errors import FormatError, InputError, TreebankParseError, open_text
+from .errors import FormatError, InputError, TreebankParseError, open_text, write_text
 
 NOUN_TAGS = ("NN", "NNS", "NNP", "NNPS")
 
@@ -31,12 +31,11 @@ DEFAULT_AUX_FORMS = frozenset(
     "is are was were am do does did has have had".split()
 )
 
-#: Tags whose occurrences contribute object-presence evidence.  The strict
-#: past-tense-only reading corresponds to ("VBD",).
+#: Tags whose occurrences contribute object-presence evidence.
 DEFAULT_OBJECT_TAGS = frozenset(("VB", "VBD", "VBP", "VBZ"))
 
-#: Tokens exempt from the filler-frequency threshold when punctuation is
-#: excluded (every non-alphanumeric single-character token qualifies too).
+#: Tokens exempt from the filler-frequency threshold (every non-alphanumeric
+#: single-character token is exempt too).
 PUNCT_TOKENS = frozenset(". , ? ! ; : -- ... `` '' ` '".split())
 
 
@@ -266,15 +265,16 @@ def _np_head_noun(node: Tree) -> str | None:
     return nouns[-1] if nouns else None
 
 
-def _detect_inversion(tree: Tree, aux_forms: frozenset) -> str | None:
+def _detect_inversion(tree: Tree) -> str | None:
     """Return the subject noun of an inverted polar frame, if this tree is one.
 
-    The frame detector: the sentence's first terminal is a configured
-    auxiliary form; the subject is the rightmost noun-tagged terminal of the
-    first NP among that auxiliary's right siblings (searched innermost-out).
+    The frame detector: the sentence's first terminal is one of
+    ``DEFAULT_AUX_FORMS``; the subject is the rightmost noun-tagged terminal
+    of the first NP among that auxiliary's right siblings (searched
+    innermost-out).
     """
     first = next(tree.terminals(), None)
-    if first is None or first[0].lower() not in aux_forms:
+    if first is None or first[0].lower() not in DEFAULT_AUX_FORMS:
         return None
 
     # Path of nodes from root down to the first terminal.
@@ -290,14 +290,14 @@ def _detect_inversion(tree: Tree, aux_forms: frozenset) -> str | None:
     return None
 
 
-def _object_evidence(tree: Tree, object_tags: frozenset, out: list):
+def _object_evidence(tree: Tree, out: list):
     """Collect (verb, has_following_np) pairs from VP-internal verbs."""
     stack = [tree]
     while stack:
         node = stack.pop()
         if not node.is_terminal and base_label(node.label) == "VP":
             for i, child in enumerate(node.children):
-                if child.is_terminal and child.label in object_tags:
+                if child.is_terminal and child.label in DEFAULT_OBJECT_TAGS:
                     has_np = any(
                         not sib.is_terminal and base_label(sib.label) == "NP"
                         for sib in node.children[i + 1:]
@@ -310,8 +310,6 @@ def build_lexicon(
     trees: Iterable[Tree],
     *,
     lowercase: bool = False,
-    aux_forms: frozenset = DEFAULT_AUX_FORMS,
-    object_tags: frozenset = DEFAULT_OBJECT_TAGS,
     dependencies: Mapping[int, frozenset] | None = None,
 ) -> LexiconStats:
     """Fold trees into a :class:`LexiconStats`.
@@ -336,7 +334,7 @@ def build_lexicon(
         if dependencies is not None and sent_id in dependencies:
             obj_heads = dependencies[sent_id]
             for idx, (word, tag) in enumerate(terms, start=1):
-                if tag in object_tags:
+                if tag in DEFAULT_OBJECT_TAGS:
                     entry = lex._entry(word)
                     if idx in obj_heads:
                         entry.obj_present += 1
@@ -344,7 +342,7 @@ def build_lexicon(
                         entry.obj_absent += 1
         else:
             evidence: list = []
-            _object_evidence(tree, object_tags, evidence)
+            _object_evidence(tree, evidence)
             for word, has_np in evidence:
                 entry = lex._entry(word)
                 if has_np:
@@ -352,7 +350,7 @@ def build_lexicon(
                 else:
                     entry.obj_absent += 1
 
-        inverted_noun = _detect_inversion(tree, aux_forms)
+        inverted_noun = _detect_inversion(tree)
         if inverted_noun is not None:
             lex._entry(inverted_noun).inverted += 1
     return lex
@@ -572,7 +570,7 @@ def _lexicon_row(word: str, s: WordStats) -> str:
 
 def write_lexicon(lex: LexiconStats, path) -> None:
     """Deterministic sorted TSV: word, total, tag:count pairs, evidence columns."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with write_text(path) as fh:
         fh.write("#syntax-probe-lexicon v1 lowercase=%d\n" % int(lex.lowercase))
         fh.write("#word\ttotal\tpos\tobj_present\tobj_absent\tinverted\tvbn\n")
         for word in lex.words():

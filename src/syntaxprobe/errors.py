@@ -1,4 +1,5 @@
-"""Exception hierarchy with stable machine-readable categories.
+"""Exception hierarchy with stable machine-readable categories, and the text
+file openers every reader and writer goes through.
 
 Every error raised by this package carries a ``category`` token that the CLI
 prints on stderr, so scripted callers can switch on it without parsing prose.
@@ -7,6 +8,7 @@ prints on stderr, so scripted callers can switch on it without parsing prose.
 from __future__ import annotations
 
 import contextlib
+import os
 
 
 class SyntaxProbeError(Exception):
@@ -109,4 +111,22 @@ def open_text(path, newline=None):
             line = data.count(b"\n", 0, whole.start) + 1
             raise FormatError(f"input is not UTF-8: {path}:{line}: "
                               f"byte 0x{data[whole.start]:02x}") from exc
+        raise
+
+
+@contextlib.contextmanager
+def write_text(path):
+    """The one way an artifact lands on disk: the body writes ``<path>.tmp``
+    (UTF-8, ``\\n`` written as is) and a clean exit renames it onto ``path``,
+    so a reader finds the whole file or none of it.  The parent directory is
+    created; on any exception the temporary file is removed."""
+    tmp = os.fspath(path) + ".tmp"
+    os.makedirs(os.path.dirname(tmp) or ".", exist_ok=True)
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
         raise

@@ -27,7 +27,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import FormatError, InputError, TrainingError, open_text
+from .errors import FormatError, InputError, TrainingError, open_text, write_text
 
 BOS = "<s>"
 UNK = "<unk>"
@@ -238,7 +238,7 @@ def train(sentences: Iterable[Sequence[str]], order: int = 5,
 
 
 def write_model(model: NGramModel, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with write_text(path) as fh:
         fh.write("#syntax-probe-ngram v1\n")
         fh.write(f"order\t{model.order}\n")
         fh.write(f"unk\t{int(model.map_singletons)}\n")

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import (AlignmentError, FormatError, IncompleteResultsError, InputError,
-                     open_text)
+                     open_text, write_text)
 from .stats import BinomialSummary
 
 SURPRISAL_HEADER = "#syntax-probe-surprisal v1"
@@ -56,7 +56,7 @@ def split_sentence_id(sid: str) -> tuple[str, str]:
 
 
 def write_surprisal_file(records: Iterable[SurprisalRecord], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with write_text(path) as fh:
         fh.write(SURPRISAL_HEADER + " base=2\n")
         for rec in records:
             for i, (tok, s) in enumerate(zip(rec.tokens, rec.surprisals)):
@@ -270,7 +270,7 @@ def evaluate_suite(suite, records, eps_tie: float = DEFAULT_TIE_EPS):
 def write_csv(path, header, rows) -> None:
     """RFC 4180 table with ``\n`` line ends; fields are quoted only when
     they contain a comma, a quote or a line break."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with write_text(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)

@@ -33,7 +33,8 @@ from .corpus import (
     is_punct,
     lexicon_digest,
 )
-from .errors import EmptyPoolError, FormatError, GenerationError, InputError, open_text
+from .errors import (EmptyPoolError, FormatError, GenerationError, InputError, open_text,
+                     write_text)
 
 NOUN_CATEGORIES = ("singular", "plural")
 VERB_CATEGORIES = ("transitive", "intransitive")
@@ -355,12 +356,11 @@ def instantiate(
     *,
     lex: LexiconStats | None = None,
     filler_min_count: int = 50,
-    punct_exempt: bool = True,
 ) -> tuple[tuple, tuple]:
     """Realize one condition of one item: (tokens, region span).
 
     When a lexicon is given, every non-target token must clear the
-    frequency threshold (punctuation exempt by default); a failing filler
+    frequency threshold (punctuation exempt); a failing filler
     rejects the instantiation by name.
     """
     meta = meta or {}
@@ -374,8 +374,7 @@ def instantiate(
     if not (0 <= region[0] < region[1] <= len(tokens)):
         raise GenerationError(f"region {region} outside sentence of {len(tokens)} tokens")
     if lex is not None:
-        tok = next(_rare_fillers(tokens, target, lex, filler_min_count,
-                                 punct_exempt), None)
+        tok = next(_rare_fillers(tokens, target, lex, filler_min_count), None)
         if tok is not None:
             raise GenerationError(
                 f"filler {tok!r} occurs {lex.count(tok)} times "
@@ -384,11 +383,11 @@ def instantiate(
     return tuple(tokens), region
 
 
-def _rare_fillers(tokens, target: str, lex: LexiconStats, filler_min_count: int,
-                  punct_exempt: bool):
-    """Non-target tokens below the frequency threshold, in sentence order."""
+def _rare_fillers(tokens, target: str, lex: LexiconStats, filler_min_count: int):
+    """Non-target, non-punctuation tokens below the frequency threshold, in
+    sentence order."""
     for tok in tokens:
-        if tok == target or (punct_exempt and is_punct(tok)):
+        if tok == target or is_punct(tok):
             continue
         if lex.count(tok) < filler_min_count:
             yield tok
@@ -450,7 +449,6 @@ def generate_suite(
     words_per_category: int = 20,
     frames_per_word: int = 20,
     filler_min_count: int = 50,
-    punct_exempt: bool = True,
     bucket_table=DEFAULT_BUCKETS,
 ) -> TestSuite:
     """Deterministically instantiate one suite from a lexicon.
@@ -486,12 +484,10 @@ def generate_suite(
                     gram_tokens, gram_region = instantiate(
                         defn, target, category, fillers, "gram", meta,
                         lex=lex, filler_min_count=filler_min_count,
-                        punct_exempt=punct_exempt,
                     )
                     ungram_tokens, ungram_region = instantiate(
                         defn, target, category, fillers, "ungram", meta,
                         lex=lex, filler_min_count=filler_min_count,
-                        punct_exempt=punct_exempt,
                     )
                     items.append(TestItem(
                         item_id=f"{suite_id}.b{bucket.id}.{target}.f{f_idx:02d}",
@@ -522,10 +518,7 @@ def generate_suite(
         },
         shortfalls=shortfalls,
     )
-    report = validate_suite(
-        suite, lex, filler_min_count=filler_min_count,
-        punct_exempt=punct_exempt,
-    )
+    report = validate_suite(suite, lex, filler_min_count=filler_min_count)
     if report.violations:
         first = report.violations[0]
         raise GenerationError(
@@ -566,7 +559,6 @@ def validate_suite(
     lex: LexiconStats | None = None,
     *,
     filler_min_count: int = 50,
-    punct_exempt: bool = True,
 ) -> ValidationReport:
     """Report-only check of item invariants, pair minimality, frequency
     constraints, balance, and filter soundness."""
@@ -597,7 +589,7 @@ def validate_suite(
                     f"target occurs {n_target} times in {condition} sentence")
             if lex is not None:
                 for tok in _rare_fillers(tokens, item.target, lex,
-                                         filler_min_count, punct_exempt):
+                                         filler_min_count):
                     bad(item.item_id, "filler-frequency",
                         f"filler {tok!r} occurs {lex.count(tok)} times "
                         f"(< {filler_min_count})")
@@ -649,7 +641,7 @@ SUITE_HEADER = "#syntax-probe-suite v1"
 
 
 def write_suite(suite: TestSuite, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with write_text(path) as fh:
         fh.write(SUITE_HEADER + "\n")
         fh.write(f"#suite_id\t{suite.suite_id}\n")
         fh.write(f"#kind\t{suite.kind}\n")

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from syntaxprobe import beamsearch, cli, ngram, scoring, toydata
+from syntaxprobe import beamsearch, cli, corpus, ngram, scoring, toydata
 from syntaxprobe.errors import FormatError, open_text
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -65,11 +65,17 @@ def test_config_precedence_env_then_flags(tmp_path, monkeypatch):
 
 
 def test_unknown_config_key_is_usage_error(tmp_path):
-    for key in ("mystery", "jobs"):
+    for key in ("mystery", "jobs", "punct_exempt"):
         path = tmp_path / f"{key}.cfg"
         path.write_text(f"[syntaxprobe]\n{key} = 1\n")
         with pytest.raises(cli.UsageError):
             cli.load_config(str(path), {}, {})
+
+
+def test_train_ngram_takes_no_model_out():
+    with pytest.raises(SystemExit) as exc:
+        run(["train-ngram", "--model-out", "m.model"])
+    assert exc.value.code == 2
 
 
 def test_missing_upstream_artifact(tmp_path, capsys):
@@ -168,6 +174,29 @@ def test_model_name_with_comma_round_trips(tmp_path):
                       "a_vs_reference", "kn,5_vs_reference"]
     assert len(rows) == 1 and len(rows[0]) == len(header)
     assert rows[0][0] == "argstruct_active_inf" and rows[0][1] == rows[0][2]
+
+
+def test_reference_model_sets_the_supervision_contrast(tmp_path):
+    # "a" sorts first, so without the key it would be the reference.
+    config = _toy_config(tmp_path, reference_model="b")
+    out = tmp_path / "out"
+    base = ["--config", config, "--out", str(out)]
+    assert run(base + ["ingest"]) == 0
+    assert run(base + ["gen", "--suite", "argstruct_active_inf"]) == 0
+    assert run(base + ["train-ngram"]) == 0
+    suite_file = str(out / "suites" / "argstruct_active_inf.suite")
+    for name in ("a", "b"):
+        assert run(base + ["score", "--suite-file", suite_file,
+                           "--model-name", name]) == 0
+        assert run(base + ["eval", "--suite-file", suite_file, "--surprisal-file",
+                           str(out / "surprisals" / f"argstruct_active_inf.{name}.surp"),
+                           "--model-name", name]) == 0
+    assert run(base + ["analyze", "--items"] +
+               [str(out / "eval" / f"argstruct_active_inf.{n}.items.csv")
+                for n in ("a", "b")]) == 0
+    terms = [row["term"] for row in scoring.read_items_csv(out / "analysis" / "fits.csv")
+             if row["analysis"] == "supervision"]
+    assert terms == ["intercept", "model:a", "bucket_log10"]
 
 
 def test_eval_mismatched_inputs_fail_with_alignment_error(tmp_path, capsys):
@@ -573,6 +602,8 @@ def test_analyze_records_a_curve_it_cannot_fit(tmp_path):
     ("transitive_hi", "nan", ["stats"]),
     ("intransitive_lo", "low", ["stats"]),
     ("eps_tie", "tiny", ["eval", "--suite-file", "s", "--surprisal-file", "p"]),
+    ("lowercase", "maybe", ["ingest"]),
+    ("map_singletons", "2", ["train-ngram"]),
 ])
 def test_bad_config_value_is_usage_error(tmp_path, capsys, monkeypatch, key,
                                          value, command):
@@ -729,3 +760,49 @@ def test_deep_tree_goes_through_ingest_and_train_ngram(tmp_path):
     assert run(base + ["train-ngram"]) == 0
     assert "\nabyss\t1\tNN:1\t0\t0\t0\t0\n" in (out / "lexicon.tsv").read_text()
     assert "abyss" in ngram.read_model(out / "ngram.model").support
+
+
+# ---------------------------------------------------------------------------
+# Interrupted writes
+
+
+def test_interrupted_ingest_leaves_no_partial_lexicon(tmp_path, capsys,
+                                                      monkeypatch):
+    out = tmp_path / "out"
+    base = ["--config", _toy_config(tmp_path), "--out", str(out)]
+    row = corpus._lexicon_row
+    rows_written = []
+
+    def cut_at_row_50(word, stats):
+        rows_written.append(word)
+        if len(rows_written) == 50:
+            raise KeyboardInterrupt
+        return row(word, stats)
+
+    monkeypatch.setattr(corpus, "_lexicon_row", cut_at_row_50)
+    with pytest.raises(KeyboardInterrupt):
+        run(base + ["ingest"])
+    assert not (out / "lexicon.tsv").exists()
+    assert list(tmp_path.rglob("*.tmp")) == []
+    assert run(base + ["stats"]) == 2
+    assert ("error:usage-error: missing upstream artifact"
+            in capsys.readouterr().err)
+
+    # A complete lexicon from an earlier run outlives an interrupted rewrite.
+    monkeypatch.setattr(corpus, "_lexicon_row", row)
+    assert run(base + ["ingest"]) == 0
+    whole = (out / "lexicon.tsv").read_bytes()
+    assert whole.count(b"\n") > 50
+    monkeypatch.setattr(corpus, "_lexicon_row", cut_at_row_50)
+    rows_written.clear()
+    with pytest.raises(KeyboardInterrupt):
+        run(base + ["ingest"])
+    assert (out / "lexicon.tsv").read_bytes() == whole
+    assert list(tmp_path.rglob("*.tmp")) == []
+
+
+def test_library_writer_creates_its_parent_directory(tmp_path):
+    path = tmp_path / "new" / "dir" / "table.csv"
+    scoring.write_csv(path, ["a", "b"], [[1, 2]])
+    assert path.read_bytes() == b"a,b\n1,2\n"
+    assert os.listdir(path.parent) == ["table.csv"]
