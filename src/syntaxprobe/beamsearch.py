@@ -700,9 +700,13 @@ class SubprocessActionModel(GenerativeActionModel):
         for st in states:
             self._add_refs(st.chain, refs)
             replies.append(len(refs) - 1)
-        self._proc.stdin.write(f"SCORE\t{next_word or ''}\t{' '.join(refs)}\n")
-        self._proc.stdin.flush()
-        line = self._proc.stdout.readline()
+        try:
+            self._proc.stdin.write(f"SCORE\t{next_word or ''}\t{' '.join(refs)}\n")
+            self._proc.stdin.flush()
+        except BrokenPipeError:
+            line = ""  # the scorer has exited
+        else:
+            line = self._proc.stdout.readline()
         if line == "":
             raise FormatError("scorer closed the stream mid-session")
         line = line.rstrip("\n")

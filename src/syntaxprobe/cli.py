@@ -19,6 +19,7 @@ import sys
 from dataclasses import dataclass, fields
 
 from . import beamsearch, corpus, ngram, scoring, stats, suites, toydata
+from .corpus import DEFAULT_BUCKETS
 from .errors import FormatError, SyntaxProbeError, UsageError, open_text, write_text
 
 
@@ -30,29 +31,19 @@ class RunConfig:
     transitivity: str = ""
     irregular: str = ""
     out: str = "out"
-    seed: str = ""
-    lowercase: str = "false"
-    filler_min_count: str = "50"
-    transitive_hi: str = "0.9"
-    intransitive_lo: str = "0.1"
-    eps_tie: str = "1e-9"
-    words_per_category: str = "20"
-    frames_per_word: str = "20"
-    order: str = "5"
-    map_singletons: str = "false"
+    seed: int | None = None
+    lowercase: bool = False
+    filler_min_count: int = 50
+    transitive_hi: float = 0.9
+    intransitive_lo: float = 0.1
+    eps_tie: float = 1e-9
+    words_per_category: int = 20
+    frames_per_word: int = 20
+    order: int = 5
+    map_singletons: bool = False
     model: str = ""
-    buckets: str = ""
+    buckets: tuple = DEFAULT_BUCKETS  # ``corpus`` in this body is the field
     reference_model: str = ""
-
-    # -- typed accessors ---------------------------------------------------
-
-    def _bool(self, name: str) -> bool:
-        value = getattr(self, name).strip().lower()
-        if value in ("true", "1", "yes", "on"):
-            return True
-        if value in ("false", "0", "no", "off", ""):
-            return False
-        raise UsageError(f"config key {name} must be boolean, got {value!r}")
 
     def corpus_paths(self) -> list:
         paths = [p.strip() for p in self.corpus.split(",") if p.strip()]
@@ -61,14 +52,9 @@ class RunConfig:
         return paths
 
     def seed_value(self) -> int:
-        if not self.seed.strip():
+        if self.seed is None:
             raise UsageError("a seed is required (config key 'seed' or --seed)")
-        return int(self.seed)
-
-    def bucket_table(self):
-        if not self.buckets.strip():
-            return corpus.DEFAULT_BUCKETS
-        return corpus.parse_bucket_table(self.buckets)
+        return self.seed
 
     def suite_defs_path(self) -> str:
         return self.suite_defs or str(toydata.default_suites_path())
@@ -82,21 +68,47 @@ class RunConfig:
 
 _CONFIG_KEYS = tuple(f.name for f in fields(RunConfig))
 
-#: Numeric config keys: the type each value must parse as, and its range.
-_NUMBERS = {
-    "seed": (int, -math.inf, math.inf),
-    "order": (int, 1, math.inf),
-    "words_per_category": (int, 1, math.inf),
-    "frames_per_word": (int, 1, math.inf),
-    "filler_min_count": (int, 0, math.inf),
-    "transitive_hi": (float, 0.0, 1.0),
-    "intransitive_lo": (float, 0.0, 1.0),
-    "eps_tie": (float, 0.0, math.inf),
+
+def _number(kind, lo, hi=math.inf):
+    """(parse, rule) for a ``kind`` in [lo, hi]; NaN is out of range."""
+    def parse(text: str):
+        if not lo <= (value := kind(text)) <= hi:
+            raise ValueError(text)
+        return value
+    return parse, f"{kind.__name__} in [{lo}, {hi}]"
+
+
+def _blank_is(default, parse):
+    return lambda text: parse(text) if text.strip() else default
+
+
+_BOOLEANS = dict.fromkeys(("true", "1", "yes", "on"), True) \
+    | dict.fromkeys(("false", "0", "no", "off", ""), False)
+_BOOLEAN = (lambda text: _BOOLEANS[text.strip().lower()], "boolean")
+
+#: Every typed key's (parse, rule): ``parse`` maps the key's text to its
+#: RunConfig value, raising ValueError, KeyError or FormatError against ``rule``.
+_TYPED = {
+    "seed": (_blank_is(None, int), "an integer"),
+    "lowercase": _BOOLEAN,
+    "map_singletons": _BOOLEAN,
+    "order": _number(int, 1),
+    "words_per_category": _number(int, 1),
+    "frames_per_word": _number(int, 1),
+    "filler_min_count": _number(int, 0),
+    "transitive_hi": _number(float, 0.0, 1.0),
+    "intransitive_lo": _number(float, 0.0, 1.0),
+    "eps_tie": _number(float, 0.0),
+    "buckets": (_blank_is(DEFAULT_BUCKETS, corpus.parse_bucket_table),
+                "a bucket table LABEL:LO-HI,..."),
 }
 
 
 def load_config(path: str | None, env: dict, overrides: dict) -> RunConfig:
-    cfg = RunConfig()
+    """Settings from the config file, then the ``SP_`` variables (text,
+    parsed here through ``_TYPED``), then the already typed ``overrides``;
+    a later source wins."""
+    texts: dict = {}
     if path:
         if not os.path.exists(path):
             raise UsageError(f"config file {path!r} does not exist")
@@ -111,25 +123,27 @@ def load_config(path: str | None, env: dict, overrides: dict) -> RunConfig:
         for key in section:
             if key not in _CONFIG_KEYS:
                 raise UsageError(f"unknown config key {key!r} in {path}")
-            setattr(cfg, key, section[key])
+            texts[key] = section[key]
     for key in _CONFIG_KEYS:
         env_key = "SP_" + key.upper()
         if env_key in env:
-            setattr(cfg, key, env[env_key])
-    for key, value in overrides.items():
-        if value is not None:
-            setattr(cfg, key, str(value))
-    for key, (kind, lo, hi) in _NUMBERS.items():
-        text = getattr(cfg, key)
-        if key == "seed" and not text.strip():
-            continue  # only gen needs a seed, and seed_value() says so
+            texts[key] = env[env_key]
+    values = dict(texts)
+    for key, text in texts.items():
+        if key not in _TYPED:
+            continue
+        parse, rule = _TYPED[key]
         try:
-            value = kind(text)
-        except ValueError:
-            value = math.nan
-        if not lo <= value <= hi:
-            raise UsageError(f"config key {key} must be {kind.__name__} in "
-                             f"[{lo}, {hi}], got {text!r}")
+            values[key] = parse(text)
+        except (ValueError, KeyError, FormatError) as exc:
+            why = f" ({exc})" if isinstance(exc, FormatError) else ""
+            raise UsageError(f"config key {key} must be {rule}{why}, "
+                             f"got {text!r}") from None
+    values.update((key, v) for key, v in overrides.items() if v is not None)
+    cfg = RunConfig(**values)
+    if not cfg.transitive_hi > cfg.intransitive_lo:
+        raise UsageError(f"config key transitive_hi must be > intransitive_lo "
+                         f"({cfg.intransitive_lo}), got '{cfg.transitive_hi}'")
     return cfg
 
 
@@ -155,7 +169,7 @@ def cmd_ingest(cfg: RunConfig, args) -> int:
     deps = None
     if cfg.dependencies.strip():
         deps = corpus.read_dependency_sidecar(_require(cfg.dependencies, "sidecar"))
-    lex = corpus.build_lexicon(trees, lowercase=cfg._bool("lowercase"),
+    lex = corpus.build_lexicon(trees, lowercase=cfg.lowercase,
                                dependencies=deps)
     out = os.path.join(cfg.out, "lexicon.tsv")
     corpus.write_lexicon(lex, out)
@@ -172,7 +186,7 @@ def _resources(cfg: RunConfig, lex) -> suites.SuiteResources:
     marks = corpus.read_transitivity_lexicon(cfg.transitivity_path())
     irregular = corpus.read_irregular_verbs(cfg.irregular_path())
     calls = corpus.classify_transitivity(
-        lex, marks, hi=float(cfg.transitive_hi), lo=float(cfg.intransitive_lo))
+        lex, marks, hi=cfg.transitive_hi, lo=cfg.intransitive_lo)
     return suites.SuiteResources(marks, calls, irregular)
 
 
@@ -215,23 +229,25 @@ def cmd_stats(cfg: RunConfig, args) -> int:
 
 
 def cmd_gen(cfg: RunConfig, args) -> int:
+    """Every suite is generated before the first is written."""
     lex = _load_lexicon(cfg, args)
     defs = suites.read_suite_defs(cfg.suite_defs_path())
     res = _resources(cfg, lex)
+    seed = cfg.seed_value()
     ids = defs.ids() if args.suite == "all" else [args.suite]
-    for suite_id in ids:
-        suite = suites.generate_suite(
-            suite_id, defs, lex, cfg.seed_value(),
-            resources=res,
-            words_per_category=int(cfg.words_per_category),
-            frames_per_word=int(cfg.frames_per_word),
-            filler_min_count=int(cfg.filler_min_count),
-            bucket_table=cfg.bucket_table(),
-        )
-        out = os.path.join(cfg.out, "suites", f"{suite_id}.suite")
+    generated = [suites.generate_suite(
+        suite_id, defs, lex, seed,
+        resources=res,
+        words_per_category=cfg.words_per_category,
+        frames_per_word=cfg.frames_per_word,
+        filler_min_count=cfg.filler_min_count,
+        bucket_table=cfg.buckets,
+    ) for suite_id in ids]
+    for suite in generated:
+        out = os.path.join(cfg.out, "suites", f"{suite.suite_id}.suite")
         suites.write_suite(suite, out)
         note = f" ({len(suite.shortfalls)} shortfalls)" if suite.shortfalls else ""
-        print(f"gen: {suite_id}: {len(suite.items)} items, "
+        print(f"gen: {suite.suite_id}: {len(suite.items)} items, "
               f"{suite.sentence_count()} sentences{note} -> {out}")
     return 0
 
@@ -239,8 +255,8 @@ def cmd_gen(cfg: RunConfig, args) -> int:
 def cmd_train_ngram(cfg: RunConfig, args) -> int:
     trees = _read_corpus(cfg)
     sentences = [[w for w, _ in t.terminals()] for t in trees]
-    model = ngram.train(sentences, order=int(cfg.order),
-                        map_singletons=cfg._bool("map_singletons"))
+    model = ngram.train(sentences, order=cfg.order,
+                        map_singletons=cfg.map_singletons)
     out = os.path.join(cfg.out, "ngram.model")
     ngram.write_model(model, out)
     print(f"train-ngram: order {model.order}, |V|={len(model.support)} -> {out}")
@@ -329,7 +345,7 @@ def cmd_eval(cfg: RunConfig, args) -> int:
         records = scoring.read_surprisal_file(
             _require(surprisal_path, "surprisal file"))
         evaluated.append((suite, *scoring.evaluate_suite(
-            suite, records, eps_tie=float(cfg.eps_tie))))
+            suite, records, eps_tie=cfg.eps_tie)))
     name = args.model_name or "model"
     for suite, results, agg in evaluated:
         items_out = os.path.join(cfg.out, "eval", f"{suite.suite_id}.{name}.items.csv")

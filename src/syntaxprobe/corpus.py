@@ -421,7 +421,8 @@ def exposure_bucket(count: int, table: tuple[ExposureBucket, ...] = DEFAULT_BUCK
 
 
 def parse_bucket_table(spec: str) -> tuple[ExposureBucket, ...]:
-    """Parse ``"2:2-2,3:3-3,..."`` into a bucket table; ranges must be disjoint."""
+    """Parse ``"2:2-2,10:6-10,..."``: one or more buckets, each label >= 1
+    (analysis takes its log) and lo <= hi, ranges disjoint."""
     buckets = []
     for part in spec.split(","):
         part = part.strip()
@@ -430,9 +431,14 @@ def parse_bucket_table(spec: str) -> tuple[ExposureBucket, ...]:
         try:
             label, rng = part.split(":")
             lo, hi = rng.split("-")
-            buckets.append(ExposureBucket(int(label), int(lo), int(hi)))
+            bucket = ExposureBucket(int(label), int(lo), int(hi))
         except ValueError as exc:
             raise FormatError(f"bad bucket spec {part!r}") from exc
+        if bucket.id < 1 or bucket.lo > bucket.hi:
+            raise FormatError(f"bad bucket spec {part!r}: label < 1 or lo > hi")
+        buckets.append(bucket)
+    if not buckets:
+        raise FormatError("bucket table has no buckets")
     buckets.sort(key=lambda b: b.lo)
     for a, b in zip(buckets, buckets[1:]):
         if b.lo <= a.hi:

@@ -20,6 +20,7 @@ import configparser
 import hashlib
 import itertools
 import random
+import re
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -112,12 +113,13 @@ def _frame_slot_names(frame_tokens) -> list[str]:
     return names
 
 
-def parse_suite_defs(text: str) -> SuiteDefs:
+def parse_suite_defs(text: str, source: str = "<string>") -> SuiteDefs:
     parser = configparser.ConfigParser(default_section="shared", interpolation=None)
     try:
-        parser.read_string(text)
+        parser.read_string(text, source=source)
     except configparser.Error as exc:
-        raise FormatError(f"bad suite definitions: {exc}") from exc
+        raise FormatError(f"bad suite definitions: {' '.join(str(exc).split())}") \
+            from exc
     defs = {}
     for section in parser.sections():
         raw = dict(parser[section])
@@ -144,8 +146,9 @@ def parse_suite_defs(text: str) -> SuiteDefs:
             if key.startswith(("verb_", "aux_"))
         }
         region = raw.get("region", "")
-        if not (region.startswith("slot:") or region.startswith("last:")):
-            raise FormatError(f"[{section}]: region must be 'slot:NAME' or 'last:K'")
+        if not (region.startswith("slot:") or re.fullmatch("last:[1-9][0-9]*", region)):
+            raise FormatError(f"[{section}]: region must be 'slot:NAME' or 'last:K' "
+                              "with K >= 1")
         d = SuiteDef(
             suite_id=section,
             kind=kind,
@@ -170,8 +173,13 @@ def parse_suite_defs(text: str) -> SuiteDefs:
 
 
 def read_suite_defs(path) -> SuiteDefs:
+    """Parse a definitions file; every error names ``path`` on one line."""
     with open_text(path) as fh:
-        return parse_suite_defs(fh.read())
+        text = fh.read()
+    try:
+        return parse_suite_defs(text, str(path))
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -351,36 +359,16 @@ def instantiate(
     target: str,
     category: str,
     fillers: Mapping[str, str],
-    condition: str,
     meta: dict | None = None,
-    *,
-    lex: LexiconStats | None = None,
-    filler_min_count: int = 50,
 ) -> tuple[tuple, tuple]:
-    """Realize one condition of one item: (tokens, region span).
-
-    When a lexicon is given, every non-target token must clear the
-    frequency threshold (punctuation exempt); a failing filler
-    rejects the instantiation by name.
-    """
-    meta = meta or {}
-    frames = _condition_frames(defn, category, meta)
-    frame, cond_values = frames[0] if condition == "gram" else frames[1]
-    assignment = dict(fillers)
-    assignment["target"] = target
-    assignment.update(cond_values)
-    tokens, spans = _render(frame, assignment)
-    region = _region(defn, tokens, spans)
-    if not (0 <= region[0] < region[1] <= len(tokens)):
-        raise GenerationError(f"region {region} outside sentence of {len(tokens)} tokens")
-    if lex is not None:
-        tok = next(_rare_fillers(tokens, target, lex, filler_min_count), None)
-        if tok is not None:
-            raise GenerationError(
-                f"filler {tok!r} occurs {lex.count(tok)} times "
-                f"(< {filler_min_count})"
-            )
-    return tuple(tokens), region
+    """Realize one item: ((gram tokens, region span), (ungram tokens, region
+    span)).  ``validate_suite`` checks the regions and filler frequencies."""
+    assignment = dict(fillers, target=target)
+    realized = []
+    for frame, cond_values in _condition_frames(defn, category, meta or {}):
+        tokens, spans = _render(frame, {**assignment, **cond_values})
+        realized.append((tuple(tokens), _region(defn, tokens, spans)))
+    return tuple(realized)
 
 
 def _rare_fillers(tokens, target: str, lex: LexiconStats, filler_min_count: int):
@@ -481,25 +469,10 @@ def generate_suite(
                 for f_idx, (fillers, meta) in enumerate(
                     _instances(defn, target, frames_per_word, rng)
                 ):
-                    gram_tokens, gram_region = instantiate(
-                        defn, target, category, fillers, "gram", meta,
-                        lex=lex, filler_min_count=filler_min_count,
-                    )
-                    ungram_tokens, ungram_region = instantiate(
-                        defn, target, category, fillers, "ungram", meta,
-                        lex=lex, filler_min_count=filler_min_count,
-                    )
+                    gram, ungram = instantiate(defn, target, category, fillers, meta)
                     items.append(TestItem(
-                        item_id=f"{suite_id}.b{bucket.id}.{target}.f{f_idx:02d}",
-                        suite_id=suite_id,
-                        target=target,
-                        category=category,
-                        bucket=bucket.id,
-                        gram_tokens=gram_tokens,
-                        gram_region=gram_region,
-                        ungram_tokens=ungram_tokens,
-                        ungram_region=ungram_region,
-                    ))
+                        f"{suite_id}.b{bucket.id}.{target}.f{f_idx:02d}", suite_id,
+                        target, category, bucket.id, *gram, *ungram))
     if not items:
         raise EmptyPoolError(f"{suite_id}: every bucket/category pool is empty")
     suite = TestSuite(
@@ -704,7 +677,11 @@ def read_suite(path) -> TestSuite:
                     rows[key] = {"suite_id": suite_id, "target": target,
                                  "category": category, "bucket": int(bucket)}
                     order.append(key)
-                rows[key][condition] = (tuple(toks.split(" ")), (int(rs), int(re_)))
+                tokens, start, end = tuple(toks.split(" ")), int(rs), int(re_)
+                if not 0 <= start < end <= len(tokens):
+                    raise FormatError(f"{path}:{lineno}: region ({start}, {end}) is "
+                                      f"empty or outside {len(tokens)} tokens")
+                rows[key][condition] = (tokens, (start, end))
             except (ValueError, IndexError) as exc:
                 raise FormatError(f"{path}:{lineno}: malformed suite line "
                                   f"{line!r}") from exc
@@ -713,17 +690,9 @@ def read_suite(path) -> TestSuite:
         row = rows[item_id]
         if "gram" not in row or "ungram" not in row:
             raise FormatError(f"{path}: item {item_id!r} missing a condition")
-        items.append(TestItem(
-            item_id=item_id,
-            suite_id=row["suite_id"],
-            target=row["target"],
-            category=row["category"],
-            bucket=row["bucket"],
-            gram_tokens=row["gram"][0],
-            gram_region=row["gram"][1],
-            ungram_tokens=row["ungram"][0],
-            ungram_region=row["ungram"][1],
-        ))
+        items.append(TestItem(item_id, row["suite_id"], row["target"],
+                              row["category"], row["bucket"],
+                              *row["gram"], *row["ungram"]))
     if not items:
         raise FormatError(f"{path}: suite has no items")
     return TestSuite(

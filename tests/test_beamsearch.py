@@ -395,6 +395,14 @@ def test_close_kills_a_scorer_that_ignores_quit(monkeypatch):
     assert model._proc.stdin.closed and model._proc.stdout.closed
 
 
+def test_scorer_that_has_exited_is_a_format_error():
+    script = f"print({bs.PROTOCOL_HEADER!r}, flush=True)\n"
+    with bs.SubprocessActionModel([sys.executable, "-c", script]) as model:
+        model._proc.wait()  # the scorer is gone before the first request
+        with pytest.raises(FormatError, match="scorer closed the stream mid-session"):
+            model.actions(bs.ParserState(0, 0.0))
+
+
 def _scorer_argv(path):
     return [sys.executable, "-m", "syntaxprobe.pcfg_scorer", str(path)]
 

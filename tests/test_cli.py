@@ -8,8 +8,8 @@ import sys
 
 import pytest
 
-from syntaxprobe import beamsearch, cli, corpus, ngram, scoring, toydata
-from syntaxprobe.errors import FormatError, open_text
+from syntaxprobe import beamsearch, cli, corpus, ngram, scoring, suites, toydata
+from syntaxprobe.errors import FormatError, GenerationError, open_text
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -108,6 +108,32 @@ def test_gen_twice_is_byte_identical(tmp_path):
     assert run(["--config", config, "--out", str(out),
                 "gen", "--suite", "number_base"]) == 0
     assert (out / "suites" / "number_base.suite").read_bytes() == first
+
+
+def test_gen_all_writes_nothing_when_a_suite_fails(tmp_path, capsys,
+                                                   monkeypatch):
+    config = _toy_config(tmp_path)
+    out = tmp_path / "out"
+    assert run(["--config", config, "--out", str(out), "ingest"]) == 0
+    assert run(["--config", config, "--out", str(out), "gen", "--suite", "all"]) == 0
+    before = {p.name: p.read_bytes() for p in (out / "suites").iterdir()}
+    assert len(before) == 13
+    generate = suites.generate_suite
+    calls = []
+
+    def fail_on_fourth(suite_id, *args, **kwargs):
+        calls.append(suite_id)
+        if len(calls) == 4:
+            raise GenerationError(f"{suite_id}: refused")
+        return generate(suite_id, *args, **kwargs)
+
+    monkeypatch.setattr(suites, "generate_suite", fail_on_fourth)
+    capsys.readouterr()
+    rc = run(["--config", config, "--out", str(out), "--seed", "14",
+              "gen", "--suite", "all"])
+    assert rc == 1
+    assert "error:generation-error:" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in (out / "suites").iterdir()} == before
 
 
 def test_full_toy_pipeline_emits_all_artifacts(tmp_path, capsys):
@@ -453,8 +479,10 @@ def _corrupt(path, old, new) -> int:
     ("#invariance\t0", "#invariance\tno"),
     ("#invariance\t0", "#invariance"),
     ("#item_id", "#shortfall\t2\tsingular\n#item_id"),
+    ("fast go\t0\t1", "fast go\t2\t99"),
+    ("slow go\t0\t1", "slow go\t2\t2"),
 ], ids=["bucket", "region-end", "invariance", "key-without-value",
-        "short-shortfall"])
+        "short-shortfall", "region-outside-sentence", "region-empty"])
 def test_bad_suite_row_is_format_error(tmp_path, capsys, old, new):
     suite_file = _tiny_suite(tmp_path)
     lineno = _corrupt(suite_file, old, new)
@@ -469,6 +497,27 @@ def test_bad_suite_row_is_format_error(tmp_path, capsys, old, new):
                      "--model", f"adapter:{surp}"])
     assert rc == 1
     assert f"error:format-error: {suite_file}:{lineno}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", [
+    "[x]\nkind = nope\n",
+    "[x]\nkind = copula_agreement\nkind = passive_aux\n",
+    "kind = nope\n",
+], ids=["unknown-kind", "repeated-key", "no-section-header"])
+def test_bad_suite_defs_name_the_file_on_one_line(tmp_path, capsys, monkeypatch,
+                                                  text):
+    defs = tmp_path / "defs.cfg"
+    defs.write_text(text)
+    monkeypatch.setenv("SP_SUITE_DEFS", str(defs))
+    lexicon = tmp_path / "lexicon.tsv"
+    lexicon.write_text("#syntax-probe-lexicon v1 lowercase=1\n"
+                       "fast\t2\tJJ:2\t0\t0\t0\t0\n")
+    rc = run(["--config", _write_config(tmp_path), "--out", str(tmp_path / "out"),
+              "gen", "--suite", "all", "--lexicon", str(lexicon)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error:format-error: {defs}: ")
+    assert err.count("\n") == 1 and "<string>" not in err
 
 
 @pytest.mark.parametrize("old, new", [
@@ -604,6 +653,11 @@ def test_analyze_records_a_curve_it_cannot_fit(tmp_path):
     ("eps_tie", "tiny", ["eval", "--suite-file", "s", "--surprisal-file", "p"]),
     ("lowercase", "maybe", ["ingest"]),
     ("map_singletons", "2", ["train-ngram"]),
+    ("buckets", "2:2-x", ["gen", "--suite", "number_base"]),
+    ("buckets", "0:0-4", ["gen", "--suite", "number_base"]),
+    ("buckets", "5:9-3", ["gen", "--suite", "number_base"]),
+    ("transitive_hi", "0.05", ["stats"]),
+    ("lowercase", "maybe", ["stats"]),
 ])
 def test_bad_config_value_is_usage_error(tmp_path, capsys, monkeypatch, key,
                                          value, command):

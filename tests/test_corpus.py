@@ -237,8 +237,10 @@ def test_bucket_partition_0_to_200():
 def test_bucket_table_parse():
     table = corpus.parse_bucket_table("2:2-2,10:3-10")
     assert exposure_bucket(7, table).id == 10
-    with pytest.raises(corpus.FormatError):
-        corpus.parse_bucket_table("2:2-5,4:4-6")
+    # overlapping, label 0, lo > hi, no buckets
+    for spec in ("2:2-5,4:4-6", "0:0-4", "5:9-3", "", " , "):
+        with pytest.raises(corpus.FormatError):
+            corpus.parse_bucket_table(spec)
 
 
 # ---------------------------------------------------------------------------

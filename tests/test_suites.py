@@ -41,6 +41,15 @@ def test_defs_missing_pool_rejected():
             "verb_plural = are\nregion = slot:verb\n")
 
 
+@pytest.mark.parametrize("region", ["last:x", "last:0", "last:"])
+def test_defs_bad_region_rejected(region):
+    with pytest.raises(FormatError, match="region must be"):
+        parse_suite_defs(
+            "[x]\nkind = copula_agreement\ncategories = singular, plural\n"
+            "frame = The {target} {verb} .\nverb_singular = is\n"
+            f"verb_plural = are\nregion = {region}\n")
+
+
 def test_default_defs_load(suite_defs):
     assert len(suite_defs.ids()) == 13
     assert "number_base" in suite_defs.ids()
@@ -106,50 +115,53 @@ def test_invariance_pool_is_active_only(toy_lex, suite_defs, resources):
 
 
 def test_instantiate_number_base_grammatical(suite_defs):
-    tokens, region = instantiate(
+    (tokens, region), (tokens_u, region_u) = instantiate(
         suite_defs["number_base"], "president", "singular",
-        {"cont": "good today"}, "gram")
+        {"cont": "good today"})
     assert tokens[:3] == ("The", "president", "is")
     assert tokens[region[0]:region[1]] == ("is",)
-    tokens_u, region_u = instantiate(
-        suite_defs["number_base"], "president", "singular",
-        {"cont": "good today"}, "ungram")
     assert tokens_u[:3] == ("The", "president", "are")
     assert tokens_u[region_u[0]:region_u[1]] == ("are",)
 
 
 def test_instantiate_polar_modifier_ungrammatical(suite_defs):
-    tokens, region = instantiate(
+    _, (tokens, region) = instantiate(
         suite_defs["number_polar_mod"], "hearings", "plural",
         {"adjpair": "very big and important", "pred": "good"},
-        "ungram", meta={"tense": "present"})
+        meta={"tense": "present"})
     assert tokens[:7] == ("Is", "the", "very", "big", "and", "important",
                           "hearings")
     assert tokens[region[0]:region[1]] == ("hearings",)
 
 
 def test_instantiate_passive_intransitive_ungrammatical(suite_defs):
-    tokens, region = instantiate(
+    (gram, gram_region), (tokens, region) = instantiate(
         suite_defs["argstruct_passive"], "arrived", "intransitive",
-        {"subject": "doctor", "adverb": "yesterday"}, "ungram")
+        {"subject": "doctor", "adverb": "yesterday"})
     assert tokens == ("The", "doctor", "was", "arrived", "yesterday", ".")
     assert tokens[region[0]:region[1]] == ("arrived", "yesterday", ".")
-    gram, gram_region = instantiate(
-        suite_defs["argstruct_passive"], "arrived", "intransitive",
-        {"subject": "doctor", "adverb": "yesterday"}, "gram")
     assert gram == ("The", "doctor", "arrived", "yesterday", ".")
     assert gram[gram_region[0]:gram_region[1]] == ("arrived", "yesterday", ".")
 
 
 def test_instantiate_rejects_low_frequency_filler(suite_defs):
+    # Fillers are checked by validate_suite, which generate_suite runs.
+    defs = parse_suite_defs(
+        "[number_base]\nkind = copula_agreement\ncategories = singular, plural\n"
+        "frame = The {target} {verb} {cont}\nverb_singular = is\n"
+        "verb_plural = are\nregion = slot:verb\npool_cont = petitions today\n")
     lex = LexiconStats(lowercase=True)
     for word in ("the", "is", "are", "today"):
         lex._entry(word).total = 500
     lex._entry("petitions").total = 12
+    for word, tag in (("w", "NN"), ("ws", "NNS")):
+        entry = lex._entry(word)
+        entry.total = 4
+        entry.pos[tag] = 4
     with pytest.raises(GenerationError, match="petitions"):
-        instantiate(suite_defs["number_base"], "w", "singular",
-                    {"cont": "petitions today"}, "gram",
-                    lex=lex, filler_min_count=50)
+        generate_suite("number_base", defs, lex, seed=1, words_per_category=1,
+                       frames_per_word=1, filler_min_count=50,
+                       bucket_table=ONE_BUCKET)
 
 
 # ---------------------------------------------------------------------------
