@@ -358,20 +358,13 @@ def cmd_eval(cfg: RunConfig, args) -> int:
     return 0
 
 
-def _bucket(text: str) -> int:
-    """An exposure bucket, which analyze takes the log of."""
-    value = int(text)
-    if value < 1:
-        raise ValueError(text)
-    return value
-
-
 def _items_by_group(paths):
     groups: dict = {}
     for path in paths:
         for row in scoring.read_items_csv(_require(path, "items csv"),
                                           scoring.ITEMS_COLUMNS,
-                                          {"correct": int, "bucket": _bucket}):
+                                          {"correct": int,
+                                           "bucket": corpus.parse_bucket_label}):
             key = (row["suite"], row["model"])
             groups.setdefault(key, []).append(row)
     return groups

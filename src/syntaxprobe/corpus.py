@@ -22,7 +22,8 @@ from enum import Enum
 from itertools import islice
 from typing import Iterable, Mapping
 
-from .errors import FormatError, InputError, TreebankParseError, open_text, write_text
+from .errors import (FormatError, InputError, TreebankParseError, open_text, read_rows,
+                     write_text)
 
 NOUN_TAGS = ("NN", "NNS", "NNP", "NNPS")
 
@@ -363,21 +364,15 @@ def read_dependency_sidecar(path) -> dict[int, frozenset]:
     listed with any relation are considered covered by the sidecar.
     """
     covered: dict[int, set] = {}
-    with open_text(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
+    with read_rows(path) as (_, rows):
+        for _, fields in rows:
+            if fields[0].lstrip().startswith("#"):
                 continue
-            parts = line.split("\t")
-            if len(parts) != 4:
-                raise FormatError(f"{path}:{lineno}: expected 4 tab-separated fields")
-            try:
-                sent_id, _token, head = int(parts[0]), int(parts[1]), int(parts[2])
-            except ValueError as exc:
-                raise FormatError(f"{path}:{lineno}: non-integer index") from exc
-            covered.setdefault(sent_id, set())
-            if parts[3] in ("obj", "dobj"):
-                covered[sent_id].add(head)
+            sent_id, token, head, relation = fields
+            sent_id, _, head = int(sent_id), int(token), int(head)
+            heads = covered.setdefault(sent_id, set())
+            if relation.strip() in ("obj", "dobj"):
+                heads.add(head)
     return {sid: frozenset(heads) for sid, heads in covered.items()}
 
 
@@ -420,6 +415,15 @@ def exposure_bucket(count: int, table: tuple[ExposureBucket, ...] = DEFAULT_BUCK
     return None
 
 
+def parse_bucket_label(text: str) -> int:
+    """A bucket label in a suite or items file: an int >= 1, since analysis
+    takes its log.  Anything else is a ValueError."""
+    label = int(text)
+    if label < 1:
+        raise ValueError(f"bucket label {text!r} < 1")
+    return label
+
+
 def parse_bucket_table(spec: str) -> tuple[ExposureBucket, ...]:
     """Parse ``"2:2-2,10:6-10,..."``: one or more buckets, each label >= 1
     (analysis takes its log) and lo <= hi, ranges disjoint."""
@@ -431,11 +435,11 @@ def parse_bucket_table(spec: str) -> tuple[ExposureBucket, ...]:
         try:
             label, rng = part.split(":")
             lo, hi = rng.split("-")
-            bucket = ExposureBucket(int(label), int(lo), int(hi))
+            bucket = ExposureBucket(parse_bucket_label(label), int(lo), int(hi))
         except ValueError as exc:
             raise FormatError(f"bad bucket spec {part!r}") from exc
-        if bucket.id < 1 or bucket.lo > bucket.hi:
-            raise FormatError(f"bad bucket spec {part!r}: label < 1 or lo > hi")
+        if bucket.lo > bucket.hi:
+            raise FormatError(f"bad bucket spec {part!r}: lo > hi")
         buckets.append(bucket)
     if not buckets:
         raise FormatError("bucket table has no buckets")
@@ -547,24 +551,24 @@ def active_only_verbs(lex: LexiconStats, irregular: frozenset = frozenset()) -> 
 def read_transitivity_lexicon(path) -> dict[str, str]:
     """Two-column ``verb<TAB>transitive|intransitive`` file."""
     marks: dict[str, str] = {}
-    with open_text(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise FormatError(f"{path}:{lineno}: expected verb<TAB>mark")
-            marks[parts[0]] = parts[1]
+    with read_rows(path) as (_, rows):
+        for _, fields in rows:
+            fields = [f.strip() for f in fields]
+            if not fields[0].startswith("#"):
+                verb, mark = fields
+                marks[verb] = mark
     return marks
 
 
 def read_irregular_verbs(path) -> frozenset:
-    with open_text(path) as fh:
-        return frozenset(
-            line.strip() for line in fh
-            if line.strip() and not line.lstrip().startswith("#")
-        )
+    """One verb form a line; ``#`` lines are comments."""
+    verbs = set()
+    with read_rows(path) as (_, rows):
+        for _, fields in rows:
+            if not fields[0].lstrip().startswith("#"):
+                (verb,) = fields
+                verbs.add(verb.strip())
+    return frozenset(verbs)
 
 
 def _lexicon_row(word: str, s: WordStats) -> str:
@@ -574,43 +578,39 @@ def _lexicon_row(word: str, s: WordStats) -> str:
             f"\t{s.inverted}\t{s.vbn}\n")
 
 
+LEXICON_HEADER = "#syntax-probe-lexicon v1"
+_LEXICON_COLUMNS = ["#word", "total", "pos", "obj_present", "obj_absent", "inverted",
+                    "vbn"]
+
+
 def write_lexicon(lex: LexiconStats, path) -> None:
     """Deterministic sorted TSV: word, total, tag:count pairs, evidence columns."""
     with write_text(path) as fh:
-        fh.write("#syntax-probe-lexicon v1 lowercase=%d\n" % int(lex.lowercase))
-        fh.write("#word\ttotal\tpos\tobj_present\tobj_absent\tinverted\tvbn\n")
+        fh.write(f"{LEXICON_HEADER} lowercase={int(lex.lowercase)}\n")
+        fh.write("\t".join(_LEXICON_COLUMNS) + "\n")
         for word in lex.words():
             fh.write(_lexicon_row(word, lex.stats(word)))
 
 
 def read_lexicon(path) -> LexiconStats:
-    with open_text(path) as fh:
-        header = fh.readline().strip()
-        if not header.startswith("#syntax-probe-lexicon v1"):
-            raise FormatError(f"{path}: not a lexicon table")
-        lowercase = "lowercase=1" in header
-        lex = LexiconStats(lowercase=lowercase)
-        for lineno, line in enumerate(fh, start=2):
-            if line.startswith("#") or not line.strip():
+    """Every line but the column line is a row, so words such as PTB's
+    ``#`` come back."""
+    with read_rows(path, LEXICON_HEADER) as (head, rows):
+        lex = LexiconStats(lowercase="lowercase=1" in head)
+        for _, fields in rows:
+            if fields == _LEXICON_COLUMNS:
                 continue
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) != 7:
-                raise FormatError(f"{path}:{lineno}: expected 7 columns")
-            word, total, pos, present, absent, inverted, vbn = parts
+            word, total, pos, present, absent, inverted, vbn = fields
             entry = lex._entry(word)
-            try:
-                entry.total = int(total)
-                if pos:
-                    for pair in pos.split(","):
-                        tag, n = pair.rsplit(":", 1)
-                        entry.pos[tag] = int(n)
-                entry.obj_present = int(present)
-                entry.obj_absent = int(absent)
-                entry.inverted = int(inverted)
-                entry.vbn = int(vbn)
-            except ValueError as exc:
-                raise FormatError(f"{path}:{lineno}: expected integer counts and "
-                                  f"TAG:COUNT pos pairs") from exc
+            entry.total = int(total)
+            if pos:
+                for pair in pos.split(","):
+                    tag, n = pair.rsplit(":", 1)
+                    entry.pos[tag] = int(n)
+            entry.obj_present = int(present)
+            entry.obj_absent = int(absent)
+            entry.inverted = int(inverted)
+            entry.vbn = int(vbn)
     return lex
 
 

@@ -115,6 +115,39 @@ def open_text(path, newline=None):
 
 
 @contextlib.contextmanager
+def read_rows(path, header=None):
+    """The one reader of the tab-separated artifacts: yields ``(head, rows)``.
+
+    With a ``header``, the first line must start with it as a whole word,
+    and ``head`` is the rest of that line, stripped.  ``rows`` streams
+    ``(lineno, fields)`` for every later line that is not blank, split on
+    tabs; ``#`` lines are rows too, since each format has its own comment
+    rule.  A ValueError or IndexError raised in the body (a wrong field
+    count, ``int()``, ``float()``) is a FormatError at the current line."""
+    with open_text(path) as fh:
+        head, lineno = None, 0
+        if header is not None:
+            first, lineno = fh.readline(), 1
+            rest = first[len(header):]
+            if not first.startswith(header) or rest[:1].strip():
+                raise FormatError(f"{path}: missing {header!r} header")
+            head = rest.strip()
+
+        def rows():
+            nonlocal lineno
+            for lineno, line in enumerate(fh, lineno + 1):
+                if not line.isspace():
+                    yield lineno, line.rstrip("\n").split("\t")
+
+        try:
+            yield head, rows()
+        except UnicodeDecodeError:
+            raise  # open_text reports the file, line and byte
+        except (ValueError, IndexError) as exc:
+            raise FormatError(f"{path}:{lineno}: malformed line: {exc}") from exc
+
+
+@contextlib.contextmanager
 def write_text(path):
     """The one way an artifact lands on disk: the body writes ``<path>.tmp``
     (UTF-8, ``\\n`` written as is) and a clean exit renames it onto ``path``,

@@ -27,7 +27,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import FormatError, InputError, TrainingError, open_text, write_text
+from .errors import FormatError, InputError, TrainingError, read_rows, write_text
 
 BOS = "<s>"
 UNK = "<unk>"
@@ -237,9 +237,12 @@ def train(sentences: Iterable[Sequence[str]], order: int = 5,
 # Persistence: sorted textual n-gram table with counts and discounts.
 
 
+MODEL_HEADER = "#syntax-probe-ngram v1"
+
+
 def write_model(model: NGramModel, path) -> None:
     with write_text(path) as fh:
-        fh.write("#syntax-probe-ngram v1\n")
+        fh.write(MODEL_HEADER + "\n")
         fh.write(f"order\t{model.order}\n")
         fh.write(f"unk\t{int(model.map_singletons)}\n")
         fh.write(f"fallback\t{','.join(map(str, model.fallback_orders))}\n")
@@ -257,49 +260,41 @@ def write_model(model: NGramModel, path) -> None:
 
 
 def read_model(path) -> NGramModel:
-    with open_text(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0] != "#syntax-probe-ngram v1":
-        raise FormatError(f"{path}: not an n-gram model file")
     order = None
     unk = False
     fallback: tuple[int, ...] = ()
     discounts: list[tuple[float, float, float]] = []
     grams: list[dict] = []
-    section = None
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
-        try:
-            if line.startswith("[discounts]"):
+    section = None  # None (the keys), "discounts", or the k of "[ngrams k]"
+    with read_rows(path, MODEL_HEADER) as (_, rows):
+        for lineno, fields in rows:
+            if fields[0] == "[discounts]":
                 section = "discounts"
-                continue
-            if line.startswith("[ngrams "):
-                k = int(line[len("[ngrams "):-1])
-                while len(grams) < k:
-                    grams.append({})
-                section = ("ngrams", k)
-                continue
-            parts = line.split("\t")
-            if section is None:
-                key, value = parts[0], parts[1]
+            elif fields[0].startswith("[ngrams "):
+                (head,) = fields
+                section = int(head[len("[ngrams "):-1])
+                if section != len(grams) + 1:
+                    raise ValueError(f"[ngrams {section}] after {len(grams)} orders")
+                grams.append({})
+            elif section is None:
+                key, value = fields
                 if key == "order":
                     order = int(value)
+                    if order < 1:
+                        raise ValueError(f"order {order} < 1")
                 elif key == "unk":
                     unk = bool(int(value))
                 elif key == "fallback":
                     fallback = tuple(int(x) for x in value.split(",") if x)
             elif section == "discounts":
-                discounts.append((float(parts[1]), float(parts[2]), float(parts[3])))
+                _, d1, d2, d3 = fields
+                discounts.append((float(d1), float(d2), float(d3)))
             else:
-                _, k = section
-                gram = tuple(parts[0].split(" "))
-                if len(gram) != k:
-                    raise FormatError(f"{path}:{lineno}: expected a {k}-gram")
-                grams[k - 1][gram] = int(parts[1])
-        except (ValueError, IndexError) as exc:
-            raise FormatError(f"{path}:{lineno}: malformed model line "
-                              f"{line!r}") from exc
+                words, count = fields
+                gram = tuple(words.split(" "))
+                if len(gram) != section:
+                    raise FormatError(f"{path}:{lineno}: expected a {section}-gram")
+                grams[-1][gram] = int(count)
     if order is None or len(discounts) != order or len(grams) != order:
         raise FormatError(f"{path}: incomplete model file")
 

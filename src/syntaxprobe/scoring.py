@@ -20,10 +20,11 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import (AlignmentError, FormatError, IncompleteResultsError, InputError,
-                     open_text, write_text)
+                     open_text, read_rows, write_text)
 from .stats import BinomialSummary
 
 SURPRISAL_HEADER = "#syntax-probe-surprisal v1"
+_BASE_SCALES = {"base=2": 1.0, "base=e": 1.0 / math.log(2.0)}
 CONDITIONS = ("gram", "ungram")
 DEFAULT_TIE_EPS = 1e-9
 
@@ -65,49 +66,29 @@ def write_surprisal_file(records: Iterable[SurprisalRecord], path) -> None:
 
 def read_surprisal_file(path) -> list[SurprisalRecord]:
     """Read adapter records; base=e values are converted to bits."""
-    with open_text(path) as fh:
-        header = fh.readline().rstrip("\n")
-        if not header.startswith(SURPRISAL_HEADER):
-            raise FormatError(f"{path}: missing {SURPRISAL_HEADER!r} header")
-        base_field = header[len(SURPRISAL_HEADER):].strip()
-        if base_field == "base=2":
-            scale = 1.0
-        elif base_field == "base=e":
-            scale = 1.0 / math.log(2.0)
-        else:
-            raise FormatError(f"{path}: unsupported base declaration {base_field!r}")
-        rows: dict[str, list] = {}  # in file order; one block of lines per id
-        last = None
-        for lineno, line in enumerate(fh, start=2):
-            if not line.strip() or line.startswith("#"):
+    records: dict[str, tuple] = {}  # in file order; one block of lines per id
+    last = None
+    with read_rows(path, SURPRISAL_HEADER) as (base, rows):
+        scale = _BASE_SCALES.get(base)
+        if scale is None:
+            raise FormatError(f"{path}: unsupported base declaration {base!r}")
+        for lineno, fields in rows:
+            if fields[0].startswith("#"):
                 continue
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) != 4:
-                raise FormatError(f"{path}:{lineno}: expected 4 columns")
-            sid, idx, tok, surp = parts
-            try:
-                entry = (int(idx), tok, float(surp) * scale)
-            except ValueError as exc:
-                raise FormatError(f"{path}:{lineno}: expected an integer index "
-                                  f"and a numeric surprisal") from exc
+            sid, idx, tok, surp = fields
             if sid != last:
-                if sid in rows:
+                if sid in records:
                     raise FormatError(f"{path}:{lineno}: duplicate sentence id "
                                       f"{sid!r}")
-                rows[sid] = []
+                tokens, surprisals = records[sid] = ([], [])
                 last = sid
-            rows[sid].append(entry)
-    records = []
-    for sid, entries in rows.items():
-        indices = [i for i, _, _ in entries]
-        if indices != list(range(len(entries))):
-            raise FormatError(f"{path}: non-sequential token indices for {sid!r}")
-        records.append(SurprisalRecord(
-            sid,
-            tuple(t for _, t, _ in entries),
-            tuple(s for _, _, s in entries),
-        ))
-    return records
+            if int(idx) != len(tokens):
+                raise FormatError(f"{path}:{lineno}: non-sequential token indices "
+                                  f"for {sid!r}")
+            tokens.append(tok)
+            surprisals.append(float(surp) * scale)
+    return [SurprisalRecord(sid, tuple(tokens), tuple(surprisals))
+            for sid, (tokens, surprisals) in records.items()]
 
 
 # ---------------------------------------------------------------------------

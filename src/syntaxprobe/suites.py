@@ -33,9 +33,10 @@ from .corpus import (
     exposure_bucket,
     is_punct,
     lexicon_digest,
+    parse_bucket_label,
 )
 from .errors import (EmptyPoolError, FormatError, GenerationError, InputError, open_text,
-                     write_text)
+                     read_rows, write_text)
 
 NOUN_CATEGORIES = ("singular", "plural")
 VERB_CATEGORIES = ("transitive", "intransitive")
@@ -145,6 +146,11 @@ def parse_suite_defs(text: str, source: str = "<string>") -> SuiteDefs:
             key: value.strip() for key, value in raw.items()
             if key.startswith(("verb_", "aux_"))
         }
+        try:
+            invariance = parser.getboolean(section, "invariance", fallback=False)
+        except ValueError:
+            raise FormatError(f"[{section}]: invariance must be a boolean, got "
+                              f"{raw['invariance']!r}") from None
         region = raw.get("region", "")
         if not (region.startswith("slot:") or re.fullmatch("last:[1-9][0-9]*", region)):
             raise FormatError(f"[{section}]: region must be 'slot:NAME' or 'last:K' "
@@ -158,7 +164,7 @@ def parse_suite_defs(text: str, source: str = "<string>") -> SuiteDefs:
             values=values,
             pools=pools,
             target_tag=raw.get("target_tag"),
-            invariance=raw.get("invariance", "false").strip().lower() == "true",
+            invariance=invariance,
         )
         for frame_tokens in frames.values():
             for name in _frame_slot_names(frame_tokens):
@@ -641,53 +647,37 @@ def read_suite(path) -> TestSuite:
     meta: dict = {}
     provenance: dict = {}
     shortfalls: list = []
-    rows: dict = {}
-    order: list = []
+    rows: dict = {}  # item id -> its columns and conditions, in file order
     invariance = False
-    with open_text(path) as fh:
-        first = fh.readline().rstrip("\n")
-        if first != SUITE_HEADER:
-            raise FormatError(f"{path}: not a suite file")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            try:
-                if line.startswith("#"):
-                    parts = line[1:].split("\t")
-                    if parts[0] in ("suite_id", "kind", "condition_rule"):
-                        meta[parts[0]] = parts[1]
-                    elif parts[0] == "invariance":
-                        invariance = bool(int(parts[1]))
-                    elif parts[0] == "provenance":
-                        for kv in parts[1:]:
-                            if kv:
-                                k, _, v = kv.partition("=")
-                                provenance[k] = v
-                    elif parts[0] == "shortfall":
-                        shortfalls.append((int(parts[1]), parts[2],
-                                           int(parts[3]), int(parts[4])))
-                    continue
-                parts = line.split("\t")
-                if len(parts) != 9:
-                    raise FormatError(f"{path}:{lineno}: expected 9 columns")
-                item_id, suite_id, target, category, bucket, condition, toks, rs, re_ = parts
-                key = item_id
-                if key not in rows:
-                    rows[key] = {"suite_id": suite_id, "target": target,
-                                 "category": category, "bucket": int(bucket)}
-                    order.append(key)
+    with read_rows(path, SUITE_HEADER) as (_, lines):
+        for lineno, fields in lines:
+            key = fields[0]
+            if key in ("#suite_id", "#kind", "#condition_rule"):
+                meta[key[1:]] = fields[1]
+            elif key == "#invariance":
+                invariance = bool(int(fields[1]))
+            elif key == "#provenance":
+                for kv in fields[1:]:
+                    if kv:
+                        k, _, v = kv.partition("=")
+                        provenance[k] = v
+            elif key == "#shortfall":
+                shortfalls.append((int(fields[1]), fields[2],
+                                   int(fields[3]), int(fields[4])))
+            elif not key.startswith("#"):
+                item_id, suite_id, target, category, bucket, condition, toks, rs, re_ = \
+                    fields
+                if item_id not in rows:
+                    rows[item_id] = {"suite_id": suite_id, "target": target,
+                                     "category": category,
+                                     "bucket": parse_bucket_label(bucket)}
                 tokens, start, end = tuple(toks.split(" ")), int(rs), int(re_)
                 if not 0 <= start < end <= len(tokens):
                     raise FormatError(f"{path}:{lineno}: region ({start}, {end}) is "
                                       f"empty or outside {len(tokens)} tokens")
-                rows[key][condition] = (tokens, (start, end))
-            except (ValueError, IndexError) as exc:
-                raise FormatError(f"{path}:{lineno}: malformed suite line "
-                                  f"{line!r}") from exc
+                rows[item_id][condition] = (tokens, (start, end))
     items = []
-    for item_id in order:
-        row = rows[item_id]
+    for item_id, row in rows.items():
         if "gram" not in row or "ungram" not in row:
             raise FormatError(f"{path}: item {item_id!r} missing a condition")
         items.append(TestItem(item_id, row["suite_id"], row["target"],

@@ -481,8 +481,10 @@ def _corrupt(path, old, new) -> int:
     ("#item_id", "#shortfall\t2\tsingular\n#item_id"),
     ("fast go\t0\t1", "fast go\t2\t99"),
     ("slow go\t0\t1", "slow go\t2\t2"),
+    ("\t2\tgram\t", "\t0\tgram\t"),
 ], ids=["bucket", "region-end", "invariance", "key-without-value",
-        "short-shortfall", "region-outside-sentence", "region-empty"])
+        "short-shortfall", "region-outside-sentence", "region-empty",
+        "bucket-zero"])
 def test_bad_suite_row_is_format_error(tmp_path, capsys, old, new):
     suite_file = _tiny_suite(tmp_path)
     lineno = _corrupt(suite_file, old, new)
@@ -527,8 +529,9 @@ def test_bad_suite_defs_name_the_file_on_one_line(tmp_path, capsys, monkeypatch,
     ("[ngrams 2]", "[ngrams two]"),
     ("fast go\t1", "fast go\tone"),
     ("fast\t1", "fast go\t1"),
+    ("order\t2", "order\t0"),
 ], ids=["order", "key-without-tab", "short-discounts", "ngrams-header", "count",
-        "gram-length"])
+        "gram-length", "order-zero"])
 def test_bad_model_row_is_format_error(tmp_path, capsys, old, new):
     model = tmp_path / "bad.model"
     ngram.write_model(ngram.train([["fast", "go"], ["slow", "go"]], order=2),
@@ -544,6 +547,7 @@ def test_bad_model_row_is_format_error(tmp_path, capsys, old, new):
 @pytest.mark.parametrize("row", [
     "tiny.b2.fast.f00:gram\tzero\tfast\t1.0",  # non-integer index
     "tiny.b2.fast.f00:gram\t0\tfast\tabc",     # non-float surprisal
+    "tiny.b2.fast.f00:gram\t1\tfast\t1.0",     # index out of sequence
 ])
 def test_bad_surprisal_row_is_format_error(tmp_path, capsys, row):
     surp = tmp_path / "bad.surp"

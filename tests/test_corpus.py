@@ -212,6 +212,18 @@ def test_lexicon_tsv_round_trip(tmp_path, toy_lex):
     assert corpus.lexicon_digest(again) == corpus.lexicon_digest(toy_lex)
 
 
+def test_lexicon_keeps_words_that_start_with_pound(tmp_path):
+    # PTB writes the pound sign as (# #); only the column line is skipped.
+    lex = build_lexicon(parse_treebank("(S (NP (# #) (CD 200)) (NN million))\n"
+                                       "(S (NN #1) (VBD went))"))
+    path = tmp_path / "lex.tsv"
+    corpus.write_lexicon(lex, path)
+    again = corpus.read_lexicon(path)
+    assert again.words() == lex.words() and len(again.words()) == 5
+    assert again == lex
+    assert corpus.lexicon_digest(again) == corpus.lexicon_digest(lex)
+
+
 # ---------------------------------------------------------------------------
 # Exposure buckets
 

@@ -50,6 +50,21 @@ def test_defs_bad_region_rejected(region):
             f"verb_plural = are\nregion = {region}\n")
 
 
+_COPULA = ("[x]\nkind = copula_agreement\ncategories = singular, plural\n"
+           "frame = The {target} {verb} .\nverb_singular = is\n"
+           "verb_plural = are\nregion = slot:verb\n")
+
+
+@pytest.mark.parametrize("value", ["yes", "1", "on"])
+def test_defs_invariance_takes_config_booleans(value):
+    assert parse_suite_defs(_COPULA + f"invariance = {value}\n")["x"].invariance
+
+
+def test_defs_invariance_typo_rejected():
+    with pytest.raises(FormatError, match=r"\[x\]: invariance must be a boolean"):
+        parse_suite_defs(_COPULA + "invariance = ture\n")
+
+
 def test_default_defs_load(suite_defs):
     assert len(suite_defs.ids()) == 13
     assert "number_base" in suite_defs.ids()
