@@ -444,13 +444,16 @@ def _keep_best(states: list, k: int) -> None:
         del states[k:]
 
 
+#: Structural rounds (non-GEN expansions) allowed per word and for closing.
+MAX_STRUCT_ROUNDS = 64
+
+
 def word_sync_beam(
     model: GenerativeActionModel,
     sentence: Sequence[str],
     word_beam_k: int = 100,
     action_beam_k: int | None = None,
     fast_track_k: int = 5,
-    max_struct_rounds: int = 64,
     validate: bool = False,
 ) -> BeamResult:
     """Approximate prefix marginals for ``sentence`` under ``model``.
@@ -477,7 +480,7 @@ def word_sync_beam(
         completed: list[ParserState] = []
         frontier = beam
         rounds = 0
-        while frontier and rounds < max_struct_rounds:
+        while frontier and rounds < MAX_STRUCT_ROUNDS:
             rounds += 1
             gen_succs: list[ParserState] = []
             pool: list[ParserState] = []
@@ -510,7 +513,7 @@ def word_sync_beam(
     finals: list[ParserState] = []
     frontier = beam
     rounds = 0
-    while frontier and rounds < max_struct_rounds:
+    while frontier and rounds < MAX_STRUCT_ROUNDS:
         rounds += 1
         nxt: list[ParserState] = []
         for st, actions in zip(frontier, model.actions_for(frontier)):

@@ -484,23 +484,16 @@ def cmd_analyze(cfg: RunConfig, args) -> int:
 
 
 def cmd_report(cfg: RunConfig, args) -> int:
-    cells: dict = {}
-    models: list = []
-    suites_seen: list = []
+    counts: dict = {}
     for path in args.eval:
         for row in scoring.read_eval_csv(_require(path, "eval csv")):
-            if row["category"] != "all":
-                continue
-            key = (row["suite"], row["model"])
-            if row["model"] not in models:
-                models.append(row["model"])
-            if row["suite"] not in suites_seen:
-                suites_seen.append(row["suite"])
-            above = row["p_above_chance"] < 0.05
-            got = cells.setdefault(key, [0, 0])
-            got[0] += int(above)
-            got[1] += 1
-    models.sort()
+            if row["category"] == "all":
+                got = counts.setdefault((row["suite"], row["model"]), [0, 0])
+                got[0] += row["p_above_chance"] < 0.05
+                got[1] += 1
+    grid = {key: f"{above}/{total}" for key, (above, total) in counts.items()}
+    suite_ids = list(dict.fromkeys(suite_id for suite_id, _ in grid))
+    models = sorted({model for _, model in grid})
 
     star_cols: dict = {}
     if args.fits:
@@ -512,34 +505,21 @@ def cmd_report(cfg: RunConfig, args) -> int:
     header = ["suite"] + [f"{m}_above_chance" for m in models]
     if star_cols:
         header += [f"{m}_vs_reference" for m in models]
-    rows = []
-    for suite_id in suites_seen:
-        row = [suite_id]
-        for m in models:
-            above, total = cells.get((suite_id, m), (0, 0))
-            row.append(f"{above}/{total}" if total else "-")
-        if star_cols:
-            for m in models:
-                row.append(star_cols.get((suite_id, m), ""))
-        rows.append(row)
+    rows = [[s] + [grid.get((s, m), "-") for m in models]
+            + ([star_cols.get((s, m), "") for m in models] if star_cols else [])
+            for s in suite_ids]
     scoring.write_csv(os.path.join(cfg.out, "report", "table.csv"), header, rows)
 
     table_txt = os.path.join(cfg.out, "report", "table.txt")
+    width = max([len(s) for s in suite_ids] + [5])
     with write_text(table_txt) as fh:
-        width = max([len(s) for s in suites_seen] + [5])
-        cols = [f"{m}" for m in models]
         fh.write("suite".ljust(width) + "  " +
-                 "  ".join(c.rjust(12) for c in cols) + "\n")
-        for suite_id in suites_seen:
-            row = [suite_id.ljust(width)]
-            for m in models:
-                above, total = cells.get((suite_id, m), (0, 0))
-                mark = star_cols.get((suite_id, m), "")
-                cell = (f"{above}/{total}" if total else "-") + \
-                       (f" {mark}" if mark else "")
-                row.append(cell.rjust(12))
-            fh.write("  ".join(row) + "\n")
-    print(f"report: {len(suites_seen)} suites x {len(models)} models -> {table_txt}")
+                 "  ".join(m.rjust(12) for m in models) + "\n")
+        for s in suite_ids:
+            cells = [f"{grid.get((s, m), '-')} {star_cols.get((s, m), '')}".rstrip()
+                     for m in models]
+            fh.write("  ".join([s.ljust(width)] + [c.rjust(12) for c in cells]) + "\n")
+    print(f"report: {len(suite_ids)} suites x {len(models)} models -> {table_txt}")
     return 0
 
 

@@ -66,14 +66,16 @@ class Tree:
         return self.word is not None
 
     def terminals(self):
-        """Yield ``(word, tag)`` pairs in surface order."""
+        """Yield the surface tokens as ``(word, tag)`` pairs, in order: the
+        one definition of a sentence's words.  Leaves tagged ``-NONE-`` (PTB
+        empty elements such as ``*-1`` or a null ``0``) are skipped."""
         stack = [self]
         while stack:
             node = stack.pop()
-            if node.word is not None:
-                yield (node.word, node.label)
-            else:
+            if node.word is None:
                 stack.extend(reversed(node.children))
+            elif node.label != "-NONE-":
+                yield (node.word, node.label)
 
     def pretty(self) -> str:
         """Canonical single-space bracketing; inverse of :func:`parse_treebank`."""
@@ -269,7 +271,7 @@ def _np_head_noun(node: Tree) -> str | None:
 def _detect_inversion(tree: Tree) -> str | None:
     """Return the subject noun of an inverted polar frame, if this tree is one.
 
-    The frame detector: the sentence's first terminal is one of
+    The frame detector: the sentence's first word is one of
     ``DEFAULT_AUX_FORMS``; the subject is the rightmost noun-tagged terminal
     of the first NP among that auxiliary's right siblings (searched
     innermost-out).
@@ -278,21 +280,24 @@ def _detect_inversion(tree: Tree) -> str | None:
     if first is None or first[0].lower() not in DEFAULT_AUX_FORMS:
         return None
 
-    # Path of nodes from root down to the first terminal.
-    path = [tree]
-    while not path[-1].is_terminal:
-        path.append(path[-1].children[0])
-    # Innermost ancestor whose right siblings contain an NP wins; the path
-    # follows first children, so those siblings are children[1:].
-    for parent in reversed(path[:-1]):
-        for sib in parent.children[1:]:
+    # (node, index of the child followed) from the root down to the first
+    # word; the innermost ancestor whose right siblings hold an NP wins.
+    node, path = tree, []
+    while not node.is_terminal:
+        i = next(i for i, c in enumerate(node.children) if next(c.terminals(), None))
+        path.append((node, i))
+        node = node.children[i]
+    for parent, i in reversed(path):
+        for sib in parent.children[i + 1:]:
             if not sib.is_terminal and base_label(sib.label) == "NP":
                 return _np_head_noun(sib)
     return None
 
 
-def _object_evidence(tree: Tree, out: list):
-    """Collect (verb, has_following_np) pairs from VP-internal verbs."""
+def _object_evidence(tree: Tree) -> list:
+    """(verb, has_following_np) pairs for VP-internal verbs; a trace NP
+    after the verb counts as its object."""
+    evidence = []
     stack = [tree]
     while stack:
         node = stack.pop()
@@ -303,8 +308,9 @@ def _object_evidence(tree: Tree, out: list):
                         not sib.is_terminal and base_label(sib.label) == "NP"
                         for sib in node.children[i + 1:]
                     )
-                    out.append((child.word, has_np))
+                    evidence.append((child.word, has_np))
         stack.extend(reversed(node.children))
+    return evidence
 
 
 def build_lexicon(
@@ -316,8 +322,9 @@ def build_lexicon(
     """Fold trees into a :class:`LexiconStats`.
 
     ``dependencies`` optionally maps 1-based sentence ids to the set of
-    1-based token indices that head an ``obj`` relation; for those sentences
-    the sidecar replaces the phrase-structure object heuristic.
+    1-based surface-token indices (as :meth:`Tree.terminals` counts them)
+    that head an ``obj`` relation; for those sentences the sidecar replaces
+    the phrase-structure object heuristic.
     """
     trees = list(trees)
     if not trees:
@@ -334,22 +341,17 @@ def build_lexicon(
 
         if dependencies is not None and sent_id in dependencies:
             obj_heads = dependencies[sent_id]
-            for idx, (word, tag) in enumerate(terms, start=1):
-                if tag in DEFAULT_OBJECT_TAGS:
-                    entry = lex._entry(word)
-                    if idx in obj_heads:
-                        entry.obj_present += 1
-                    else:
-                        entry.obj_absent += 1
+            evidence = [(word, idx in obj_heads)
+                        for idx, (word, tag) in enumerate(terms, start=1)
+                        if tag in DEFAULT_OBJECT_TAGS]
         else:
-            evidence: list = []
-            _object_evidence(tree, evidence)
-            for word, has_np in evidence:
-                entry = lex._entry(word)
-                if has_np:
-                    entry.obj_present += 1
-                else:
-                    entry.obj_absent += 1
+            evidence = _object_evidence(tree)
+        for word, has_object in evidence:
+            entry = lex._entry(word)
+            if has_object:
+                entry.obj_present += 1
+            else:
+                entry.obj_absent += 1
 
         inverted_noun = _detect_inversion(tree)
         if inverted_noun is not None:

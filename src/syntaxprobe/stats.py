@@ -181,13 +181,17 @@ def t_sf(t: float, df: float) -> float:
 # Binomial
 
 
-def wilson_ci(k: int, n: int, level: float = 0.95) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+#: The two-sided 95% normal quantile, z = 1.959963984540054.
+_Z95 = ndtri(0.5 + 0.95 / 2.0)
+
+
+def wilson_ci(k: int, n: int) -> tuple[float, float]:
+    """Wilson 95% score interval for a binomial proportion."""
     if n <= 0:
         raise InputError("wilson_ci requires n > 0")
     if not 0 <= k <= n:
         raise InputError(f"k={k} outside [0, {n}]")
-    z = ndtri(0.5 + level / 2.0)
+    z = _Z95
     phat = k / n
     denom = 1.0 + z * z / n
     center = (phat + z * z / (2 * n)) / denom
@@ -244,9 +248,10 @@ class BinomialSummary:
     p_above_chance: float
 
     @classmethod
-    def from_counts(cls, k: int, n: int, level: float = 0.95, p0: float = 0.5):
-        lo, hi = wilson_ci(k, n, level)
-        return cls(k, n, k / n, lo, hi, binom_test_above(k, n, p0))
+    def from_counts(cls, k: int, n: int):
+        """Accuracy, Wilson 95% interval and the one-sided test against chance."""
+        lo, hi = wilson_ci(k, n)
+        return cls(k, n, k / n, lo, hi, binom_test_above(k, n))
 
 
 # ---------------------------------------------------------------------------
@@ -286,8 +291,6 @@ def fit_logistic(
     labels: list[str] | None = None,
     clusters=None,
     add_intercept: bool = True,
-    max_iter: int = 100,
-    tol: float = 1e-10,
 ) -> LogisticFit:
     """Maximum-likelihood logistic regression via iteratively reweighted
     least squares (Newton steps on the log-likelihood).
@@ -321,12 +324,12 @@ def fit_logistic(
     beta = np.zeros(X.shape[1])
     ll_prev = _loglik(y, X @ beta)
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, 101):
         eta = X @ beta
         p = expit(eta)
         w = p * (1.0 - p)
         score = X.T @ (y - p)
-        if np.max(np.abs(score)) < tol:
+        if np.max(np.abs(score)) < 1e-10:
             break
         H = (X * w[:, None]).T @ X
         try:

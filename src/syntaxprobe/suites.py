@@ -667,15 +667,19 @@ def read_suite(path) -> TestSuite:
             elif not key.startswith("#"):
                 item_id, suite_id, target, category, bucket, condition, toks, rs, re_ = \
                     fields
-                if item_id not in rows:
-                    rows[item_id] = {"suite_id": suite_id, "target": target,
-                                     "category": category,
-                                     "bucket": parse_bucket_label(bucket)}
+                columns = {"suite_id": suite_id, "target": target,
+                           "category": category, "bucket": parse_bucket_label(bucket)}
+                row = rows.setdefault(item_id, columns)
+                for column, value in columns.items():
+                    if row[column] != value:
+                        raise FormatError(f"{path}:{lineno}: item {item_id!r} has "
+                                          f"{column} {value!r} here but "
+                                          f"{row[column]!r} in its other row")
                 tokens, start, end = tuple(toks.split(" ")), int(rs), int(re_)
                 if not 0 <= start < end <= len(tokens):
                     raise FormatError(f"{path}:{lineno}: region ({start}, {end}) is "
                                       f"empty or outside {len(tokens)} tokens")
-                rows[item_id][condition] = (tokens, (start, end))
+                row[condition] = (tokens, (start, end))
     items = []
     for item_id, row in rows.items():
         if "gram" not in row or "ungram" not in row:

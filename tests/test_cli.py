@@ -482,9 +482,14 @@ def _corrupt(path, old, new) -> int:
     ("fast go\t0\t1", "fast go\t2\t99"),
     ("slow go\t0\t1", "slow go\t2\t2"),
     ("\t2\tgram\t", "\t0\tgram\t"),
+    ("\ttiny\tfast\tsingular\t2\tungram", "\ttiny2\tfast\tsingular\t2\tungram"),
+    ("\tfast\tsingular\t2\tungram", "\tslow\tsingular\t2\tungram"),
+    ("singular\t2\tungram", "plural\t2\tungram"),
+    ("\t2\tungram", "\t3\tungram"),
 ], ids=["bucket", "region-end", "invariance", "key-without-value",
         "short-shortfall", "region-outside-sentence", "region-empty",
-        "bucket-zero"])
+        "bucket-zero", "suite-mismatch", "target-mismatch", "category-mismatch",
+        "bucket-mismatch"])
 def test_bad_suite_row_is_format_error(tmp_path, capsys, old, new):
     suite_file = _tiny_suite(tmp_path)
     lineno = _corrupt(suite_file, old, new)
@@ -792,6 +797,18 @@ def test_suite_without_items_is_format_error(tmp_path, capsys):
     assert not (out / "surprisals").exists()
 
 
+def test_item_without_its_ungram_row_is_format_error(tmp_path, capsys):
+    suite_file = _tiny_suite(tmp_path)
+    suite_file.write_text("".join(suite_file.read_text().splitlines(True)[:-1]))
+    surp = tmp_path / "tiny.surp"
+    surp.write_text(f"{scoring.SURPRISAL_HEADER} base=2\n")
+    rc = run(["--config", _write_config(tmp_path), "--out", str(tmp_path / "out"),
+              "eval", "--suite-file", str(suite_file), "--surprisal-file", str(surp)])
+    assert rc == 1
+    assert (f"error:format-error: {suite_file}: item 'tiny.b2.fast.f00' missing "
+            "a condition" in capsys.readouterr().err)
+
+
 def test_surprisal_id_that_comes_back_is_duplicate(tmp_path, capsys):
     surp = tmp_path / "dup.surp"
     surp.write_text(f"{scoring.SURPRISAL_HEADER} base=2\n"
@@ -818,6 +835,56 @@ def test_deep_tree_goes_through_ingest_and_train_ngram(tmp_path):
     assert run(base + ["train-ngram"]) == 0
     assert "\nabyss\t1\tNN:1\t0\t0\t0\t0\n" in (out / "lexicon.tsv").read_text()
     assert "abyss" in ngram.read_model(out / "ngram.model").support
+
+
+# ---------------------------------------------------------------------------
+# PTB empty elements are not words
+
+# tests/data/traces.mrg by hand, with every -NONE- leaf deleted and every
+# constituent that the deletion left empty deleted too.
+_TRACES_WITHOUT_EMPTY_ELEMENTS = """\
+(S (NP-SBJ-1 (DT The) (NN plan)) (VP (VBD was) (VP (VBN approved))) (. .))
+(S (VP (VB Buy) (NP (NNS shares))) (. .))
+(S (NP-SBJ (PRP He)) (VP (VBD said) (SBAR (S (NP-SBJ (NNS prices)) (VP (VBD rose))))) (. .))
+(S (NP-SBJ (DT The) (NN board)) (VP (VBD met) (NP-TMP (NN today))) (. .))
+"""
+
+
+def test_train_ngram_skips_empty_elements(tmp_path):
+    by_hand = tmp_path / "by_hand.mrg"
+    by_hand.write_text(_TRACES_WITHOUT_EMPTY_ELEMENTS)
+    models = []
+    for name, treebank in [("traces", DATA / "traces.mrg"), ("by_hand", by_hand)]:
+        out = tmp_path / name
+        assert run(["--config", _write_config(tmp_path, corpus=str(treebank)),
+                    "--out", str(out), "train-ngram"]) == 0
+        models.append((out / "ngram.model").read_bytes())
+    assert models[0] == models[1]
+    assert not {"*", "*-1", "0"} & set(ngram.read_model(tmp_path / "traces" /
+                                                        "ngram.model").support)
+
+
+def test_ingest_counts_no_empty_element(tmp_path):
+    out = tmp_path / "out"
+    assert run(["--config", _write_config(tmp_path, corpus=str(DATA / "traces.mrg")),
+                "--out", str(out), "ingest"]) == 0
+    words = [line.split("\t")[0]
+             for line in (out / "lexicon.tsv").read_text().splitlines()[2:]]
+    assert not {"*", "*-1", "0"} & set(words)
+    assert "\napproved\t1\tVBN:1\t0\t0\t0\t1\n" in (out / "lexicon.tsv").read_text()
+
+
+def test_dependency_sidecar_indexes_surface_tokens(tmp_path):
+    # The second tree opens with (NP-SBJ (-NONE- *)): "Buy" is token 1 and
+    # "shares", its object, is token 2.
+    sidecar = tmp_path / "deps.tsv"
+    sidecar.write_text("2\t2\t1\tobj\n")
+    out = tmp_path / "out"
+    config = _write_config(tmp_path, corpus=str(DATA / "traces.mrg"),
+                           dependencies=str(sidecar))
+    assert run(["--config", config, "--out", str(out), "ingest"]) == 0
+    buy = corpus.read_lexicon(out / "lexicon.tsv").stats("Buy")
+    assert (buy.obj_present, buy.obj_absent) == (1, 0)
 
 
 # ---------------------------------------------------------------------------

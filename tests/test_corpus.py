@@ -145,6 +145,25 @@ def test_object_present_needs_following_np():
     assert lex.stats("saw").obj_present == 1
 
 
+def test_terminals_skip_empty_elements():
+    trees = parse_treebank(
+        "(S (NP-SBJ (-NONE- *)) (VP (VB Say) (SBAR (-NONE- 0) (S (NP (PRP he)) "
+        "(VP (VBD bought) (NP (-NONE- *T*-1)))))) (. .))")
+    assert list(trees[0].terminals()) == [("Say", "VB"), ("he", "PRP"),
+                                          ("bought", "VBD"), (".", ".")]
+    lex = build_lexicon(trees)
+    assert lex.words() == [".", "Say", "bought", "he"]
+    # Object evidence reads the bracketing: the trace NP is bought's object.
+    assert lex.stats("bought").obj_present == 1
+
+
+def test_inversion_detector_starts_at_the_first_word():
+    # The subject NP is searched right of the auxiliary, not of the trace.
+    lex = build_lexicon(parse_treebank(
+        "(S (NP-SBJ (-NONE- *)) (VP (VBZ Is) (NP (DT the) (NN dog)) (ADJP (JJ ok))))"))
+    assert lex.stats("dog").inverted == 1
+
+
 def test_inversion_detector_on_hand_annotated_trees():
     # Five-tree toy treebank, inverted subjects marked by hand:
     # president (yes), issues (yes), dog (no: declarative), panel (yes),

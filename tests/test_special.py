@@ -16,7 +16,7 @@ import pytest
 
 import syntaxprobe
 import syntaxprobe.toydata
-from syntaxprobe.stats import expit, ndtri, pearson_test
+from syntaxprobe.stats import _Z95, expit, ndtri, pearson_test
 
 
 @pytest.mark.parametrize("module", ["syntaxprobe.cli", "syntaxprobe.pcfg_scorer"])
@@ -95,9 +95,11 @@ def test_expit_matches_scipy_bits():
 
 def test_wilson_z_matches_norm_ppf():
     scipy_stats = pytest.importorskip("scipy.stats")
-    # The argument wilson_ci passes for levels 0.0001 ... 0.9999.
+    # The two-sided quantiles 0.5 + level / 2 for levels 0.0001 ... 0.9999;
+    # wilson_ci uses level 0.95.
     qs = [0.5 + (i / 10_000) / 2.0 for i in range(1, 10_000)]
     assert [ndtri(q) for q in qs] == scipy_stats.norm.ppf(qs).tolist()
+    assert _Z95 == scipy_stats.norm.ppf(0.5 + 0.95 / 2.0)
 
 
 def test_ndtri_matches_scipy_in_every_branch():

@@ -274,6 +274,72 @@ def test_validation_flags_minimal_pair_break(toy_suites, toy_lex):
     assert any(v[1] == "minimal-pair" for v in report.violations)
 
 
+def _codes(report, code):
+    """The (item id, message) of each violation with ``code``."""
+    return [(item_id, message) for item_id, c, message in report.violations
+            if c == code]
+
+
+def test_validation_flags_duplicate_item_id(toy_suites, toy_lex):
+    import dataclasses
+    suite = toy_suites("number_base")
+    item = suite.items[0]
+    doubled = dataclasses.replace(suite, items=[item] + suite.items)
+    report = validate_suite(doubled, toy_lex)
+    assert _codes(report, "duplicate-id") == [(item.item_id, "item id occurs twice")]
+
+
+def test_validation_flags_target_count(toy_suites, toy_lex):
+    import dataclasses
+    suite = toy_suites("number_base")
+    item = dataclasses.replace(suite.items[0], target="absent-word")
+    report = validate_suite(dataclasses.replace(suite, items=[item]), toy_lex)
+    assert _codes(report, "target-count") == [
+        (item.item_id, "target occurs 0 times in gram sentence"),
+        (item.item_id, "target occurs 0 times in ungram sentence")]
+
+
+def test_validation_flags_polar_overlap(toy_suites, toy_lex):
+    suite = toy_suites("number_polar")
+    target = suite.items[0].target
+    inverted = corpus.build_lexicon(corpus.parse_treebank(
+        f"(SQ (VBZ Is) (NP (DT the) (NN {target})) (ADJP (JJ good)) (. ?))"),
+        lowercase=True)
+    report = validate_suite(suite, toy_lex.merge(inverted))
+    flagged = _codes(report, "polar-overlap")
+    assert flagged == [(i.item_id, f"target {target!r} occurs in inverted frames")
+                       for i in suite.items if i.target == target]
+
+
+def test_validation_flags_participle_evidence(toy_suites, toy_lex):
+    suite = toy_suites("argstruct_invariance")
+    assert suite.invariance
+    target = suite.items[0].target
+    participle = corpus.build_lexicon(corpus.parse_treebank(
+        f"(S (NP (NN man)) (VP (VBD was) (VP (VBN {target}))) (. .))"),
+        lowercase=True)
+    report = validate_suite(suite, toy_lex.merge(participle))
+    flagged = _codes(report, "participle-evidence")
+    assert flagged == [(i.item_id, f"target {target!r} has participle occurrences")
+                       for i in suite.items if i.target == target]
+
+
+def test_validation_flags_unbalanced_bucket(toy_suites, toy_lex):
+    import dataclasses
+    suite = toy_suites("number_base")
+    first = suite.items[0]
+    kept = [i for i in suite.items
+            if not (i.bucket == first.bucket and i.category == first.category)]
+    # Without a recorded shortfall, the missing category is a violation.
+    report = validate_suite(dataclasses.replace(suite, items=kept, shortfalls=[]),
+                            toy_lex)
+    flagged = _codes(report, "balance")
+    assert [item_id for item_id, _ in flagged] == [None]
+    assert flagged[0][1].startswith(f"bucket {first.bucket}: category sizes ")
+    assert f"'{first.category}': 0" in flagged[0][1]
+    assert report.warnings == []
+
+
 def test_filter_soundness_on_generated_suites(toy_suites, toy_lex):
     polar = toy_suites("number_polar_mod")
     assert all(toy_lex.stats(i.target).inverted == 0 for i in polar.items)
