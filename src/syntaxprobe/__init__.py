@@ -36,19 +36,18 @@ from .beamsearch import (
 )
 from .scoring import (
     SurprisalRecord,
-    aggregate,
     align,
     evaluate_suite,
     item_accuracy,
     read_surprisal_file,
     region_surprisal,
+    summarize,
     write_surprisal_file,
 )
 from .stats import (
     BinomialSummary,
     accuracy_curve,
     binom_test_above,
-    binom_test_below,
     fit_logistic,
     pearson_test,
     wilson_ci,

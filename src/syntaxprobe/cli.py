@@ -20,7 +20,8 @@ from dataclasses import dataclass, fields
 
 from . import beamsearch, corpus, ngram, scoring, stats, suites, toydata
 from .corpus import DEFAULT_BUCKETS
-from .errors import FormatError, SyntaxProbeError, UsageError, open_text, write_text
+from .errors import (AlignmentError, FormatError, SyntaxProbeError, UsageError,
+                     open_text, write_text)
 
 
 @dataclass
@@ -177,9 +178,13 @@ def cmd_ingest(cfg: RunConfig, args) -> int:
     return 0
 
 
+def _lexicon_path(cfg: RunConfig, args) -> str:
+    return getattr(args, "lexicon", None) or os.path.join(cfg.out, "lexicon.tsv")
+
+
 def _load_lexicon(cfg: RunConfig, args) -> corpus.LexiconStats:
-    path = getattr(args, "lexicon", None) or os.path.join(cfg.out, "lexicon.tsv")
-    return corpus.read_lexicon(_require(path, "lexicon table (run ingest)"))
+    return corpus.read_lexicon(_require(_lexicon_path(cfg, args),
+                                        "lexicon table (run ingest)"))
 
 
 def _resources(cfg: RunConfig, lex) -> suites.SuiteResources:
@@ -393,7 +398,13 @@ def cmd_analyze(cfg: RunConfig, args) -> int:
     charts = []
 
     for (suite_id, model), rows in sorted(groups.items()):
-        counts = [float(max(1, lex.count(r["target"]))) for r in rows]
+        # Targets are drawn from the lexicon that made the suite, so a
+        # target it never counted means the suite came from another one.
+        counts = [float(lex.count(r["target"])) for r in rows]
+        if 0.0 in counts:
+            raise AlignmentError(
+                f"target {rows[counts.index(0.0)]['target']!r} of suite "
+                f"{suite_id} does not occur in lexicon {_lexicon_path(cfg, args)}")
         correct = [r["correct"] for r in rows]
         targets = [r["target"] for r in rows]
 
@@ -414,14 +425,12 @@ def cmd_analyze(cfg: RunConfig, args) -> int:
         for x, p, lo, hi in samples:
             curve_rows.append((suite_id, model, x, p, lo, hi))
 
-        buckets = sorted({r["bucket"] for r in rows})
-        points = []
-        for b in buckets:
-            sub = [r["correct"] for r in rows if r["bucket"] == b]
-            summ = stats.BinomialSummary.from_counts(sum(sub), len(sub))
-            points.append({"bucket": b, "log10_exposure": math.log10(b),
-                           "accuracy": summ.accuracy, "ci_lo": summ.ci_lo,
-                           "ci_hi": summ.ci_hi, "n": summ.n})
+        points = [{"bucket": c.bucket, "log10_exposure": math.log10(c.bucket),
+                   "accuracy": c.summary.accuracy, "ci_lo": c.summary.ci_lo,
+                   "ci_hi": c.summary.ci_hi, "n": c.summary.n}
+                  for c in scoring.summarize((r["bucket"], r["category"], r["correct"])
+                                             for r in rows)
+                  if c.category == "all"]
         chart = {
             "title": f"{suite_id} / {model}",
             "suite": suite_id,

@@ -57,10 +57,6 @@ class AlignmentError(SyntaxProbeError):
     category = "alignment-error"
 
 
-class IncompleteResultsError(SyntaxProbeError):
-    category = "incomplete-results"
-
-
 class DeadBeamError(SyntaxProbeError):
     category = "dead-beam"
 

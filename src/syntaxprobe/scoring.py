@@ -19,8 +19,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import (AlignmentError, FormatError, IncompleteResultsError, InputError,
-                     open_text, read_rows, write_text)
+from .errors import (AlignmentError, FormatError, InputError, open_text, read_rows,
+                     write_text)
 from .stats import BinomialSummary
 
 SURPRISAL_HEADER = "#syntax-probe-surprisal v1"
@@ -103,7 +103,8 @@ def _first_divergence(a, b) -> int:
 
 
 def align(suite, records: Iterable[SurprisalRecord]) -> dict:
-    """Map item_id -> {condition: record}, verifying token identity.
+    """Map item_id -> {condition: record}, verifying token identity: the one
+    check of surprisal records against a suite.
 
     Distinct failures get distinct categories: duplicate ids (caught at
     read), unknown ids, missing conditions, and token mismatches (reported
@@ -138,11 +139,8 @@ def align(suite, records: Iterable[SurprisalRecord]) -> dict:
 
 
 def region_surprisal(item, record: SurprisalRecord, condition: str) -> float:
-    """Summed surprisal over the item's critical region (joint log prob)."""
-    expected = tuple(item.tokens(condition))
-    if record.tokens != expected:
-        raise AlignmentError(f"{record.sentence_id}: token mismatch at index "
-                             f"{_first_divergence(record.tokens, expected)}")
+    """Summed surprisal over the item's critical region (joint log prob) of
+    a record that :func:`align` has matched to the item."""
     start, end = item.region(condition)
     return math.fsum(record.surprisals[start:end])
 
@@ -171,19 +169,6 @@ class ItemResult:
     correct: int
 
 
-def score_items(suite, records: Iterable[SurprisalRecord],
-                eps_tie: float = DEFAULT_TIE_EPS) -> list[ItemResult]:
-    aligned = align(suite, records)
-    out = []
-    for item in suite.items:
-        conds = aligned[item.item_id]
-        g = region_surprisal(item, conds["gram"], "gram")
-        u = region_surprisal(item, conds["ungram"], "ungram")
-        out.append(ItemResult(item.item_id, item.bucket, item.category,
-                              item.target, g, u, item_accuracy(g, u, eps_tie)))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Aggregation
 
@@ -210,38 +195,35 @@ class EvalResult:
         return sorted({c.bucket for c in self.cells})
 
 
-def aggregate(suite, results: Iterable[ItemResult]) -> EvalResult:
-    """Per-bucket and per-(bucket, category) accuracy summaries.
+def summarize(outcomes: Iterable[tuple]) -> list[EvalCell]:
+    """Accuracy summaries of ``(bucket, category, correct)`` triples, one
+    per (bucket, category) and one per bucket pooled as ``"all"``, sorted by
+    bucket, then category.
 
-    The pooled per-bucket row is the mean over items, i.e. categories
-    contribute in proportion to their item counts.
+    The pooled row is the mean over items, i.e. categories contribute in
+    proportion to their item counts.
     """
-    results = list(results)
-    have = {r.item_id for r in results}
-    missing = sorted(i.item_id for i in suite.items if i.item_id not in have)
-    if missing:
-        raise IncompleteResultsError(
-            f"{len(missing)} items without results (first: {missing[0]!r})"
-        )
-    extra = have - {i.item_id for i in suite.items}
-    if extra:
-        raise IncompleteResultsError(f"results for unknown items: {sorted(extra)[:3]}")
-
     groups: dict = {}
-    for r in results:
-        groups.setdefault((r.bucket, r.category), []).append(r.correct)
-        groups.setdefault((r.bucket, "all"), []).append(r.correct)
-    cells = []
-    for (bucket, category) in sorted(groups, key=lambda kc: (kc[0], kc[1])):
-        outcomes = groups[(bucket, category)]
-        cells.append(EvalCell(bucket, category,
-                              BinomialSummary.from_counts(sum(outcomes), len(outcomes))))
-    return EvalResult(suite.suite_id, cells)
+    for bucket, category, correct in outcomes:
+        for key in ((bucket, category), (bucket, "all")):
+            groups.setdefault(key, []).append(correct)
+    return [EvalCell(bucket, category,
+                     BinomialSummary.from_counts(sum(got), len(got)))
+            for (bucket, category), got in sorted(groups.items())]
 
 
-def evaluate_suite(suite, records, eps_tie: float = DEFAULT_TIE_EPS):
-    results = score_items(suite, records, eps_tie)
-    return results, aggregate(suite, results)
+def evaluate_suite(suite, records: Iterable[SurprisalRecord],
+                   eps_tie: float = DEFAULT_TIE_EPS):
+    """Per-item results, in suite order, and the suite's EvalResult."""
+    aligned = align(suite, records)
+    results = []
+    for item in suite.items:
+        g = region_surprisal(item, aligned[item.item_id]["gram"], "gram")
+        u = region_surprisal(item, aligned[item.item_id]["ungram"], "ungram")
+        results.append(ItemResult(item.item_id, item.bucket, item.category,
+                                  item.target, g, u, item_accuracy(g, u, eps_tie)))
+    cells = summarize((r.bucket, r.category, r.correct) for r in results)
+    return results, EvalResult(suite.suite_id, cells)
 
 
 # ---------------------------------------------------------------------------

@@ -6,12 +6,13 @@ logistic fits of accuracy against exposure (optionally with cluster-robust
 standard errors standing in for by-item random intercepts), and a Pearson
 correlation test.  Nothing here aims to be a general stats library.
 
-The three special functions these need (the logistic sigmoid, the normal
-quantile and the Student t tail) are implemented here on numpy and the
-standard library.  numpy is imported inside the functions that use it, so
-importing this module (and the CLI stages that never fit) does not load it.  ``expit`` and ``ndtri`` return the same bits as the
-usual C implementations (Cephes ``ndtri``, ``1/(1+exp(-x))`` with libm
-``exp``), so written curves and intervals do not move by an ulp.
+The two special functions these need, the logistic sigmoid and the
+Student t tail, are implemented here on numpy and the standard library; the
+Wilson interval's normal quantile is the constant ``_Z95``.  numpy is
+imported inside the functions that use it, so importing this module (and
+the CLI stages that never fit) does not load it.  ``expit`` returns the same
+bits as the usual C implementation (``1/(1+exp(-x))`` with libm ``exp``), so
+written curves do not move by an ulp.
 """
 
 from __future__ import annotations
@@ -58,73 +59,6 @@ def expit(x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     return np.fromiter(map(_expit1, x.ravel().tolist()), float,
                        x.size).reshape(x.shape)
-
-
-# Cephes ndtri: a rational approximation for |y - 0.5| <= 0.5 - exp(-2),
-# and two in z = 1/sqrt(-2 log y) for the tails (split at y = exp(-32)).
-# Each denominator Q starts with the leading 1 that Cephes leaves implicit;
-# 1.0 * x + c rounds as x + c does, so the bits are unchanged.
-_NDTRI_P0 = (-5.99633501014107895267E1, 9.80010754185999661536E1,
-             -5.66762857469070293439E1, 1.39312609387279679503E1,
-             -1.23916583867381258016E0)
-_NDTRI_Q0 = (1.0, 1.95448858338141759834E0, 4.67627912898881538453E0,
-             8.63602421390890590575E1, -2.25462687854119370527E2,
-             2.00260212380060660359E2, -8.20372256168333339912E1,
-             1.59056225126211695515E1, -1.18331621121330003142E0)
-_NDTRI_P1 = (4.05544892305962419923E0, 3.15251094599893866154E1,
-             5.71628192246421288162E1, 4.40805073893200834700E1,
-             1.46849561928858024014E1, 2.18663306850790267539E0,
-             -1.40256079171354495875E-1, -3.50424626827848203418E-2,
-             -8.57456785154685413611E-4)
-_NDTRI_Q1 = (1.0, 1.57799883256466749731E1, 4.53907635128879210584E1,
-             4.13172038254672030440E1, 1.50425385692907503408E1,
-             2.50464946208309415979E0, -1.42182922854787788574E-1,
-             -3.80806407691578277194E-2, -9.33259480895457427372E-4)
-_NDTRI_P2 = (3.23774891776946035970E0, 6.91522889068984211695E0,
-             3.93881025292474443415E0, 1.33303460815807542389E0,
-             2.01485389549179081538E-1, 1.23716634817820021358E-2,
-             3.01581553508235416007E-4, 2.65806974686737550832E-6,
-             6.23974539184983293730E-9)
-_NDTRI_Q2 = (1.0, 6.02427039364742014255E0, 3.67983563856160859403E0,
-             1.37702099489081330271E0, 2.16236993594496635890E-1,
-             1.34204006088543189037E-2, 3.28014464682127739104E-4,
-             2.89247864745380683936E-6, 6.79019408009981274425E-9)
-_EXP_M2 = 0.13533528323661269189
-_SQRT_2PI = 2.50662827463100050242E0
-
-
-def _polevl(x: float, coef) -> float:
-    ans = coef[0]
-    for c in coef[1:]:
-        ans = ans * x + c
-    return ans
-
-
-def ndtri(y: float) -> float:
-    """Standard normal quantile (inverse CDF), a port of Cephes ``ndtri``."""
-    if y == 0.0:
-        return -math.inf
-    if y == 1.0:
-        return math.inf
-    if not 0.0 < y < 1.0:
-        return math.nan
-    upper = y > 1.0 - _EXP_M2
-    if upper:
-        y = 1.0 - y
-    if y > _EXP_M2:
-        y = y - 0.5
-        y2 = y * y
-        x = y + y * (y2 * _polevl(y2, _NDTRI_P0) / _polevl(y2, _NDTRI_Q0))
-        return x * _SQRT_2PI
-    x = math.sqrt(-2.0 * math.log(y))
-    x0 = x - math.log(x) / x
-    z = 1.0 / x
-    if x < 8.0:
-        x1 = z * _polevl(z, _NDTRI_P1) / _polevl(z, _NDTRI_Q1)
-    else:
-        x1 = z * _polevl(z, _NDTRI_P2) / _polevl(z, _NDTRI_Q2)
-    x = x0 - x1
-    return x if upper else -x
 
 
 def _betacf(a: float, b: float, x: float) -> float:
@@ -181,8 +115,10 @@ def t_sf(t: float, df: float) -> float:
 # Binomial
 
 
-#: The two-sided 95% normal quantile, z = 1.959963984540054.
-_Z95 = ndtri(0.5 + 0.95 / 2.0)
+#: The two-sided 95% normal quantile Phi^-1(0.975) as Cephes ``ndtri`` and
+#: scipy give it (0x1.f5c0331eeff84p+0, one ulp below the nearest double);
+#: another ulp would move the written intervals.
+_Z95 = 1.959963984540054
 
 
 def wilson_ci(k: int, n: int) -> tuple[float, float]:
@@ -199,43 +135,16 @@ def wilson_ci(k: int, n: int) -> tuple[float, float]:
     return (max(0.0, center - margin), min(1.0, center + margin))
 
 
-def _pmf_terms(n: int, p0: float) -> list[float]:
-    logp, log1p = math.log(p0), math.log1p(-p0)
-    return [
-        math.exp(math.lgamma(n + 1) - math.lgamma(i + 1) - math.lgamma(n - i + 1)
-                 + i * logp + (n - i) * log1p)
-        for i in range(n + 1)
-    ]
-
-
-def binom_test_above(k: int, n: int, p0: float = 0.5) -> float:
-    """Exact one-sided tail P(X >= k | n, p0).
-
-    For the chance-level null (p0 = 0.5) the tail is computed in integer
-    arithmetic, so P(X>=k) + P(X<=k-1) = 1 holds exactly.
-    """
+def binom_test_above(k: int, n: int) -> float:
+    """Exact one-sided tail P(X >= k) for X ~ Binomial(n, 1/2), the test
+    against chance.  The tail is summed in integer arithmetic, so
+    P(X >= k) + P(X >= n - k + 1) = 1 holds exactly."""
     if n <= 0:
         raise InputError("binom_test_above requires n > 0")
     if not 0 <= k <= n:
         raise InputError(f"k={k} outside [0, {n}]")
-    if p0 == 0.5:
-        numer = sum(math.comb(n, i) for i in range(k, n + 1))
-        return float(Fraction(numer, 2 ** n))
-    return min(1.0, math.fsum(_pmf_terms(n, p0)[k:]))
-
-
-def binom_test_below(k: int, n: int, p0: float = 0.5) -> float:
-    """Exact lower tail P(X <= k | n, p0); complement of the upper tail."""
-    if n <= 0:
-        raise InputError("binom_test_below requires n > 0")
-    if k < 0:
-        return 0.0
-    if k >= n:
-        return 1.0
-    if p0 == 0.5:
-        numer = sum(math.comb(n, i) for i in range(0, k + 1))
-        return float(Fraction(numer, 2 ** n))
-    return min(1.0, math.fsum(_pmf_terms(n, p0)[: k + 1]))
+    numer = sum(math.comb(n, i) for i in range(k, n + 1))
+    return float(Fraction(numer, 2 ** n))
 
 
 @dataclass(frozen=True)
@@ -274,9 +183,6 @@ class LogisticFit:
     def coefficient(self, label: str) -> float:
         return float(self.coef[self.labels.index(label)])
 
-    def p_value(self, label: str) -> float:
-        return float(self.p[self.labels.index(label)])
-
 
 def _loglik(y, eta):
     import numpy as np
@@ -290,10 +196,13 @@ def fit_logistic(
     y,
     labels: list[str] | None = None,
     clusters=None,
-    add_intercept: bool = True,
 ) -> LogisticFit:
     """Maximum-likelihood logistic regression via iteratively reweighted
     least squares (Newton steps on the log-likelihood).
+
+    An intercept column is prepended to ``X``; ``labels`` name the columns
+    of ``X`` (default ``x1``, ``x2``, ...) and the fit's labels start with
+    ``intercept``.
 
     ``clusters`` switches the standard errors to the CR1 cluster-robust
     sandwich, the stand-in for by-item random intercepts in the exposure
@@ -311,13 +220,10 @@ def fit_logistic(
     if np.all(y == y[0]):
         # Constant outcomes have no finite MLE: degenerate complete separation.
         raise SeparationError("all outcomes identical; intercept diverges")
-    if add_intercept:
-        X = np.hstack([np.ones((X.shape[0], 1)), X])
-        if labels is not None:
-            labels = ["intercept"] + list(labels)
+    X = np.hstack([np.ones((X.shape[0], 1)), X])
     if labels is None:
-        labels = ["intercept" if (add_intercept and j == 0) else f"x{j}"
-                  for j in range(X.shape[1])]
+        labels = [f"x{j}" for j in range(1, X.shape[1])]
+    labels = ["intercept"] + list(labels)
     if len(labels) != X.shape[1]:
         raise InputError("labels do not match design columns")
 

@@ -647,6 +647,61 @@ def test_analyze_records_a_curve_it_cannot_fit(tmp_path):
         assert {r["suite"] for r in csv.DictReader(fh)} == {"spread"}
 
 
+@pytest.fixture(scope="module")
+def toy_run(tmp_path_factory):
+    """The README pipeline through eval and analyze on all 13 toy suites:
+    (config, out directory, items CSV paths)."""
+    tmp = tmp_path_factory.mktemp("toy_run")
+    config = _toy_config(tmp, filler_min_count="50", order="5")
+    out = tmp / "out"
+    base = ["--config", config, "--out", str(out)]
+    for step in (["ingest"], ["gen", "--suite", "all"], ["train-ngram"]):
+        assert run(base + step) == 0
+    suite_files = sorted(map(str, (out / "suites").glob("*.suite")))
+    assert run(base + ["score", "--suite-file", *suite_files,
+                       "--model-name", "ngram5"]) == 0
+    surps = [str(out / "surprisals" / f"{pathlib.Path(p).stem}.ngram5.surp")
+             for p in suite_files]
+    assert run(base + ["eval", "--suite-file", *suite_files,
+                       "--surprisal-file", *surps, "--model-name", "ngram5"]) == 0
+    items = sorted(map(str, (out / "eval").glob("*.items.csv")))
+    assert run(base + ["analyze", "--items", *items]) == 0
+    return config, out, items
+
+
+def test_chart_points_are_the_eval_all_rows(toy_run):
+    _, out, _ = toy_run
+    charts = json.loads((out / "analysis" / "charts.json").read_text())["charts"]
+    assert len(charts) == 13
+    for chart in charts:
+        rows = scoring.read_eval_csv(
+            out / "eval" / f"{chart['suite']}.{chart['model']}.eval.csv")
+        want = [(int(r["bucket"]), r["accuracy"], r["ci_lo"], r["ci_hi"], int(r["n"]))
+                for r in rows if r["category"] == "all"]
+        got = [(p["bucket"], f"{p['accuracy']:.6f}", f"{p['ci_lo']:.6f}",
+                f"{p['ci_hi']:.6f}", p["n"]) for p in chart["points"]]
+        assert got == want, chart["suite"]
+
+
+def test_analyze_rejects_a_lexicon_that_did_not_make_the_suite(toy_run, tmp_path,
+                                                               capsys):
+    config, _, items = toy_run
+    other = tmp_path / "traces"
+    assert run(["--config", _write_config(tmp_path, corpus=str(DATA / "traces.mrg")),
+                "--out", str(other), "ingest"]) == 0
+    lexicon = other / "lexicon.tsv"
+    number_base = [p for p in items if p.endswith("number_base.ngram5.items.csv")]
+    out = tmp_path / "out"
+    capsys.readouterr()
+    rc = run(["--config", config, "--out", str(out), "analyze",
+              "--items", *number_base, "--lexicon", str(lexicon)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:alignment-error: target ")
+    assert f"of suite number_base does not occur in lexicon {lexicon}" in err
+    assert not (out / "analysis").exists()
+
+
 # ---------------------------------------------------------------------------
 # Bad config values, unreadable inputs and deep trees
 

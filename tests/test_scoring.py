@@ -4,21 +4,17 @@ import random
 import pytest
 
 from syntaxprobe import scoring
-from syntaxprobe.errors import (
-    AlignmentError,
-    FormatError,
-    IncompleteResultsError,
-    InputError,
-)
+from syntaxprobe.errors import AlignmentError, FormatError, InputError
 from syntaxprobe.scoring import (
-    ItemResult,
+    EvalResult,
     SurprisalRecord,
-    aggregate,
     align,
+    evaluate_suite,
     item_accuracy,
     read_surprisal_file,
     region_surprisal,
     sentence_id,
+    summarize,
     write_surprisal_file,
 )
 from syntaxprobe.suites import TestItem, TestSuite
@@ -65,11 +61,13 @@ def test_region_surprisal_sums_multi_token():
 
 
 def test_region_surprisal_alignment_error_names_index():
+    # region_surprisal trusts align; evaluate_suite reports the mismatch.
     item = _item()
-    rec = SurprisalRecord(sentence_id(item.item_id, "gram"),
+    good = _records_for(item, [0.0] * 5, [0.0] * 5)
+    rec = SurprisalRecord(good[0].sentence_id,
                           ("The", "w", "is", "."), (0.0, 0.0, 0.0, 0.0))
-    with pytest.raises(AlignmentError, match="index 3"):
-        region_surprisal(item, rec, "gram")
+    with pytest.raises(AlignmentError, match="mismatch at index 3"):
+        evaluate_suite(_suite([item]), [rec, good[1]])
 
 
 def test_item_accuracy_rule():
@@ -85,31 +83,22 @@ def test_item_accuracy_rule():
 # Aggregation
 
 
-def _results(bucket_specs):
-    """bucket_specs: {bucket: {category: (k, n)}} -> suite + results."""
-    items, results = [], []
-    for bucket, cats in bucket_specs.items():
-        for category, (k, n) in cats.items():
-            for i in range(n):
-                item = _item(item_id=f"s.b{bucket}.{category}{i}.f00",
-                             bucket=bucket, category=category)
-                items.append(item)
-                correct = 1 if i < k else 0
-                results.append(ItemResult(item.item_id, bucket, category,
-                                          "w", 1.0, 2.0 if correct else 0.5,
-                                          correct))
-    return _suite(items), results
+def _summarized(bucket_specs):
+    """bucket_specs: {bucket: {category: (k, n)}} -> EvalResult of the
+    outcomes, the first k of each n correct."""
+    outcomes = [(bucket, category, 1 if i < k else 0)
+                for bucket, cats in bucket_specs.items()
+                for category, (k, n) in cats.items() for i in range(n)]
+    return EvalResult("s", summarize(outcomes))
 
 
 def test_aggregate_extreme_and_exact_binomial():
-    suite, results = _results({2: {"singular": (20, 20), "plural": (20, 20)}})
-    agg = aggregate(suite, results)
-    cell = agg.cell(2, "all")
+    cell = _summarized({2: {"singular": (20, 20), "plural": (20, 20)}}).cell(2, "all")
     assert cell.summary.accuracy == 1.0
     assert cell.summary.p_above_chance == pytest.approx(0.5 ** 40)
 
-    suite, results = _results({2: {"singular": (10, 20), "plural": (10, 20)}})
-    p = aggregate(suite, results).cell(2, "all").summary.p_above_chance
+    p = _summarized({2: {"singular": (10, 20), "plural": (10, 20)}}).cell(
+        2, "all").summary.p_above_chance
     # Brute-force binomial tail for k=20, n=40.
     brute = sum(math.comb(40, i) for i in range(20, 41)) / 2 ** 40
     assert p == pytest.approx(brute, abs=1e-12)
@@ -117,8 +106,7 @@ def test_aggregate_extreme_and_exact_binomial():
 
 
 def test_aggregate_pools_categories():
-    suite, results = _results({2: {"singular": (10, 20), "plural": (18, 20)}})
-    agg = aggregate(suite, results)
+    agg = _summarized({2: {"singular": (10, 20), "plural": (18, 20)}})
     assert agg.cell(2, "all").summary.accuracy == pytest.approx(28 / 40)
     assert agg.cell(2, "singular").summary.k == 10
     assert agg.cell(2, "plural").summary.k == 18
@@ -127,19 +115,21 @@ def test_aggregate_pools_categories():
 
 
 def test_aggregate_missing_items():
-    suite, results = _results({2: {"singular": (2, 2)}})
-    with pytest.raises(IncompleteResultsError):
-        aggregate(suite, results[:-1])
+    # A suite item without records fails alignment before any summary.
+    items = [_item(item_id=f"s.b2.w{i}.f00") for i in range(2)]
+    records = [r for item in items for r in _records_for(item, [0.0] * 5,
+                                                          [1.0] * 5)]
+    with pytest.raises(AlignmentError, match="missing"):
+        evaluate_suite(_suite(items), records[:-2])
 
 
 def test_aggregate_conserves_item_count():
-    suite, results = _results({
+    agg = _summarized({
         2: {"singular": (3, 5), "plural": (2, 5)},
         10: {"singular": (4, 4), "plural": (1, 6)},
     })
-    agg = aggregate(suite, results)
     pooled_n = sum(c.summary.n for c in agg.cells if c.category == "all")
-    assert pooled_n == len(suite.items)
+    assert pooled_n == 20
     for bucket in agg.buckets():
         per_cat = sum(c.summary.n for c in agg.cells
                       if c.bucket == bucket and c.category != "all")

@@ -1,24 +1,34 @@
 import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
-from scipy.special import expit
 
 from syntaxprobe import stats
 from syntaxprobe.errors import InputError, RankError, SeparationError
 from syntaxprobe.stats import (
+    _Z95,
     accuracy_curve,
     binom_test_above,
-    binom_test_below,
     fit_logistic,
     pearson_test,
     wilson_ci,
 )
 
 
+def sigmoid(x):
+    """Logistic sigmoid for generating test data, independent of stats."""
+    return 1.0 / (1.0 + np.exp(-np.asarray(x, dtype=float)))
+
+
 # ---------------------------------------------------------------------------
 # Wilson interval
+
+
+def test_wilson_z_bits():
+    assert _Z95.hex() == "0x1.f5c0331eeff84p+0"
+    assert _Z95 == pytest.approx(NormalDist().inv_cdf(0.975), abs=1e-15)
 
 
 def wilson_by_root_finding(k, n, level=0.95):
@@ -26,8 +36,7 @@ def wilson_by_root_finding(k, n, level=0.95):
 
     The interval endpoints are the p where (phat - p)^2 = z^2 p(1-p)/n.
     """
-    from scipy.stats import norm
-    z = float(norm.ppf(0.5 + level / 2))
+    z = NormalDist().inv_cdf(0.5 + level / 2)
     phat = k / n
 
     def g(p):
@@ -105,14 +114,9 @@ def test_binom_whole_distribution():
 
 @given(st.integers(1, 50), st.data())
 def test_binom_complementarity_exact(n, data):
+    # Under p = 1/2, P(X <= k - 1) = P(X >= n - k + 1) by symmetry.
     k = data.draw(st.integers(1, n))
-    assert binom_test_above(k, n) + binom_test_below(k - 1, n) == 1.0
-
-
-def test_binom_general_p0():
-    # P(X >= 2 | n=3, p=0.2) = 3*0.04*0.8 + 0.008
-    want = 3 * 0.04 * 0.8 + 0.008
-    assert binom_test_above(2, 3, p0=0.2) == pytest.approx(want, rel=1e-12)
+    assert binom_test_above(k, n) + binom_test_above(n - k + 1, n) == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -142,20 +146,21 @@ def test_separation_raises():
 
 
 def test_singular_design_raises():
-    X = np.column_stack([np.ones(40), np.ones(40)])
+    # An all-ones column duplicates the intercept.
+    X = np.ones((40, 1))
     y = np.array([0, 1] * 20)
     with pytest.raises(RankError):
-        fit_logistic(X, y, add_intercept=False)
+        fit_logistic(X, y)
 
 
 def test_score_equations_at_convergence():
     rng = np.random.default_rng(3)
     X = rng.normal(size=(500, 2))
-    p = expit(0.3 + X @ np.array([0.8, -0.4]))
+    p = sigmoid(0.3 + X @ np.array([0.8, -0.4]))
     y = (rng.random(500) < p).astype(int)
     fit = fit_logistic(X, y)
     design = np.hstack([np.ones((500, 1)), X])
-    score = design.T @ (y - expit(design @ fit.coef))
+    score = design.T @ (y - sigmoid(design @ fit.coef))
     assert np.max(np.abs(score)) < 1e-8
     assert fit.converged
 
@@ -163,19 +168,19 @@ def test_score_equations_at_convergence():
 def test_rescaling_predictor_rescales_coefficient():
     rng = np.random.default_rng(11)
     x = rng.normal(size=400)
-    y = (rng.random(400) < expit(0.5 + 1.2 * x)).astype(int)
+    y = (rng.random(400) < sigmoid(0.5 + 1.2 * x)).astype(int)
     fit1 = fit_logistic(x[:, None], y)
     fit10 = fit_logistic((10 * x)[:, None], y)
     assert fit10.coef[1] == pytest.approx(fit1.coef[1] / 10, abs=1e-7)
-    p1 = expit(fit1.coef[0] + fit1.coef[1] * x)
-    p10 = expit(fit10.coef[0] + fit10.coef[1] * 10 * x)
+    p1 = sigmoid(fit1.coef[0] + fit1.coef[1] * x)
+    p10 = sigmoid(fit10.coef[0] + fit10.coef[1] * 10 * x)
     assert np.max(np.abs(p1 - p10)) < 1e-8
 
 
 def test_cluster_robust_changes_se_only():
     rng = np.random.default_rng(4)
     x = rng.normal(size=200)
-    y = (rng.random(200) < expit(x)).astype(int)
+    y = (rng.random(200) < sigmoid(x)).astype(int)
     clusters = [i // 10 for i in range(200)]
     plain = fit_logistic(x[:, None], y)
     robust = fit_logistic(x[:, None], y, clusters=clusters)
@@ -187,7 +192,7 @@ def test_cluster_robust_changes_se_only():
 def test_cov_diagonal_gives_se():
     rng = np.random.default_rng(4)
     x = rng.normal(size=200)
-    y = (rng.random(200) < expit(x)).astype(int)
+    y = (rng.random(200) < sigmoid(x)).astype(int)
     for clusters in (None, [i // 10 for i in range(200)]):
         fit = fit_logistic(x[:, None], y, clusters=clusters)
         assert fit.cov.shape == (2, 2)
@@ -241,7 +246,7 @@ def _newton_logistic_oracle(X, y, iterations=60):
 def test_curve_recovers_known_coefficients():
     rng = np.random.default_rng(7)
     x = rng.uniform(-2, 2, size=2000)
-    y = (rng.random(2000) < expit(-1.0 + 2.0 * x)).astype(int)
+    y = (rng.random(2000) < sigmoid(-1.0 + 2.0 * x)).astype(int)
     fit = fit_logistic(x[:, None], y)
     oracle = _newton_logistic_oracle(x[:, None], y)
     assert np.allclose(fit.coef, oracle, atol=1e-6)
@@ -252,7 +257,7 @@ def test_curve_recovers_known_coefficients():
 def test_accuracy_curve_samples_and_bands():
     rng = np.random.default_rng(9)
     counts = rng.choice([2, 3, 5, 10, 20, 50, 100], size=400)
-    p = expit(-0.5 + 1.0 * np.log10(counts))
+    p = sigmoid(-0.5 + 1.0 * np.log10(counts))
     correct = (rng.random(400) < p).astype(int)
     curve = accuracy_curve(list(zip(counts, correct)), n_samples=50)
     assert not curve.separated
@@ -264,7 +269,7 @@ def test_accuracy_curve_samples_and_bands():
 def test_accuracy_curve_clusters_change_bands_only():
     rng = np.random.default_rng(9)
     counts = rng.choice([2, 3, 5, 10, 20, 50, 100], size=400)
-    correct = (rng.random(400) < expit(-0.5 + np.log10(counts))).astype(int)
+    correct = (rng.random(400) < sigmoid(-0.5 + np.log10(counts))).astype(int)
     points = list(zip(counts, correct))
     plain = accuracy_curve(points)
     robust = accuracy_curve(points, clusters=[i // 10 for i in range(400)])
