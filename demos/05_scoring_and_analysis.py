@@ -30,11 +30,11 @@ for suite_id in ("number_base", "argstruct_passive"):
             records.append(scoring.SurprisalRecord(
                 scoring.sentence_id(item.item_id, cond), tuple(tokens),
                 tuple(model.surprisals(tokens))))
-    results, agg = scoring.evaluate_suite(suite, records)
+    results, cells = scoring.evaluate_suite(suite, records)
 
     print(f"{suite_id}: accuracy by exposure bucket "
           "(Wilson 95% CI, one-sided p vs. chance)")
-    for cell in agg.cells:
+    for cell in cells:
         if cell.category != "all":
             continue
         s = cell.summary

@@ -221,9 +221,6 @@ class GenerativeActionModel:
     order; the search calls it once per round.
     """
 
-    def initial_state(self) -> ParserState:
-        return INITIAL_STATE
-
     def actions(self, state: ParserState, next_word: str | None = None):
         raise NotImplementedError
 
@@ -474,7 +471,7 @@ def word_sync_beam(
     if action_beam_k < 1:
         raise InputError("beam parameters must be positive")
 
-    beam = [model.initial_state()]
+    beam = [INITIAL_STATE]
     marginals = []
     for t, word in enumerate(sentence):
         completed: list[ParserState] = []
@@ -572,7 +569,7 @@ def exact_marginal(model: GenerativeActionModel, sentence: Sequence[str],
     complete_logs: list = []
     parses: list = []
 
-    stack = [(model.initial_state(), 0)]
+    stack = [(INITIAL_STATE, 0)]
     while stack:
         state, depth = stack.pop()
         if depth > max_actions:

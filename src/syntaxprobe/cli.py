@@ -20,8 +20,8 @@ from dataclasses import dataclass, fields
 
 from . import beamsearch, corpus, ngram, scoring, stats, suites, toydata
 from .corpus import DEFAULT_BUCKETS
-from .errors import (AlignmentError, FormatError, SyntaxProbeError, UsageError,
-                     open_text, write_text)
+from .errors import (AlignmentError, DeadBeamError, FormatError, SyntaxProbeError,
+                     UsageError, open_text, write_text)
 
 
 @dataclass
@@ -277,9 +277,14 @@ def _model_spec(cfg: RunConfig, args):
         else:
             raise UsageError("no model configured (config key 'model' or --model)")
     kind, _, arg = spec.partition(":")
-    if kind not in ("ngram", "adapter", "pcfg", "subprocess") or not arg:
+    if kind == "subprocess":
+        try:
+            arg = shlex.split(arg)  # the scorer's argv
+        except ValueError:  # an unclosed quote
+            arg = []
+    if kind not in ("ngram", "pcfg", "subprocess") or not arg:
         raise UsageError(f"bad model spec {spec!r} "
-                         "(expected kind:path with kind ngram|adapter|pcfg|subprocess)")
+                         "(expected ngram:PATH, pcfg:PATH or subprocess:CMD)")
     return kind, arg
 
 
@@ -297,20 +302,12 @@ def _write_surprisals(cfg: RunConfig, suite, name: str, records) -> None:
 
 def cmd_score(cfg: RunConfig, args) -> int:
     """Score every suite under one model, loaded once.  All suite files are
-    read before the first surprisal file is written."""
+    read before the first surprisal file is written; a dead beam stops the
+    call at its sentence, so that suite gets no surprisal file."""
     loaded = [suites.read_suite(_require(path, "suite file"))
               for path in args.suite_file]
     kind, arg = _model_spec(cfg, args)
     name = args.model_name or kind
-
-    if kind == "adapter":
-        if len(loaded) > 1:
-            raise UsageError("adapter:PATH takes one --suite-file: one adapter "
-                             "file aligns to one suite")
-        records = scoring.read_surprisal_file(_require(arg, "adapter surprisal file"))
-        scoring.align(loaded[0], records)
-        _write_surprisals(cfg, loaded[0], name, records)
-        return 0
 
     closer = None
     if kind == "ngram":
@@ -321,15 +318,20 @@ def cmd_score(cfg: RunConfig, args) -> int:
             model = beamsearch.PCFGActionModel(
                 beamsearch.read_grammar(_require(arg, "grammar file")))
         else:
-            model = closer = beamsearch.SubprocessActionModel(shlex.split(arg))
+            model = closer = beamsearch.SubprocessActionModel(arg)
 
         def surprisals(tokens):
             return beamsearch.word_sync_beam(model, tokens).surprisals
     try:
-        for suite in loaded:
-            records = [scoring.SurprisalRecord(sid, tuple(tokens),
-                                               tuple(surprisals(tokens)))
-                       for sid, tokens in _sentences(suite)]
+        for path, suite in zip(args.suite_file, loaded):
+            records = []
+            for sid, tokens in _sentences(suite):
+                try:
+                    records.append(scoring.SurprisalRecord(
+                        sid, tuple(tokens), tuple(surprisals(tokens))))
+                except DeadBeamError as exc:
+                    exc.args = (f"{path}: {sid}: {exc}",)
+                    raise
             _write_surprisals(cfg, suite, name, records)
     finally:
         if closer is not None:
@@ -352,11 +354,11 @@ def cmd_eval(cfg: RunConfig, args) -> int:
         evaluated.append((suite, *scoring.evaluate_suite(
             suite, records, eps_tie=cfg.eps_tie)))
     name = args.model_name or "model"
-    for suite, results, agg in evaluated:
+    for suite, results, cells in evaluated:
         items_out = os.path.join(cfg.out, "eval", f"{suite.suite_id}.{name}.items.csv")
         scoring.write_items_csv(results, items_out, suite.suite_id, name)
         eval_out = os.path.join(cfg.out, "eval", f"{suite.suite_id}.{name}.eval.csv")
-        scoring.write_eval_csv(agg, eval_out, name)
+        scoring.write_eval_csv(cells, eval_out, suite.suite_id, name)
         pooled = sum(r.correct for r in results) / len(results)
         print(f"eval: {suite.suite_id} x {name}: accuracy {pooled:.3f} "
               f"({len(results)} items) -> {eval_out}")
@@ -560,8 +562,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("score", help="surprisals for suites under a model")
     p.add_argument("--suite-file", nargs="+", required=True)
-    p.add_argument("--model", help="ngram:PATH | adapter:PATH | pcfg:PATH | "
-                                   "subprocess:CMD")
+    p.add_argument("--model", help="ngram:PATH | pcfg:PATH | subprocess:CMD")
     p.add_argument("--model-name")
 
     p = sub.add_parser("eval", help="accuracy per bucket and category")

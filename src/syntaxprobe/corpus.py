@@ -241,9 +241,6 @@ class LexiconStats:
     def __len__(self):
         return len(self._words)
 
-    def __contains__(self, word: str) -> bool:
-        return self._fold(word) in self._words
-
     def merge(self, other: "LexiconStats") -> "LexiconStats":
         """Field-wise sum; requires identical case handling."""
         if self.lowercase != other.lowercase:

@@ -16,16 +16,12 @@ class SyntaxProbeError(Exception):
 
     category = "error"
 
-    def __init__(self, message: str, **context):
-        super().__init__(message)
-        self.context = context
-
 
 class TreebankParseError(SyntaxProbeError):
     category = "parse-error"
 
     def __init__(self, message: str, offset: int):
-        super().__init__(f"{message} (offset {offset})", offset=offset)
+        super().__init__(f"{message} (offset {offset})")
         self.offset = offset
 
 
@@ -62,9 +58,7 @@ class DeadBeamError(SyntaxProbeError):
 
     def __init__(self, word_index: int, word: str):
         super().__init__(
-            f"no live parser states before word {word_index} ({word!r})",
-            word_index=word_index,
-        )
+            f"no live parser states before word {word_index} ({word!r})")
         self.word_index = word_index
         self.word = word
 

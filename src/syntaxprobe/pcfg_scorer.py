@@ -18,6 +18,7 @@ from __future__ import annotations
 import sys
 
 from .beamsearch import (
+    INITIAL_STATE,
     PROTOCOL_HEADER,
     PCFGActionModel,
     apply_action,
@@ -46,7 +47,7 @@ def _score(model: PCFGActionModel, states: dict, line: str) -> str:
             raise FormatError(f"ref {ref!r} has no state id")
         elif not definition:
             states.clear()  # a new sentence
-            state = model.initial_state()
+            state = INITIAL_STATE
         else:
             parent, _, token = definition.partition(":")
             if parent not in states:

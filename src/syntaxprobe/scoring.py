@@ -6,8 +6,8 @@ pairs (within a tiny tolerance) count as failures.  Accuracies aggregate
 per exposure bucket and per grammatical category with Wilson intervals and
 exact one-sided binomial tests against chance.
 
-The surprisal adapter format is the interchange surface for external
-models: a header line ``#syntax-probe-surprisal v1 base=2`` followed by
+The surprisal interchange format is how external models' surprisals reach
+``eval``: a header line ``#syntax-probe-surprisal v1 base=2`` followed by
 ``sentence_id<TAB>token_index<TAB>token<TAB>surprisal`` records.  Natural-log
 files (``base=e``) are converted to bits on read.
 """
@@ -65,7 +65,7 @@ def write_surprisal_file(records: Iterable[SurprisalRecord], path) -> None:
 
 
 def read_surprisal_file(path) -> list[SurprisalRecord]:
-    """Read adapter records; base=e values are converted to bits."""
+    """Read interchange records; base=e values are converted to bits."""
     records: dict[str, tuple] = {}  # in file order; one block of lines per id
     last = None
     with read_rows(path, SURPRISAL_HEADER) as (base, rows):
@@ -180,21 +180,6 @@ class EvalCell:
     summary: BinomialSummary
 
 
-@dataclass
-class EvalResult:
-    suite_id: str
-    cells: list
-
-    def cell(self, bucket: int, category: str = "all") -> EvalCell:
-        for c in self.cells:
-            if c.bucket == bucket and c.category == category:
-                return c
-        raise KeyError((bucket, category))
-
-    def buckets(self) -> list[int]:
-        return sorted({c.bucket for c in self.cells})
-
-
 def summarize(outcomes: Iterable[tuple]) -> list[EvalCell]:
     """Accuracy summaries of ``(bucket, category, correct)`` triples, one
     per (bucket, category) and one per bucket pooled as ``"all"``, sorted by
@@ -214,7 +199,7 @@ def summarize(outcomes: Iterable[tuple]) -> list[EvalCell]:
 
 def evaluate_suite(suite, records: Iterable[SurprisalRecord],
                    eps_tie: float = DEFAULT_TIE_EPS):
-    """Per-item results, in suite order, and the suite's EvalResult."""
+    """Per-item results, in suite order, and their :func:`summarize` cells."""
     aligned = align(suite, records)
     results = []
     for item in suite.items:
@@ -222,8 +207,7 @@ def evaluate_suite(suite, records: Iterable[SurprisalRecord],
         u = region_surprisal(item, aligned[item.item_id]["ungram"], "ungram")
         results.append(ItemResult(item.item_id, item.bucket, item.category,
                                   item.target, g, u, item_accuracy(g, u, eps_tie)))
-    cells = summarize((r.bucket, r.category, r.correct) for r in results)
-    return results, EvalResult(suite.suite_id, cells)
+    return results, summarize((r.bucket, r.category, r.correct) for r in results)
 
 
 # ---------------------------------------------------------------------------
@@ -245,11 +229,12 @@ ITEMS_COLUMNS = ("suite", "model", "item_id", "bucket", "category", "target",
                  "gram_bits", "ungram_bits", "correct")
 
 
-def write_eval_csv(result: EvalResult, path, model: str = "-") -> None:
+def write_eval_csv(cells: Iterable[EvalCell], path, suite_id: str,
+                   model: str = "-") -> None:
     rows = []
-    for cell in result.cells:
+    for cell in cells:
         s = cell.summary
-        rows.append([result.suite_id, model, cell.bucket, cell.category, s.n, s.k,
+        rows.append([suite_id, model, cell.bucket, cell.category, s.n, s.k,
                      f"{s.accuracy:.6f}", f"{s.ci_lo:.6f}", f"{s.ci_hi:.6f}",
                      f"{s.p_above_chance:.6g}"])
     write_csv(path, EVAL_COLUMNS, rows)

@@ -174,14 +174,9 @@ class LogisticFit:
     se: np.ndarray
     z: np.ndarray
     p: np.ndarray
-    loglik: float
     converged: bool
-    iterations: int
     cov: np.ndarray  # covariance of coef (CR1 when clustered)
     cluster_robust: bool = False
-
-    def coefficient(self, label: str) -> float:
-        return float(self.coef[self.labels.index(label)])
 
 
 def _loglik(y, eta):
@@ -229,8 +224,7 @@ def fit_logistic(
 
     beta = np.zeros(X.shape[1])
     ll_prev = _loglik(y, X @ beta)
-    iterations = 0
-    for iterations in range(1, 101):
+    for _ in range(100):
         eta = X @ beta
         p = expit(eta)
         w = p * (1.0 - p)
@@ -285,8 +279,7 @@ def fit_logistic(
     with np.errstate(divide="ignore", invalid="ignore"):
         zval = np.where(se > 0, beta / se, np.inf)
     pval = np.array([math.erfc(abs(zi) / math.sqrt(2.0)) for zi in zval])
-    return LogisticFit(list(labels), beta, se, zval, pval,
-                       _loglik(y, eta), converged, iterations, cov,
+    return LogisticFit(list(labels), beta, se, zval, pval, converged, cov,
                        cluster_robust)
 
 

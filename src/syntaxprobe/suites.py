@@ -516,10 +516,6 @@ class ValidationReport:
     violations: list  # (item_id or None, code, message)
     warnings: list
 
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
 
 def _diff_spans(a: tuple, b: tuple):
     """(prefix length, a middle, b middle) with maximal common affixes."""

@@ -147,15 +147,15 @@ def test_ngram_tie_mechanism(toy_trees, toy_suites):
     for item in polar.items:
         gap = item.gram_region[0]  # divergence is at token 0
         assert gap >= 5
-    results, agg = _score_suite(model, polar)
+    results, cells = _score_suite(model, polar)
     assert all(abs(r.gram_bits - r.ungram_bits) <= 1e-9 for r in results)
-    for cell in agg.cells:
+    for cell in cells:
         assert cell.summary.accuracy == 0.0, cell
 
-    base_results, base_agg = _score_suite(model, toy_suites("number_base"))
+    base_results, base_cells = _score_suite(model, toy_suites("number_base"))
     pooled = sum(r.correct for r in base_results) / len(base_results)
     assert pooled >= 0.5
-    for cell in base_agg.cells:
+    for cell in base_cells:
         if cell.category == "all":
             assert cell.summary.accuracy >= 0.5, cell
     _ok("5-gram ties to 0% on modified polar questions and scores "
@@ -238,10 +238,10 @@ def test_scale_invariance(toy_suites, toy_trees):
                                     tuple(s * scale for s in r.surprisals))
             for r in base_records
         ]
-        results, agg = scoring.evaluate_suite(suite, records)
+        results, cells = scoring.evaluate_suite(suite, records)
         return ([r.correct for r in results],
                 [(c.bucket, c.category, c.summary.accuracy,
-                  c.summary.p_above_chance < 0.05) for c in agg.cells])
+                  c.summary.p_above_chance < 0.05) for c in cells])
 
     baseline = outcome(1.0)
     rng = random.Random(99)

@@ -75,7 +75,7 @@ def dog_model():
 def _walk(model, words):
     """Every state reached depth-first from the initial state, following
     generation actions only for ``words``."""
-    stack = [model.initial_state()]
+    stack = [bs.INITIAL_STATE]
     while stack:
         st = stack.pop()
         yield st
@@ -118,7 +118,7 @@ def test_action_serialization_round_trip():
 
 def test_action_scores_normalize(dog_model):
     # Walk every state reachable while parsing the one sentence.
-    state = dog_model.initial_state()
+    state = bs.INITIAL_STATE
     stack = [state]
     seen = 0
     while stack:

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import math
 import os
 import pathlib
 import shlex
@@ -245,7 +246,9 @@ def test_eval_mismatched_inputs_fail_with_alignment_error(tmp_path, capsys):
     assert "error:alignment-error" in capsys.readouterr().err
 
 
-def test_score_with_adapter_canonicalizes(tmp_path):
+def test_external_natural_log_surprisals_evaluate_like_bits(tmp_path):
+    # A neural model's surprisals arrive as an interchange file, here in
+    # nats; eval reads it directly and scores it as the same values in bits.
     config = _toy_config(tmp_path)
     out = tmp_path / "out"
     base = ["--config", config, "--out", str(out)]
@@ -253,23 +256,27 @@ def test_score_with_adapter_canonicalizes(tmp_path):
     assert run(base + ["gen", "--suite", "argstruct_active_past"]) == 0
     suite_file = str(out / "suites" / "argstruct_active_past.suite")
 
-    from syntaxprobe import suites as suites_mod
-    suite = suites_mod.read_suite(suite_file)
     records = []
-    for item in suite.items:
+    for item in suites.read_suite(suite_file).items:
         for cond in ("gram", "ungram"):
             tokens = item.tokens(cond)
             records.append(scoring.SurprisalRecord(
                 scoring.sentence_id(item.item_id, cond), tokens,
                 tuple(float(i + 1) for i in range(len(tokens)))))
-    external = tmp_path / "external.surp"
-    scoring.write_surprisal_file(records, external)
-    assert run(base + ["score", "--suite-file", suite_file,
-                       "--model", f"adapter:{external}",
-                       "--model-name", "ext"]) == 0
-    back = scoring.read_surprisal_file(
-        out / "surprisals" / "argstruct_active_past.ext.surp")
-    assert back == records
+    bits = tmp_path / "bits.surp"
+    scoring.write_surprisal_file(records, bits)
+    nats = tmp_path / "nats.surp"
+    nats.write_text(f"{scoring.SURPRISAL_HEADER} base=e\n" + "".join(
+        f"{r.sentence_id}\t{i}\t{tok}\t{s * math.log(2.0)!r}\n"
+        for r in records for i, (tok, s) in enumerate(zip(r.tokens, r.surprisals))))
+    for surp, where in ((bits, "bits"), (nats, "nats")):
+        assert run(["--config", config, "--out", str(tmp_path / where), "eval",
+                    "--suite-file", suite_file, "--surprisal-file", str(surp),
+                    "--model-name", "ext"]) == 0
+    for name in ("items", "eval"):
+        rel = pathlib.Path("eval") / f"argstruct_active_past.ext.{name}.csv"
+        assert (tmp_path / "nats" / rel).read_bytes() == \
+            (tmp_path / "bits" / rel).read_bytes()
 
 
 def _tiny_suite(tmp_path):
@@ -301,7 +308,6 @@ def test_score_with_pcfg_model(tmp_path):
     assert rc == 0
     records = scoring.read_surprisal_file(out / "surprisals" / "tiny.toy.surp")
     by_id = {r.sentence_id: r for r in records}
-    import math
     assert by_id["tiny.b2.fast.f00:gram"].surprisals[0] == pytest.approx(
         -math.log2(0.75))
     assert by_id["tiny.b2.fast.f00:ungram"].surprisals[0] == pytest.approx(
@@ -334,6 +340,34 @@ def test_bad_model_spec_is_usage_error(tmp_path, capsys):
                      "--model", "nonsense"])
     assert rc == 2
     assert "error:usage-error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec", ['subprocess:"x', "subprocess: "],
+                         ids=["unclosed-quote", "no-command"])
+def test_subprocess_spec_without_a_command_is_usage_error(tmp_path, capsys, spec):
+    out = tmp_path / "out"
+    rc = run(["--config", _write_config(tmp_path), "--out", str(out), "score",
+              "--suite-file", str(_tiny_suite(tmp_path)), "--model", spec])
+    assert rc == 2
+    assert f"error:usage-error: bad model spec {spec!r}" in capsys.readouterr().err
+    assert not (out / "surprisals").exists()
+
+
+def test_dead_beam_names_the_suite_file_and_sentence(tmp_path, capsys):
+    # The second suite's ungrammatical sentence is outside the grammar's
+    # language {fast, slow} go: the call stops there, after the first
+    # suite's surprisals are written, and writes none for the second.
+    first, second = _two_tiny_suites(tmp_path)
+    _corrupt(pathlib.Path(second), "slow go", "slow stop")
+    out = tmp_path / "out"
+    rc = run(["--config", _write_config(tmp_path), "--out", str(out), "score",
+              "--suite-file", first, second,
+              "--model", f"pcfg:{_tiny_grammar(tmp_path)}", "--model-name", "g"])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error:dead-beam: {second}: tiny2.b2.fast.f00:ungram: no live parser "
+        "states before word 1 ('stop')\n")
+    assert sorted(p.name for p in (out / "surprisals").iterdir()) == ["tiny.g.surp"]
 
 
 # ---------------------------------------------------------------------------
@@ -395,15 +429,21 @@ def test_eval_with_unequal_file_counts_is_usage_error(tmp_path, capsys):
     assert not (out / "eval").exists()
 
 
-def test_adapter_with_two_suites_is_usage_error(tmp_path, capsys):
+def test_adapter_is_a_bad_model_spec(tmp_path, capsys):
+    # External surprisals go to eval --surprisal-file; score runs models only.
+    suite_file = _tiny_suite(tmp_path)
     surp = tmp_path / "tiny.surp"
-    surp.write_text(f"{scoring.SURPRISAL_HEADER} base=2\n")
+    scoring.write_surprisal_file(
+        [scoring.SurprisalRecord(f"tiny.b2.fast.f00:{cond}", (word, "go"),
+                                 (1.0, 1.0))
+         for cond, word in (("gram", "fast"), ("ungram", "slow"))], surp)
     out = tmp_path / "out"
     rc = run(["--config", _write_config(tmp_path), "--out", str(out),
-              "score", "--suite-file", *_two_tiny_suites(tmp_path),
+              "score", "--suite-file", str(suite_file),
               "--model", f"adapter:{surp}"])
     assert rc == 2
-    assert "error:usage-error: adapter:PATH takes one" in capsys.readouterr().err
+    assert (f"error:usage-error: bad model spec 'adapter:{surp}'"
+            in capsys.readouterr().err)
     assert not (out / "surprisals").exists()
 
 
@@ -500,10 +540,6 @@ def test_bad_suite_row_is_format_error(tmp_path, capsys, old, new):
                      "--surprisal-file", str(surp)])
     assert rc == 1
     assert f"error:format-error: {suite_file}:{lineno}:" in capsys.readouterr().err
-    rc = run(base + ["score", "--suite-file", str(suite_file),
-                     "--model", f"adapter:{surp}"])
-    assert rc == 1
-    assert f"error:format-error: {suite_file}:{lineno}:" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("text", [
@@ -561,10 +597,6 @@ def test_bad_surprisal_row_is_format_error(tmp_path, capsys, row):
     suite_file = str(_tiny_suite(tmp_path))
     rc = run(base + ["eval", "--suite-file", suite_file,
                      "--surprisal-file", str(surp)])
-    assert rc == 1
-    assert f"error:format-error: {surp}:2:" in capsys.readouterr().err
-    rc = run(base + ["score", "--suite-file", suite_file,
-                     "--model", f"adapter:{surp}"])
     assert rc == 1
     assert f"error:format-error: {surp}:2:" in capsys.readouterr().err
 
@@ -845,11 +877,9 @@ def test_suite_without_items_is_format_error(tmp_path, capsys):
     base = ["--config", _write_config(tmp_path), "--out", str(out)]
     assert run(base + ["eval", "--suite-file", str(suite_file),
                        "--surprisal-file", str(surp)]) == 1
-    assert run(base + ["score", "--suite-file", str(suite_file),
-                       "--model", f"adapter:{surp}"]) == 1
     err = capsys.readouterr().err
-    assert err.count(f"error:format-error: {suite_file}: suite has no items") == 2
-    assert not (out / "surprisals").exists()
+    assert err.count(f"error:format-error: {suite_file}: suite has no items") == 1
+    assert not (out / "eval").exists()
 
 
 def test_item_without_its_ungram_row_is_format_error(tmp_path, capsys):

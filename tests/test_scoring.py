@@ -6,7 +6,6 @@ import pytest
 from syntaxprobe import scoring
 from syntaxprobe.errors import AlignmentError, FormatError, InputError
 from syntaxprobe.scoring import (
-    EvalResult,
     SurprisalRecord,
     align,
     evaluate_suite,
@@ -84,21 +83,21 @@ def test_item_accuracy_rule():
 
 
 def _summarized(bucket_specs):
-    """bucket_specs: {bucket: {category: (k, n)}} -> EvalResult of the
-    outcomes, the first k of each n correct."""
+    """bucket_specs: {bucket: {category: (k, n)}} -> {(bucket, category):
+    cell} summarizing the outcomes, the first k of each n correct."""
     outcomes = [(bucket, category, 1 if i < k else 0)
                 for bucket, cats in bucket_specs.items()
                 for category, (k, n) in cats.items() for i in range(n)]
-    return EvalResult("s", summarize(outcomes))
+    return {(c.bucket, c.category): c for c in summarize(outcomes)}
 
 
 def test_aggregate_extreme_and_exact_binomial():
-    cell = _summarized({2: {"singular": (20, 20), "plural": (20, 20)}}).cell(2, "all")
+    cell = _summarized({2: {"singular": (20, 20), "plural": (20, 20)}})[2, "all"]
     assert cell.summary.accuracy == 1.0
     assert cell.summary.p_above_chance == pytest.approx(0.5 ** 40)
 
-    p = _summarized({2: {"singular": (10, 20), "plural": (10, 20)}}).cell(
-        2, "all").summary.p_above_chance
+    p = _summarized({2: {"singular": (10, 20), "plural": (10, 20)}})[
+        2, "all"].summary.p_above_chance
     # Brute-force binomial tail for k=20, n=40.
     brute = sum(math.comb(40, i) for i in range(20, 41)) / 2 ** 40
     assert p == pytest.approx(brute, abs=1e-12)
@@ -107,11 +106,11 @@ def test_aggregate_extreme_and_exact_binomial():
 
 def test_aggregate_pools_categories():
     agg = _summarized({2: {"singular": (10, 20), "plural": (18, 20)}})
-    assert agg.cell(2, "all").summary.accuracy == pytest.approx(28 / 40)
-    assert agg.cell(2, "singular").summary.k == 10
-    assert agg.cell(2, "plural").summary.k == 18
+    assert agg[2, "all"].summary.accuracy == pytest.approx(28 / 40)
+    assert agg[2, "singular"].summary.k == 10
+    assert agg[2, "plural"].summary.k == 18
     # Conservation: bucket n equals the sum over categories.
-    assert agg.cell(2, "all").summary.n == 40
+    assert agg[2, "all"].summary.n == 40
 
 
 def test_aggregate_missing_items():
@@ -128,12 +127,12 @@ def test_aggregate_conserves_item_count():
         2: {"singular": (3, 5), "plural": (2, 5)},
         10: {"singular": (4, 4), "plural": (1, 6)},
     })
-    pooled_n = sum(c.summary.n for c in agg.cells if c.category == "all")
+    pooled_n = sum(c.summary.n for c in agg.values() if c.category == "all")
     assert pooled_n == 20
-    for bucket in agg.buckets():
-        per_cat = sum(c.summary.n for c in agg.cells
+    for bucket in sorted({bucket for bucket, _ in agg}):
+        per_cat = sum(c.summary.n for c in agg.values()
                       if c.bucket == bucket and c.category != "all")
-        assert per_cat == agg.cell(bucket, "all").summary.n
+        assert per_cat == agg[bucket, "all"].summary.n
 
 
 # ---------------------------------------------------------------------------
@@ -236,10 +235,10 @@ def test_scale_invariance_of_accuracy():
             records.append(SurprisalRecord(recs[1].sentence_id, item.ungram_tokens,
                                            (0.0, 0.0, ungram[item.item_id] * scale,
                                             0.0, 0.0)))
-        results, agg = scoring.evaluate_suite(suite, records)
+        results, cells = scoring.evaluate_suite(suite, records)
         return ([r.correct for r in results],
                 [ (c.bucket, c.category, c.summary.accuracy,
-                   c.summary.p_above_chance < 0.05) for c in agg.cells])
+                   c.summary.p_above_chance < 0.05) for c in cells])
 
     baseline = outcome(1.0)
     for _ in range(100):

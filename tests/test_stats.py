@@ -134,7 +134,8 @@ def test_two_by_two_slope_is_log_odds_ratio():
     X = np.array([[0.0]] * 20 + [[1.0]] * 20)
     y = np.array([1] * 10 + [0] * 10 + [1] * 15 + [0] * 5)
     fit = fit_logistic(X, y, labels=["treated"])
-    assert fit.coefficient("treated") == pytest.approx(math.log(3), abs=1e-6)
+    assert fit.labels == ["intercept", "treated"]
+    assert fit.coef[1] == pytest.approx(math.log(3), abs=1e-6)
 
 
 def test_separation_raises():

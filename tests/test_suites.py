@@ -237,7 +237,7 @@ def test_minimal_pair_and_validation_clean(toy_suites, toy_lex):
                      "argstruct_passive_long", "argstruct_invariance"):
         suite = toy_suites(suite_id)
         report = validate_suite(suite, toy_lex)
-        assert report.ok, report.violations[:3]
+        assert not report.violations, report.violations[:3]
 
 
 def test_validation_flags_corrupted_region(toy_suites, toy_lex):
