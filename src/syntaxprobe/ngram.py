@@ -17,6 +17,13 @@ contexts.  The model predicts real tokens only: there is no end-of-sentence
 event, so a one-type corpus really does give that type probability 1.  Out
 of vocabulary queries route through the reserved unknown symbol, which has
 mass only when training mapped singletons onto it.
+
+``NGramModel.surprisals`` memoises by window: a model scores each distinct
+BOS-padded, order-sized window of raw tokens once, and every later
+occurrence reuses that float.  Minimal pairs and shared suite frames repeat
+most windows.  The memo is exact, since an entry holds the result of the
+very ``logprob`` call an unmemoised loop would make, and it lives as long
+as the model.  ``prob`` and ``logprob`` are not memoised.
 """
 
 from __future__ import annotations
@@ -56,6 +63,9 @@ class NGramModel:
 
     def __post_init__(self):
         self._support_set = set(self.support)
+        # BOS-padded, order-sized window of raw tokens -> surprisal in bits.
+        # A plain attribute, not a field, so == and repr ignore it.
+        self._memo: dict[tuple[str, ...], float] = {}
 
     # -- lookups ----------------------------------------------------------
 
@@ -113,11 +123,20 @@ class NGramModel:
     # -- scoring ----------------------------------------------------------
 
     def surprisals(self, tokens: Sequence[str]) -> list[float]:
-        padded = [BOS] * (self.order - 1) + list(tokens)
+        """Per-token surprisals in bits (``inf`` for a zero-probability
+        token).  Each distinct window is scored once per model by the same
+        ``logprob`` call, so a memo hit returns the very same float."""
+        n = self.order
+        padded = (BOS,) * (n - 1) + tuple(tokens)
+        memo = self._memo
         out = []
-        for i in range(self.order - 1, len(padded)):
-            lp = self.logprob(padded[i - self.order + 1: i], padded[i])
-            out.append(0.0 - lp if lp != NEG_INF else math.inf)
+        for i in range(n, len(padded) + 1):
+            window = padded[i - n: i]
+            s = memo.get(window)
+            if s is None:
+                lp = self.logprob(window[:-1], window[-1])
+                s = memo[window] = 0.0 - lp if lp != NEG_INF else math.inf
+            out.append(s)
         return out
 
     def score_sentences(self, sentences: Iterable[Sequence[str]]):
@@ -260,6 +279,9 @@ def write_model(model: NGramModel, path) -> None:
 
 
 def read_model(path) -> NGramModel:
+    """Load a ``write_model`` file.  A row that could not score correctly is
+    a FormatError at its line: a count below 1, a discount outside [0, 1]
+    or not a number, a ``[discounts]`` row out of order, a gram twice."""
     order = None
     unk = False
     fallback: tuple[int, ...] = ()
@@ -287,14 +309,26 @@ def read_model(path) -> NGramModel:
                 elif key == "fallback":
                     fallback = tuple(int(x) for x in value.split(",") if x)
             elif section == "discounts":
-                _, d1, d2, d3 = fields
-                discounts.append((float(d1), float(d2), float(d3)))
+                k, *ds = fields
+                if int(k) != len(discounts) + 1:
+                    raise ValueError(f"discounts for order {k} in row "
+                                     f"{len(discounts) + 1}")
+                d1, d2, d3 = map(float, ds)
+                if not all(0.0 <= d <= 1.0 for d in (d1, d2, d3)):
+                    raise ValueError(f"discounts {d1!r} {d2!r} {d3!r} "
+                                     "outside [0, 1]")
+                discounts.append((d1, d2, d3))
             else:
                 words, count = fields
+                count = int(count)
                 gram = tuple(words.split(" "))
                 if len(gram) != section:
                     raise FormatError(f"{path}:{lineno}: expected a {section}-gram")
-                grams[-1][gram] = int(count)
+                if gram in grams[-1]:
+                    raise ValueError(f"{words!r} listed twice")
+                if count < 1:
+                    raise ValueError(f"count {count} < 1")
+                grams[-1][gram] = count
     if order is None or len(discounts) != order or len(grams) != order:
         raise FormatError(f"{path}: incomplete model file")
 

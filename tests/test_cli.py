@@ -4,6 +4,7 @@ import json
 import math
 import os
 import pathlib
+import random
 import shlex
 import sys
 
@@ -571,8 +572,17 @@ def test_bad_suite_defs_name_the_file_on_one_line(tmp_path, capsys, monkeypatch,
     ("fast go\t1", "fast go\tone"),
     ("fast\t1", "fast go\t1"),
     ("order\t2", "order\t0"),
+    ("fast go\t1", "fast go\t0"),
+    ("2\t0.5\t0.5\t0.5", "2\t0.5\tnan\t0.5"),
+    ("2\t0.5\t0.5\t0.5", "2\tinf\t0.5\t0.5"),
+    ("1\t0.5\t1.0\t1.0", "1\t-1.0\t1.0\t1.0"),
+    ("2\t0.5\t0.5\t0.5", "2\t0.5\t0.5\t7.5"),
+    ("2\t0.5\t0.5\t0.5", "3\t0.5\t0.5\t0.5"),
+    ("fast go\t1\n", "fast go\t1\nfast go\t1\n"),
 ], ids=["order", "key-without-tab", "short-discounts", "ngrams-header", "count",
-        "gram-length", "order-zero"])
+        "gram-length", "order-zero", "count-zero", "discount-nan",
+        "discount-inf", "discount-negative", "discount-above-one",
+        "discount-order", "gram-twice"])
 def test_bad_model_row_is_format_error(tmp_path, capsys, old, new):
     model = tmp_path / "bad.model"
     ngram.write_model(ngram.train([["fast", "go"], ["slow", "go"]], order=2),
@@ -732,6 +742,60 @@ def test_analyze_rejects_a_lexicon_that_did_not_make_the_suite(toy_run, tmp_path
     assert err.startswith("error:alignment-error: target ")
     assert f"of suite number_base does not occur in lexicon {lexicon}" in err
     assert not (out / "analysis").exists()
+
+
+# ---------------------------------------------------------------------------
+# Metamorphic relations: outputs that must not depend on how a run is cut up
+
+
+def _files(root):
+    """Every file under ``root`` as {relative path: bytes}."""
+    return {str(p.relative_to(root)): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_one_call_over_all_suites_equals_one_call_per_suite(toy_run, tmp_path):
+    # One score call shares its model, and the model's window memo, across
+    # all 13 suites; thirteen calls start from an empty memo each time.
+    config, out, _ = toy_run
+    apart = tmp_path / "apart"
+    base = ["--config", config, "--out", str(apart)]
+    for suite in sorted((out / "suites").glob("*.suite")):
+        assert run(base + ["score", "--suite-file", str(suite), "--model",
+                           f"ngram:{out / 'ngram.model'}",
+                           "--model-name", "ngram5"]) == 0
+        surp = apart / "surprisals" / f"{suite.stem}.ngram5.surp"
+        assert run(base + ["eval", "--suite-file", str(suite),
+                           "--surprisal-file", str(surp),
+                           "--model-name", "ngram5"]) == 0
+    for stage in ("surprisals", "eval"):
+        assert _files(apart / stage) == _files(out / stage), stage
+
+
+def test_tree_order_and_file_split_change_no_output(tmp_path):
+    given = toydata.toy_treebank_path()
+    lines = given.read_text().splitlines(keepends=True)
+    assert len(corpus.read_treebank(given)) == len(lines)  # one tree a line
+    shuffled = lines[:]
+    random.Random(7).shuffle(shuffled)
+    corpora = {"shuffled": [shuffled], "split": [lines[:1000], lines[1000:]]}
+    outputs = {}
+    for name, parts in {"given": [lines], **corpora}.items():
+        paths = []
+        for i, part in enumerate(parts):
+            paths.append(tmp_path / f"{name}{i}.mrg")
+            paths[-1].write_text("".join(part))
+        (tmp_path / name).mkdir()
+        config = _toy_config(tmp_path / name, filler_min_count="50", order="5",
+                             corpus=",".join(map(str, paths)))
+        base = ["--config", config, "--out", str(tmp_path / name / "out")]
+        for step in (["ingest"], ["stats"], ["gen", "--suite", "all"],
+                     ["train-ngram"]):
+            assert run(base + step) == 0, (name, step)
+        outputs[name] = _files(tmp_path / name / "out")
+    assert len(outputs["given"]) == 1 + 4 + 13 + 1
+    for name in corpora:
+        assert outputs[name] == outputs["given"], name
 
 
 # ---------------------------------------------------------------------------

@@ -225,3 +225,74 @@ def test_adding_a_sentence_never_decreases_counts():
         for ctx, entry in table_s.items():
             for w, c in entry.counts.items():
                 assert table_b[ctx].counts[w] >= c
+
+
+# ---------------------------------------------------------------------------
+# The window memo of ``surprisals`` returns the bits an unmemoised loop would.
+
+
+def _unmemoised(model, tokens):
+    padded = ["<s>"] * (model.order - 1) + list(tokens)
+    out = []
+    for i in range(model.order - 1, len(padded)):
+        lp = model.logprob(padded[i - model.order + 1: i], padded[i])
+        out.append(0.0 - lp if lp != float("-inf") else math.inf)
+    return out
+
+
+def _bits(values):
+    return [float.hex(v) for v in values]
+
+
+PROBES = [
+    ["The", "president", "is", "good", "."],
+    ["The", "president", "is", "very", "good", "."],
+    ["The", "senator", "is", "good", "."],
+    ["The", "zzzz", "is", "good", "."],     # OOV token in mid-sentence
+    ["The", "qqqq", "is", "good", "."],     # another OOV, same mapped context
+    ["The", "president", "is", "good", ".", "The", "president", "is"],
+    # The second "red" has the same last four window tokens in both, but a
+    # 5-gram model gives it different surprisals.
+    ["The", "teacher", "is", "very", "red", "and", "red", "."],
+    ["The", "unions", "are", "very", "red", "and", "red", "."],
+]
+
+
+@pytest.mark.parametrize("order", [1, 2, 5])
+@pytest.mark.parametrize("map_singletons", [False, True])
+def test_memoised_surprisals_are_the_unmemoised_bits(toy_trees, order,
+                                                     map_singletons):
+    sentences = [[w for w, _ in t.terminals()] for t in toy_trees]
+    model = ngram.train(sentences, order=order, map_singletons=map_singletons)
+    expected = [_unmemoised(model, tokens) for tokens in PROBES]
+    assert [model.surprisals(tokens) for tokens in PROBES] == expected
+    assert [_bits(model.surprisals(t)) for t in PROBES] == list(map(_bits, expected))
+    oov = model.surprisals(PROBES[3])[1]
+    assert (oov == math.inf) != map_singletons  # <unk> has mass only if mapped
+
+
+def test_second_call_scores_from_the_memo(toy_trees):
+    sentences = [[w for w, _ in t.terminals()] for t in toy_trees]
+    model = ngram.train(sentences, order=3)
+    first = [model.surprisals(tokens) for tokens in PROBES]
+
+    def no_more_queries(context, word):
+        raise AssertionError(f"window {tuple(context) + (word,)} scored twice")
+
+    model.logprob = no_more_queries
+    assert [model.surprisals(tokens) for tokens in PROBES] == first
+    with pytest.raises(AssertionError, match="scored twice"):
+        model.surprisals(["an", "unseen", "window"])
+
+
+def test_models_do_not_share_memo_entries():
+    tokens = ["a", "b", "a", "c"]
+    one = ngram.train([["a", "b"], ["a", "c"], ["d", "b"]], order=2)
+    two = ngram.train([["a", "c"], ["a", "c"], ["b", "a"], ["d", "b"]], order=2)
+    first, second = one.surprisals(tokens), two.surprisals(tokens)
+    assert first != second
+    assert _bits(first) == _bits(_unmemoised(one, tokens))
+    assert _bits(second) == _bits(_unmemoised(two, tokens))
+    assert one.surprisals(tokens) == first and two.surprisals(tokens) == second
+    fresh = ngram.train([["a", "b"], ["a", "c"], ["d", "b"]], order=2)
+    assert one == fresh and repr(one) == repr(fresh)  # the memo is no field
