@@ -2,21 +2,23 @@
 
 A generative action model scores parser actions (open a nonterminal,
 generate the next word, reduce) so that complete action sequences jointly
-score a sentence and its parse.  The search keeps hypotheses synchronized
-at word boundaries: within a word step, states are expanded by structural
-actions under an action-level beam; successors that generate the observed
-next word collect into the next word beam, with the top ``fast_track_k``
-generating successors bypassing the structural cutoff each round.  The log
-sum over the surviving word beam approximates the prefix marginal, whose
-per-word differences are surprisals in bits.
+score a sentence and its parse.  A parser state holds only its action
+chain, from which the top parse is rendered, and its open frames.  The
+search keeps hypotheses synchronized at word boundaries: one step expands
+states by structural actions under an action-level beam, and successors
+that generate the next word collect into the next word beam, with the top
+``fast_track_k`` generating successors bypassing the structural cutoff
+each round; given no word, the same step closes the parses after the last
+word.  The log sum over the surviving word beam approximates the prefix
+marginal, whose per-word differences are surprisals in bits.
 
 The search asks the model for the action lists of a whole frontier at
 once (:meth:`GenerativeActionModel.actions_for`): one call per structural
-round, and one per closing round after the last word.  The in-repo model is
-an adapter over a small explicit PCFG, for which :func:`exact_marginal`
-enumerates the full action space; external scorers attach through a
-line-oriented subprocess protocol (:class:`SubprocessActionModel`) that
-answers each such call in one pipe round trip.
+round.  The in-repo model is an adapter over a small explicit PCFG, for
+which :func:`exact_marginal` enumerates the full action space; external
+scorers attach through a line-oriented subprocess protocol
+(:class:`SubprocessActionModel`) that answers each such call in one pipe
+round trip.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import subprocess
 from dataclasses import dataclass
 from itertools import compress, islice
 from operator import attrgetter, eq
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .errors import (
     DeadBeamError,
@@ -53,14 +55,6 @@ def log2sumexp(values) -> float:
 # Transition system
 
 
-class OpenNT(NamedTuple):
-    label: str
-
-
-# Completed stack items are either a terminal word (str) or a pair
-# (label, children) with children a tuple of completed items.
-
-
 NT = "NT"
 GEN = "GEN"
 REDUCE = ("REDUCE",)
@@ -76,29 +70,26 @@ def gen(word: str) -> tuple:
 
 class ParserState:
     """Immutable search hypothesis: words generated, log2 prob, and the
-    partial parse.
+    derivation so far.
 
     A successor shares all but O(1) of its parent, so an action costs the
     same at any point in the sentence:
 
-    - ``frame`` is ``((label, child symbols), child items, outer frame)``
-      for the innermost open constituent, or None when nothing is open;
+    - ``frame`` is ``((label, child symbols), outer frame)`` for the
+      innermost open constituent, or None when nothing is open;
     - ``chain`` is ``(last action, earlier chain)``, or None before the
-      first action;
-    - ``tree`` is the completed root constituent, once its REDUCE is done.
+      first action.
 
-    ``stack`` and ``history`` rebuild the flat tuples from these chains.
+    ``history`` lists the chain, and :func:`bracket` renders it.
     """
 
-    __slots__ = ("words", "logprob", "frame", "chain", "tree")
+    __slots__ = ("words", "logprob", "frame", "chain")
 
-    def __init__(self, words: int, logprob: float, frame=None, chain=None,
-                 tree=None):
+    def __init__(self, words: int, logprob: float, frame=None, chain=None):
         self.words = words
         self.logprob = logprob
         self.frame = frame
         self.chain = chain
-        self.tree = tree
 
     @property
     def history(self) -> tuple:
@@ -111,28 +102,17 @@ class ParserState:
         out.reverse()
         return tuple(out)
 
-    @property
-    def stack(self) -> tuple:
-        """Open nonterminals and completed items, bottom to top."""
-        if self.tree is not None:
-            return (self.tree,)
-        parts = []
-        frame = self.frame
-        while frame is not None:
-            (label, _), items, frame = frame
-            parts.append((OpenNT(label),) + items)
-        return tuple(item for part in reversed(parts) for item in part)
-
     def innermost_open(self):
         """(label, symbols of completed children) of the last open NT, or None."""
         return None if self.frame is None else self.frame[0]
 
     @property
     def is_complete(self) -> bool:
-        return self.tree is not None
+        """The root constituent has been reduced."""
+        return self.frame is None and self.chain is not None
 
     def __repr__(self) -> str:
-        return (f"ParserState(stack={self.stack!r}, words={self.words!r}, "
+        return (f"ParserState(words={self.words!r}, "
                 f"history={self.history!r}, logprob={self.logprob!r})")
 
 
@@ -140,45 +120,41 @@ INITIAL_STATE = ParserState(0, 0.0)
 
 
 def action_is_legal(state: ParserState, action: tuple) -> bool:
-    """O(1) on the frame chain: NT needs an open constituent or an empty
-    stack, GEN an open constituent, REDUCE one with a completed child."""
+    """O(1) on the frame chain: NT needs an open constituent or no action
+    yet, GEN an open constituent, REDUCE one with a completed child."""
     kind = action[0]
     frame = state.frame
     if kind == NT:
-        return frame is not None or state.tree is None
+        return frame is not None or state.chain is None
     if kind == GEN:
         return frame is not None
     if kind == "REDUCE":
-        return frame is not None and bool(frame[1])
+        return frame is not None and bool(frame[0][1])
     return False
 
 
 def apply_action(state: ParserState, action: tuple, logprob: float,
                  validate: bool = False) -> ParserState:
     """The successor of ``state`` under ``action``, which must be legal
-    (checked against the stack when ``validate`` is set)."""
+    (checked when ``validate`` is set)."""
     if validate and not action_is_legal(state, action):
         raise InputError(f"illegal action {serialize_action(action)} in state {state}")
     kind = action[0]
     words = state.words
-    tree = None
     if kind == NT:
-        frame = ((action[1], ()), (), state.frame)
-    elif kind == GEN:
-        (label, symbols), items, outer = state.frame
-        word = action[1]
-        frame = ((label, symbols + (word,)), items + (word,), outer)
-        words += 1
-    else:  # REDUCE
-        (label, _), items, outer = state.frame
-        done = (label, items)
-        if outer is None:
-            frame, tree = None, done
-        else:
-            (olabel, osymbols), oitems, oouter = outer
-            frame = ((olabel, osymbols + (label,)), oitems + (done,), oouter)
+        frame = ((action[1], ()), state.frame)
+    else:
+        (label, symbols), outer = state.frame
+        if kind == GEN:
+            frame = ((label, symbols + (action[1],)), outer)
+            words += 1
+        elif outer is None:  # REDUCE of the root
+            frame = None
+        else:  # REDUCE
+            (olabel, osymbols), oouter = outer
+            frame = ((olabel, osymbols + (label,)), oouter)
     return ParserState(words, state.logprob + logprob, frame,
-                       (action, state.chain), tree)
+                       (action, state.chain))
 
 
 def serialize_action(action: tuple) -> str:
@@ -198,12 +174,18 @@ def parse_action(token: str) -> tuple:
     raise FormatError(f"bad action token {token!r}")
 
 
-def bracket(item) -> str:
-    """Render a completed stack item as a bracketed tree string."""
-    if isinstance(item, str):
-        return item
-    label, children = item
-    return f"({label} " + " ".join(bracket(c) for c in children) + ")"
+def bracket(history) -> str:
+    """Render a complete parse from its actions: ``NT(X)`` opens ``(X``,
+    ``GEN(w)`` adds ``w`` and ``REDUCE`` closes the innermost bracket."""
+    parts = []
+    for action in history:
+        if action[0] == NT:
+            parts.append(" (" + action[1])
+        elif action[0] == GEN:
+            parts.append(" " + action[1])
+        else:
+            parts.append(")")
+    return "".join(parts)[1:]
 
 
 # ---------------------------------------------------------------------------
@@ -445,13 +427,54 @@ def _keep_best(states: list, k: int) -> None:
 MAX_STRUCT_ROUNDS = 64
 
 
+def _advance(model: GenerativeActionModel, beam: list, word: str | None,
+             word_beam_k: int, action_beam_k: int, fast_track_k: int) -> list:
+    """The next beam from ``beam``, best first: the ``word_beam_k`` best
+    states whose last action generates ``word`` or, with ``word`` None,
+    the ``word_beam_k`` best complete parses.
+
+    Each structural round asks the model for the whole frontier's actions.
+    The top ``fast_track_k`` generating successors go straight through;
+    the rest join the structural successors under the ``action_beam_k``
+    cutoff, and of the survivors those that are done leave the frontier.
+    """
+    done: list[ParserState] = []
+    frontier = beam
+    for _ in range(MAX_STRUCT_ROUNDS):
+        if not frontier:
+            break
+        gen_succs: list[ParserState] = []
+        pool: list[ParserState] = []
+        for st, actions in zip(frontier, model.actions_for(frontier, word)):
+            for action, lp in actions:
+                if action[0] == GEN:
+                    if action[1] == word:
+                        gen_succs.append(apply_action(st, action, lp))
+                else:
+                    pool.append(apply_action(st, action, lp))
+        if len(gen_succs) > fast_track_k:
+            _rank_sort(gen_succs, fast_track_k)
+            pool.extend(gen_succs[fast_track_k:])
+            del gen_succs[fast_track_k:]
+        done.extend(gen_succs)
+        _keep_best(pool, action_beam_k)
+        frontier = []
+        for st in pool:
+            if (st.is_complete if word is None else st.chain[0][0] == GEN):
+                done.append(st)
+            else:
+                frontier.append(st)
+    _rank_sort(done, word_beam_k)
+    del done[word_beam_k:]
+    return done
+
+
 def word_sync_beam(
     model: GenerativeActionModel,
     sentence: Sequence[str],
     word_beam_k: int = 100,
     action_beam_k: int | None = None,
     fast_track_k: int = 5,
-    validate: bool = False,
 ) -> BeamResult:
     """Approximate prefix marginals for ``sentence`` under ``model``.
 
@@ -459,7 +482,8 @@ def word_sync_beam(
     exact; under pruning they are lower bounds (mass over a subset) and are
     reported as-is, not renormalized.  Survivors are ranked by log
     probability, ties broken by action history, so the result does not
-    depend on the order in which the model lists its actions.
+    depend on the order in which the model lists its actions.  After the
+    last word the same step, given no word, closes the open constituents.
     """
     sentence = list(sentence)
     if not sentence:
@@ -474,58 +498,13 @@ def word_sync_beam(
     beam = [INITIAL_STATE]
     marginals = []
     for t, word in enumerate(sentence):
-        completed: list[ParserState] = []
-        frontier = beam
-        rounds = 0
-        while frontier and rounds < MAX_STRUCT_ROUNDS:
-            rounds += 1
-            gen_succs: list[ParserState] = []
-            pool: list[ParserState] = []
-            for st, actions in zip(frontier, model.actions_for(frontier, word)):
-                for action, lp in actions:
-                    if action[0] == GEN:
-                        if action[1] == word:
-                            gen_succs.append(apply_action(st, action, lp, validate))
-                    else:
-                        pool.append(apply_action(st, action, lp, validate))
-            if len(gen_succs) > fast_track_k:
-                _rank_sort(gen_succs, fast_track_k)
-                pool.extend(gen_succs[fast_track_k:])
-                del gen_succs[fast_track_k:]
-            completed.extend(gen_succs)
-            _keep_best(pool, action_beam_k)
-            frontier = []
-            for st in pool:
-                if st.chain[0][0] == GEN:
-                    completed.append(st)
-                else:
-                    frontier.append(st)
-        if not completed:
+        beam = _advance(model, beam, word, word_beam_k, action_beam_k,
+                        fast_track_k)
+        if not beam:
             raise DeadBeamError(t, word)
-        _rank_sort(completed, word_beam_k)
-        beam = completed[:word_beam_k]
         marginals.append(log2sumexp(s.logprob for s in beam))
-
-    # Close remaining constituents to recover complete parses.
-    finals: list[ParserState] = []
-    frontier = beam
-    rounds = 0
-    while frontier and rounds < MAX_STRUCT_ROUNDS:
-        rounds += 1
-        nxt: list[ParserState] = []
-        for st, actions in zip(frontier, model.actions_for(frontier)):
-            if not actions:
-                if st.is_complete:
-                    finals.append(st)
-                continue
-            for action, lp in actions:
-                if action[0] == GEN:
-                    continue
-                nxt.append(apply_action(st, action, lp, validate))
-        _keep_best(nxt, action_beam_k)
-        frontier = nxt
-    _rank_sort(finals, word_beam_k)
-    finals = finals[:word_beam_k]
+    finals = _advance(model, beam, None, word_beam_k, action_beam_k,
+                      fast_track_k)
 
     prev = 0.0
     surprisals = []
@@ -534,7 +513,7 @@ def word_sync_beam(
         prev = m
     if finals:
         top = finals[0]
-        result_parse = bracket(top.tree)
+        result_parse = bracket(top.history)
         top_lp = top.logprob
     else:
         result_parse, top_lp = None, NEG_INF
@@ -581,7 +560,7 @@ def exact_marginal(model: GenerativeActionModel, sentence: Sequence[str],
         if not actions:
             if state.is_complete and state.words == n:
                 complete_logs.append(state.logprob)
-                parses.append((bracket(state.tree), state.logprob))
+                parses.append((bracket(state.history), state.logprob))
             continue
         for action, lp in actions:
             if action[0] == GEN:

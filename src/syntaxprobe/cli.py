@@ -37,7 +37,7 @@ class RunConfig:
     filler_min_count: int = 50
     transitive_hi: float = 0.9
     intransitive_lo: float = 0.1
-    eps_tie: float = 1e-9
+    eps_tie: float = scoring.DEFAULT_TIE_EPS
     words_per_category: int = 20
     frames_per_word: int = 20
     order: int = 5

@@ -39,7 +39,6 @@ from .errors import FormatError, InputError, TrainingError, read_rows, write_tex
 BOS = "<s>"
 UNK = "<unk>"
 
-_LOG2 = math.log(2.0)
 NEG_INF = float("-inf")
 
 
@@ -280,11 +279,14 @@ def write_model(model: NGramModel, path) -> None:
 
 def read_model(path) -> NGramModel:
     """Load a ``write_model`` file.  A row that could not score correctly is
-    a FormatError at its line: a count below 1, a discount outside [0, 1]
-    or not a number, a ``[discounts]`` row out of order, a gram twice."""
+    a FormatError at its line: an ``unk`` flag other than 0 or 1, a
+    ``fallback`` order outside 1..order, a count below 1, a discount outside
+    [0, 1] or not a number, a ``[discounts]`` row out of order, a gram
+    twice, an ``[ngrams k]`` section with no rows."""
     order = None
     unk = False
     fallback: tuple[int, ...] = ()
+    fallback_line = 0
     discounts: list[tuple[float, float, float]] = []
     grams: list[dict] = []
     section = None  # None (the keys), "discounts", or the k of "[ngrams k]"
@@ -294,6 +296,8 @@ def read_model(path) -> NGramModel:
                 section = "discounts"
             elif fields[0].startswith("[ngrams "):
                 (head,) = fields
+                if grams and not grams[-1]:
+                    raise ValueError(f"[ngrams {len(grams)}] has no rows")
                 section = int(head[len("[ngrams "):-1])
                 if section != len(grams) + 1:
                     raise ValueError(f"[ngrams {section}] after {len(grams)} orders")
@@ -305,9 +309,12 @@ def read_model(path) -> NGramModel:
                     if order < 1:
                         raise ValueError(f"order {order} < 1")
                 elif key == "unk":
-                    unk = bool(int(value))
+                    if value not in ("0", "1"):
+                        raise ValueError(f"unk {value!r} is not 0 or 1")
+                    unk = value == "1"
                 elif key == "fallback":
                     fallback = tuple(int(x) for x in value.split(",") if x)
+                    fallback_line = lineno
             elif section == "discounts":
                 k, *ds = fields
                 if int(k) != len(discounts) + 1:
@@ -331,6 +338,12 @@ def read_model(path) -> NGramModel:
                 grams[-1][gram] = count
     if order is None or len(discounts) != order or len(grams) != order:
         raise FormatError(f"{path}: incomplete model file")
+    if not grams[-1]:
+        raise FormatError(f"{path}: [ngrams {order}] has no rows")
+    for k in fallback:
+        if not 1 <= k <= order:
+            raise FormatError(f"{path}:{fallback_line}: fallback order {k} "
+                              f"outside 1..{order}")
 
     support = tuple(sorted(w for (w,) in grams[0]))
     return NGramModel(order, support, discounts, _context_tables(grams),

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .errors import InputError, RankError, SeparationError
@@ -137,14 +136,18 @@ def wilson_ci(k: int, n: int) -> tuple[float, float]:
 
 def binom_test_above(k: int, n: int) -> float:
     """Exact one-sided tail P(X >= k) for X ~ Binomial(n, 1/2), the test
-    against chance.  The tail is summed in integer arithmetic, so
-    P(X >= k) + P(X >= n - k + 1) = 1 holds exactly."""
+    against chance.  The tail is summed in integer arithmetic, from a
+    running binomial coefficient, and divided by ``2 ** n`` with one
+    correct rounding, so P(X >= k) + P(X >= n - k + 1) = 1 holds exactly."""
     if n <= 0:
         raise InputError("binom_test_above requires n > 0")
     if not 0 <= k <= n:
         raise InputError(f"k={k} outside [0, {n}]")
-    numer = sum(math.comb(n, i) for i in range(k, n + 1))
-    return float(Fraction(numer, 2 ** n))
+    numer, c = 0, 1
+    for i in range(n - k + 1):  # c = comb(n, i) = comb(n, n - i)
+        numer += c
+        c = c * (n - i) // (i + 1)
+    return numer / 2 ** n
 
 
 @dataclass(frozen=True)

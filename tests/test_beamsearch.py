@@ -2,12 +2,14 @@ import io
 import json
 import math
 import random
+import re
 import sys
 from pathlib import Path
 
 import pytest
 
 from syntaxprobe import beamsearch as bs
+from syntaxprobe import corpus
 from syntaxprobe import pcfg_scorer
 from syntaxprobe.errors import (
     DeadBeamError,
@@ -70,6 +72,21 @@ def two_parse_model():
 @pytest.fixture(scope="module")
 def dog_model():
     return bs.PCFGActionModel(bs.parse_grammar(DOG_TEXT))
+
+
+class _LegalityChecked(bs.GenerativeActionModel):
+    """Passes ``actions_for`` through to ``model`` and asserts that every
+    action it lists is legal in its state."""
+
+    def __init__(self, model):
+        self.model = model
+
+    def actions_for(self, states, next_word=None):
+        lists = self.model.actions_for(states, next_word)
+        for st, actions in zip(states, lists):
+            for action, _ in actions:
+                assert bs.action_is_legal(st, action), (st, action)
+        return lists
 
 
 def _walk(model, words):
@@ -166,7 +183,8 @@ def test_two_parse_hand_example(two_parse_model):
     assert [p for _, p in result.parses] == [
         pytest.approx(math.log2(0.3)), pytest.approx(math.log2(0.2))]
 
-    beam = bs.word_sync_beam(two_parse_model, ["a"], word_beam_k=16, validate=True)
+    beam = bs.word_sync_beam(_LegalityChecked(two_parse_model), ["a"],
+                              word_beam_k=16)
     assert beam.marginals[0] == pytest.approx(math.log2(0.5))
     assert beam.top_parse == "(S (A a))"
     assert beam.top_parse_logprob == pytest.approx(math.log2(0.3))
@@ -184,7 +202,7 @@ def test_single_parse_surprisals_are_chain_probabilities(dog_model):
 def test_beam_equals_exact_when_all_states_fit(dog_model):
     sent = ["the", "dog", "barks"]
     exact = bs.exact_marginal(dog_model, sent)
-    beam = bs.word_sync_beam(dog_model, sent, word_beam_k=1000, validate=True)
+    beam = bs.word_sync_beam(_LegalityChecked(dog_model), sent, word_beam_k=1000)
     for a, b in zip(exact.marginals, beam.marginals):
         assert abs(a - b) <= 1e-9
     assert beam.complete_logprob == pytest.approx(exact.complete_logprob)
@@ -259,7 +277,46 @@ def test_validator_rejects_illegal_actions():
     assert bs.action_is_legal(shifted, bs.REDUCE)
     done = bs.apply_action(shifted, bs.REDUCE, 0.0)
     assert done.is_complete
-    assert bs.bracket(done.stack[0]) == "(S a)"
+    assert bs.bracket(done.history) == "(S a)"
+
+
+def test_is_complete_only_after_the_root_reduce():
+    assert not bs.INITIAL_STATE.is_complete
+    opened = bs.apply_action(bs.INITIAL_STATE, bs.nt("S"), 0.0)
+    assert not opened.is_complete
+    inner = bs.apply_action(opened, bs.nt("A"), 0.0)
+    inner = bs.apply_action(inner, bs.gen("a"), 0.0)
+    inner = bs.apply_action(inner, bs.REDUCE, 0.0)
+    assert not inner.is_complete  # S is still open
+    done = bs.apply_action(inner, bs.REDUCE, 0.0)
+    assert done.is_complete
+    assert bs.bracket(done.history) == "(S (A a))"
+
+
+def _with_preterminals(parse: str) -> str:
+    """``parse`` with each bare word ``w`` wrapped as ``(W w)``: treebank
+    trees hold words only under preterminals."""
+    return re.sub(r"(?<= )([^ ()]+)", r"(W \1)", parse)
+
+
+def test_bracket_from_history_reads_back_as_a_treebank_tree():
+    # Every parse exact_marginal renders from a history must read back as
+    # one tree, in canonical spacing, over the sentence's words.
+    parses = 0
+    for seed in range(6):
+        grammar = random_pcfg(seed)
+        sent = sample_sentence(grammar, random.Random(1000 + seed))
+        result = bs.exact_marginal(bs.PCFGActionModel(grammar), sent,
+                                   max_actions=2000)
+        strings = [parse for parse, _ in result.parses]
+        assert strings and len(set(strings)) == len(strings)
+        for parse in strings:
+            wrapped = _with_preterminals(parse)
+            (tree,) = corpus.parse_treebank(wrapped)
+            assert tree.pretty() == wrapped
+            assert [w for w, _ in tree.terminals()] == sent
+            parses += 1
+    assert parses > 6
 
 
 def test_random_grammars_beam_equals_exact():
@@ -268,7 +325,8 @@ def test_random_grammars_beam_equals_exact():
         model = bs.PCFGActionModel(grammar)
         sent = sample_sentence(grammar, random.Random(1000 + seed))
         exact = bs.exact_marginal(model, sent, max_actions=2000)
-        beam = bs.word_sync_beam(model, sent, word_beam_k=10000, validate=True)
+        beam = bs.word_sync_beam(_LegalityChecked(model), sent,
+                                 word_beam_k=10000)
         for a, b in zip(exact.marginals, beam.marginals):
             assert abs(a - b) <= 1e-9
 
@@ -283,7 +341,7 @@ def _narrow_beam_records() -> list:
                       sample_sentence(grammar, random.Random(1000 + seed))))
     records = []
     for name, grammar, sent in cases:
-        model = bs.PCFGActionModel(grammar)
+        model = _LegalityChecked(bs.PCFGActionModel(grammar))
         for wk in (1, 2, 3, 4):
             for ak in (2, 4, 8):
                 for ft in (0, 2):
@@ -291,8 +349,7 @@ def _narrow_beam_records() -> list:
                            "word_beam_k": wk, "action_beam_k": ak,
                            "fast_track_k": ft}
                     try:
-                        r = bs.word_sync_beam(model, sent, wk, ak, ft,
-                                              validate=True)
+                        r = bs.word_sync_beam(model, sent, wk, ak, ft)
                     except DeadBeamError as exc:
                         rec["dead_at"] = exc.word_index
                     else:

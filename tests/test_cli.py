@@ -579,10 +579,14 @@ def test_bad_suite_defs_name_the_file_on_one_line(tmp_path, capsys, monkeypatch,
     ("2\t0.5\t0.5\t0.5", "2\t0.5\t0.5\t7.5"),
     ("2\t0.5\t0.5\t0.5", "3\t0.5\t0.5\t0.5"),
     ("fast go\t1\n", "fast go\t1\nfast go\t1\n"),
+    ("unk\t0", "unk\t7"),
+    ("fallback\t2", "fallback\t9"),
+    ("[ngrams 1]\nfast\t1\ngo\t2\nslow\t1\n", "[ngrams 1]\n"),
 ], ids=["order", "key-without-tab", "short-discounts", "ngrams-header", "count",
         "gram-length", "order-zero", "count-zero", "discount-nan",
         "discount-inf", "discount-negative", "discount-above-one",
-        "discount-order", "gram-twice"])
+        "discount-order", "gram-twice", "unk-flag", "fallback-order",
+        "empty-unigrams"])
 def test_bad_model_row_is_format_error(tmp_path, capsys, old, new):
     model = tmp_path / "bad.model"
     ngram.write_model(ngram.train([["fast", "go"], ["slow", "go"]], order=2),

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 from statistics import NormalDist
 
 import numpy as np
@@ -110,6 +111,36 @@ def test_binom_brute_force_oracle():
 
 def test_binom_whole_distribution():
     assert binom_test_above(0, 10) == 1.0
+
+
+def _binom_tail_reference(k, n):
+    """The former formula: one ``comb`` per term, then an exact fraction."""
+    return float(Fraction(sum(math.comb(n, i) for i in range(k, n + 1)), 2 ** n))
+
+
+def test_binom_bits_match_comb_fraction_formula():
+    # Every k <= n <= 400, the tail built once per n from its top term down.
+    for n in range(1, 401):
+        tail = 0
+        for k in range(n, -1, -1):
+            tail += math.comb(n, k)
+            assert binom_test_above(k, n).hex() == float(Fraction(tail, 2 ** n)).hex()
+    # Far tails that round into the subnormal range or to zero.
+    for n in (1074, 1080, 1100, 12800):
+        for k in range(n - 3, n + 1):
+            assert binom_test_above(k, n).hex() == _binom_tail_reference(k, n).hex()
+    # Around the middle of n = 12800, where the tail has ~6400 terms: the
+    # terms above n/2 sum to half of 2^n less the middle term.
+    n, h = 12800, 6400
+    above = (2 ** n - math.comb(n, h)) // 2  # sum of comb(n, i) for i > h
+    tail = above
+    for k in range(h, h - 4, -1):
+        tail += math.comb(n, k)
+        assert binom_test_above(k, n).hex() == float(Fraction(tail, 2 ** n)).hex()
+    tail = above
+    for k in range(h + 1, h + 5):
+        assert binom_test_above(k, n).hex() == float(Fraction(tail, 2 ** n)).hex()
+        tail -= math.comb(n, k)
 
 
 @given(st.integers(1, 50), st.data())
