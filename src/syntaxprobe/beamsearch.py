@@ -36,6 +36,7 @@ from .errors import (
     GrammarError,
     InputError,
     OracleInfeasibleError,
+    gc_paused,
     open_text,
     write_text,
 )
@@ -497,14 +498,15 @@ def word_sync_beam(
 
     beam = [INITIAL_STATE]
     marginals = []
-    for t, word in enumerate(sentence):
-        beam = _advance(model, beam, word, word_beam_k, action_beam_k,
-                        fast_track_k)
-        if not beam:
-            raise DeadBeamError(t, word)
-        marginals.append(log2sumexp(s.logprob for s in beam))
-    finals = _advance(model, beam, None, word_beam_k, action_beam_k,
-                      fast_track_k)
+    with gc_paused():  # the states form no cycles; refcounting frees them
+        for t, word in enumerate(sentence):
+            beam = _advance(model, beam, word, word_beam_k, action_beam_k,
+                            fast_track_k)
+            if not beam:
+                raise DeadBeamError(t, word)
+            marginals.append(log2sumexp(s.logprob for s in beam))
+        finals = _advance(model, beam, None, word_beam_k, action_beam_k,
+                          fast_track_k)
 
     prev = 0.0
     surprisals = []

@@ -21,7 +21,7 @@ from dataclasses import dataclass, fields
 from . import beamsearch, corpus, ngram, scoring, stats, suites, toydata
 from .corpus import DEFAULT_BUCKETS
 from .errors import (AlignmentError, DeadBeamError, FormatError, SyntaxProbeError,
-                     UsageError, open_text, write_text)
+                     UsageError, gc_paused, open_text, write_text)
 
 
 @dataclass
@@ -264,7 +264,10 @@ def cmd_train_ngram(cfg: RunConfig, args) -> int:
                         map_singletons=cfg.map_singletons)
     out = os.path.join(cfg.out, "ngram.model")
     ngram.write_model(model, out)
-    print(f"train-ngram: order {model.order}, |V|={len(model.support)} -> {out}")
+    fell = ", ".join(f"order {k} ({why})"
+                     for k, why in model.discount_fallbacks.items())
+    fell = f", discounts fell back to 0.5 at {fell}" if fell else ""
+    print(f"train-ngram: order {model.order}, |V|={len(model.support)}{fell} -> {out}")
     return 0
 
 
@@ -352,7 +355,7 @@ def cmd_eval(cfg: RunConfig, args) -> int:
         records = scoring.read_surprisal_file(
             _require(surprisal_path, "surprisal file"))
         evaluated.append((suite, *scoring.evaluate_suite(
-            suite, records, eps_tie=cfg.eps_tie)))
+            suite, records, eps_tie=cfg.eps_tie, path=suite_path)))
     name = args.model_name or "model"
     for suite, results, cells in evaluated:
         items_out = os.path.join(cfg.out, "eval", f"{suite.suite_id}.{name}.items.csv")
@@ -599,7 +602,8 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config, os.environ,
                           {"seed": args.seed, "out": args.out})
-        return _COMMANDS[args.command](cfg, args)
+        with gc_paused():  # the stage's data dies with it (errors.gc_paused)
+            return _COMMANDS[args.command](cfg, args)
     except SyntaxProbeError as exc:
         error = exc
     except UnicodeDecodeError as exc:

@@ -1,5 +1,6 @@
-"""Exception hierarchy with stable machine-readable categories, and the text
-file openers every reader and writer goes through.
+"""Exception hierarchy with stable machine-readable categories, the text
+file openers every reader and writer goes through, and the collector pause
+the stages and the beam search run under.
 
 Every error raised by this package carries a ``category`` token that the CLI
 prints on stderr, so scripted callers can switch on it without parsing prose.
@@ -8,6 +9,7 @@ prints on stderr, so scripted callers can switch on it without parsing prose.
 from __future__ import annotations
 
 import contextlib
+import gc
 import os
 
 
@@ -102,6 +104,24 @@ def open_text(path, newline=None):
             raise FormatError(f"input is not UTF-8: {path}:{line}: "
                               f"byte 0x{data[whole.start]:02x}") from exc
         raise
+
+
+@contextlib.contextmanager
+def gc_paused():
+    """Run the body with Python's cyclic garbage collector disabled.
+
+    A stage or a search builds large acyclic graphs (trees, count tables,
+    beam states) that reference counting frees; the collector would only
+    rescan them as they grow.  On exit the collector is enabled again only
+    if it was enabled on entry, so blocks nest and a caller's own setting
+    is left as it was."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 @contextlib.contextmanager

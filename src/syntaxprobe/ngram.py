@@ -10,7 +10,9 @@ discounts per order are derived from the order's count-of-counts:
     D_k = k - (k+1) * Y * n_{k+1} / n_k      (k = 1, 2, 3+)
 
 clamped to [0, 1]; if n1 or n2 is zero at some order the model falls back
-to a single absolute discount of 0.5 there and warns.
+to a single absolute discount of 0.5 there, and so does a D_k whose value
+is not positive.  Each fallback warns, and the trained model names them in
+``discount_fallbacks``, which ``train-ngram`` prints.
 
 Sentences are padded with order-1 start symbols for well-defined initial
 contexts.  The model predicts real tokens only: there is no end-of-sentence
@@ -31,7 +33,7 @@ from __future__ import annotations
 import math
 import warnings
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .errors import FormatError, InputError, TrainingError, read_rows, write_text
@@ -59,6 +61,10 @@ class NGramModel:
     tables: list[dict]                 # per order: context -> _ContextEntry
     map_singletons: bool = False
     fallback_orders: tuple[int, ...] = ()
+    # Order -> why its discounts fell back to 0.5 (_estimate_discounts).
+    # Filled by train only; the model file keeps just fallback_orders.
+    discount_fallbacks: dict = field(default_factory=dict, compare=False,
+                                     repr=False)
 
     def __post_init__(self):
         self._support_set = set(self.support)
@@ -158,6 +164,10 @@ def _count_of_counts(counts: Iterable[int]) -> Counter:
 
 
 def _estimate_discounts(counts: Iterable[int], order_k: int):
+    """(D1, D2, D3) for one order; whether the count-of-counts was
+    degenerate, so that all three fell back to 0.5; and why any fell back,
+    for reports: ``""`` for none, else the count-of-counts or the names of
+    the discounts whose formula value was not positive."""
     coc = _count_of_counts(counts)
     n1, n2, n3, n4 = coc[1], coc[2], coc[3], coc[4]
     if n1 == 0 or n2 == 0:
@@ -165,7 +175,7 @@ def _estimate_discounts(counts: Iterable[int], order_k: int):
             f"order {order_k}: degenerate count-of-counts (n1={n1}, n2={n2}); "
             "falling back to absolute discount 0.5"
         )
-        return (0.5, 0.5, 0.5), True
+        return (0.5, 0.5, 0.5), True, f"degenerate count-of-counts n1={n1} n2={n2}"
     y = n1 / (n1 + 2.0 * n2)
     raw = (
         1.0 - 2.0 * y * (n2 / n1),
@@ -174,7 +184,7 @@ def _estimate_discounts(counts: Iterable[int], order_k: int):
     )
     # A non-positive formula value would zero out smoothing mass and break
     # strict positivity; treat it like the degenerate case above.
-    out = []
+    out, fell = [], []
     for k, d in enumerate(raw, start=1):
         if d <= 0.0:
             warnings.warn(
@@ -182,9 +192,10 @@ def _estimate_discounts(counts: Iterable[int], order_k: int):
                 "using absolute discount 0.5"
             )
             out.append(0.5)
+            fell.append(f"D{k}")
         else:
             out.append(min(1.0, d))
-    return tuple(out), False
+    return tuple(out), False, f"{','.join(fell)} not positive" if fell else ""
 
 
 def _context_tables(grams_by_order: list[dict]) -> list[dict]:
@@ -240,15 +251,18 @@ def train(sentences: Iterable[Sequence[str]], order: int = 5,
 
     discounts = []
     fallback = []
+    notes = {}
     for k in range(1, order + 1):
-        d, fell = _estimate_discounts(adjusted[k - 1].values(), k)
+        d, degenerate, why = _estimate_discounts(adjusted[k - 1].values(), k)
         discounts.append(d)
-        if fell:
+        if degenerate:
             fallback.append(k)
+        if why:
+            notes[k] = why
 
     return NGramModel(order, support, discounts, _context_tables(adjusted),
                       map_singletons=map_singletons,
-                      fallback_orders=tuple(fallback))
+                      fallback_orders=tuple(fallback), discount_fallbacks=notes)
 
 
 # ---------------------------------------------------------------------------

@@ -197,12 +197,30 @@ def summarize(outcomes: Iterable[tuple]) -> list[EvalCell]:
             for (bucket, category), got in sorted(groups.items())]
 
 
+def _check_region_finite(item, record: SurprisalRecord, condition: str,
+                         where) -> None:
+    for i in range(*item.region(condition)):
+        if not math.isfinite(record.surprisals[i]):
+            raise InputError(f"{where}: item {item.item_id} {condition}: "
+                             f"critical region token {record.tokens[i]!r} at "
+                             f"index {i} has surprisal {record.surprisals[i]!r}")
+
+
 def evaluate_suite(suite, records: Iterable[SurprisalRecord],
-                   eps_tie: float = DEFAULT_TIE_EPS):
-    """Per-item results, in suite order, and their :func:`summarize` cells."""
+                   eps_tie: float = DEFAULT_TIE_EPS, path=None):
+    """Per-item results, in suite order, and their :func:`summarize` cells.
+
+    A critical region token whose surprisal is not finite (``inf`` for a
+    token the model never saw) is an InputError naming ``path``, the suite
+    file (the suite id without one), the item, the condition and the token.
+    Tokens outside the regions may be non-finite."""
     aligned = align(suite, records)
+    where = suite.suite_id if path is None else path
     results = []
     for item in suite.items:
+        for condition in CONDITIONS:
+            _check_region_finite(item, aligned[item.item_id][condition],
+                                 condition, where)
         g = region_surprisal(item, aligned[item.item_id]["gram"], "gram")
         u = region_surprisal(item, aligned[item.item_id]["ungram"], "ungram")
         results.append(ItemResult(item.item_id, item.bucket, item.category,

@@ -74,6 +74,17 @@ def test_unknown_config_key_is_usage_error(tmp_path):
             cli.load_config(str(path), {}, {})
 
 
+def test_train_ngram_names_its_discount_fallbacks(tmp_path, capsys):
+    out = tmp_path / "out"
+    with pytest.warns(UserWarning, match="D3 formula"):
+        assert run(["--config", _toy_config(tmp_path, order="5"), "--out", str(out),
+                    "train-ngram"]) == 0
+    assert capsys.readouterr().out == (
+        "train-ngram: order 5, |V|=126, discounts fell back to 0.5 at order 1 "
+        "(D3 not positive), order 2 (D3 not positive), order 3 (D3 not "
+        f"positive), order 4 (D3 not positive) -> {out / 'ngram.model'}\n")
+
+
 def test_train_ngram_takes_no_model_out():
     with pytest.raises(SystemExit) as exc:
         run(["train-ngram", "--model-out", "m.model"])
@@ -245,6 +256,43 @@ def test_eval_mismatched_inputs_fail_with_alignment_error(tmp_path, capsys):
                      "--model-name", "m"])
     assert rc == 1
     assert "error:alignment-error" in capsys.readouterr().err
+
+
+def _comma_suite(tmp_path, region):
+    """A hand suite whose one item has a comma, which the toy treebank never
+    shows, at index 2; ``region`` is both conditions' critical region."""
+    suite_file = tmp_path / f"comma{region[0]}.suite"
+    rows = "".join(
+        f"comma.b2.is.f00\tcomma\tis\tsingular\t2\t{cond}\tthe president , "
+        f"{verb} good .\t{region[0]}\t{region[1]}\n"
+        for cond, verb in (("gram", "is"), ("ungram", "are")))
+    suite_file.write_text(
+        "#syntax-probe-suite v1\n"
+        "#suite_id\tcomma\n#kind\tcopula_agreement\n"
+        "#condition_rule\tverb-form swap\n#invariance\t0\n"
+        "#item_id\tsuite_id\ttarget\tcategory\tbucket\tcondition\ttokens"
+        "\tregion_start\tregion_end\n" + rows)
+    return str(suite_file)
+
+
+def test_eval_rejects_a_critical_region_with_infinite_surprisal(tmp_path,
+                                                               capsys):
+    # The toy n-gram scores the comma inf.  Outside the critical region it
+    # is legal; inside, eval names the suite file, item, condition and token.
+    out = tmp_path / "out"
+    base = ["--config", _toy_config(tmp_path), "--out", str(out)]
+    assert run(base + ["train-ngram"]) == 0
+    for region, rc in (((3, 4), 0), ((2, 4), 1)):
+        suite_file = _comma_suite(tmp_path, region)
+        assert run(base + ["score", "--suite-file", suite_file,
+                           "--model-name", "m"]) == 0
+        capsys.readouterr()
+        assert run(base + ["eval", "--suite-file", suite_file, "--surprisal-file",
+                           str(out / "surprisals" / "comma.m.surp"),
+                           "--model-name", "m"]) == rc
+    assert capsys.readouterr().err == (
+        f"error:undefined-input: {suite_file}: item comma.b2.is.f00 gram: "
+        "critical region token ',' at index 2 has surprisal inf\n")
 
 
 def test_external_natural_log_surprisals_evaluate_like_bits(tmp_path):

@@ -217,6 +217,24 @@ def test_fallback_discount_warning():
         ngram.train([["a", "a", "a", "b"]], order=1)
 
 
+def test_discount_fallbacks_name_each_order_and_cause(toy_trees, tmp_path):
+    # Only a degenerate count-of-counts reaches the file's fallback line;
+    # a non-positive D_k is named on the trained model alone.
+    with pytest.warns(UserWarning):
+        single = ngram.train([["a", "a", "a"]], order=1)
+    assert single.discount_fallbacks == {1: "degenerate count-of-counts n1=0 n2=0"}
+    assert single.fallback_orders == (1,)
+    sentences = [[w for w, _ in t.terminals()] for t in toy_trees]
+    with pytest.warns(UserWarning, match="D3 formula"):
+        toy = ngram.train(sentences, order=5)
+    assert toy.discount_fallbacks == {k: "D3 not positive" for k in (1, 2, 3, 4)}
+    assert toy.fallback_orders == ()
+    path = tmp_path / "toy.model"
+    ngram.write_model(toy, path)
+    back = ngram.read_model(path)
+    assert back.discount_fallbacks == {} and back == toy
+
+
 def test_adding_a_sentence_never_decreases_counts():
     base = [["a", "b"], ["a", "c"]]
     small = ngram.train(base, order=2)

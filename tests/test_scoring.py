@@ -69,6 +69,25 @@ def test_region_surprisal_alignment_error_names_index():
         evaluate_suite(_suite([item]), [rec, good[1]])
 
 
+@pytest.mark.parametrize("ungram, token, value", [
+    ((0.0, 0.0, math.nan, 0.0, 0.0), "are", "nan"),
+    # inf and -inf in one region would make math.fsum raise ValueError.
+    ((0.0, 0.0, math.inf, -math.inf, 0.0), "are", "inf"),
+    ((0.0, 0.0, 1.0, -math.inf, 0.0), "x", "-inf"),
+])
+def test_non_finite_region_surprisal_is_input_error(ungram, token, value):
+    # Non-finite values outside the region (here the gram "." at index 4)
+    # are legal; the first one inside names the token.
+    item = _item(region=(2, 4))
+    with pytest.raises(InputError) as err:
+        evaluate_suite(_suite([item]),
+                       _records_for(item, (0.0, 0.0, 1.0, 1.0, math.inf), ungram),
+                       path="s.suite")
+    index = item.ungram_tokens.index(token)
+    assert str(err.value) == (f"s.suite: item s.b2.w.f00 ungram: critical region "
+                              f"token {token!r} at index {index} has surprisal {value}")
+
+
 def test_item_accuracy_rule():
     assert item_accuracy(3.0, 5.0) == 1
     assert item_accuracy(4.0, 4.0) == 0  # ties count as failures
