@@ -300,7 +300,11 @@ def _sentences(suite) -> list:
 def _write_surprisals(cfg: RunConfig, suite, name: str, records) -> None:
     out = os.path.join(cfg.out, "surprisals", f"{suite.suite_id}.{name}.surp")
     scoring.write_surprisal_file(records, out)
-    print(f"score: {len(records)} sentences with {name} -> {out}")
+    # An n-gram trained without singleton mapping scores inf exactly its
+    # out-of-vocabulary tokens.
+    oov = sum(r.surprisals.count(math.inf) for r in records)
+    print(f"score: {len(records)} sentences with {name}, "
+          f"{oov} tokens scored inf -> {out}")
 
 
 def cmd_score(cfg: RunConfig, args) -> int:

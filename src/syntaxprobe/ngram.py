@@ -20,6 +20,11 @@ event, so a one-type corpus really does give that type probability 1.  Out
 of vocabulary queries route through the reserved unknown symbol, which has
 mass only when training mapped singletons onto it.
 
+The model's state is the rows of its file: per order, each gram's adjusted
+count.  ``train`` counts each order's windows over one padded token stream.
+A context's total and its n1/n2/n3+ type counts are derived from those rows
+per order, the first time ``prob`` looks that order up.
+
 ``NGramModel.surprisals`` memoises by window: a model scores each distinct
 BOS-padded, order-sized window of raw tokens once, and every later
 occurrence reuses that float.  Minimal pairs and shared suite frames repeat
@@ -34,6 +39,8 @@ import math
 import warnings
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import compress
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .errors import FormatError, InputError, TrainingError, read_rows, write_text
@@ -45,20 +52,11 @@ NEG_INF = float("-inf")
 
 
 @dataclass
-class _ContextEntry:
-    counts: dict
-    total: int
-    n1: int
-    n2: int
-    n3p: int
-
-
-@dataclass
 class NGramModel:
     order: int
     support: tuple[str, ...]           # prediction vocabulary, sorted
     discounts: list[tuple[float, float, float]]   # per order, 1-based at [k-1]
-    tables: list[dict]                 # per order: context -> _ContextEntry
+    grams: list[dict]                  # per order: gram -> adjusted count
     map_singletons: bool = False
     fallback_orders: tuple[int, ...] = ()
     # Order -> why its discounts fell back to 0.5 (_estimate_discounts).
@@ -71,6 +69,8 @@ class NGramModel:
         # BOS-padded, order-sized window of raw tokens -> surprisal in bits.
         # A plain attribute, not a field, so == and repr ignore it.
         self._memo: dict[tuple[str, ...], float] = {}
+        # Per order, context -> [total, n1, n2, n3+]; see _context_stats.
+        self._contexts: list[dict | None] = [None] * len(self.grams)
 
     # -- lookups ----------------------------------------------------------
 
@@ -88,6 +88,20 @@ class NGramModel:
             w if (w in self._support_set or w == BOS) else UNK for w in context
         )
 
+    def _context_stats(self, k: int) -> dict:
+        """Context -> [total, n1, n2, n3+] for order k, in one pass over its
+        grams; counts are at least 1, so ``min(c, 3)`` is the type slot."""
+        stats: dict = {}
+        for gram, c in self.grams[k - 1].items():
+            ctx = gram[:-1]
+            row = stats.get(ctx)
+            if row is None:
+                row = stats[ctx] = [0, 0, 0, 0]
+            row[0] += c
+            row[c if c < 3 else 3] += 1
+        self._contexts[k - 1] = stats
+        return stats
+
     def prob(self, context: Sequence[str], word: str) -> float:
         """P(word | context) under the modified-KN interpolation."""
         w = self._lookup_form(word)
@@ -100,11 +114,15 @@ class NGramModel:
         top = min(self.order, len(ctx) + 1)
         for k in range(1, top + 1):
             sub = ctx[len(ctx) - (k - 1):] if k > 1 else ()
-            entry = self.tables[k - 1].get(sub)
-            if entry is None or entry.total == 0:
+            stats = self._contexts[k - 1]
+            if stats is None:
+                stats = self._context_stats(k)
+            row = stats.get(sub)
+            if row is None:
                 continue  # unseen context: distribution equals lower order
+            total, n1, n2, n3p = row
             d1, d2, d3 = self.discounts[k - 1]
-            c = entry.counts.get(w, 0)
+            c = self.grams[k - 1].get(sub + (w,), 0)
             if c == 0:
                 discount = 0.0
             elif c == 1:
@@ -113,8 +131,8 @@ class NGramModel:
                 discount = d2
             else:
                 discount = d3
-            direct = max(c - discount, 0.0) / entry.total
-            gamma = (d1 * entry.n1 + d2 * entry.n2 + d3 * entry.n3p) / entry.total
+            direct = max(c - discount, 0.0) / total
+            gamma = (d1 * n1 + d2 * n2 + d3 * n3p) / total
             p = direct + gamma * p
         return p
 
@@ -155,20 +173,12 @@ class NGramModel:
         return 2.0 ** (math.fsum(surps) / len(surps))
 
 
-def _count_of_counts(counts: Iterable[int]) -> Counter:
-    coc = Counter()
-    for c in counts:
-        if 1 <= c <= 4:
-            coc[c] += 1
-    return coc
-
-
 def _estimate_discounts(counts: Iterable[int], order_k: int):
     """(D1, D2, D3) for one order; whether the count-of-counts was
     degenerate, so that all three fell back to 0.5; and why any fell back,
     for reports: ``""`` for none, else the count-of-counts or the names of
     the discounts whose formula value was not positive."""
-    coc = _count_of_counts(counts)
+    coc = Counter(counts)
     n1, n2, n3, n4 = coc[1], coc[2], coc[3], coc[4]
     if n1 == 0 or n2 == 0:
         warnings.warn(
@@ -198,23 +208,6 @@ def _estimate_discounts(counts: Iterable[int], order_k: int):
     return tuple(out), False, f"{','.join(fell)} not positive" if fell else ""
 
 
-def _context_tables(grams_by_order: list[dict]) -> list[dict]:
-    """Per order, context -> _ContextEntry from {gram: adjusted count}."""
-    tables: list[dict] = []
-    for grams in grams_by_order:
-        ctxs: dict = {}
-        for gram, c in grams.items():
-            ctxs.setdefault(gram[:-1], {})[gram[-1]] = c
-        table = {}
-        for ctx, counts in ctxs.items():
-            n1 = sum(1 for c in counts.values() if c == 1)
-            n2 = sum(1 for c in counts.values() if c == 2)
-            n3p = sum(1 for c in counts.values() if c >= 3)
-            table[ctx] = _ContextEntry(counts, sum(counts.values()), n1, n2, n3p)
-        tables.append(table)
-    return tables
-
-
 def train(sentences: Iterable[Sequence[str]], order: int = 5,
           map_singletons: bool = False) -> NGramModel:
     """Count, adjust, and discount; returns an immutable scoring model."""
@@ -228,26 +221,29 @@ def train(sentences: Iterable[Sequence[str]], order: int = 5,
         unigrams = Counter(w for s in sents for w in s)
         sents = [[w if unigrams[w] > 1 else UNK for w in s] for s in sents]
 
-    support = tuple(sorted({w for s in sents for w in s}))
+    # One stream of BOS-padded sentences; a window is counted when it ends
+    # on a real token, which the mask marks by position (a real token may
+    # be spelled like the start symbol).
+    stream: list[str] = []
+    real: list[bool] = []
+    pad, pad_mask = [BOS] * (order - 1), [False] * (order - 1)
+    for s in sents:
+        stream += pad
+        stream += s
+        real += pad_mask
+        real += [True] * len(s)
 
-    raw: list[Counter] = [Counter() for _ in range(order)]
-    for sent in sents:
-        padded = [BOS] * (order - 1) + sent
-        for i in range(order - 1, len(padded)):
-            for k in range(1, order + 1):
-                raw[k - 1][tuple(padded[i - k + 1: i + 1])] += 1
-
-    adjusted: list[dict] = [dict() for _ in range(order)]
+    raw = [Counter(compress(zip(*[stream[j:] for j in range(k)]), real[k - 1:]))
+           for k in range(1, order + 1)]
+    adjusted: list[dict] = [{} for _ in range(order)]
     adjusted[order - 1] = dict(raw[order - 1])
     for k in range(order - 1, 0, -1):
-        adj: dict = {}
-        for gram in raw[k]:          # (k+1)-grams: distinct-predecessor types
-            suffix = gram[1:]
-            adj[suffix] = adj.get(suffix, 0) + 1
-        for gram, c in raw[k - 1].items():
-            if gram[0] == BOS:       # start-anchored grams keep raw counts
-                adj[gram] = c
+        # continuation counts: distinct predecessors in the (k+1)-grams;
+        # start-anchored grams cannot be preceded and keep raw counts
+        adj = dict(Counter(map(itemgetter(slice(1, None)), raw[k])))
+        adj.update((gram, c) for gram, c in raw[k - 1].items() if gram[0] == BOS)
         adjusted[k - 1] = adj
+    support = tuple(sorted(w for (w,) in adjusted[0]))
 
     discounts = []
     fallback = []
@@ -260,7 +256,7 @@ def train(sentences: Iterable[Sequence[str]], order: int = 5,
         if why:
             notes[k] = why
 
-    return NGramModel(order, support, discounts, _context_tables(adjusted),
+    return NGramModel(order, support, discounts, adjusted,
                       map_singletons=map_singletons,
                       fallback_orders=tuple(fallback), discount_fallbacks=notes)
 
@@ -281,14 +277,10 @@ def write_model(model: NGramModel, path) -> None:
         fh.write("[discounts]\n")
         for k, (d1, d2, d3) in enumerate(model.discounts, start=1):
             fh.write(f"{k}\t{d1!r}\t{d2!r}\t{d3!r}\n")
-        for k, table in enumerate(model.tables, start=1):
+        for k, grams in enumerate(model.grams, start=1):
             fh.write(f"[ngrams {k}]\n")
-            rows = []
-            for ctx, entry in table.items():
-                for w, c in entry.counts.items():
-                    rows.append((ctx + (w,), c))
-            for gram, c in sorted(rows):
-                fh.write(f"{' '.join(gram)}\t{c}\n")
+            fh.writelines(f"{' '.join(gram)}\t{grams[gram]}\n"
+                          for gram in sorted(grams))
 
 
 def read_model(path) -> NGramModel:
@@ -360,5 +352,5 @@ def read_model(path) -> NGramModel:
                               f"outside 1..{order}")
 
     support = tuple(sorted(w for (w,) in grams[0]))
-    return NGramModel(order, support, discounts, _context_tables(grams),
+    return NGramModel(order, support, discounts, grams,
                       map_singletons=unk, fallback_orders=fallback)

@@ -286,7 +286,7 @@ def test_eval_rejects_a_critical_region_with_infinite_surprisal(tmp_path,
         suite_file = _comma_suite(tmp_path, region)
         assert run(base + ["score", "--suite-file", suite_file,
                            "--model-name", "m"]) == 0
-        capsys.readouterr()
+        assert ", 2 tokens scored inf -> " in capsys.readouterr().out
         assert run(base + ["eval", "--suite-file", suite_file, "--surprisal-file",
                            str(out / "surprisals" / "comma.m.surp"),
                            "--model-name", "m"]) == rc

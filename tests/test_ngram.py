@@ -1,5 +1,7 @@
 import math
 import random
+import warnings
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -235,14 +237,116 @@ def test_discount_fallbacks_name_each_order_and_cause(toy_trees, tmp_path):
     assert back.discount_fallbacks == {} and back == toy
 
 
-def test_adding_a_sentence_never_decreases_counts():
+def test_adding_a_sentence_never_decreases_counts(tmp_path):
     base = [["a", "b"], ["a", "c"]]
     small = ngram.train(base, order=2)
     big = ngram.train(base + [["c", "b", "a"]], order=2)
-    for table_s, table_b in zip(small.tables, big.tables):
-        for ctx, entry in table_s.items():
-            for w, c in entry.counts.items():
-                assert table_b[ctx].counts[w] >= c
+    for grams_s, grams_b in zip(small.grams, big.grams):
+        for gram, c in grams_s.items():
+            assert grams_b[gram] >= c
+    # The context map built on first lookup and the window memo are no
+    # fields: a model that has scored equals a fresh copy of its file.
+    path = tmp_path / "big.model"
+    ngram.write_model(big, path)
+    big.surprisals(["c", "b", "a", "zzzz"])
+    assert big == ngram.read_model(path)
+
+
+# ---------------------------------------------------------------------------
+# Reference oracle: tokenwise counting and per-context n1/n2/n3+ tables.  The
+# model must give the same counts, discounts and ``==`` probabilities.
+
+
+def _reference_grams(sentences, order, map_singletons):
+    """Per order, gram -> adjusted count, counted one window at a time; and
+    the vocabulary."""
+    sents = [list(s) for s in sentences if s]
+    if map_singletons:
+        unigrams = Counter(w for s in sents for w in s)
+        sents = [[w if unigrams[w] > 1 else ngram.UNK for w in s] for s in sents]
+    raw = [Counter() for _ in range(order)]
+    for sent in sents:
+        padded = [ngram.BOS] * (order - 1) + sent
+        for i in range(order - 1, len(padded)):
+            for k in range(1, order + 1):
+                raw[k - 1][tuple(padded[i - k + 1: i + 1])] += 1
+    adjusted = [dict(raw[order - 1])]
+    for k in range(order - 1, 0, -1):
+        adj = {}
+        for gram in raw[k]:          # distinct predecessors
+            adj[gram[1:]] = adj.get(gram[1:], 0) + 1
+        for gram, c in raw[k - 1].items():
+            if gram[0] == ngram.BOS:  # start-anchored grams keep raw counts
+                adj[gram] = c
+        adjusted.insert(0, adj)
+    return adjusted, tuple(sorted({w for s in sents for w in s}))
+
+
+def _reference_tables(grams_by_order):
+    """Per order, context -> (counts by word, total, n1, n2, n3+)."""
+    tables = []
+    for grams in grams_by_order:
+        ctxs = {}
+        for gram, c in grams.items():
+            ctxs.setdefault(gram[:-1], {})[gram[-1]] = c
+        tables.append({
+            ctx: (counts, sum(counts.values()),
+                  sum(1 for c in counts.values() if c == 1),
+                  sum(1 for c in counts.values() if c == 2),
+                  sum(1 for c in counts.values() if c >= 3))
+            for ctx, counts in ctxs.items()})
+    return tables
+
+
+def _reference_prob(tables, discounts, vocab_size, ctx, w):
+    p = 1.0 / vocab_size
+    for k in range(1, len(ctx) + 2):
+        entry = tables[k - 1].get(ctx[len(ctx) - k + 1:])
+        if entry is None:
+            continue
+        counts, total, n1, n2, n3p = entry
+        d1, d2, d3 = discounts[k - 1]
+        c = counts.get(w, 0)
+        discount = 0.0 if c == 0 else d1 if c == 1 else d2 if c == 2 else d3
+        p = (max(c - discount, 0.0) / total
+             + (d1 * n1 + d2 * n2 + d3 * n3p) / total * p)
+    return p
+
+
+def _oracle_corpus(rng):
+    """Sentences over a small vocabulary holding a real ``<s>``, with empty
+    and one-token sentences among them."""
+    vocab = ["a", "b", "c", "d", ngram.BOS]
+    corpus = [[], [rng.choice(vocab)], [ngram.BOS]]
+    for _ in range(rng.randint(8, 24)):
+        corpus.append([rng.choice(vocab) for _ in range(rng.randint(0, 7))])
+    rng.shuffle(corpus)
+    return corpus
+
+
+@pytest.mark.parametrize("map_singletons", [False, True])
+@pytest.mark.parametrize("order", range(1, 7))
+def test_counts_and_probabilities_match_the_tokenwise_reference(order,
+                                                                map_singletons):
+    rng = random.Random(order * 2 + map_singletons)
+    for _ in range(4):
+        corpus = _oracle_corpus(rng)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            model = ngram.train(corpus, order=order,
+                                map_singletons=map_singletons)
+            grams, support = _reference_grams(corpus, order, map_singletons)
+            discounts = [ngram._estimate_discounts(g.values(), k)[0]
+                         for k, g in enumerate(grams, start=1)]
+        assert model.grams == grams
+        assert model.discounts == discounts
+        assert model.support == support
+        tables = _reference_tables(grams)
+        for table in tables:
+            for ctx in table:
+                for w in model.support:
+                    assert model.prob(ctx, w) == _reference_prob(
+                        tables, discounts, len(model.support), ctx, w), (ctx, w)
 
 
 # ---------------------------------------------------------------------------
