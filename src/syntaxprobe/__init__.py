@@ -8,61 +8,11 @@ generative parsing models (:mod:`syntaxprobe.beamsearch`), region-surprisal
 scoring and aggregation (:mod:`syntaxprobe.scoring`), and the statistical
 battery (:mod:`syntaxprobe.stats`).  The ``syntaxprobe`` command line wires
 the stages together; see also the narrative scripts under ``demos/``.
-"""
 
-from .corpus import (
-    DEFAULT_BUCKETS,
-    ExposureBucket,
-    LexiconStats,
-    Tree,
-    TransitivityClass,
-    active_only_verbs,
-    build_lexicon,
-    classify_transitivity,
-    exposure_bucket,
-    filter_polar_overlap,
-    parse_treebank,
-    read_treebank,
-    vbn_fraction,
-)
-from .ngram import NGramModel, train
-from .beamsearch import (
-    PCFGActionModel,
-    SubprocessActionModel,
-    ToyPCFG,
-    exact_marginal,
-    parse_grammar,
-    word_sync_beam,
-)
-from .scoring import (
-    SurprisalRecord,
-    align,
-    evaluate_suite,
-    item_accuracy,
-    read_surprisal_file,
-    region_surprisal,
-    summarize,
-    write_surprisal_file,
-)
-from .stats import (
-    BinomialSummary,
-    accuracy_curve,
-    binom_test_above,
-    fit_logistic,
-    pearson_test,
-    wilson_ci,
-)
-from .suites import (
-    SuiteResources,
-    TestItem,
-    TestSuite,
-    generate_suite,
-    instantiate,
-    read_suite,
-    read_suite_defs,
-    sample_targets,
-    validate_suite,
-    write_suite,
-)
+Each name lives in its module and is imported from there (``from
+syntaxprobe.corpus import build_lexicon``).  The package re-exports
+nothing, so ``import syntaxprobe`` loads none of its modules, and importing
+one loads only the modules that one imports.
+"""
 
 __version__ = "0.1.0"

@@ -15,13 +15,12 @@ import json
 import math
 import os
 import shlex
-import sys
 from dataclasses import dataclass, fields
 
 from . import beamsearch, corpus, ngram, scoring, stats, suites, toydata
 from .corpus import DEFAULT_BUCKETS
 from .errors import (AlignmentError, DeadBeamError, FormatError, SyntaxProbeError,
-                     UsageError, gc_paused, open_text, write_text)
+                     UsageError, gc_paused, open_text, report, write_text)
 
 
 @dataclass
@@ -83,9 +82,11 @@ def _blank_is(default, parse):
     return lambda text: parse(text) if text.strip() else default
 
 
-_BOOLEANS = dict.fromkeys(("true", "1", "yes", "on"), True) \
-    | dict.fromkeys(("false", "0", "no", "off", ""), False)
-_BOOLEAN = (lambda text: _BOOLEANS[text.strip().lower()], "boolean")
+#: configparser's booleans, which ``invariance`` in the suite definitions
+#: reads too; a blank value is False.
+_BOOLEAN = (_blank_is(False, lambda text:
+                      configparser.ConfigParser.BOOLEAN_STATES[text.strip().lower()]),
+            "boolean")
 
 #: Every typed key's (parse, rule): ``parse`` maps the key's text to its
 #: RunConfig value, raising ValueError, KeyError or FormatError against ``rule``.
@@ -213,7 +214,7 @@ def cmd_stats(cfg: RunConfig, args) -> int:
             fh.write(w + "\n")
 
     nouns = [w for w in lex.words()
-             if suites._majority_tag(lex.stats(w)) in ("NN", "NNS")]
+             if corpus.majority_tag(lex.stats(w)) in ("NN", "NNS")]
     kept, removed = corpus.filter_polar_overlap(nouns, lex)
     with write_text(os.path.join(base, "polar_overlap.tsv")) as fh:
         fh.write(f"#nouns\t{len(nouns)}\tremoved\t{len(removed)}\n")
@@ -294,7 +295,7 @@ def _model_spec(cfg: RunConfig, args):
 def _sentences(suite) -> list:
     """(sentence id, tokens) for each item's two conditions, in file order."""
     return [(scoring.sentence_id(item.item_id, condition), item.tokens(condition))
-            for item in suite.items for condition in ("gram", "ungram")]
+            for item in suite.items for condition in suites.CONDITIONS]
 
 
 def _write_surprisals(cfg: RunConfig, suite, name: str, records) -> None:
@@ -608,15 +609,10 @@ def main(argv=None) -> int:
                           {"seed": args.seed, "out": args.out})
         with gc_paused():  # the stage's data dies with it (errors.gc_paused)
             return _COMMANDS[args.command](cfg, args)
-    except SyntaxProbeError as exc:
-        error = exc
+    except (SyntaxProbeError, OSError) as exc:
+        return report(exc)
     except UnicodeDecodeError as exc:
-        error = FormatError(f"input is not UTF-8: {exc}")
-    except OSError as exc:
-        error = UsageError(f"{exc.filename}: {exc.strerror}" if exc.filename
-                           else str(exc))
-    print(f"error:{error.category}: {error}", file=sys.stderr)
-    return 2 if isinstance(error, UsageError) else 1
+        return report(FormatError(f"input is not UTF-8: {exc}"))
 
 
 if __name__ == "__main__":

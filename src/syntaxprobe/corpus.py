@@ -513,6 +513,14 @@ def classify_transitivity(
     return calls
 
 
+def majority_tag(stats: WordStats) -> str | None:
+    """A word's most frequent POS tag (the first in code-point order on a
+    tie), or None for a word never tagged."""
+    if not stats.pos:
+        return None
+    return sorted(stats.pos.items(), key=lambda kv: (-kv[1], kv[0]))[0][0]
+
+
 def vbn_fraction(lex: LexiconStats, verb: str) -> float:
     """Fraction of a verb's occurrences tagged as passive participle."""
     stats = lex.stats(verb)

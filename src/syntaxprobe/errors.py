@@ -3,7 +3,8 @@ file openers every reader and writer goes through, and the collector pause
 the stages and the beam search run under.
 
 Every error raised by this package carries a ``category`` token that the CLI
-prints on stderr, so scripted callers can switch on it without parsing prose.
+and the reference scorer print on stderr (:func:`report`), so scripted
+callers can switch on it without parsing prose.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import contextlib
 import gc
 import os
+import sys
 
 
 class SyntaxProbeError(Exception):
@@ -83,6 +85,17 @@ class RankError(SyntaxProbeError):
 
 class UsageError(SyntaxProbeError):
     category = "usage-error"
+
+
+def report(error: SyntaxProbeError | OSError) -> int:
+    """Print ``error`` as one ``error:<category>: <message>`` line on stderr
+    and return the exit code: 2 for a usage error or a file that cannot be
+    opened (an OSError), else 1."""
+    if isinstance(error, OSError):
+        error = UsageError(f"{error.filename}: {error.strerror}" if error.filename
+                           else str(error))
+    print(f"error:{error.category}: {error}", file=sys.stderr)
+    return 2 if isinstance(error, UsageError) else 1
 
 
 @contextlib.contextmanager

@@ -10,7 +10,10 @@ It keeps a table from state id to parser state, so a new state
 PCFG adapter, which prunes generation actions to the requested next word
 when one is given (structural scores are unchanged, so a list sums to at
 most 1).  A malformed or illegal request is answered with one
-``ERR <reason>`` line, and the scorer goes on serving.
+``ERR <reason>`` line, and the scorer goes on serving.  A grammar that does
+not load ends the scorer before its header with one ``error:<category>:``
+line on stderr, with the CLI's tokens and exit codes: 1, or 2 for a file
+that cannot be read.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from .beamsearch import (
     parse_action,
     read_grammar,
 )
-from .errors import FormatError, SyntaxProbeError
+from .errors import FormatError, SyntaxProbeError, report
 
 
 def _score(model: PCFGActionModel, states: dict, line: str) -> str:
@@ -84,7 +87,10 @@ def main(argv=None) -> int:
         print("usage: python -m syntaxprobe.pcfg_scorer GRAMMAR_FILE",
               file=sys.stderr)
         return 2
-    serve(argv[0])
+    try:
+        serve(argv[0])  # answers a bad request with ERR and goes on
+    except (SyntaxProbeError, OSError) as exc:
+        return report(exc)
     return 0
 
 

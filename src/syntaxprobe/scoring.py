@@ -22,10 +22,10 @@ from typing import Iterable
 from .errors import (AlignmentError, FormatError, InputError, open_text, read_rows,
                      write_text)
 from .stats import BinomialSummary
+from .suites import CONDITIONS
 
 SURPRISAL_HEADER = "#syntax-probe-surprisal v1"
 _BASE_SCALES = {"base=2": 1.0, "base=e": 1.0 / math.log(2.0)}
-CONDITIONS = ("gram", "ungram")
 DEFAULT_TIE_EPS = 1e-9
 
 

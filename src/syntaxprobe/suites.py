@@ -31,8 +31,10 @@ from .corpus import (
     TransitivityClass,
     active_only_verbs,
     exposure_bucket,
+    filter_polar_overlap,
     is_punct,
     lexicon_digest,
+    majority_tag,
     parse_bucket_label,
 )
 from .errors import (EmptyPoolError, FormatError, GenerationError, InputError, open_text,
@@ -192,6 +194,10 @@ def read_suite_defs(path) -> SuiteDefs:
 # Items and suites
 
 
+#: An item's two sentences, in the order suite files list them.
+CONDITIONS = ("gram", "ungram")
+
+
 @dataclass(frozen=True)
 class TestItem:
     __test__ = False  # not a pytest class, despite the name
@@ -242,20 +248,14 @@ class SuiteResources:
     irregular: frozenset = frozenset()
 
 
-def _majority_tag(stats) -> str | None:
-    if not stats.pos:
-        return None
-    return sorted(stats.pos.items(), key=lambda kv: (-kv[1], kv[0]))[0][0]
-
-
 def candidate_pool(lex: LexiconStats, suite_def: SuiteDef, category: str,
                    resources: SuiteResources) -> list[str]:
     """All word forms eligible for a suite/category, any exposure."""
     if category in NOUN_CATEGORIES:
         tag = "NN" if category == "singular" else "NNS"
-        pool = [w for w in lex.words() if _majority_tag(lex.stats(w)) == tag]
+        pool = [w for w in lex.words() if majority_tag(lex.stats(w)) == tag]
         if suite_def.kind == "polar_inversion":
-            pool = [w for w in pool if lex.stats(w).inverted == 0]
+            pool, _ = filter_polar_overlap(pool, lex)
         return pool
     if category not in VERB_CATEGORIES:
         raise InputError(f"unknown category {category!r}")
@@ -551,7 +551,7 @@ def validate_suite(
         seen_ids.add(item.item_id)
         per_bucket.setdefault(item.bucket, {}).setdefault(item.category, set()).add(item.target)
 
-        for condition in ("gram", "ungram"):
+        for condition in CONDITIONS:
             tokens = item.tokens(condition)
             start, end = item.region(condition)
             if not (0 <= start < end <= len(tokens)):
@@ -629,7 +629,7 @@ def write_suite(suite: TestSuite, path) -> None:
         fh.write("#item_id\tsuite_id\ttarget\tcategory\tbucket\tcondition"
                  "\ttokens\tregion_start\tregion_end\n")
         for item in suite.items:
-            for condition in ("gram", "ungram"):
+            for condition in CONDITIONS:
                 tokens = item.tokens(condition)
                 start, end = item.region(condition)
                 fh.write(

@@ -348,7 +348,7 @@ def test_ptb_active_only_verb_count(ptb_lexicon):
 @pytest.mark.skipif(not PTB_PATH, reason="SP_PTB_PATH not configured")
 def test_ptb_polar_overlap_count(ptb_lexicon):
     nouns = [w for w in ptb_lexicon.words()
-             if suites._majority_tag(ptb_lexicon.stats(w)) in ("NN", "NNS")]
+             if corpus.majority_tag(ptb_lexicon.stats(w)) in ("NN", "NNS")]
     _kept, removed = corpus.filter_polar_overlap(nouns, ptb_lexicon)
     assert len(removed) == 15
     _ok("polar-overlap filtering removes 15 nouns on the WSJ treebank")

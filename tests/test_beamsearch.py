@@ -3,6 +3,7 @@ import json
 import math
 import random
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -437,6 +438,21 @@ def test_subprocess_scorer_bad_header():
     argv = [sys.executable, "-c", "print('hello')"]
     with pytest.raises(FormatError):
         bs.SubprocessActionModel(argv)
+
+
+def test_scorer_reports_a_grammar_that_does_not_load(tmp_path):
+    bad = tmp_path / "bad.pcfg"
+    bad.write_text("0.5 S -> a\n")
+    missing = tmp_path / "missing.pcfg"
+    for path, code, line in [
+            (bad, 1, f"error:grammar-error: {bad}: probabilities for S sum to 0.5"),
+            (missing, 2, f"error:usage-error: {missing}: No such file or directory")]:
+        proc = subprocess.run(_scorer_argv(path), input="", capture_output=True,
+                              text=True)
+        assert proc.returncode == code
+        assert proc.stdout == ""  # no header was announced
+        assert proc.stderr.splitlines() == [line]
+        assert "Traceback" not in proc.stderr
 
 
 def test_close_kills_a_scorer_that_ignores_quit(monkeypatch):

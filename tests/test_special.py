@@ -52,6 +52,21 @@ def test_entry_points_do_not_import_numpy(module):
     assert out.strip() == "[]"
 
 
+@pytest.mark.parametrize("module, loaded", [
+    ("syntaxprobe", ["syntaxprobe"]),
+    ("syntaxprobe.pcfg_scorer", ["syntaxprobe", "syntaxprobe.beamsearch",
+                                 "syntaxprobe.errors", "syntaxprobe.pcfg_scorer"]),
+])
+def test_entry_points_load_only_their_modules(module, loaded):
+    # The package re-exports nothing, so its __init__ loads no submodule.
+    code = (f"import sys, {module}\n"
+            "print(' '.join(sorted(m for m in sys.modules\n"
+            "                      if m.startswith('syntaxprobe'))))")
+    out = subprocess.run([sys.executable, "-c", code], env=_src_env(),
+                         check=True, capture_output=True, text=True).stdout
+    assert out.split() == loaded
+
+
 def test_only_analyze_imports_numpy(tmp_path):
     # Each stage of the toy pipeline in a fresh interpreter; -X importtime
     # names every module the stage imports on stderr.
