@@ -646,7 +646,8 @@ class SubprocessActionModel(GenerativeActionModel):
         if header != PROTOCOL_HEADER:
             self.close()
             raise FormatError(
-                f"scorer did not announce {PROTOCOL_HEADER!r} (got {header!r})"
+                f"scorer did not announce {PROTOCOL_HEADER!r} (got {header!r}; "
+                f"exit status {self._proc.returncode})"
             )
 
     def _add_refs(self, chain, refs: list) -> None:

@@ -559,10 +559,13 @@ def read_transitivity_lexicon(path) -> dict[str, str]:
     """Two-column ``verb<TAB>transitive|intransitive`` file."""
     marks: dict[str, str] = {}
     with read_rows(path) as (_, rows):
-        for _, fields in rows:
+        for lineno, fields in rows:
             fields = [f.strip() for f in fields]
             if not fields[0].startswith("#"):
                 verb, mark = fields
+                if mark.lower() not in ("transitive", "intransitive"):
+                    raise FormatError(f"{path}:{lineno}: bad transitivity mark "
+                                      f"{mark!r} for {verb!r}")
                 marks[verb] = mark
     return marks
 

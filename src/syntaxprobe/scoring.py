@@ -197,13 +197,19 @@ def summarize(outcomes: Iterable[tuple]) -> list[EvalCell]:
             for (bucket, category), got in sorted(groups.items())]
 
 
-def _check_region_finite(item, record: SurprisalRecord, condition: str,
-                         where) -> None:
+def _region_bits(item, record: SurprisalRecord, condition: str, where) -> float:
+    """:func:`region_surprisal`, with a region token that is not finite, or
+    a sum too large for a float, an InputError naming ``where``."""
     for i in range(*item.region(condition)):
         if not math.isfinite(record.surprisals[i]):
             raise InputError(f"{where}: item {item.item_id} {condition}: "
                              f"critical region token {record.tokens[i]!r} at "
                              f"index {i} has surprisal {record.surprisals[i]!r}")
+    try:
+        return region_surprisal(item, record, condition)
+    except OverflowError:
+        raise InputError(f"{where}: item {item.item_id} {condition}: critical "
+                         "region surprisal overflows a float") from None
 
 
 def evaluate_suite(suite, records: Iterable[SurprisalRecord],
@@ -211,18 +217,17 @@ def evaluate_suite(suite, records: Iterable[SurprisalRecord],
     """Per-item results, in suite order, and their :func:`summarize` cells.
 
     A critical region token whose surprisal is not finite (``inf`` for a
-    token the model never saw) is an InputError naming ``path``, the suite
-    file (the suite id without one), the item, the condition and the token.
-    Tokens outside the regions may be non-finite."""
+    token the model never saw), or a region whose sum overflows a float, is
+    an InputError naming ``path``, the suite file (the suite id without
+    one), the item, the condition and any such token.  Tokens outside the
+    regions may be non-finite."""
     aligned = align(suite, records)
     where = suite.suite_id if path is None else path
     results = []
     for item in suite.items:
-        for condition in CONDITIONS:
-            _check_region_finite(item, aligned[item.item_id][condition],
-                                 condition, where)
-        g = region_surprisal(item, aligned[item.item_id]["gram"], "gram")
-        u = region_surprisal(item, aligned[item.item_id]["ungram"], "ungram")
+        pair = aligned[item.item_id]
+        g = _region_bits(item, pair["gram"], "gram", where)
+        u = _region_bits(item, pair["ungram"], "ungram", where)
         results.append(ItemResult(item.item_id, item.bucket, item.category,
                                   item.target, g, u, item_accuracy(g, u, eps_tie)))
     return results, summarize((r.bucket, r.category, r.correct) for r in results)

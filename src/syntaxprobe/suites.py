@@ -6,12 +6,19 @@ polar questions with and without a four-word modifier) and verbal argument
 structure (infinitival and past-tense actives, passives with no/short/long
 modifiers, and the same passives restricted to verbs never seen as
 participles).  Every item pairs a grammatical and an ungrammatical sentence
-differing only as the suite's condition rule prescribes: an agreement swap,
-an auxiliary swap, an auxiliary deletion, or an object deletion.
+that differ as the suite's kind prescribes.  One table, ``_KINDS``, says
+what a kind fixes: the condition rule its suite files record, its two
+categories, the frame and condition-value keys its definitions give, and
+the pair shape.  ``copula_agreement`` and ``polar_inversion`` swap one
+token (the copula, the fronted auxiliary); ``passive_aux`` and
+``object_manipulation`` drop the auxiliary or the object (up to three
+tokens) from one side.
 
 Templates and filler inventories live in an editable definitions file (see
-``data/suites.cfg``); generation is a pure function of (lexicon,
-definitions, seed) and suite files are byte-identical across runs.
+``data/suites.cfg``).  A definition gives ``kind``, ``categories``,
+``region``, ``target_tag``, ``invariance``, ``pool_*`` and its kind's keys,
+and nothing else.  Generation is a pure function of (lexicon, definitions,
+seed) and suite files are byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -43,17 +50,31 @@ from .errors import (EmptyPoolError, FormatError, GenerationError, InputError, o
 NOUN_CATEGORIES = ("singular", "plural")
 VERB_CATEGORIES = ("transitive", "intransitive")
 
-KIND_CONDITION_RULES = {
-    "copula_agreement": "verb-form swap",
-    "polar_inversion": "auxiliary swap",
-    "object_manipulation": "object deletion",
-    "passive_aux": "auxiliary deletion",
+
+@dataclass(frozen=True)
+class _Kind:
+    rule: str           # the condition rule suite files record
+    categories: tuple   # sorted, the order generation walks them
+    frames: tuple       # frame keys a definition gives
+    values: tuple       # condition-value keys (verb_*/aux_*) a definition gives
+    drop: int           # tokens one side of a pair may lack; 0: a one-token swap
+
+
+_KINDS = {
+    "copula_agreement": _Kind("verb-form swap", ("plural", "singular"), ("frame",),
+                              ("verb_singular", "verb_plural"), 0),
+    "polar_inversion": _Kind("auxiliary swap", ("plural", "singular"),
+                             ("frame_present", "frame_past"),
+                             ("aux_singular_present", "aux_plural_present",
+                              "aux_singular_past", "aux_plural_past"), 0),
+    "object_manipulation": _Kind("object deletion", ("intransitive", "transitive"),
+                                 ("frame_with_object", "frame_without_object"), (), 3),
+    "passive_aux": _Kind("auxiliary deletion", ("intransitive", "transitive"),
+                         ("frame_with_aux", "frame_without_aux"), (), 1),
 }
 
-_OTHER = {
-    "singular": "plural", "plural": "singular",
-    "transitive": "intransitive", "intransitive": "transitive",
-}
+#: Keys a definition of any kind may give, besides ``pool_*`` and its kind's.
+_COMMON_KEYS = ("kind", "categories", "region", "target_tag", "invariance")
 
 
 # ---------------------------------------------------------------------------
@@ -88,32 +109,12 @@ class SuiteDefs:
         return list(self.defs)
 
 
-_FRAME_KEYS = (
-    "frame", "frame_present", "frame_past",
-    "frame_with_object", "frame_without_object",
-    "frame_with_aux", "frame_without_aux",
-)
-
-_KIND_REQUIRED = {
-    "copula_agreement": ("frame", "verb_singular", "verb_plural"),
-    "polar_inversion": (
-        "frame_present", "frame_past",
-        "aux_singular_present", "aux_plural_present",
-        "aux_singular_past", "aux_plural_past",
-    ),
-    "object_manipulation": ("frame_with_object", "frame_without_object"),
-    "passive_aux": ("frame_with_aux", "frame_without_aux"),
-}
-
-
 def _frame_slot_names(frame_tokens) -> list[str]:
-    names = []
-    for tok in frame_tokens:
-        if tok.startswith("{") and tok.endswith("}"):
-            name = tok[1:-1]
-            if name not in names:
-                names.append(name)
-    return names
+    """The ``{name}`` slots that the definition's pools fill, in first-use
+    order; ``{target}``, ``{verb}`` and ``{aux}`` are set per item."""
+    return [name for name in dict.fromkeys(t[1:-1] for t in frame_tokens
+                                           if t.startswith("{") and t.endswith("}"))
+            if name not in ("target", "verb", "aux")]
 
 
 def parse_suite_defs(text: str, source: str = "<string>") -> SuiteDefs:
@@ -126,27 +127,26 @@ def parse_suite_defs(text: str, source: str = "<string>") -> SuiteDefs:
     defs = {}
     for section in parser.sections():
         raw = dict(parser[section])
-        kind = raw.get("kind")
-        if kind not in KIND_CONDITION_RULES:
-            raise FormatError(f"[{section}]: unknown kind {kind!r}")
-        for key in _KIND_REQUIRED[kind]:
+        kind = _KINDS.get(raw.get("kind"))
+        if kind is None:
+            raise FormatError(f"[{section}]: unknown kind {raw.get('kind')!r}")
+        for key in raw:
+            if not (key in _COMMON_KEYS or key in kind.frames or key in kind.values
+                    or key.startswith("pool_")):
+                raise FormatError(f"[{section}]: unknown key {key!r}" + (
+                    " (from [shared])" if key in parser.defaults() else ""))
+        for key in kind.frames + kind.values:
             if key not in raw:
                 raise FormatError(f"[{section}]: missing key {key!r}")
-        categories = tuple(c.strip() for c in raw.get("categories", "").split(",") if c.strip())
-        expected = NOUN_CATEGORIES if kind in ("copula_agreement", "polar_inversion") else VERB_CATEGORIES
-        if sorted(categories) != sorted(expected):
-            raise FormatError(f"[{section}]: categories must be {expected}")
-        frames = {
-            key: tuple(raw[key].split())
-            for key in _FRAME_KEYS if key in raw
-        }
+        categories = sorted(c.strip() for c in raw.get("categories", "").split(",")
+                            if c.strip())
+        if tuple(categories) != kind.categories:
+            raise FormatError(f"[{section}]: categories must be {kind.categories}")
+        frames = {key: tuple(raw[key].split()) for key in kind.frames}
+        values = {key: raw[key].strip() for key in kind.values}
         pools = {
             key[len("pool_"):]: [e.strip() for e in value.split(",") if e.strip()]
             for key, value in raw.items() if key.startswith("pool_")
-        }
-        values = {
-            key: value.strip() for key, value in raw.items()
-            if key.startswith(("verb_", "aux_"))
         }
         try:
             invariance = parser.getboolean(section, "invariance", fallback=False)
@@ -157,10 +157,13 @@ def parse_suite_defs(text: str, source: str = "<string>") -> SuiteDefs:
         if not (region.startswith("slot:") or re.fullmatch("last:[1-9][0-9]*", region)):
             raise FormatError(f"[{section}]: region must be 'slot:NAME' or 'last:K' "
                               "with K >= 1")
-        d = SuiteDef(
+        for name in _frame_slot_names(t for frame in frames.values() for t in frame):
+            if name not in pools:
+                raise FormatError(f"[{section}]: slot {{{name}}} has no pool_{name}")
+        defs[section] = SuiteDef(
             suite_id=section,
-            kind=kind,
-            categories=tuple(sorted(categories)),
+            kind=raw["kind"],
+            categories=kind.categories,
             region=region,
             frames=frames,
             values=values,
@@ -168,13 +171,6 @@ def parse_suite_defs(text: str, source: str = "<string>") -> SuiteDefs:
             target_tag=raw.get("target_tag"),
             invariance=invariance,
         )
-        for frame_tokens in frames.values():
-            for name in _frame_slot_names(frame_tokens):
-                if name in ("target", "verb", "aux"):
-                    continue
-                if name not in pools:
-                    raise FormatError(f"[{section}]: slot {{{name}}} has no pool_{name}")
-        defs[section] = d
     if not defs:
         raise FormatError("suite definitions file has no sections")
     return SuiteDefs(defs, hashlib.sha256(text.encode()).hexdigest())
@@ -343,7 +339,7 @@ def _region(defn: SuiteDef, tokens, spans) -> tuple:
 
 def _condition_frames(defn: SuiteDef, category: str, meta: dict):
     """(gram frame+values, ungram frame+values) for one item."""
-    other = _OTHER[category]
+    (other,) = set(defn.categories) - {category}
     if defn.kind == "copula_agreement":
         frame = defn.frames["frame"]
         return (frame, {"verb": defn.values[f"verb_{category}"]}), \
@@ -353,11 +349,9 @@ def _condition_frames(defn: SuiteDef, category: str, meta: dict):
         tense = meta["tense"]
         return (frame, {"aux": defn.values[f"aux_{category}_{tense}"]}), \
                (frame, {"aux": defn.values[f"aux_{other}_{tense}"]})
-    if defn.kind in ("object_manipulation", "passive_aux"):
-        with_f, without_f = (defn.frames[k] for k in _KIND_REQUIRED[defn.kind])
-        pair = (with_f, without_f) if category == "transitive" else (without_f, with_f)
-        return (pair[0], {}), (pair[1], {})
-    raise InputError(f"unknown kind {defn.kind!r}")
+    with_f, without_f = (defn.frames[k] for k in _KINDS[defn.kind].frames)
+    pair = (with_f, without_f) if category == "transitive" else (without_f, with_f)
+    return (pair[0], {}), (pair[1], {})
 
 
 def instantiate(
@@ -391,11 +385,7 @@ def _instances(defn: SuiteDef, target: str, k: int, rng: random.Random):
     """k deterministic (fillers, meta) frame instances for one target word."""
 
     def combos(frame_names) -> list[dict]:
-        slot_names: list[str] = []
-        for fname in frame_names:
-            for name in _frame_slot_names(defn.frames[fname]):
-                if name not in ("target", "verb", "aux") and name not in slot_names:
-                    slot_names.append(name)
+        slot_names = _frame_slot_names(t for f in frame_names for t in defn.frames[f])
         pools = [defn.pools[name] for name in slot_names]
         out = []
         for values in itertools.product(*pools):
@@ -420,8 +410,7 @@ def _instances(defn: SuiteDef, target: str, k: int, rng: random.Random):
                 for i in rng.sample(range(len(options)), need)
             )
         return picked
-    frame_names = [name for name in _FRAME_KEYS if name in defn.frames]
-    options = combos(frame_names)
+    options = combos(_KINDS[defn.kind].frames)
     if len(options) < k:
         raise GenerationError(
             f"{defn.suite_id}: only {len(options)} frame variants, need {k}"
@@ -484,7 +473,7 @@ def generate_suite(
     suite = TestSuite(
         suite_id=suite_id,
         kind=defn.kind,
-        condition_rule=KIND_CONDITION_RULES[defn.kind],
+        condition_rule=_KINDS[defn.kind].rule,
         items=items,
         invariance=defn.invariance,
         provenance={
@@ -543,6 +532,7 @@ def validate_suite(
     def bad(item_id, code, message):
         violations.append((item_id, code, message))
 
+    kind = _KINDS.get(suite.kind)
     seen_ids = set()
     per_bucket: dict = {}
     for item in suite.items:
@@ -570,19 +560,16 @@ def validate_suite(
                         f"(< {filler_min_count})")
 
         _, gmid, umid = _diff_spans(item.gram_tokens, item.ungram_tokens)
-        rule = suite.condition_rule
-        if rule in ("verb-form swap", "auxiliary swap"):
-            pair_ok = len(gmid) == 1 and len(umid) == 1
-        elif rule == "auxiliary deletion":
-            pair_ok = (len(gmid) == 1 and not umid) or (len(umid) == 1 and not gmid)
-        elif rule == "object deletion":
-            pair_ok = (bool(gmid) != bool(umid)) and 1 <= max(len(gmid), len(umid)) <= 3
-        else:
+        if kind is None:
             pair_ok = False
+        elif kind.drop:  # one side lacks 1..drop tokens the other has
+            pair_ok = not (gmid and umid) and 1 <= len(gmid) + len(umid) <= kind.drop
+        else:
+            pair_ok = len(gmid) == len(umid) == 1
         if not pair_ok:
             bad(item.item_id, "minimal-pair",
                 f"conditions differ as {list(gmid)!r} vs {list(umid)!r}, "
-                f"not per rule {rule!r}")
+                f"not per rule {suite.condition_rule!r}")
 
         if lex is not None:
             if suite.kind == "polar_inversion" and lex.stats(item.target).inverted > 0:

@@ -402,6 +402,20 @@ def test_subprocess_spec_without_a_command_is_usage_error(tmp_path, capsys, spec
     assert not (out / "surprisals").exists()
 
 
+def test_scorer_that_exits_before_its_header_names_its_status(tmp_path, capsys):
+    # The scorer prints its own usage-error line and exits 2 on a grammar
+    # file it cannot read; the CLI's line carries that status.
+    scorer = shlex.join([sys.executable, "-m", "syntaxprobe.pcfg_scorer",
+                         str(tmp_path / "missing.pcfg")])
+    rc = run(["--config", _write_config(tmp_path), "--out", str(tmp_path / "out"),
+              "score", "--suite-file", str(_tiny_suite(tmp_path)),
+              "--model", f"subprocess:{scorer}"])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error:format-error: scorer did not announce '#syntax-probe-scorer v2' "
+        "(got ''; exit status 2)\n")
+
+
 def test_dead_beam_names_the_suite_file_and_sentence(tmp_path, capsys):
     # The second suite's ungrammatical sentence is outside the grammar's
     # language {fast, slow} go: the call stops there, after the first
@@ -610,6 +624,28 @@ def test_bad_suite_defs_name_the_file_on_one_line(tmp_path, capsys, monkeypatch,
     err = capsys.readouterr().err
     assert err.startswith(f"error:format-error: {defs}: ")
     assert err.count("\n") == 1 and "<string>" not in err
+
+
+@pytest.mark.parametrize("section, line", [
+    ("argstruct_active_inf", "target_tagg = VB"),
+    ("number_base", "frame_with_aux = The {subject} was {target} ."),
+], ids=["misspelt-key", "other-kinds-frame"])
+def test_unknown_suite_defs_key_names_file_section_and_key(tmp_path, capsys,
+                                                           monkeypatch, section, line):
+    defs = tmp_path / "defs.cfg"
+    defs.write_text(toydata.default_suites_path().read_text(encoding="utf-8")
+                    .replace(f"[{section}]\n", f"[{section}]\n{line}\n"))
+    monkeypatch.setenv("SP_SUITE_DEFS", str(defs))
+    lexicon = tmp_path / "lexicon.tsv"
+    lexicon.write_text("#syntax-probe-lexicon v1 lowercase=1\n"
+                       "fast\t2\tJJ:2\t0\t0\t0\t0\n")
+    out = tmp_path / "out"
+    assert run(["--config", _write_config(tmp_path), "--out", str(out),
+                "gen", "--suite", "all", "--lexicon", str(lexicon)]) == 1
+    key = line.split(" = ")[0]
+    assert capsys.readouterr().err == (
+        f"error:format-error: {defs}: [{section}]: unknown key {key!r}\n")
+    assert not (out / "suites").exists()
 
 
 @pytest.mark.parametrize("old, new", [
@@ -1022,6 +1058,42 @@ def test_surprisal_id_that_comes_back_is_duplicate(tmp_path, capsys):
     assert rc == 1
     assert (f"error:format-error: {surp}:4: duplicate sentence id"
             in capsys.readouterr().err)
+
+
+def test_overflowing_region_surprisal_is_input_error(tmp_path, capsys):
+    # Each surprisal is finite, but the region's sum is not.
+    suite_file = tmp_path / "wide.suite"
+    suite_file.write_text(_tiny_suite(tmp_path).read_text()
+                          .replace("\tfast go\t0\t1\n", "\tfast go go\t1\t3\n")
+                          .replace("\tslow go\t0\t1\n", "\tslow go go\t1\t3\n"))
+    surp = tmp_path / "wide.surp"
+    surp.write_text(f"{scoring.SURPRISAL_HEADER} base=2\n" + "".join(
+        f"tiny.b2.fast.f00:{condition}\t{i}\t{token}\t{value}\n"
+        for condition, first in (("gram", "fast"), ("ungram", "slow"))
+        for i, (token, value) in enumerate([(first, 1.0), ("go", 1e308), ("go", 1e308)])))
+    out = tmp_path / "out"
+    rc = run(["--config", _write_config(tmp_path), "--out", str(out),
+              "eval", "--suite-file", str(suite_file), "--surprisal-file", str(surp)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error:undefined-input: {suite_file}: item tiny.b2.fast.f00 gram: critical "
+        "region surprisal overflows a float\n")
+    assert not (out / "eval").exists()
+
+
+def test_bad_transitivity_mark_names_file_and_line(tmp_path, capsys, monkeypatch):
+    marks = tmp_path / "marks.tsv"
+    marks.write_text("# verb\tmark\nfast\ttransitive\npraised\tsometimes\n")
+    monkeypatch.setenv("SP_TRANSITIVITY", str(marks))
+    lexicon = tmp_path / "lexicon.tsv"
+    lexicon.write_text("#syntax-probe-lexicon v1 lowercase=1\n"
+                       "fast\t2\tJJ:2\t0\t0\t0\t0\n")
+    rc = run(["--config", _write_config(tmp_path), "--out", str(tmp_path / "out"),
+              "stats", "--lexicon", str(lexicon)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error:format-error: {marks}:3: bad transitivity mark 'sometimes' "
+        "for 'praised'\n")
 
 
 def test_deep_tree_goes_through_ingest_and_train_ngram(tmp_path):

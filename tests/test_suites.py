@@ -65,6 +65,30 @@ def test_defs_invariance_typo_rejected():
         parse_suite_defs(_COPULA + "invariance = ture\n")
 
 
+@pytest.mark.parametrize("line, key", [
+    ("target_tagg = VB", "target_tagg"),
+    ("frame_with_aux = The {target} was .", "frame_with_aux"),
+    ("verb_dual = are", "verb_dual"),
+], ids=["misspelt", "other-kinds-frame", "other-value"])
+def test_defs_unknown_key_rejected(line, key):
+    with pytest.raises(FormatError) as err:
+        parse_suite_defs(_COPULA + line + "\n")
+    assert str(err.value) == f"[x]: unknown key {key!r}"
+
+
+def test_defs_unknown_shared_key_names_its_section():
+    with pytest.raises(FormatError) as err:
+        parse_suite_defs("[shared]\npool_x = a\ntarget_tagg = VB\n" + _COPULA)
+    assert str(err.value) == "[x]: unknown key 'target_tagg' (from [shared])"
+
+
+def test_defs_kind_sets_the_categories():
+    assert parse_suite_defs(_COPULA.replace("singular, plural", "plural,singular"))[
+        "x"].categories == ("plural", "singular")
+    with pytest.raises(FormatError, match=r"\[x\]: categories must be"):
+        parse_suite_defs(_COPULA.replace("singular, plural", "transitive, intransitive"))
+
+
 def test_default_defs_load(suite_defs):
     assert len(suite_defs.ids()) == 13
     assert "number_base" in suite_defs.ids()
@@ -272,6 +296,28 @@ def test_validation_flags_minimal_pair_break(toy_suites, toy_lex):
         [tampered] + suite.items[1:], suite.provenance, suite.shortfalls)
     report = validate_suite(corrupted, toy_lex)
     assert any(v[1] == "minimal-pair" for v in report.violations)
+
+
+@pytest.mark.parametrize("kind, gram, ungram, ok", [
+    ("copula_agreement", "the w is .", "the w are .", True),
+    ("copula_agreement", "the w is .", "the w .", False),
+    ("polar_inversion", "is the w ?", "are the w ?", True),
+    ("passive_aux", "the d was w .", "the d w .", True),
+    ("passive_aux", "the d w .", "the d was w .", True),
+    ("passive_aux", "the d was so w .", "the d w .", False),
+    ("passive_aux", "the d was w .", "the d is w .", False),
+    ("object_manipulation", "the d w the big p .", "the d w .", True),
+    ("object_manipulation", "the d w .", "the d w p .", True),
+    ("object_manipulation", "the d w the very big p .", "the d w .", False),
+    ("object_manipulation", "the d w p .", "the d w q .", False),
+    ("mystery", "the w is .", "the w are .", False),
+])
+def test_validation_pair_shape_follows_kind(kind, gram, ungram, ok):
+    gram, ungram = tuple(gram.split()), tuple(ungram.split())
+    item = suites.TestItem("s.b1.w.f00", "s", "w", "singular", 1,
+                           gram, (0, len(gram)), ungram, (0, len(ungram)))
+    report = validate_suite(suites.TestSuite("s", kind, "r", [item]))
+    assert [v[1] for v in report.violations] == ([] if ok else ["minimal-pair"])
 
 
 def _codes(report, code):
