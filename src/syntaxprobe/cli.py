@@ -5,22 +5,25 @@ library modules, so each stage can be replaced by an external tool.  All
 outputs are byte-deterministic for fixed inputs and seed.  Configuration
 comes from an INI file (``[syntaxprobe]`` section), overridden by
 ``SP_``-prefixed environment variables, overridden by flags.
+
+This module parses arguments, builds the config and dispatches; each stage
+imports the modules it runs when it runs, so it loads only those.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
-import json
+import contextlib
 import math
 import os
 import shlex
 from dataclasses import dataclass, fields
 
-from . import beamsearch, corpus, ngram, scoring, stats, suites, toydata
+from . import corpus
 from .corpus import DEFAULT_BUCKETS
-from .errors import (AlignmentError, DeadBeamError, FormatError, SyntaxProbeError,
-                     UsageError, gc_paused, open_text, report, write_text)
+from .errors import (DeadBeamError, FormatError, SyntaxProbeError, UsageError, gc_paused,
+                     open_text, report, write_text)
 
 
 @dataclass
@@ -36,7 +39,7 @@ class RunConfig:
     filler_min_count: int = 50
     transitive_hi: float = 0.9
     intransitive_lo: float = 0.1
-    eps_tie: float = scoring.DEFAULT_TIE_EPS
+    eps_tie: float = 1e-9
     words_per_category: int = 20
     frames_per_word: int = 20
     order: int = 5
@@ -56,14 +59,13 @@ class RunConfig:
             raise UsageError("a seed is required (config key 'seed' or --seed)")
         return self.seed
 
-    def suite_defs_path(self) -> str:
-        return self.suite_defs or str(toydata.default_suites_path())
-
-    def transitivity_path(self) -> str:
-        return self.transitivity or str(toydata.default_transitivity_path())
-
-    def irregular_path(self) -> str:
-        return self.irregular or str(toydata.default_irregular_path())
+    def data_path(self, key: str) -> str:
+        """The file config key ``key`` names, else the bundled default."""
+        from . import toydata
+        default = {"suite_defs": toydata.default_suites_path,
+                   "transitivity": toydata.default_transitivity_path,
+                   "irregular": toydata.default_irregular_path}[key]
+        return getattr(self, key) or str(default())
 
 
 _CONFIG_KEYS = tuple(f.name for f in fields(RunConfig))
@@ -188,27 +190,28 @@ def _load_lexicon(cfg: RunConfig, args) -> corpus.LexiconStats:
                                         "lexicon table (run ingest)"))
 
 
-def _resources(cfg: RunConfig, lex) -> suites.SuiteResources:
-    marks = corpus.read_transitivity_lexicon(cfg.transitivity_path())
-    irregular = corpus.read_irregular_verbs(cfg.irregular_path())
+def _resources(cfg: RunConfig, lex) -> tuple:
+    """(transitivity marks, transitivity calls, irregular verbs)."""
+    marks = corpus.read_transitivity_lexicon(cfg.data_path("transitivity"))
+    irregular = corpus.read_irregular_verbs(cfg.data_path("irregular"))
     calls = corpus.classify_transitivity(
         lex, marks, hi=cfg.transitive_hi, lo=cfg.intransitive_lo)
-    return suites.SuiteResources(marks, calls, irregular)
+    return marks, calls, irregular
 
 
 def cmd_stats(cfg: RunConfig, args) -> int:
     lex = _load_lexicon(cfg, args)
-    res = _resources(cfg, lex)
+    _, calls, irregular = _resources(cfg, lex)
     base = os.path.join(cfg.out, "wordstats")
 
     with write_text(os.path.join(base, "transitivity.tsv")) as fh:
         fh.write("#word\tmarked\tclass\treason\tobj_fraction\n")
-        for word in sorted(res.transitivity_calls):
-            c = res.transitivity_calls[word]
+        for word in sorted(calls):
+            c = calls[word]
             frac = "" if c.obj_fraction is None else f"{c.obj_fraction:.4f}"
             fh.write(f"{word}\t{c.marked}\t{c.klass.value}\t{c.reason}\t{frac}\n")
 
-    active = corpus.active_only_verbs(lex, res.irregular)
+    active = corpus.active_only_verbs(lex, irregular)
     with write_text(os.path.join(base, "active_only.txt")) as fh:
         for w in active:
             fh.write(w + "\n")
@@ -223,7 +226,7 @@ def cmd_stats(cfg: RunConfig, args) -> int:
 
     with write_text(os.path.join(base, "vbn_fractions.tsv")) as fh:
         fh.write("#word\ttotal\tvbn\tfraction\n")
-        for word in sorted(res.transitivity_calls):
+        for word in sorted(calls):
             if lex.count(word) == 0:
                 continue
             frac = corpus.vbn_fraction(lex, word)
@@ -236,9 +239,10 @@ def cmd_stats(cfg: RunConfig, args) -> int:
 
 def cmd_gen(cfg: RunConfig, args) -> int:
     """Every suite is generated before the first is written."""
+    from . import suites
     lex = _load_lexicon(cfg, args)
-    defs = suites.read_suite_defs(cfg.suite_defs_path())
-    res = _resources(cfg, lex)
+    defs = suites.read_suite_defs(cfg.data_path("suite_defs"))
+    res = suites.SuiteResources(*_resources(cfg, lex))
     seed = cfg.seed_value()
     ids = defs.ids() if args.suite == "all" else [args.suite]
     generated = [suites.generate_suite(
@@ -259,6 +263,7 @@ def cmd_gen(cfg: RunConfig, args) -> int:
 
 
 def cmd_train_ngram(cfg: RunConfig, args) -> int:
+    from . import ngram
     trees = _read_corpus(cfg)
     sentences = [[w for w, _ in t.terminals()] for t in trees]
     model = ngram.train(sentences, order=cfg.order,
@@ -292,64 +297,57 @@ def _model_spec(cfg: RunConfig, args):
     return kind, arg
 
 
-def _sentences(suite) -> list:
-    """(sentence id, tokens) for each item's two conditions, in file order."""
-    return [(scoring.sentence_id(item.item_id, condition), item.tokens(condition))
-            for item in suite.items for condition in suites.CONDITIONS]
-
-
-def _write_surprisals(cfg: RunConfig, suite, name: str, records) -> None:
-    out = os.path.join(cfg.out, "surprisals", f"{suite.suite_id}.{name}.surp")
-    scoring.write_surprisal_file(records, out)
-    # An n-gram trained without singleton mapping scores inf exactly its
-    # out-of-vocabulary tokens.
-    oov = sum(r.surprisals.count(math.inf) for r in records)
-    print(f"score: {len(records)} sentences with {name}, "
-          f"{oov} tokens scored inf -> {out}")
-
-
 def cmd_score(cfg: RunConfig, args) -> int:
     """Score every suite under one model, loaded once.  All suite files are
     read before the first surprisal file is written; a dead beam stops the
     call at its sentence, so that suite gets no surprisal file."""
+    from . import scoring, suites
     loaded = [suites.read_suite(_require(path, "suite file"))
               for path in args.suite_file]
     kind, arg = _model_spec(cfg, args)
     name = args.model_name or kind
 
-    closer = None
-    if kind == "ngram":
-        model = ngram.read_model(_require(arg, "ngram model (run train-ngram)"))
-        surprisals = model.surprisals
-    else:
-        if kind == "pcfg":
-            model = beamsearch.PCFGActionModel(
-                beamsearch.read_grammar(_require(arg, "grammar file")))
+    with contextlib.ExitStack() as stack:
+        if kind == "ngram":
+            from . import ngram
+            surprisals = ngram.read_model(
+                _require(arg, "ngram model (run train-ngram)")).surprisals
         else:
-            model = closer = beamsearch.SubprocessActionModel(arg)
+            from . import beamsearch
+            if kind == "pcfg":
+                model = beamsearch.PCFGActionModel(
+                    beamsearch.read_grammar(_require(arg, "grammar file")))
+            else:
+                model = stack.enter_context(beamsearch.SubprocessActionModel(arg))
 
-        def surprisals(tokens):
-            return beamsearch.word_sync_beam(model, tokens).surprisals
-    try:
+            def surprisals(tokens):
+                return beamsearch.word_sync_beam(model, tokens).surprisals
         for path, suite in zip(args.suite_file, loaded):
             records = []
-            for sid, tokens in _sentences(suite):
-                try:
-                    records.append(scoring.SurprisalRecord(
-                        sid, tuple(tokens), tuple(surprisals(tokens))))
-                except DeadBeamError as exc:
-                    exc.args = (f"{path}: {sid}: {exc}",)
-                    raise
-            _write_surprisals(cfg, suite, name, records)
-    finally:
-        if closer is not None:
-            closer.close()
+            for item in suite.items:
+                for condition in suites.CONDITIONS:
+                    sid = scoring.sentence_id(item.item_id, condition)
+                    tokens = item.tokens(condition)
+                    try:
+                        records.append(scoring.SurprisalRecord(
+                            sid, tuple(tokens), tuple(surprisals(tokens))))
+                    except DeadBeamError as exc:
+                        exc.args = (f"{path}: {sid}: {exc}",)
+                        raise
+            out = os.path.join(cfg.out, "surprisals", f"{suite.suite_id}.{name}.surp")
+            scoring.write_surprisal_file(records, out)
+            # An n-gram trained without singleton mapping scores inf exactly
+            # its out-of-vocabulary tokens.
+            oov = sum(r.surprisals.count(math.inf) for r in records)
+            print(f"score: {len(records)} sentences with {name}, "
+                  f"{oov} tokens scored inf -> {out}")
     return 0
 
 
 def cmd_eval(cfg: RunConfig, args) -> int:
     """Evaluate each suite against the surprisal file in the same position.
     Every input is read and aligned before the first output is written."""
+    from . import scoring, suites
     if len(args.suite_file) != len(args.surprisal_file):
         raise UsageError(f"{len(args.suite_file)} --suite-file paths but "
                          f"{len(args.surprisal_file)} --surprisal-file paths; "
@@ -373,172 +371,26 @@ def cmd_eval(cfg: RunConfig, args) -> int:
     return 0
 
 
-def _items_by_group(paths):
-    groups: dict = {}
-    for path in paths:
-        for row in scoring.read_items_csv(_require(path, "items csv"),
-                                          scoring.ITEMS_COLUMNS,
-                                          {"correct": int,
-                                           "bucket": corpus.parse_bucket_label}):
-            key = (row["suite"], row["model"])
-            groups.setdefault(key, []).append(row)
-    return groups
-
-
-def _fit_rows(key: tuple, X, y, labels, clusters) -> list:
-    """fits.csv rows (key + term, estimate, se, z, p) for one logistic fit;
-    a separated or rank-deficient design gives one ``error:`` row."""
-    try:
-        fit = stats.fit_logistic(X, y, labels=labels, clusters=clusters)
-    except (stats.SeparationError, stats.RankError) as exc:
-        return [key + (f"error:{exc.category}",) + (math.nan,) * 4]
-    return [key + (label, fit.coef[i], fit.se[i], fit.z[i], fit.p[i])
-            for i, label in enumerate(fit.labels)]
-
-
-FITS_COLUMNS = ("suite", "model", "analysis", "term", "estimate", "se", "z", "p",
-                "stars")
-
-
 def cmd_analyze(cfg: RunConfig, args) -> int:
+    from . import analysis
     lex = _load_lexicon(cfg, args)
-    groups = _items_by_group(args.items)
-    fits_rows = []
-    curve_rows = []
-    charts = []
-
-    for (suite_id, model), rows in sorted(groups.items()):
-        # Targets are drawn from the lexicon that made the suite, so a
-        # target it never counted means the suite came from another one.
-        counts = [float(lex.count(r["target"])) for r in rows]
-        if 0.0 in counts:
-            raise AlignmentError(
-                f"target {rows[counts.index(0.0)]['target']!r} of suite "
-                f"{suite_id} does not occur in lexicon {_lexicon_path(cfg, args)}")
-        correct = [r["correct"] for r in rows]
-        targets = [r["target"] for r in rows]
-
-        # Exposure effect on accuracy, raw occurrence counts as predictor,
-        # cluster-robust by target word.
-        fits_rows += _fit_rows((suite_id, model, "exposure"),
-                               [[c] for c in counts], correct, ["occurrences"],
-                               targets)
-
-        # A group whose curve cannot be fit (one exposure value, a singular
-        # design) gets no curve and names the error, like _fit_rows.
-        try:
-            curve = stats.accuracy_curve(list(zip(counts, correct)))
-        except (stats.InputError, stats.RankError) as exc:
-            samples, separated, curve_error = [], False, f"error:{exc.category}"
-        else:
-            samples, separated, curve_error = curve.samples, curve.separated, None
-        for x, p, lo, hi in samples:
-            curve_rows.append((suite_id, model, x, p, lo, hi))
-
-        points = [{"bucket": c.bucket, "log10_exposure": math.log10(c.bucket),
-                   "accuracy": c.summary.accuracy, "ci_lo": c.summary.ci_lo,
-                   "ci_hi": c.summary.ci_hi, "n": c.summary.n}
-                  for c in scoring.summarize((r["bucket"], r["category"], r["correct"])
-                                             for r in rows)
-                  if c.category == "all"]
-        chart = {
-            "title": f"{suite_id} / {model}",
-            "suite": suite_id,
-            "model": model,
-            "encoding": {
-                "x": {"field": "log10_exposure",
-                      "title": "training exposures (log10)"},
-                "y": {"field": "accuracy", "domain": [0.0, 1.0]},
-                "error": {"lo": "ci_lo", "hi": "ci_hi"},
-                "chance": 0.5,
-            },
-            "points": points,
-            "curve": [{"log10_exposure": float(x), "accuracy": float(p),
-                       "band_lo": float(lo), "band_hi": float(hi)}
-                      for x, p, lo, hi in samples],
-            "curve_separated": separated,
-        }
-        if curve_error is not None:
-            chart["curve_error"] = curve_error
-        charts.append(chart)
-
-    # Structural-supervision contrast: accuracy ~ model + bucket, fit over
-    # all models per suite, cluster-robust by item id.
-    by_suite: dict = {}
-    for (suite_id, model), rows in groups.items():
-        by_suite.setdefault(suite_id, {})[model] = rows
-    for suite_id, models in sorted(by_suite.items()):
-        if len(models) < 2:
-            continue
-        names = sorted(models)
-        reference = cfg.reference_model if cfg.reference_model in names else names[0]
-        contrasts = [m for m in names if m != reference]
-        X, y, clusters = [], [], []
-        for m in names:
-            for r in models[m]:
-                dummies = [1.0 if m == c else 0.0 for c in contrasts]
-                X.append(dummies + [math.log10(r["bucket"])])
-                y.append(r["correct"])
-                clusters.append(r["item_id"])
-        labels = [f"model:{m}" for m in contrasts] + ["bucket_log10"]
-        fits_rows += _fit_rows((suite_id, "*", "supervision"), X, y, labels,
-                               clusters)
-
-    fits_out = os.path.join(cfg.out, "analysis", "fits.csv")
-    scoring.write_csv(
-        fits_out, FITS_COLUMNS,
-        ([suite_id, model, analysis, term, f"{est:.6f}", f"{se:.6f}",
-          f"{z:.4f}", f"{p:.6g}", stats.stars(p) if not math.isnan(p) else ""]
-         for suite_id, model, analysis, term, est, se, z, p in fits_rows))
-    scoring.write_csv(
-        os.path.join(cfg.out, "analysis", "curves.csv"),
-        ["suite", "model", "log10_exposure", "p_hat", "band_lo", "band_hi"],
-        ([suite_id, model, f"{x:.6f}", f"{p:.6f}", f"{lo:.6f}", f"{hi:.6f}"]
-         for suite_id, model, x, p, lo, hi in curve_rows))
-    with write_text(os.path.join(cfg.out, "analysis", "charts.json")) as fh:
-        json.dump({"version": 1, "charts": charts}, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-    print(f"analyze: {len(groups)} suite/model groups -> {fits_out}")
+    groups = analysis.read_items(_require(path, "items csv") for path in args.items)
+    fits_rows, charts = analysis.analyze(groups, lex.count, _lexicon_path(cfg, args),
+                                         cfg.reference_model)
+    fits_out = analysis.write_analysis(os.path.join(cfg.out, "analysis"),
+                                       fits_rows, charts)
+    print(f"analyze: {len(charts)} suite/model groups -> {fits_out}")
     return 0
 
 
 def cmd_report(cfg: RunConfig, args) -> int:
-    counts: dict = {}
-    for path in args.eval:
-        for row in scoring.read_eval_csv(_require(path, "eval csv")):
-            if row["category"] == "all":
-                got = counts.setdefault((row["suite"], row["model"]), [0, 0])
-                got[0] += row["p_above_chance"] < 0.05
-                got[1] += 1
-    grid = {key: f"{above}/{total}" for key, (above, total) in counts.items()}
-    suite_ids = list(dict.fromkeys(suite_id for suite_id, _ in grid))
-    models = sorted({model for _, model in grid})
-
-    star_cols: dict = {}
-    if args.fits:
-        for row in scoring.read_items_csv(_require(args.fits, "fits csv"),
-                                          FITS_COLUMNS):
-            if row["analysis"] == "supervision" and row["term"].startswith("model:"):
-                star_cols[(row["suite"], row["term"][len("model:"):])] = row["stars"]
-
-    header = ["suite"] + [f"{m}_above_chance" for m in models]
-    if star_cols:
-        header += [f"{m}_vs_reference" for m in models]
-    rows = [[s] + [grid.get((s, m), "-") for m in models]
-            + ([star_cols.get((s, m), "") for m in models] if star_cols else [])
-            for s in suite_ids]
-    scoring.write_csv(os.path.join(cfg.out, "report", "table.csv"), header, rows)
-
-    table_txt = os.path.join(cfg.out, "report", "table.txt")
-    width = max([len(s) for s in suite_ids] + [5])
-    with write_text(table_txt) as fh:
-        fh.write("suite".ljust(width) + "  " +
-                 "  ".join(m.rjust(12) for m in models) + "\n")
-        for s in suite_ids:
-            cells = [f"{grid.get((s, m), '-')} {star_cols.get((s, m), '')}".rstrip()
-                     for m in models]
-            fh.write("  ".join([s.ljust(width)] + [c.rjust(12) for c in cells]) + "\n")
-    print(f"report: {len(suite_ids)} suites x {len(models)} models -> {table_txt}")
+    from . import analysis
+    eval_rows = analysis.read_evals(_require(path, "eval csv") for path in args.eval)
+    fits_rows = analysis.read_fits(_require(args.fits, "fits csv")) if args.fits else []
+    models, header, rows = analysis.report_table(eval_rows, fits_rows)
+    table_txt = analysis.write_report(os.path.join(cfg.out, "report"), models,
+                                      header, rows)
+    print(f"report: {len(rows)} suites x {len(models)} models -> {table_txt}")
     return 0
 
 

@@ -271,13 +271,15 @@ def write_items_csv(results: Iterable[ItemResult], path, suite_id: str,
                for r in results))
 
 
-def read_items_csv(path, required=(), types=None) -> list[dict]:
+def read_items_csv(path, required=(), types=None, key=(), seen=None) -> list[dict]:
     """Rows of a table written by :func:`write_csv`, as dicts keyed by its
     header, with each column named in ``types`` converted by its type.  A
     header without every ``required`` column, a row with more or fewer
     fields than the header, or a value its type rejects is a FormatError at
-    its line."""
+    its line.  A row that repeats the ``key`` columns of a row in ``seen``
+    (key -> line, shared across calls) is an AlignmentError naming both."""
     types = types or {}
+    seen = {} if seen is None else seen
     with open_text(path, newline="") as fh:
         reader = csv.DictReader(fh)
         header = reader.fieldnames or []
@@ -296,9 +298,17 @@ def read_items_csv(path, required=(), types=None) -> list[dict]:
                     raise FormatError(
                         f"{path}:{reader.line_num}: bad {column} "
                         f"{row[column]!r}") from None
+            if key:
+                values = tuple(row[column] for column in key)
+                if values in seen:
+                    raise AlignmentError(
+                        f"{path}:{reader.line_num}: a second row for {', '.join(key)} "
+                        f"{values}, first read at {seen[values]}")
+                seen[values] = f"{path}:{reader.line_num}"
             rows.append(row)
         return rows
 
 
-def read_eval_csv(path) -> list[dict]:
-    return read_items_csv(path, EVAL_COLUMNS, {"p_above_chance": float})
+def read_eval_csv(path, seen=None) -> list[dict]:
+    return read_items_csv(path, EVAL_COLUMNS, {"p_above_chance": float},
+                          key=("suite", "model", "bucket", "category"), seen=seen)

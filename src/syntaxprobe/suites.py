@@ -260,7 +260,7 @@ def candidate_pool(lex: LexiconStats, suite_def: SuiteDef, category: str,
         active = set(active_only_verbs(lex, resources.irregular))
         return sorted(
             w for w, mark in resources.transitivity_marks.items()
-            if mark == category and w in active
+            if mark.strip().lower() == category and w in active
         )
     pool = []
     for w, call in resources.transitivity_calls.items():

@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import inspect
 import json
 import math
 import os
@@ -64,6 +65,24 @@ def test_config_precedence_env_then_flags(tmp_path, monkeypatch):
     cfg = cli.load_config(_write_config(tmp_path, seed="1"),
                           {"SP_SEED": "2"}, {"seed": 3})
     assert cfg.seed_value() == 3
+
+
+def test_run_config_defaults_are_the_library_defaults():
+    # RunConfig spells its defaults out so that importing cli loads no
+    # library module; each must stay the default of the call it feeds.
+    def default(fn, name):
+        return inspect.signature(fn).parameters[name].default
+
+    cfg = cli.RunConfig()
+    assert cfg.order == default(ngram.train, "order")
+    for key, name in (("words_per_category", "words_per_category"),
+                      ("frames_per_word", "frames_per_word"),
+                      ("filler_min_count", "filler_min_count"),
+                      ("buckets", "bucket_table")):
+        assert getattr(cfg, key) == default(suites.generate_suite, name), key
+    assert cfg.transitive_hi == default(corpus.classify_transitivity, "hi")
+    assert cfg.intransitive_lo == default(corpus.classify_transitivity, "lo")
+    assert cfg.eps_tie == scoring.DEFAULT_TIE_EPS
 
 
 def test_unknown_config_key_is_usage_error(tmp_path):
@@ -745,6 +764,31 @@ def test_bad_report_input_is_format_error(tmp_path, capsys, which, text, lineno)
               "report", "--eval", str(evals), "--fits", str(fits)])
     assert rc == 1
     assert f"error:format-error: {bad}:{lineno}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("stage", ["analyze", "report"])
+@pytest.mark.parametrize("same_file", [True, False], ids=["same-file", "two-files"])
+def test_duplicated_input_rows_are_alignment_errors(tmp_path, capsys, stage, same_file):
+    # A row read twice would count a bucket twice in the report grid, or
+    # halve the standard errors of every fit.
+    head, row = (_ITEMS_HEAD, _ITEMS_ROW) if stage == "analyze" else (_EVAL_HEAD, _EVAL_ROW)
+    other = row.replace(".f00", ".f01").replace(",2,", ",3,")  # another item, bucket
+    first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+    first.write_text(f"{head}\n{row}\n")
+    second.write_text(f"{head}\n{other}\n{row}\n")
+    lexicon = tmp_path / "lexicon.tsv"
+    lexicon.write_text("#syntax-probe-lexicon v1 lowercase=1\n"
+                       "fast\t2\tJJ:2\t0\t0\t0\t0\n")
+    repeat = f"{first}:2" if same_file else f"{second}:3"
+    inputs = [str(first), str(first if same_file else second)]
+    argv = (["analyze", "--items", *inputs, "--lexicon", str(lexicon)]
+            if stage == "analyze" else ["report", "--eval", *inputs])
+    out = tmp_path / "out"
+    assert run(["--config", _write_config(tmp_path), "--out", str(out), *argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error:alignment-error: {repeat}: a second row for suite, model, ")
+    assert err.rstrip().endswith(f"first read at {first}:2")
+    assert not out.exists()
 
 
 def test_analyze_records_a_curve_it_cannot_fit(tmp_path):

@@ -56,6 +56,9 @@ def test_entry_points_do_not_import_numpy(module):
     ("syntaxprobe", ["syntaxprobe"]),
     ("syntaxprobe.pcfg_scorer", ["syntaxprobe", "syntaxprobe.beamsearch",
                                  "syntaxprobe.errors", "syntaxprobe.pcfg_scorer"]),
+    # corpus checks the bucket table when the config is loaded.
+    ("syntaxprobe.cli", ["syntaxprobe", "syntaxprobe.cli", "syntaxprobe.corpus",
+                         "syntaxprobe.errors"]),
 ])
 def test_entry_points_load_only_their_modules(module, loaded):
     # The package re-exports nothing, so its __init__ loads no submodule.
@@ -69,30 +72,39 @@ def test_entry_points_load_only_their_modules(module, loaded):
 
 def test_only_analyze_imports_numpy(tmp_path):
     # Each stage of the toy pipeline in a fresh interpreter; -X importtime
-    # names every module the stage imports on stderr.
+    # names every module the stage imports on stderr.  Each stage loads
+    # exactly its package modules (cli runs as __main__, so it is not among
+    # them), and only analyze loads numpy.
     config = tmp_path / "probe.cfg"
     config.write_text("[syntaxprobe]\n"
                       f"corpus = {syntaxprobe.toydata.toy_treebank_path()}\n"
                       "lowercase = true\nseed = 13\nwords_per_category = 2\n")
     suite, surp = "out/suites/number_base.suite", "out/surprisals/number_base.m.surp"
+    evaluating = {"scoring", "stats", "suites"}
     stages = [
-        ["ingest"], ["stats"], ["gen", "--suite", "number_base"], ["train-ngram"],
-        ["score", "--suite-file", suite, "--model-name", "m"],
-        ["eval", "--suite-file", suite, "--surprisal-file", surp,
-         "--model-name", "m"],
-        ["analyze", "--items", "out/eval/number_base.m.items.csv"],
-        ["report", "--eval", "out/eval/number_base.m.eval.csv",
-         "--fits", "out/analysis/fits.csv"],
+        (["ingest"], set()),
+        (["stats"], {"toydata"}),
+        (["gen", "--suite", "number_base"], {"suites", "toydata"}),
+        (["train-ngram"], {"ngram"}),
+        (["score", "--suite-file", suite, "--model-name", "m"], {"ngram"} | evaluating),
+        (["eval", "--suite-file", suite, "--surprisal-file", surp,
+          "--model-name", "m"], evaluating),
+        (["analyze", "--items", "out/eval/number_base.m.items.csv"],
+         {"analysis"} | evaluating),
+        (["report", "--eval", "out/eval/number_base.m.eval.csv",
+          "--fits", "out/analysis/fits.csv"], {"analysis"} | evaluating),
     ]
     base = [sys.executable, "-X", "importtime", "-m", "syntaxprobe.cli",
             "--config", str(config), "--out", "out"]
-    for stage in stages:
+    for stage, modules in stages:
         proc = subprocess.run(base + stage, cwd=tmp_path, env=_src_env(),
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         imported = re.findall(r"^import time:.*\|\s*([\w.]+)\s*$", proc.stderr,
                               re.M)
-        assert "syntaxprobe.stats" in imported
+        loaded = {m for m in imported if m.startswith("syntaxprobe")}
+        assert loaded == {"syntaxprobe", "syntaxprobe.corpus", "syntaxprobe.errors"} | {
+            f"syntaxprobe.{m}" for m in modules}, stage[0]
         uses_numpy = any(m == "numpy" or m.startswith("numpy.") for m in imported)
         assert uses_numpy == (stage[0] == "analyze"), stage[0]
 

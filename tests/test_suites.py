@@ -149,6 +149,19 @@ def test_invariance_pool_is_active_only(toy_lex, suite_defs, resources):
     assert "cured" not in pool  # has a participle occurrence
 
 
+def test_invariance_pool_folds_the_case_of_marks(toy_lex, suite_defs, resources):
+    # classify_transitivity reads "Transitive" as "transitive"; the pools too.
+    marks = {w: m.capitalize() for w, m in resources.transitivity_marks.items()}
+    capitalized = SuiteResources(marks, corpus.classify_transitivity(toy_lex, marks),
+                                 resources.irregular)
+    pools = [[suites.candidate_pool(toy_lex, suite_defs["argstruct_invariance"],
+                                    category, res)
+              for category in ("transitive", "intransitive")]
+             for res in (resources, capitalized)]
+    assert pools[1] == pools[0]
+    assert len(pools[0][0]) == 8 and pools[0][1]
+
+
 # ---------------------------------------------------------------------------
 # Instantiation (the paper-shaped examples)
 
