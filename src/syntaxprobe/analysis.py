@@ -14,7 +14,8 @@ import os
 
 from . import scoring, stats
 from .corpus import parse_bucket_label
-from .errors import AlignmentError, InputError, RankError, SeparationError, write_text
+from .errors import (AlignmentError, InputError, RankError, SeparationError, UsageError,
+                     write_text)
 
 FITS_COLUMNS = ("suite", "model", "analysis", "term", "estimate", "se", "z", "p",
                 "stars")
@@ -88,7 +89,17 @@ def analyze(groups: dict, count, lexicon: str, reference_model: str = ""):
     never counted means the suite came from another lexicon.  Each group
     gets an ``exposure`` fit, cluster-robust by target, and a chart; each
     suite with two or more models a ``supervision`` fit, cluster-robust by
-    item, against ``reference_model`` (else the first model name)."""
+    item, against ``reference_model`` (unset: the first model name).
+
+    A set ``reference_model`` must name a model of the run and a model of
+    every suite with a supervision fit; else a UsageError names the first
+    suite it misses and that suite's models."""
+    run_models = {m for models in groups.values() for m in models}
+    for suite_id, models in sorted(groups.items()):
+        if reference_model and reference_model not in models and (
+                len(models) > 1 or reference_model not in run_models):
+            raise UsageError(f"reference_model {reference_model!r} is not a model of "
+                             f"suite {suite_id} (models: {', '.join(sorted(models))})")
     fits_rows, charts = [], []
     for suite_id, models in sorted(groups.items()):
         for model, rows in sorted(models.items()):
@@ -106,7 +117,7 @@ def analyze(groups: dict, count, lexicon: str, reference_model: str = ""):
         if len(models) < 2:
             continue
         names = sorted(models)
-        reference = reference_model if reference_model in names else names[0]
+        reference = reference_model or names[0]
         contrasts = [m for m in names if m != reference]
         rows = [(m, r) for m in names for r in models[m]]
         fits_rows += _fit_rows(

@@ -264,8 +264,8 @@ def cmd_gen(cfg: RunConfig, args) -> int:
 
 def cmd_train_ngram(cfg: RunConfig, args) -> int:
     from . import ngram
-    trees = _read_corpus(cfg)
-    sentences = [[w for w, _ in t.terminals()] for t in trees]
+    # No tree outlives this line, so none is held while train counts.
+    sentences = [[w for w, _ in t.terminals()] for t in _read_corpus(cfg)]
     model = ngram.train(sentences, order=cfg.order,
                         map_singletons=cfg.map_singletons)
     out = os.path.join(cfg.out, "ngram.model")

@@ -22,7 +22,7 @@ from typing import Iterable
 from .errors import (AlignmentError, FormatError, InputError, open_text, read_rows,
                      write_text)
 from .stats import BinomialSummary
-from .suites import CONDITIONS
+from .suites import CONDITIONS, diff_spans
 
 SURPRISAL_HEADER = "#syntax-probe-surprisal v1"
 _BASE_SCALES = {"base=2": 1.0, "base=e": 1.0 / math.log(2.0)}
@@ -95,13 +95,6 @@ def read_surprisal_file(path) -> list[SurprisalRecord]:
 # Alignment and region scoring
 
 
-def _first_divergence(a, b) -> int:
-    """First index where two token sequences differ (the shorter length if
-    one is a prefix of the other)."""
-    return next((i for i, (x, y) in enumerate(zip(a, b)) if x != y),
-                min(len(a), len(b)))
-
-
 def align(suite, records: Iterable[SurprisalRecord]) -> dict:
     """Map item_id -> {condition: record}, verifying token identity: the one
     check of surprisal records against a suite.
@@ -122,7 +115,7 @@ def align(suite, records: Iterable[SurprisalRecord]) -> dict:
         if rec.tokens != tuple(expected):
             raise AlignmentError(
                 f"{rec.sentence_id}: token mismatch at index "
-                f"{_first_divergence(rec.tokens, expected)} "
+                f"{diff_spans(rec.tokens, expected)[0]} "
                 f"(got {list(rec.tokens)!r}, suite has {list(expected)!r})"
             )
         by_item[item_id][condition] = rec

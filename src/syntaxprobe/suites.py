@@ -18,7 +18,8 @@ Templates and filler inventories live in an editable definitions file (see
 ``data/suites.cfg``).  A definition gives ``kind``, ``categories``,
 ``region``, ``target_tag``, ``invariance``, ``pool_*`` and its kind's keys,
 and nothing else.  Generation is a pure function of (lexicon, definitions,
-seed) and suite files are byte-identical across runs.
+seed) and suite files are byte-identical across runs.  A suite's word pools
+and filler combinations are built once; every target draws from them.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from typing import Mapping
 
 from .corpus import (
     DEFAULT_BUCKETS,
-    ExposureBucket,
     LexiconStats,
     TransitivityClass,
     active_only_verbs,
@@ -232,7 +232,7 @@ class TestSuite:
 
 
 # ---------------------------------------------------------------------------
-# Target sampling
+# Target pools
 
 
 @dataclass
@@ -278,31 +278,6 @@ def _derived_rng(*parts) -> random.Random:
     key = ":".join(str(p) for p in parts)
     digest = hashlib.sha256(key.encode()).digest()
     return random.Random(int.from_bytes(digest[:8], "big"))
-
-
-def sample_targets(
-    lex: LexiconStats,
-    category: str,
-    bucket: ExposureBucket,
-    n: int,
-    seed,
-    *,
-    suite_def: SuiteDef,
-    resources: SuiteResources,
-    bucket_table=DEFAULT_BUCKETS,
-) -> list[str]:
-    """Up to ``n`` distinct eligible words whose exposure falls in ``bucket``,
-    drawn uniformly without replacement; deterministic for a fixed seed."""
-    pool = [
-        w for w in candidate_pool(lex, suite_def, category, resources)
-        if exposure_bucket(lex.count(w), bucket_table) == bucket
-    ]
-    if not pool:
-        raise EmptyPoolError(
-            f"{suite_def.suite_id}: no {category} candidates in bucket {bucket.id}"
-        )
-    rng = _derived_rng(seed, suite_def.suite_id, bucket.id, category)
-    return rng.sample(sorted(pool), min(n, len(pool)))
 
 
 # ---------------------------------------------------------------------------
@@ -381,41 +356,39 @@ def _rare_fillers(tokens, target: str, lex: LexiconStats, filler_min_count: int)
             yield tok
 
 
-def _instances(defn: SuiteDef, target: str, k: int, rng: random.Random):
-    """k deterministic (fillers, meta) frame instances for one target word."""
-
-    def combos(frame_names) -> list[dict]:
-        slot_names = _frame_slot_names(t for f in frame_names for t in defn.frames[f])
-        pools = [defn.pools[name] for name in slot_names]
-        out = []
-        for values in itertools.product(*pools):
-            if any(target in v.split() for v in values):
-                continue  # a filler equal to the target would break uniqueness
-            out.append(dict(zip(slot_names, values)))
-        return out
-
+def _frame_variants(defn: SuiteDef) -> list:
+    """(tense, slot names, every filler combination) per frame set: one set
+    per tense for polar inversion, else the kind's frames with tense None."""
     if defn.kind == "polar_inversion":
-        n_past = k // 2
-        n_present = k - n_past
-        picked = []
-        for tense, need in (("present", n_present), ("past", n_past)):
-            options = combos([f"frame_{tense}"])
-            if len(options) < need:
-                raise GenerationError(
-                    f"{defn.suite_id}: only {len(options)} frame variants for "
-                    f"{tense} tense, need {need}"
-                )
-            picked.extend(
-                (options[i], {"tense": tense})
-                for i in rng.sample(range(len(options)), need)
-            )
-        return picked
-    options = combos(_KINDS[defn.kind].frames)
-    if len(options) < k:
-        raise GenerationError(
-            f"{defn.suite_id}: only {len(options)} frame variants, need {k}"
-        )
-    return [(options[i], {}) for i in rng.sample(range(len(options)), k)]
+        frame_sets = [(tense, (f"frame_{tense}",)) for tense in ("present", "past")]
+    else:
+        frame_sets = [(None, _KINDS[defn.kind].frames)]
+    variants = []
+    for tense, frame_names in frame_sets:
+        slot_names = _frame_slot_names(t for f in frame_names for t in defn.frames[f])
+        variants.append((tense, slot_names,
+                         list(itertools.product(*(defn.pools[n] for n in slot_names)))))
+    return variants
+
+
+def _instances(defn: SuiteDef, variants: list, target: str, k: int,
+               rng: random.Random):
+    """k deterministic (fillers, meta) frame instances for one target word:
+    half of them, rounded down, past tense for polar inversion."""
+    picked = []
+    for tense, slot_names, combos in variants:
+        need = k if tense is None else k // 2 if tense == "past" else k - k // 2
+        # a filler equal to the target would break uniqueness
+        options = [values for values in combos
+                   if not any(target in v.split() for v in values)]
+        if len(options) < need:
+            for_tense = f" for {tense} tense" if tense else ""
+            raise GenerationError(f"{defn.suite_id}: only {len(options)} frame "
+                                  f"variants{for_tense}, need {need}")
+        meta = {"tense": tense} if tense else {}
+        picked.extend((dict(zip(slot_names, options[i])), meta)
+                      for i in rng.sample(range(len(options)), need))
+    return picked
 
 
 # ---------------------------------------------------------------------------
@@ -436,25 +409,27 @@ def generate_suite(
 ) -> TestSuite:
     """Deterministically instantiate one suite from a lexicon.
 
-    Buckets that lack candidates produce fewer words (recorded as
-    shortfalls), never resampling from other buckets; a suite whose every
-    bucket is empty raises.  The returned suite has already passed
-    validation.
+    Each (bucket, category) draws up to ``words_per_category`` distinct
+    words, uniformly without replacement, from the eligible words of its
+    exposure bucket.  Buckets that lack candidates produce fewer words
+    (recorded as shortfalls), never resampling from other buckets; a suite
+    whose every bucket is empty raises.  The returned suite has already
+    passed validation.
     """
     defn = defs[suite_id]
-    resources = resources or SuiteResources()
+    pools: dict = {}  # (bucket or None, category) -> eligible words
+    for category in defn.categories:
+        for w in candidate_pool(lex, defn, category, resources or SuiteResources()):
+            bucket = exposure_bucket(lex.count(w), bucket_table)
+            pools.setdefault((bucket, category), []).append(w)
+    variants = _frame_variants(defn)
     items = []
     shortfalls = []
     for bucket in bucket_table:
         for category in defn.categories:
-            try:
-                targets = sample_targets(
-                    lex, category, bucket, words_per_category, seed,
-                    suite_def=defn, resources=resources, bucket_table=bucket_table,
-                )
-            except EmptyPoolError:
-                shortfalls.append((bucket.id, category, words_per_category, 0))
-                continue
+            pool = sorted(pools.get((bucket, category), ()))
+            rng = _derived_rng(seed, suite_id, bucket.id, category)
+            targets = rng.sample(pool, min(words_per_category, len(pool)))
             if len(targets) < words_per_category:
                 shortfalls.append(
                     (bucket.id, category, words_per_category, len(targets))
@@ -462,7 +437,7 @@ def generate_suite(
             for target in targets:
                 rng = _derived_rng(seed, suite_id, bucket.id, category, target)
                 for f_idx, (fillers, meta) in enumerate(
-                    _instances(defn, target, frames_per_word, rng)
+                    _instances(defn, variants, target, frames_per_word, rng)
                 ):
                     gram, ungram = instantiate(defn, target, category, fillers, meta)
                     items.append(TestItem(
@@ -506,7 +481,7 @@ class ValidationReport:
     warnings: list
 
 
-def _diff_spans(a: tuple, b: tuple):
+def diff_spans(a: tuple, b: tuple):
     """(prefix length, a middle, b middle) with maximal common affixes."""
     p = 0
     while p < len(a) and p < len(b) and a[p] == b[p]:
@@ -559,7 +534,7 @@ def validate_suite(
                         f"filler {tok!r} occurs {lex.count(tok)} times "
                         f"(< {filler_min_count})")
 
-        _, gmid, umid = _diff_spans(item.gram_tokens, item.ungram_tokens)
+        _, gmid, umid = diff_spans(item.gram_tokens, item.ungram_tokens)
         if kind is None:
             pair_ok = False
         elif kind.drop:  # one side lacks 1..drop tokens the other has

@@ -8,7 +8,7 @@ from collections import Counter
 import pytest
 
 from syntaxprobe import analysis, cli, scoring
-from syntaxprobe.errors import AlignmentError
+from syntaxprobe.errors import AlignmentError, UsageError
 
 COUNTS = Counter({"fast": 2, "calm": 5, "wild": 30})
 
@@ -69,6 +69,40 @@ def test_analyze_rejects_a_target_the_lexicon_never_counted():
     with pytest.raises(AlignmentError, match="target 'fast' of suite flat does not "
                                              "occur in lexicon lex.tsv"):
         analysis.analyze(_groups(_items()), Counter().__getitem__, "lex.tsv")
+
+
+def _tiny_rows(*models):
+    return [dict(r, model=m) for m in models for r in _items()
+            if r["suite"] == "tiny" and r["model"] == "a"]
+
+
+def test_analyze_rejects_a_reference_model_the_suite_lacks():
+    with pytest.raises(UsageError) as err:
+        analysis.analyze(_groups(_tiny_rows("kn3", "ngram5")), COUNTS.__getitem__,
+                         "lex.tsv", reference_model="kn33")
+    assert str(err.value) == ("reference_model 'kn33' is not a model of suite tiny "
+                              "(models: kn3, ngram5)")
+
+
+def test_cli_analyze_rejects_a_reference_model_of_no_run_model(tmp_path, capsys):
+    # One model per suite gives no supervision fit, but a reference that names
+    # no analysed model is still a mistake: exit 2 before anything is written.
+    items_csv = tmp_path / "tiny.items.csv"
+    scoring.write_csv(items_csv, scoring.ITEMS_COLUMNS,
+                      ([r[c] for c in scoring.ITEMS_COLUMNS] for r in _tiny_rows("ngram5")))
+    lexicon = tmp_path / "lexicon.tsv"
+    lexicon.write_text("#syntax-probe-lexicon v1 lowercase=1\n"
+                       + "".join(f"{w}\t{n}\tJJ:{n}\t0\t0\t0\t0\n"
+                                 for w, n in sorted(COUNTS.items())))
+    config = tmp_path / "probe.cfg"
+    config.write_text("[syntaxprobe]\nreference_model = kn33\n")
+    out = tmp_path / "out"
+    assert cli.main(["--config", str(config), "--out", str(out), "analyze", "--items",
+                     str(items_csv), "--lexicon", str(lexicon)]) == 2
+    assert capsys.readouterr().err == (
+        "error:usage-error: reference_model 'kn33' is not a model of suite tiny "
+        "(models: ngram5)\n")
+    assert not out.exists()
 
 
 _EVALS = [  # (suite, model, bucket, category, p_above_chance)

@@ -1,4 +1,5 @@
 import csv
+import gc
 import hashlib
 import inspect
 import json
@@ -255,6 +256,25 @@ def test_reference_model_sets_the_supervision_contrast(tmp_path):
     terms = [row["term"] for row in scoring.read_items_csv(out / "analysis" / "fits.csv")
              if row["analysis"] == "supervision"]
     assert terms == ["intercept", "model:a", "bucket_log10"]
+
+
+def test_train_ngram_holds_no_tree_while_it_counts(tmp_path, monkeypatch):
+    # Trees that session fixtures keep alive are not this stage's; holding
+    # them here keeps their ids from being reused by the stage's trees.
+    before = [o for o in gc.get_objects() if isinstance(o, corpus.Tree)]
+    old = {id(o) for o in before}
+    held = []
+    train = ngram.train
+
+    def counting_train(*args, **kwargs):
+        held.append(sum(isinstance(o, corpus.Tree) and id(o) not in old
+                        for o in gc.get_objects()))
+        return train(*args, **kwargs)
+
+    monkeypatch.setattr(ngram, "train", counting_train)
+    assert run(["--config", _toy_config(tmp_path), "--out", str(tmp_path / "out"),
+                "train-ngram"]) == 0
+    assert held == [0]
 
 
 def test_eval_mismatched_inputs_fail_with_alignment_error(tmp_path, capsys):

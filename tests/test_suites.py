@@ -9,7 +9,6 @@ from syntaxprobe.suites import (
     instantiate,
     parse_suite_defs,
     read_suite,
-    sample_targets,
     validate_suite,
     write_suite,
 )
@@ -96,41 +95,45 @@ def test_default_defs_load(suite_defs):
 
 
 # ---------------------------------------------------------------------------
-# Target sampling
+# Target pools
 
 
-def test_sample_exhausts_small_pool(toy_lex, suite_defs, resources):
-    bucket = ExposureBucket(2, 2, 2)
-    # The polar suite filters the inverted-frame noun "panel" out of this
-    # bucket, leaving exactly the two dedicated singular targets.
-    got = sample_targets(toy_lex, "singular", bucket, 20, seed=1,
-                         suite_def=suite_defs["number_polar"],
-                         resources=resources)
-    assert sorted(got) == ["president", "senator"]
-    base = sample_targets(toy_lex, "singular", bucket, 20, seed=1,
-                          suite_def=suite_defs["number_base"],
-                          resources=resources)
-    assert sorted(base) == ["panel", "president", "senator"]
+def _targets(suite, bucket_id, category):
+    return {item.target for item in suite.items
+            if item.bucket == bucket_id and item.category == category}
 
 
-def test_sample_is_deterministic(toy_lex, suite_defs, resources):
-    bucket = ExposureBucket(100, 50, 100)
-    kwargs = dict(suite_def=suite_defs["number_base"], resources=resources)
-    a = sample_targets(toy_lex, "plural", bucket, 1, seed=9, **kwargs)
-    b = sample_targets(toy_lex, "plural", bucket, 1, seed=9, **kwargs)
-    c = sample_targets(toy_lex, "plural", bucket, 1, seed=10, **kwargs)
-    assert a == b
-    assert len(c) == 1  # may or may not equal a; determinism is per seed
+def test_generate_exhausts_small_pool(toy_lex, suite_defs, resources):
+    # The polar suite filters the inverted-frame noun "panel" out of bucket 2,
+    # leaving exactly the two dedicated singular targets.
+    kwargs = dict(resources=resources, frames_per_word=1,
+                  bucket_table=(ExposureBucket(2, 2, 2),))
+    polar = generate_suite("number_polar", suite_defs, toy_lex, 1, **kwargs)
+    assert _targets(polar, 2, "singular") == {"president", "senator"}
+    assert (2, "singular", 20, 2) in polar.shortfalls
+    base = generate_suite("number_base", suite_defs, toy_lex, 1, **kwargs)
+    assert _targets(base, 2, "singular") == {"panel", "president", "senator"}
 
 
-def test_sample_empty_pool_names_bucket_and_category(toy_lex, suite_defs,
-                                                     resources):
-    bucket = ExposureBucket(7, 7, 7)  # no toy word occurs exactly 7 times
-    with pytest.raises(EmptyPoolError, match="singular.*bucket 7"):
-        sample_targets(toy_lex, "singular", bucket, 20, seed=1,
-                       suite_def=suite_defs["number_base"],
-                       resources=resources,
-                       bucket_table=(bucket,))
+def test_generate_targets_are_deterministic_per_seed(toy_lex, suite_defs, resources):
+    kwargs = dict(resources=resources, words_per_category=1, frames_per_word=1,
+                  bucket_table=(ExposureBucket(100, 50, 100),))
+    a, b, c = (generate_suite("number_base", suite_defs, toy_lex, seed, **kwargs)
+               for seed in (9, 9, 10))
+    assert _targets(a, 100, "plural") == _targets(b, 100, "plural")
+    assert len(_targets(c, 100, "plural")) == 1  # may or may not equal a's
+
+
+def test_generate_records_an_empty_bucket_as_a_shortfall(toy_lex, suite_defs,
+                                                         resources):
+    # No toy word occurs exactly 7 times; bucket 2 keeps the suite non-empty.
+    suite = generate_suite("number_base", suite_defs, toy_lex, 1, resources=resources,
+                           words_per_category=2, frames_per_word=1,
+                           bucket_table=(ExposureBucket(2, 2, 2),
+                                         ExposureBucket(7, 7, 7)))
+    assert (7, "singular", 2, 0) in suite.shortfalls
+    assert (7, "plural", 2, 0) in suite.shortfalls
+    assert not _targets(suite, 7, "singular")
 
 
 def test_polar_pool_excludes_inverted_nouns(toy_lex, suite_defs, resources):
@@ -214,6 +217,35 @@ def test_instantiate_rejects_low_frequency_filler(suite_defs):
         generate_suite("number_base", defs, lex, seed=1, words_per_category=1,
                        frames_per_word=1, filler_min_count=50,
                        bucket_table=ONE_BUCKET)
+
+
+_POLAR = ("[x]\nkind = polar_inversion\ncategories = singular, plural\n"
+          "frame_present = {aux} the {target} {pred} ?\n"
+          "frame_past = {aux} the {target} {adv} ?\n"
+          "aux_singular_present = Is\naux_plural_present = Are\n"
+          "aux_singular_past = Was\naux_plural_past = Were\nregion = slot:aux\n"
+          "pool_pred = good, bad\npool_adv = now\n")
+
+
+@pytest.mark.parametrize("text, frames, message", [
+    (_COPULA.replace("{verb} .", "{verb} {cont} .") + "pool_cont = good, bad\n", 3,
+     "x: only 2 frame variants, need 3"),
+    # The target "w" is left out of its own fillers, though "ws" keeps both.
+    (_COPULA.replace("{verb} .", "{verb} {cont} .") + "pool_cont = good, w\n", 2,
+     "x: only 1 frame variants, need 2"),
+    (_POLAR, 5, "x: only 2 frame variants for present tense, need 3"),
+    (_POLAR, 4, "x: only 1 frame variants for past tense, need 2"),
+], ids=["plain", "target-excluded", "present", "past"])
+def test_generate_frame_variant_shortage(text, frames, message):
+    lex = LexiconStats(lowercase=True)
+    for word, tag in (("w", "NN"), ("ws", "NNS")):
+        entry = lex._entry(word)
+        entry.total = 4
+        entry.pos[tag] = 4
+    with pytest.raises(GenerationError) as err:
+        generate_suite("x", parse_suite_defs(text), lex, seed=1, words_per_category=1,
+                       frames_per_word=frames, bucket_table=ONE_BUCKET)
+    assert str(err.value) == message
 
 
 # ---------------------------------------------------------------------------
