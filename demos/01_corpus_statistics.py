@@ -46,6 +46,6 @@ print(" ", ", ".join(active_only[:8]), "...")
 
 # Nouns seen in inverted polar questions are banned from polar suites.
 nouns = [w for w in lex.words()
-         if lex.pos_counts(w).get("NN", 0) + lex.pos_counts(w).get("NNS", 0) > 0]
+         if lex.stats(w).pos.get("NN", 0) + lex.stats(w).pos.get("NNS", 0) > 0]
 kept, removed = corpus.filter_polar_overlap(nouns, lex)
 print(f"\npolar-overlap filter: kept {len(kept)} nouns, removed {removed}")

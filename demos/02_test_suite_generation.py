@@ -14,8 +14,7 @@ lex = corpus.build_lexicon(trees, lowercase=True)
 defs = suites.read_suite_defs(toydata.default_suites_path())
 marks = corpus.read_transitivity_lexicon(toydata.default_transitivity_path())
 irregular = corpus.read_irregular_verbs(toydata.default_irregular_path())
-resources = suites.SuiteResources(
-    marks, corpus.classify_transitivity(lex, marks), irregular)
+resources = suites.SuiteResources(corpus.classify_transitivity(lex, marks), irregular)
 
 print("suites:", ", ".join(defs.ids()), "\n")
 

@@ -16,8 +16,7 @@ lex = corpus.build_lexicon(trees, lowercase=True)
 defs = suites.read_suite_defs(toydata.default_suites_path())
 marks = corpus.read_transitivity_lexicon(toydata.default_transitivity_path())
 irregular = corpus.read_irregular_verbs(toydata.default_irregular_path())
-resources = suites.SuiteResources(
-    marks, corpus.classify_transitivity(lex, marks), irregular)
+resources = suites.SuiteResources(corpus.classify_transitivity(lex, marks), irregular)
 model = ngram.train([[w for w, _ in t.terminals()] for t in trees], order=5)
 
 for suite_id in ("number_base", "argstruct_passive"):

@@ -191,17 +191,17 @@ def _load_lexicon(cfg: RunConfig, args) -> corpus.LexiconStats:
 
 
 def _resources(cfg: RunConfig, lex) -> tuple:
-    """(transitivity marks, transitivity calls, irregular verbs)."""
+    """(transitivity calls, irregular verbs)."""
     marks = corpus.read_transitivity_lexicon(cfg.data_path("transitivity"))
     irregular = corpus.read_irregular_verbs(cfg.data_path("irregular"))
     calls = corpus.classify_transitivity(
         lex, marks, hi=cfg.transitive_hi, lo=cfg.intransitive_lo)
-    return marks, calls, irregular
+    return calls, irregular
 
 
 def cmd_stats(cfg: RunConfig, args) -> int:
     lex = _load_lexicon(cfg, args)
-    _, calls, irregular = _resources(cfg, lex)
+    calls, irregular = _resources(cfg, lex)
     base = os.path.join(cfg.out, "wordstats")
 
     with write_text(os.path.join(base, "transitivity.tsv")) as fh:

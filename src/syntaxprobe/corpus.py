@@ -7,9 +7,9 @@ usage, and occurrence as the subject noun of an inverted polar frame.
 Those statistics drive exposure bucketing, transitivity classification and
 the word filters used by suite generation.
 
-Statistics construction is a pure fold over trees: :func:`build_lexicon`
-over a concatenation equals the merge of the parts (see
-:meth:`LexiconStats.merge`), so corpora can be sharded freely.
+The lexicon is one fold over the whole corpus: :func:`build_lexicon`
+numbers its trees from 1 in file order, the way a dependency sidecar
+numbers its sentences.
 """
 
 from __future__ import annotations
@@ -193,14 +193,6 @@ class WordStats:
     inverted: int = 0
     vbn: int = 0
 
-    def merge(self, other: "WordStats") -> None:
-        self.total += other.total
-        self.pos.update(other.pos)
-        self.obj_present += other.obj_present
-        self.obj_absent += other.obj_absent
-        self.inverted += other.inverted
-        self.vbn += other.vbn
-
 
 _EMPTY = WordStats()
 
@@ -232,24 +224,11 @@ class LexiconStats:
     def count(self, word: str) -> int:
         return self.stats(word).total
 
-    def pos_counts(self, word: str) -> Counter:
-        return self.stats(word).pos
-
     def words(self) -> list[str]:
         return sorted(self._words)
 
     def __len__(self):
         return len(self._words)
-
-    def merge(self, other: "LexiconStats") -> "LexiconStats":
-        """Field-wise sum; requires identical case handling."""
-        if self.lowercase != other.lowercase:
-            raise InputError("cannot merge lexicons with different case handling")
-        out = LexiconStats(lowercase=self.lowercase)
-        for src in (self, other):
-            for word, stats in src._words.items():
-                out._entry(word).merge(stats)
-        return out
 
     def __eq__(self, other):
         return (
@@ -425,7 +404,7 @@ def parse_bucket_label(text: str) -> int:
 
 def parse_bucket_table(spec: str) -> tuple[ExposureBucket, ...]:
     """Parse ``"2:2-2,10:6-10,..."``: one or more buckets, each label >= 1
-    (analysis takes its log) and lo <= hi, ranges disjoint."""
+    (analysis takes its log) and lo <= hi, labels distinct, ranges disjoint."""
     buckets = []
     for part in spec.split(","):
         part = part.strip()
@@ -439,6 +418,10 @@ def parse_bucket_table(spec: str) -> tuple[ExposureBucket, ...]:
             raise FormatError(f"bad bucket spec {part!r}") from exc
         if bucket.lo > bucket.hi:
             raise FormatError(f"bad bucket spec {part!r}: lo > hi")
+        for b in buckets:
+            if b.id == bucket.id:
+                raise FormatError(f"bucket label {b.id} given twice: "
+                                  f"{b.lo}-{b.hi} and {bucket.lo}-{bucket.hi}")
         buckets.append(bucket)
     if not buckets:
         raise FormatError("bucket table has no buckets")
@@ -461,7 +444,6 @@ class TransitivityClass(Enum):
 
 @dataclass(frozen=True)
 class TransitivityCall:
-    word: str
     marked: str
     klass: TransitivityClass
     reason: str
@@ -479,7 +461,7 @@ def classify_transitivity(
     A verb marked transitive is kept iff its with-object fraction of active
     uses is >= ``hi``; one marked intransitive iff the fraction is <= ``lo``;
     anything else (including verbs with no evidence) is excluded with a
-    reason code.
+    reason code.  Every marked verb gets a call, its mark lowercased.
     """
     if not hi > lo:
         raise InputError(f"hi ({hi}) must exceed lo ({lo})")
@@ -489,27 +471,18 @@ def classify_transitivity(
         if marked not in ("transitive", "intransitive"):
             raise FormatError(f"bad transitivity mark {external[word]!r} for {word!r}")
         stats = lex.stats(word)
-        if stats.total == 0:
-            calls[word] = TransitivityCall(word, marked, TransitivityClass.EXCLUDED,
-                                           "not-in-corpus")
-            continue
         evidence = stats.obj_present + stats.obj_absent
-        if evidence == 0:
-            calls[word] = TransitivityCall(word, marked, TransitivityClass.EXCLUDED,
-                                           "no-object-evidence")
-            continue
-        frac = stats.obj_present / evidence
-        if marked == "transitive":
-            if frac >= hi:
-                klass, reason = TransitivityClass.TRANSITIVE, "kept"
-            else:
-                klass, reason = TransitivityClass.EXCLUDED, "object-fraction-below-hi"
+        frac = stats.obj_present / evidence if stats.total and evidence else None
+        if stats.total == 0:
+            reason = "not-in-corpus"
+        elif frac is None:
+            reason = "no-object-evidence"
+        elif marked == "transitive":
+            reason = "kept" if frac >= hi else "object-fraction-below-hi"
         else:
-            if frac <= lo:
-                klass, reason = TransitivityClass.INTRANSITIVE, "kept"
-            else:
-                klass, reason = TransitivityClass.EXCLUDED, "object-fraction-above-lo"
-        calls[word] = TransitivityCall(word, marked, klass, reason, frac)
+            reason = "kept" if frac <= lo else "object-fraction-above-lo"
+        klass = TransitivityClass(marked if reason == "kept" else "excluded")
+        calls[word] = TransitivityCall(marked, klass, reason, frac)
     return calls
 
 
@@ -566,6 +539,8 @@ def read_transitivity_lexicon(path) -> dict[str, str]:
                 if mark.lower() not in ("transitive", "intransitive"):
                     raise FormatError(f"{path}:{lineno}: bad transitivity mark "
                                       f"{mark!r} for {verb!r}")
+                if verb in marks:
+                    raise FormatError(f"{path}:{lineno}: {verb!r} listed twice")
                 marks[verb] = mark
     return marks
 
@@ -611,6 +586,8 @@ def read_lexicon(path) -> LexiconStats:
             if fields == _LEXICON_COLUMNS:
                 continue
             word, total, pos, present, absent, inverted, vbn = fields
+            if lex._fold(word) in lex._words:
+                raise ValueError(f"{word!r} listed twice")
             entry = lex._entry(word)
             entry.total = int(total)
             if pos:

@@ -237,16 +237,16 @@ class TestSuite:
 
 @dataclass
 class SuiteResources:
-    """External inputs generation needs beyond the lexicon."""
+    """What generation needs beyond the lexicon: transitivity calls, irregular verbs."""
 
-    transitivity_marks: Mapping[str, str] = field(default_factory=dict)
     transitivity_calls: Mapping = field(default_factory=dict)
     irregular: frozenset = frozenset()
 
 
 def candidate_pool(lex: LexiconStats, suite_def: SuiteDef, category: str,
                    resources: SuiteResources) -> list[str]:
-    """All word forms eligible for a suite/category, any exposure."""
+    """All word forms eligible for a suite/category, any exposure.  Verbs come
+    from the transitivity calls: by mark in invariance suites, else by class."""
     if category in NOUN_CATEGORIES:
         tag = "NN" if category == "singular" else "NNS"
         pool = [w for w in lex.words() if majority_tag(lex.stats(w)) == tag]
@@ -258,15 +258,13 @@ def candidate_pool(lex: LexiconStats, suite_def: SuiteDef, category: str,
     tag = suite_def.target_tag or "VBD"
     if suite_def.invariance:
         active = set(active_only_verbs(lex, resources.irregular))
-        return sorted(
-            w for w, mark in resources.transitivity_marks.items()
-            if mark.strip().lower() == category and w in active
-        )
+        return sorted(w for w, call in resources.transitivity_calls.items()
+                      if call.marked == category and w in active)
     pool = []
     for w, call in resources.transitivity_calls.items():
         if call.klass != TransitivityClass(category):
             continue
-        if lex.pos_counts(w).get(tag, 0) == 0:
+        if lex.stats(w).pos.get(tag, 0) == 0:
             continue
         if suite_def.kind == "passive_aux" and w in resources.irregular:
             continue
@@ -633,6 +631,9 @@ def read_suite(path) -> TestSuite:
                         raise FormatError(f"{path}:{lineno}: item {item_id!r} has "
                                           f"{column} {value!r} here but "
                                           f"{row[column]!r} in its other row")
+                if condition in row:
+                    raise FormatError(f"{path}:{lineno}: item {item_id!r} has a "
+                                      f"second {condition} row")
                 tokens, start, end = tuple(toks.split(" ")), int(rs), int(re_)
                 if not 0 <= start < end <= len(tokens):
                     raise FormatError(f"{path}:{lineno}: region ({start}, {end}) is "

@@ -30,7 +30,7 @@ def resources(toy_lex):
     marks = corpus.read_transitivity_lexicon(toydata.default_transitivity_path())
     irregular = corpus.read_irregular_verbs(toydata.default_irregular_path())
     calls = corpus.classify_transitivity(toy_lex, marks)
-    return suites.SuiteResources(marks, calls, irregular)
+    return suites.SuiteResources(calls, irregular)
 
 
 @pytest.fixture(scope="session")

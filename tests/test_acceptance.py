@@ -63,7 +63,7 @@ def _full_bucket_lexicon():
         entry.total = 1000
         entry.pos["XX"] = 1000
     calls = corpus.classify_transitivity(lex, marks)
-    return lex, suites.SuiteResources(marks, calls, frozenset())
+    return lex, suites.SuiteResources(calls, frozenset())
 
 
 def test_suite_cardinality(suite_defs, toy_lex, resources):

@@ -594,6 +594,7 @@ def test_subprocess_model_starts_one_scorer_for_many_suites(tmp_path,
     "go\t1\tVB\t0\t0\t0\t0",      # pos pair without ':'
     "go\t1\tVB:one\t0\t0\t0\t0",  # non-integer pos count
     "go\t1\tVB:1\t0\t0\t0\t1.5",  # non-integer vbn count
+    "Go\t1\tVB:1\t0\t0\t0\t0",    # the word of line 2 again, once case-folded
 ])
 def test_bad_lexicon_row_is_format_error(tmp_path, capsys, row):
     lexicon = tmp_path / "lexicon.tsv"
@@ -628,10 +629,12 @@ def _corrupt(path, old, new) -> int:
     ("\tfast\tsingular\t2\tungram", "\tslow\tsingular\t2\tungram"),
     ("singular\t2\tungram", "plural\t2\tungram"),
     ("\t2\tungram", "\t3\tungram"),
+    ("\t2\tungram\t", "\t2\tgram\tslow go\t0\t1\n"
+     "tiny.b2.fast.f00\ttiny\tfast\tsingular\t2\tungram\t"),
 ], ids=["bucket", "region-end", "invariance", "key-without-value",
         "short-shortfall", "region-outside-sentence", "region-empty",
         "bucket-zero", "suite-mismatch", "target-mismatch", "category-mismatch",
-        "bucket-mismatch"])
+        "bucket-mismatch", "repeated-condition"])
 def test_bad_suite_row_is_format_error(tmp_path, capsys, old, new):
     suite_file = _tiny_suite(tmp_path)
     lineno = _corrupt(suite_file, old, new)
@@ -970,6 +973,7 @@ def test_tree_order_and_file_split_change_no_output(tmp_path):
     ("buckets", "5:9-3", ["gen", "--suite", "number_base"]),
     ("transitive_hi", "0.05", ["stats"]),
     ("lowercase", "maybe", ["stats"]),
+    ("buckets", "4:3-4,4:5-6", ["gen", "--suite", "number_base"]),
 ])
 def test_bad_config_value_is_usage_error(tmp_path, capsys, monkeypatch, key,
                                          value, command):
@@ -1158,6 +1162,21 @@ def test_bad_transitivity_mark_names_file_and_line(tmp_path, capsys, monkeypatch
     assert capsys.readouterr().err == (
         f"error:format-error: {marks}:3: bad transitivity mark 'sometimes' "
         "for 'praised'\n")
+
+
+def test_repeated_transitivity_verb_names_file_and_line(tmp_path, capsys,
+                                                        monkeypatch):
+    marks = tmp_path / "marks.tsv"
+    marks.write_text("# verb\tmark\neat\ttransitive\neat\tintransitive\n")
+    monkeypatch.setenv("SP_TRANSITIVITY", str(marks))
+    lexicon = tmp_path / "lexicon.tsv"
+    lexicon.write_text("#syntax-probe-lexicon v1 lowercase=1\n"
+                       "eat\t2\tVB:2\t1\t1\t0\t0\n")
+    rc = run(["--config", _write_config(tmp_path), "--out", str(tmp_path / "out"),
+              "stats", "--lexicon", str(lexicon)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error:format-error: {marks}:3: 'eat' listed twice\n")
 
 
 def test_deep_tree_goes_through_ingest_and_train_ngram(tmp_path):

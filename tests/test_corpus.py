@@ -130,7 +130,7 @@ def test_counts_accumulate():
     trees = parse_treebank("(S (NN president))" * 3)
     lex = build_lexicon(trees)
     assert lex.count("president") == 3
-    assert dict(lex.pos_counts("president")) == {"NN": 3}
+    assert dict(lex.stats("president").pos) == {"NN": 3}
 
 
 def test_object_absent_for_bare_vp():
@@ -182,14 +182,6 @@ def test_inversion_detector_on_hand_annotated_trees():
     assert lex.stats("dog").inverted == 0
     assert lex.stats("man").inverted == 0
     assert lex.stats("judge").inverted == 0
-
-
-def test_lexicon_additivity():
-    a = parse_treebank("(S (NP (NN man)) (VP (VBD saw) (NP (NN dog))))")
-    b = parse_treebank("(S (NP (NNS dogs)) (VP (VBD slept)))"
-                       "(SQ (VBZ Is) (NP (NN man)) (ADJP (JJ ok)))")
-    merged = build_lexicon(a).merge(build_lexicon(b))
-    assert merged == build_lexicon(a + b)
 
 
 def test_build_lexicon_requires_trees():
@@ -272,6 +264,8 @@ def test_bucket_table_parse():
     for spec in ("2:2-5,4:4-6", "0:0-4", "5:9-3", "", " , "):
         with pytest.raises(corpus.FormatError):
             corpus.parse_bucket_table(spec)
+    with pytest.raises(corpus.FormatError, match="label 4 given twice: 3-4 and 5-6"):
+        corpus.parse_bucket_table("4:3-4,4:5-6")
 
 
 # ---------------------------------------------------------------------------

@@ -154,8 +154,9 @@ def test_invariance_pool_is_active_only(toy_lex, suite_defs, resources):
 
 def test_invariance_pool_folds_the_case_of_marks(toy_lex, suite_defs, resources):
     # classify_transitivity reads "Transitive" as "transitive"; the pools too.
-    marks = {w: m.capitalize() for w, m in resources.transitivity_marks.items()}
-    capitalized = SuiteResources(marks, corpus.classify_transitivity(toy_lex, marks),
+    marks = {w: call.marked.capitalize()
+             for w, call in resources.transitivity_calls.items()}
+    capitalized = SuiteResources(corpus.classify_transitivity(toy_lex, marks),
                                  resources.irregular)
     pools = [[suites.candidate_pool(toy_lex, suite_defs["argstruct_invariance"],
                                     category, res)
@@ -270,7 +271,7 @@ def test_generate_all_excluded_verbs_is_empty_pool(suite_defs):
         entry.obj_absent = 2  # 0.5: excluded under both thresholds
     marks = {"mystery": "transitive", "enigma": "intransitive"}
     calls = corpus.classify_transitivity(lex, marks)
-    res = SuiteResources(marks, calls, frozenset())
+    res = SuiteResources(calls, frozenset())
     with pytest.raises(EmptyPoolError):
         generate_suite("argstruct_active_past", suite_defs, lex, seed=1,
                        resources=res, bucket_table=ONE_BUCKET)
@@ -390,26 +391,26 @@ def test_validation_flags_target_count(toy_suites, toy_lex):
         (item.item_id, "target occurs 0 times in ungram sentence")]
 
 
-def test_validation_flags_polar_overlap(toy_suites, toy_lex):
+def test_validation_flags_polar_overlap(toy_suites, toy_trees):
     suite = toy_suites("number_polar")
     target = suite.items[0].target
-    inverted = corpus.build_lexicon(corpus.parse_treebank(
-        f"(SQ (VBZ Is) (NP (DT the) (NN {target})) (ADJP (JJ good)) (. ?))"),
-        lowercase=True)
-    report = validate_suite(suite, toy_lex.merge(inverted))
+    inverted = corpus.parse_treebank(
+        f"(SQ (VBZ Is) (NP (DT the) (NN {target})) (ADJP (JJ good)) (. ?))")
+    report = validate_suite(suite, corpus.build_lexicon(toy_trees + inverted,
+                                                        lowercase=True))
     flagged = _codes(report, "polar-overlap")
     assert flagged == [(i.item_id, f"target {target!r} occurs in inverted frames")
                        for i in suite.items if i.target == target]
 
 
-def test_validation_flags_participle_evidence(toy_suites, toy_lex):
+def test_validation_flags_participle_evidence(toy_suites, toy_trees):
     suite = toy_suites("argstruct_invariance")
     assert suite.invariance
     target = suite.items[0].target
-    participle = corpus.build_lexicon(corpus.parse_treebank(
-        f"(S (NP (NN man)) (VP (VBD was) (VP (VBN {target}))) (. .))"),
-        lowercase=True)
-    report = validate_suite(suite, toy_lex.merge(participle))
+    participle = corpus.parse_treebank(
+        f"(S (NP (NN man)) (VP (VBD was) (VP (VBN {target}))) (. .))")
+    report = validate_suite(suite, corpus.build_lexicon(toy_trees + participle,
+                                                        lowercase=True))
     flagged = _codes(report, "participle-evidence")
     assert flagged == [(i.item_id, f"target {target!r} has participle occurrences")
                        for i in suite.items if i.target == target]
