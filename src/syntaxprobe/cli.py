@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import contextlib
+import itertools
 import math
 import os
 import shlex
@@ -157,11 +158,11 @@ def _require(path: str, what: str) -> str:
     return path
 
 
-def _read_corpus(cfg: RunConfig) -> list:
-    trees = []
-    for path in cfg.corpus_paths():
-        trees.extend(corpus.read_treebank(_require(path, "treebank")))
-    return trees
+def _read_corpus(cfg: RunConfig):
+    """The trees of every configured treebank, one at a time; each path is
+    checked before the first tree is read."""
+    paths = [_require(path, "treebank") for path in cfg.corpus_paths()]
+    return (tree for path in paths for tree in corpus.iter_treebank(path))
 
 
 # ---------------------------------------------------------------------------
@@ -173,11 +174,14 @@ def cmd_ingest(cfg: RunConfig, args) -> int:
     deps = None
     if cfg.dependencies.strip():
         deps = corpus.read_dependency_sidecar(_require(cfg.dependencies, "sidecar"))
-    lex = corpus.build_lexicon(trees, lowercase=cfg.lowercase,
-                               dependencies=deps)
+    # zip takes a tree before it advances the counter, so the counter stops
+    # at the number of trees.
+    counted = itertools.count()
+    lex = corpus.build_lexicon((tree for tree, _ in zip(trees, counted)),
+                               lowercase=cfg.lowercase, dependencies=deps)
     out = os.path.join(cfg.out, "lexicon.tsv")
     corpus.write_lexicon(lex, out)
-    print(f"ingest: {len(trees)} trees, {len(lex)} word forms -> {out}")
+    print(f"ingest: {next(counted)} trees, {len(lex)} word forms -> {out}")
     return 0
 
 
@@ -264,8 +268,8 @@ def cmd_gen(cfg: RunConfig, args) -> int:
 
 def cmd_train_ngram(cfg: RunConfig, args) -> int:
     from . import ngram
-    # No tree outlives this line, so none is held while train counts.
-    sentences = [[w for w, _ in t.terminals()] for t in _read_corpus(cfg)]
+    # train reads each sentence once, so one tree is alive at a time.
+    sentences = ([w for w, _ in t.terminals()] for t in _read_corpus(cfg))
     model = ngram.train(sentences, order=cfg.order,
                         map_singletons=cfg.map_singletons)
     out = os.path.join(cfg.out, "ngram.model")

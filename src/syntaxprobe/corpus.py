@@ -9,7 +9,8 @@ the word filters used by suite generation.
 
 The lexicon is one fold over the whole corpus: :func:`build_lexicon`
 numbers its trees from 1 in file order, the way a dependency sidecar
-numbers its sentences.
+numbers its sentences.  :func:`iter_treebank` yields each tree as its
+bracket closes, so a stage that folds the corpus holds one tree at a time.
 """
 
 from __future__ import annotations
@@ -117,6 +118,73 @@ def _parse_error(text: str, k: int, message: str) -> TreebankParseError:
     return TreebankParseError(message, offset=m.start() - 1)
 
 
+#: About how many characters of text the parser tokenizes at a time.
+_CHUNK = 1 << 16
+
+
+def _iter_trees(text: str):
+    """Yield the trees of ``text`` one at a time, each as its top-level
+    bracket closes; the parser behind :func:`parse_treebank`.
+
+    ``text`` is tokenized a piece at a time, each piece ending just before a
+    newline and read with a newline before it, as the whole text is; no
+    token can cross such a cut, since a comment token starts at its
+    newline.  ``k`` counts tokens over the whole text, so an error's offset
+    does not depend on the cuts.  Labels and words go through one dict per
+    call, so each spelling is held as one string.
+    """
+    memo = {}.setdefault
+    stack: list[list] = []  # open brackets: [token index, label, children, word]
+    k0 = start = 0
+    while start < len(text):
+        end = text.find("\n", start + _CHUNK)
+        if end < 0:
+            end = len(text)
+        tokens = _TOKEN.findall("\n" + text[start:end])
+        for k, tok in enumerate(tokens, k0):
+            if tok == "(":
+                if stack:
+                    top = stack[-1]
+                    if top[1] is None:
+                        top[1] = ""
+                    elif top[3] is not None:
+                        raise _parse_error(text, k, "child after terminal word")
+                stack.append([k, None, [], None])
+            elif tok[0] == "\n":
+                continue
+            elif not stack:
+                raise _parse_error(text, k, f"expected '(' but found {tok[0]!r}")
+            elif tok == ")":
+                opened, label, children, word = stack.pop()
+                if word is not None:
+                    node = Tree(label, word=word)
+                elif not children:
+                    raise _parse_error(text, opened, "empty constituent")
+                elif label:
+                    node = Tree(label, children)
+                elif len(children) == 1:
+                    # PTB files wrap each tree in an unlabeled top bracket; unwrap it.
+                    node = children[0]
+                else:
+                    raise _parse_error(text, opened, "empty node label")
+                if stack:
+                    stack[-1][2].append(node)
+                else:
+                    yield node
+            else:
+                top = stack[-1]
+                if top[1] is None:
+                    top[1] = memo(tok, tok)
+                elif top[2] or top[3] is not None:
+                    raise _parse_error(text, k, f"unexpected token {tok!r}")
+                else:
+                    top[3] = memo(tok, tok)
+        k0 += len(tokens)
+        start = end
+    if stack:
+        raise _parse_error(text, stack[-1][0], "unclosed '('")
+
+
 def parse_treebank(text: str) -> list[Tree]:
     """Parse a sequence of bracketed trees.
 
@@ -124,58 +192,25 @@ def parse_treebank(text: str) -> list[Tree]:
     :class:`TreebankParseError` with the offset in ``text`` of the offending
     bracket or token on unbalanced input or empty labels.
     """
-    trees: list[Tree] = []
-    stack: list[list] = []  # open brackets: [token index, label, children, word]
-    for k, tok in enumerate(_TOKEN.findall("\n" + text)):
-        if tok == "(":
-            if stack:
-                top = stack[-1]
-                if top[1] is None:
-                    top[1] = ""
-                elif top[3] is not None:
-                    raise _parse_error(text, k, "child after terminal word")
-            stack.append([k, None, [], None])
-        elif tok[0] == "\n":
-            continue
-        elif not stack:
-            raise _parse_error(text, k, f"expected '(' but found {tok[0]!r}")
-        elif tok == ")":
-            start, label, children, word = stack.pop()
-            if word is not None:
-                node = Tree(label, word=word)
-            elif not children:
-                raise _parse_error(text, start, "empty constituent")
-            elif label:
-                node = Tree(label, children)
-            elif len(children) == 1:
-                # PTB files wrap each tree in an unlabeled top bracket; unwrap it.
-                node = children[0]
-            else:
-                raise _parse_error(text, start, "empty node label")
-            (stack[-1][2] if stack else trees).append(node)
-        else:
-            top = stack[-1]
-            if top[1] is None:
-                top[1] = tok
-            elif top[2] or top[3] is not None:
-                raise _parse_error(text, k, f"unexpected token {tok!r}")
-            else:
-                top[3] = tok
-    if stack:
-        raise _parse_error(text, stack[-1][0], "unclosed '('")
-    return trees
+    return list(_iter_trees(text))
 
 
-def read_treebank(path) -> list[Tree]:
-    """Read trees from a file; a parse error reads ``<path>:<line>: ...``."""
+def iter_treebank(path):
+    """Yield the trees of a file one at a time; a parse error, raised when
+    the parse reaches it, reads ``<path>:<line>: ...``."""
     with open_text(path) as fh:
         text = fh.read()
     try:
-        return parse_treebank(text)
+        yield from _iter_trees(text)
     except TreebankParseError as exc:
         line = text.count("\n", 0, exc.offset) + 1
         exc.args = (f"{path}:{line}: {exc}",)
         raise
+
+
+def read_treebank(path) -> list[Tree]:
+    """Read trees from a file; a parse error reads ``<path>:<line>: ...``."""
+    return list(iter_treebank(path))
 
 
 # ---------------------------------------------------------------------------
@@ -300,12 +335,11 @@ def build_lexicon(
     ``dependencies`` optionally maps 1-based sentence ids to the set of
     1-based surface-token indices (as :meth:`Tree.terminals` counts them)
     that head an ``obj`` relation; for those sentences the sidecar replaces
-    the phrase-structure object heuristic.
+    the phrase-structure object heuristic.  ``trees`` is read once, so a
+    generator such as :func:`iter_treebank` folds without a tree list.
     """
-    trees = list(trees)
-    if not trees:
-        raise InputError("build_lexicon requires at least one tree")
     lex = LexiconStats(lowercase=lowercase)
+    sent_id = 0
     for sent_id, tree in enumerate(trees, start=1):
         terms = list(tree.terminals())
         for word, tag in terms:
@@ -332,6 +366,8 @@ def build_lexicon(
         inverted_noun = _detect_inversion(tree)
         if inverted_noun is not None:
             lex._entry(inverted_noun).inverted += 1
+    if not sent_id:
+        raise InputError("build_lexicon requires at least one tree")
     return lex
 
 

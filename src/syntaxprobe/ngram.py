@@ -39,7 +39,7 @@ import math
 import warnings
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import compress
+from itertools import compress, islice
 from operator import itemgetter
 from typing import Iterable, Sequence
 
@@ -213,27 +213,32 @@ def train(sentences: Iterable[Sequence[str]], order: int = 5,
     """Count, adjust, and discount; returns an immutable scoring model."""
     if order < 1:
         raise InputError(f"order must be >= 1, got {order}")
-    sents = [list(s) for s in sentences if len(s) > 0]
-    if not sents:
-        raise TrainingError("empty training corpus")
 
-    if map_singletons:
-        unigrams = Counter(w for s in sents for w in s)
-        sents = [[w if unigrams[w] > 1 else UNK for w in s] for s in sents]
-
-    # One stream of BOS-padded sentences; a window is counted when it ends
-    # on a real token, which the mask marks by position (a real token may
-    # be spelled like the start symbol).
+    # One stream of BOS-padded sentences, read from ``sentences`` in one
+    # pass; a window is counted when it ends on a real token, which the
+    # mask marks by position (a real token may be spelled like the start
+    # symbol).
     stream: list[str] = []
     real: list[bool] = []
     pad, pad_mask = [BOS] * (order - 1), [False] * (order - 1)
-    for s in sents:
-        stream += pad
-        stream += s
-        real += pad_mask
-        real += [True] * len(s)
+    for s in sentences:
+        if len(s) > 0:
+            stream += pad
+            stream += s
+            real += pad_mask
+            real += [True] * len(s)
+    if not real:
+        raise TrainingError("empty training corpus")
 
-    raw = [Counter(compress(zip(*[stream[j:] for j in range(k)]), real[k - 1:]))
+    if map_singletons:
+        unigrams = Counter(compress(stream, real))
+        stream = [w if not r or unigrams[w] > 1 else UNK
+                  for w, r in zip(stream, real)]
+
+    # islice reads each shift of the stream without copying it; a slice per
+    # shift would hold up to order - 1 more copies while counting.
+    raw = [Counter(compress(zip(*[islice(stream, j, None) for j in range(k)]),
+                            islice(real, k - 1, None)))
            for k in range(1, order + 1)]
     adjusted: list[dict] = [{} for _ in range(order)]
     adjusted[order - 1] = dict(raw[order - 1])
@@ -296,6 +301,7 @@ def read_model(path) -> NGramModel:
     discounts: list[tuple[float, float, float]] = []
     grams: list[dict] = []
     section = None  # None (the keys), "discounts", or the k of "[ngrams k]"
+    memo = {}.setdefault  # one string per word, shared by all its grams
     with read_rows(path, MODEL_HEADER) as (_, rows):
         for lineno, fields in rows:
             if fields[0] == "[discounts]":
@@ -334,7 +340,8 @@ def read_model(path) -> NGramModel:
             else:
                 words, count = fields
                 count = int(count)
-                gram = tuple(words.split(" "))
+                parts = words.split(" ")
+                gram = tuple(map(memo, parts, parts))
                 if len(gram) != section:
                     raise FormatError(f"{path}:{lineno}: expected a {section}-gram")
                 if gram in grams[-1]:

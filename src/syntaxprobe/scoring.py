@@ -68,6 +68,7 @@ def read_surprisal_file(path) -> list[SurprisalRecord]:
     """Read interchange records; base=e values are converted to bits."""
     records: dict[str, tuple] = {}  # in file order; one block of lines per id
     last = None
+    memo = {}.setdefault  # one string per token spelling
     with read_rows(path, SURPRISAL_HEADER) as (base, rows):
         scale = _BASE_SCALES.get(base)
         if scale is None:
@@ -85,7 +86,7 @@ def read_surprisal_file(path) -> list[SurprisalRecord]:
             if int(idx) != len(tokens):
                 raise FormatError(f"{path}:{lineno}: non-sequential token indices "
                                   f"for {sid!r}")
-            tokens.append(tok)
+            tokens.append(memo(tok, tok))
             surprisals.append(float(surp) * scale)
     return [SurprisalRecord(sid, tuple(tokens), tuple(surprisals))
             for sid, (tokens, surprisals) in records.items()]

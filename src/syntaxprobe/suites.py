@@ -605,6 +605,7 @@ def read_suite(path) -> TestSuite:
     shortfalls: list = []
     rows: dict = {}  # item id -> its columns and conditions, in file order
     invariance = False
+    memo = {}.setdefault  # one string per token spelling
     with read_rows(path, SUITE_HEADER) as (_, lines):
         for lineno, fields in lines:
             key = fields[0]
@@ -631,10 +632,15 @@ def read_suite(path) -> TestSuite:
                         raise FormatError(f"{path}:{lineno}: item {item_id!r} has "
                                           f"{column} {value!r} here but "
                                           f"{row[column]!r} in its other row")
+                if condition not in CONDITIONS:
+                    raise FormatError(f"{path}:{lineno}: item {item_id!r} has "
+                                      f"condition {condition!r}, not one of "
+                                      f"{', '.join(CONDITIONS)}")
                 if condition in row:
                     raise FormatError(f"{path}:{lineno}: item {item_id!r} has a "
                                       f"second {condition} row")
-                tokens, start, end = tuple(toks.split(" ")), int(rs), int(re_)
+                parts = toks.split(" ")
+                tokens, start, end = tuple(map(memo, parts, parts)), int(rs), int(re_)
                 if not 0 <= start < end <= len(tokens):
                     raise FormatError(f"{path}:{lineno}: region ({start}, {end}) is "
                                       f"empty or outside {len(tokens)} tokens")

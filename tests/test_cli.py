@@ -631,10 +631,11 @@ def _corrupt(path, old, new) -> int:
     ("\t2\tungram", "\t3\tungram"),
     ("\t2\tungram\t", "\t2\tgram\tslow go\t0\t1\n"
      "tiny.b2.fast.f00\ttiny\tfast\tsingular\t2\tungram\t"),
+    ("\t2\tungram\t", "\t2\tmaybe\t"),
 ], ids=["bucket", "region-end", "invariance", "key-without-value",
         "short-shortfall", "region-outside-sentence", "region-empty",
         "bucket-zero", "suite-mismatch", "target-mismatch", "category-mismatch",
-        "bucket-mismatch", "repeated-condition"])
+        "bucket-mismatch", "repeated-condition", "unknown-condition"])
 def test_bad_suite_row_is_format_error(tmp_path, capsys, old, new):
     suite_file = _tiny_suite(tmp_path)
     lineno = _corrupt(suite_file, old, new)
@@ -645,6 +646,18 @@ def test_bad_suite_row_is_format_error(tmp_path, capsys, old, new):
                      "--surprisal-file", str(surp)])
     assert rc == 1
     assert f"error:format-error: {suite_file}:{lineno}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("condition", ["maybe", "Gram", "target", "bucket"])
+def test_suite_row_of_no_known_condition_is_rejected_at_its_line(tmp_path,
+                                                                 condition):
+    # A condition spelled like a column is no "second target row".
+    suite_file = _tiny_suite(tmp_path)
+    lineno = _corrupt(suite_file, "\t2\tungram\t", f"\t2\t{condition}\t")
+    with pytest.raises(FormatError) as err:
+        suites.read_suite(suite_file)
+    assert str(err.value) == (f"{suite_file}:{lineno}: item 'tiny.b2.fast.f00' has "
+                              f"condition {condition!r}, not one of gram, ungram")
 
 
 @pytest.mark.parametrize("text", [
@@ -951,6 +964,72 @@ def test_tree_order_and_file_split_change_no_output(tmp_path):
     assert len(outputs["given"]) == 1 + 4 + 13 + 1
     for name in corpora:
         assert outputs[name] == outputs["given"], name
+
+
+# ---------------------------------------------------------------------------
+# Streaming the treebank, and one string per spelling
+
+
+def test_ingest_memory_does_not_grow_with_the_treebank(tmp_path):
+    # A stage that held the parsed trees would peak about 4x higher on four
+    # copies of the treebank; a streaming one holds one tree at a time.
+    import tracemalloc
+    text = toydata.toy_treebank_path().read_text(encoding="utf-8")
+    peaks = {}
+    for copies in (1, 4):
+        treebank = tmp_path / f"toy{copies}.mrg"
+        treebank.write_text(text * copies, encoding="utf-8")
+        config = _toy_config(tmp_path, corpus=str(treebank))
+        tracemalloc.start()
+        try:
+            assert run(["--config", config, "--out", str(tmp_path / "out"),
+                        "ingest"]) == 0
+            peaks[copies] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[4] < 1.5 * peaks[1], peaks
+
+
+def test_readers_hold_one_string_per_spelling(toy_run):
+    _, out, _ = toy_run
+    suite = out / "suites" / "number_base.suite"
+    surp = out / "surprisals" / "number_base.ngram5.surp"
+    read = {
+        "parse": [s for tree in corpus.read_treebank(toydata.toy_treebank_path())
+                  for pair in tree.terminals() for s in pair],
+        "read_model": [w for grams in ngram.read_model(out / "ngram.model").grams
+                       for gram in grams for w in gram],
+        "read_suite": [w for item in suites.read_suite(suite).items
+                       for condition in suites.CONDITIONS
+                       for w in item.tokens(condition)],
+        "read_surprisal_file": [w for rec in scoring.read_surprisal_file(surp)
+                                for w in rec.tokens],
+    }
+    for reader, words in read.items():
+        assert len({id(w) for w in words}) == len(set(words)) < len(words), reader
+
+
+def test_truncated_treebank_rewrites_no_artifact(tmp_path, capsys):
+    # The stages fold the trees before the unclosed one, then stop: the
+    # artifacts of the earlier run keep their bytes.
+    config = _toy_config(tmp_path)
+    out = tmp_path / "out"
+    for step in ("ingest", "train-ngram"):
+        assert run(["--config", config, "--out", str(out), step]) == 0
+    kept = {name: (out / name).read_bytes() for name in ("lexicon.tsv", "ngram.model")}
+    text = toydata.toy_treebank_path().read_text(encoding="utf-8")
+    assert text.endswith("))\n")
+    truncated = tmp_path / "truncated.mrg"
+    truncated.write_text(text[:-2] + "\n", encoding="utf-8")
+    line = text.count("\n")
+    config = _toy_config(tmp_path, corpus=str(truncated))
+    capsys.readouterr()
+    for step in ("ingest", "train-ngram"):
+        assert run(["--config", config, "--out", str(out), step]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error:parse-error: {truncated}:{line}: unclosed '('"), step
+        assert list(tmp_path.rglob("*.tmp")) == []
+        assert {name: (out / name).read_bytes() for name in kept} == kept
 
 
 # ---------------------------------------------------------------------------

@@ -82,9 +82,22 @@ def test_parse_matches_recorded(case):
         assert (str(err.value), err.value.offset) == (case["error"], case["offset"])
 
 
+@pytest.mark.parametrize("case", _RECORDED, ids=[c["name"] for c in _RECORDED])
+def test_parse_in_small_pieces_matches_recorded(case, monkeypatch):
+    """Cutting the text before every newline changes no tree, message or
+    offset."""
+    monkeypatch.setattr(corpus, "_CHUNK", 1)
+    test_parse_matches_recorded(case)
+
+
 def test_parse_skips_whole_comment_lines():
     text = "# head\n(S (NN a)\n  # inside a tree\n (# #))\n#tail"
     assert [t.pretty() for t in parse_treebank(text)] == ["(S (NN a) (# #))"]
+
+
+def test_parse_in_small_pieces_skips_whole_comment_lines(monkeypatch):
+    monkeypatch.setattr(corpus, "_CHUNK", 1)
+    test_parse_skips_whole_comment_lines()
 
 
 def test_read_treebank_error_names_file_line_and_offset(tmp_path):
@@ -96,6 +109,22 @@ def test_read_treebank_error_names_file_line_and_offset(tmp_path):
         corpus.read_treebank(path)
     assert err.value.offset == text.index("(S (NP (NN c))")
     assert str(err.value).startswith(f"{path}:5: unclosed '('")
+
+
+def test_iter_treebank_yields_the_trees_before_a_malformed_one(tmp_path):
+    text = ("(S (NN a))\n# between trees\n(S (NN b))\n"
+            "(S (NP (NN c))\n(S (NN d))\n")
+    path = tmp_path / "broken.mrg"
+    path.write_text(text)
+    trees = corpus.iter_treebank(path)
+    assert [next(trees).pretty() for _ in range(2)] == ["(S (NN a))", "(S (NN b))"]
+    with pytest.raises(TreebankParseError) as streamed:
+        next(trees)
+    with pytest.raises(TreebankParseError) as whole:
+        corpus.read_treebank(path)
+    assert str(streamed.value).startswith(f"{path}:4: unclosed '('")
+    assert (str(streamed.value), streamed.value.offset) == \
+        (str(whole.value), whole.value.offset)
 
 
 _labels = st.sampled_from(["S", "NP", "VP", "PP", "ADJP"])
