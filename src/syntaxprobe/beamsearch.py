@@ -12,11 +12,13 @@ each round; given no word, the same step closes the parses after the last
 word.  The log sum over the surviving word beam approximates the prefix
 marginal, whose per-word differences are surprisals in bits.
 
-The search asks the model for the action lists of a whole frontier at
-once (:meth:`GenerativeActionModel.actions_for`): one call per structural
-round.  The in-repo model is an adapter over a small explicit PCFG, for
-which :func:`exact_marginal` enumerates the full action space; external
-scorers attach through a line-oriented subprocess protocol
+Each structural round of the search is one call into the model and one
+into the transition: :meth:`GenerativeActionModel.actions_for` lists the
+actions of the whole frontier, and :func:`expand` applies them all,
+keeping only the generating successors that emit the word.  The in-repo
+model is an adapter over a small explicit PCFG, for which
+:func:`exact_marginal` enumerates the full action space; external scorers
+attach through a line-oriented subprocess protocol
 (:class:`SubprocessActionModel`) that answers each such call in one pipe
 round trip.
 """
@@ -134,28 +136,67 @@ def action_is_legal(state: ParserState, action: tuple) -> bool:
     return False
 
 
+def expand(states: Sequence[ParserState], action_lists, word: str | None
+           ) -> tuple[list, list]:
+    """The successors of ``states`` under their ``(action, log2prob)``
+    lists, which must be legal, as ``(generating, structural)``: each in
+    order of state, then of action.  A GEN successor is kept only when it
+    generates ``word`` (with ``word`` None, none is).
+
+    The one place where an action changes a state's frames and chain.
+    Successors are filled in slot by slot, without the ``__init__`` call:
+    this is the search's hottest allocation.
+    """
+    generating: list[ParserState] = []
+    structural: list[ParserState] = []
+    keep_gen = generating.append
+    keep = structural.append
+    new = object.__new__
+    for state, actions in zip(states, action_lists):
+        words = state.words
+        logprob = state.logprob
+        frame = state.frame
+        chain = state.chain
+        for action, lp in actions:
+            kind = action[0]
+            if kind == NT:
+                succ = new(ParserState)
+                succ.words = words
+                succ.frame = ((action[1], ()), frame)
+                keep(succ)
+            elif kind == GEN:
+                if action[1] != word:
+                    continue
+                (label, symbols), outer = frame
+                succ = new(ParserState)
+                succ.words = words + 1
+                succ.frame = ((label, symbols + (word,)), outer)
+                keep_gen(succ)
+            else:  # REDUCE
+                (label, _), outer = frame
+                if outer is not None:  # else the root closes
+                    (olabel, osymbols), outer = outer
+                    outer = ((olabel, osymbols + (label,)), outer)
+                succ = new(ParserState)
+                succ.words = words
+                succ.frame = outer
+                keep(succ)
+            succ.logprob = logprob + lp
+            succ.chain = (action, chain)
+    return generating, structural
+
+
 def apply_action(state: ParserState, action: tuple, logprob: float,
                  validate: bool = False) -> ParserState:
     """The successor of ``state`` under ``action``, which must be legal
-    (checked when ``validate`` is set)."""
+    (checked when ``validate`` is set): :func:`expand` of one action."""
     if validate and not action_is_legal(state, action):
         raise InputError(f"illegal action {serialize_action(action)} in state {state}")
-    kind = action[0]
-    words = state.words
-    if kind == NT:
-        frame = ((action[1], ()), state.frame)
-    else:
-        (label, symbols), outer = state.frame
-        if kind == GEN:
-            frame = ((label, symbols + (action[1],)), outer)
-            words += 1
-        elif outer is None:  # REDUCE of the root
-            frame = None
-        else:  # REDUCE
-            (olabel, osymbols), oouter = outer
-            frame = ((olabel, osymbols + (label,)), oouter)
-    return ParserState(words, state.logprob + logprob, frame,
-                       (action, state.chain))
+    # The word is the action's last field: a GEN keeps its own word, and the
+    # other kinds do not read it.
+    generating, structural = expand((state,), (((action, logprob),),),
+                                    action[-1])
+    return (generating or structural)[0]
 
 
 def serialize_action(action: tuple) -> str:
@@ -196,12 +237,14 @@ def bracket(history) -> str:
 class GenerativeActionModel:
     """Scoring contract used by the search.
 
-    ``actions(state, next_word=None)`` returns ``[(action, log2prob), ...]``
-    for legal actions, normalized within 1e-9 over the full legal set; an
-    implementation may prune generation actions to ``next_word`` (the sum
-    then being <= 1).  Scores must depend only on the state.
-    ``actions_for(states, next_word)`` returns one such list per state, in
-    order; the search calls it once per round.
+    ``actions(state, next_word=None)`` returns a fresh list
+    ``[(action, log2prob), ...]`` of legal actions, normalized within 1e-9
+    over the full legal set; an implementation may prune generation actions
+    to ``next_word`` (the sum then being <= 1).  Scores must depend only on
+    the state.  ``actions_for(states, next_word)`` returns one such sequence
+    per state, in order; the search calls it once per round.  Its sequences
+    may be shared and immutable (the PCFG adapter returns its cached
+    tuples), so callers must not mutate them.
     """
 
     def actions(self, state: ParserState, next_word: str | None = None):
@@ -285,6 +328,7 @@ class PCFGActionModel(GenerativeActionModel):
         # (label, child symbols) -> (actions, structural actions,
         # {word: actions pruned to that word's GEN, built on first use})
         self._lists: dict = {}
+        self._start = ((nt(grammar.start), 0.0),)
 
     def _node_lists(self, label: str, children: tuple) -> tuple:
         node = self._tries.get(label)
@@ -307,24 +351,35 @@ class PCFGActionModel(GenerativeActionModel):
         return tuple(out), structural, dict.fromkeys(
             p[0][1] for p in out if p[0][0] == GEN)
 
+    def actions_for(self, states: Sequence[ParserState],
+                    next_word: str | None = None) -> list:
+        """The cached action tuples of ``states``, shared, not copied."""
+        cache = self._lists
+        out = []
+        append = out.append
+        for state in states:
+            frame = state.frame
+            if frame is None:
+                # Before the first action only the start symbol can open.
+                append(self._start if state.chain is None else ())
+                continue
+            top = frame[0]
+            lists = cache.get(top)
+            if lists is None:
+                lists = cache[top] = self._node_lists(*top)
+            if next_word is None:
+                append(lists[0])
+                continue
+            full, structural, by_word = lists
+            pruned = by_word.get(next_word, structural)
+            if pruned is None:
+                pruned = by_word[next_word] = tuple(
+                    p for p in full if p[0][0] != GEN or p[0][1] == next_word)
+            append(pruned)
+        return out
+
     def actions(self, state: ParserState, next_word: str | None = None):
-        top = state.innermost_open()
-        if top is None:
-            # Before the first action only the start symbol can open.
-            if state.chain is None:
-                return [(nt(self.grammar.start), 0.0)]
-            return []
-        lists = self._lists.get(top)
-        if lists is None:
-            lists = self._lists[top] = self._node_lists(*top)
-        full, structural, by_word = lists
-        if next_word is None:
-            return list(full)
-        pruned = by_word.get(next_word, structural)
-        if pruned is None:
-            pruned = by_word[next_word] = tuple(
-                p for p in full if p[0][0] != GEN or p[0][1] == next_word)
-        return list(pruned)
+        return list(self.actions_for((state,), next_word)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -434,31 +489,29 @@ def _advance(model: GenerativeActionModel, beam: list, word: str | None,
     states whose last action generates ``word`` or, with ``word`` None,
     the ``word_beam_k`` best complete parses.
 
-    Each structural round asks the model for the whole frontier's actions.
-    The top ``fast_track_k`` generating successors go straight through;
-    the rest join the structural successors under the ``action_beam_k``
-    cutoff, and of the survivors those that are done leave the frontier.
+    Each structural round is one :meth:`~GenerativeActionModel.actions_for`
+    call for the whole frontier and one :func:`expand` of it.  The top
+    ``fast_track_k`` generating successors go straight through; the rest
+    join the structural successors under the ``action_beam_k`` cutoff, and
+    of the survivors those that are done leave the frontier.
     """
     done: list[ParserState] = []
     frontier = beam
     for _ in range(MAX_STRUCT_ROUNDS):
         if not frontier:
             break
-        gen_succs: list[ParserState] = []
-        pool: list[ParserState] = []
-        for st, actions in zip(frontier, model.actions_for(frontier, word)):
-            for action, lp in actions:
-                if action[0] == GEN:
-                    if action[1] == word:
-                        gen_succs.append(apply_action(st, action, lp))
-                else:
-                    pool.append(apply_action(st, action, lp))
-        if len(gen_succs) > fast_track_k:
+        gen_succs, pool = expand(frontier, model.actions_for(frontier, word),
+                                 word)
+        overflow = len(gen_succs) > fast_track_k
+        if overflow:
             _rank_sort(gen_succs, fast_track_k)
             pool.extend(gen_succs[fast_track_k:])
             del gen_succs[fast_track_k:]
         done.extend(gen_succs)
         _keep_best(pool, action_beam_k)
+        if word is not None and not overflow:
+            frontier = pool  # all structural: none is done
+            continue
         frontier = []
         for st in pool:
             if (st.is_complete if word is None else st.chain[0][0] == GEN):
@@ -564,15 +617,12 @@ def exact_marginal(model: GenerativeActionModel, sentence: Sequence[str],
                 complete_logs.append(state.logprob)
                 parses.append((bracket(state.history), state.logprob))
             continue
-        for action, lp in actions:
-            if action[0] == GEN:
-                if state.words >= n or action[1] != sentence[state.words]:
-                    continue
-                succ = apply_action(state, action, lp)
-                prefix_logs[succ.words].append(succ.logprob)
-                stack.append((succ, depth + 1))
-            else:
-                stack.append((apply_action(state, action, lp), depth + 1))
+        generating, structural = expand(
+            (state,), (actions,),
+            sentence[state.words] if state.words < n else None)
+        if generating:
+            prefix_logs[state.words + 1].extend(map(_LOGPROB, generating))
+        stack.extend((succ, depth + 1) for succ in generating + structural)
 
     marginals = [log2sumexp(prefix_logs[t]) for t in range(1, n + 1)]
     prev = 0.0

@@ -50,19 +50,23 @@ PUNCT_TOKENS = frozenset(". , ? ! ; : -- ... `` '' ` '".split())
 class Tree:
     """A bracketed constituency parse node.
 
-    Terminals carry ``word`` and use ``label`` for the POS tag; internal
-    nodes have ``children`` and an empty ``word``.
+    Terminals carry ``word`` and use ``label`` for the POS tag; their
+    ``children`` is the one shared empty tuple.  Internal nodes have a
+    ``children`` list and a ``word`` of None.
     """
 
     __slots__ = ("label", "children", "word")
 
     def __init__(self, label: str, children: Iterable["Tree"] | None = None,
                  word: str | None = None):
+        children = list(children) if children is not None else []
+        if word is not None:
+            if children:
+                raise ValueError("a node cannot have both a word and children")
+            children = _NO_CHILDREN
         self.label = label
-        self.children = list(children) if children is not None else []
+        self.children = children
         self.word = word
-        if self.word is not None and self.children:
-            raise ValueError("a node cannot have both a word and children")
 
     @property
     def is_terminal(self) -> bool:
@@ -100,6 +104,22 @@ class Tree:
 
     def __repr__(self):
         return f"Tree({self.pretty()!r})"
+
+
+#: The children of every terminal.
+_NO_CHILDREN: tuple = ()
+
+_new = object.__new__
+
+
+def _node(label: str, children, word: str | None) -> Tree:
+    """A node from parts that the parser owns: ``children`` is kept, not
+    copied, and not checked."""
+    node = _new(Tree)
+    node.label = label
+    node.children = children
+    node.word = word
+    return node
 
 
 def base_label(label: str) -> str:
@@ -177,7 +197,7 @@ def _iter_trees(pieces):
                 if leaf is None:
                     tag, word = tok[1:-1].split()
                     leaf = leaves[tok] = (memo(tag, tag), memo(word, word))
-                node = Tree(leaf[0], None, leaf[1])
+                node = _node(leaf[0], _NO_CHILDREN, leaf[1])
             elif tok[0] == "\n":
                 continue
             elif not stack:
@@ -185,11 +205,11 @@ def _iter_trees(pieces):
             elif tok == ")":
                 opened, label, children, word = stack.pop()
                 if word is not None:
-                    node = Tree(label, None, word)
+                    node = _node(label, _NO_CHILDREN, word)
                 elif not children:
                     raise _Malformed(opened, "empty constituent")
                 elif label:
-                    node = Tree(label, children)
+                    node = _node(label, children, None)
                 elif len(children) == 1:
                     # PTB files wrap each tree in an unlabeled top bracket; unwrap it.
                     node = children[0]

@@ -6,7 +6,9 @@ with one line holding the tab-joined action lists of its refs (see
 :class:`~syntaxprobe.beamsearch.SubprocessActionModel` for the wire format).
 It keeps a table from state id to parser state, so a new state
 ``ID=PARENT:ACTION`` costs one legality-checked transition from its parent;
-``ID=`` (the initial state) clears the table.  Actions are scored with the
+``ID=`` (the initial state) clears the table.  A request's states are
+built first, in order, and then scored together by one
+:meth:`~syntaxprobe.beamsearch.PCFGActionModel.actions_for` call of the
 PCFG adapter, which prunes generation actions to the requested next word
 when one is given (structural scores are unchanged, so a list sums to at
 most 1).  A malformed or illegal request is answered with one
@@ -39,7 +41,7 @@ def _score(model: PCFGActionModel, states: dict, line: str) -> str:
         raise FormatError(
             f"expected SCORE<TAB>next word<TAB>refs, got {line[:80]!r}")
     _, next_word, refs = fields
-    out = []
+    batch = []
     for ref in refs.split(" "):
         sid, is_new, definition = ref.partition("=")
         if not is_new:
@@ -58,8 +60,9 @@ def _score(model: PCFGActionModel, states: dict, line: str) -> str:
             state = apply_action(states[parent], parse_action(token), 0.0,
                                  validate=True)
         states[sid] = state
-        out.append(format_action_list(model.actions(state, next_word or None)))
-    return "\t".join(out)
+        batch.append(state)
+    return "\t".join(map(format_action_list,
+                         model.actions_for(batch, next_word or None)))
 
 
 def serve(grammar_path: str, stdin=None, stdout=None) -> None:

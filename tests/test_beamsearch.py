@@ -159,14 +159,17 @@ def test_action_scores_normalize(dog_model):
 ], ids=["dog", "ties"])
 def test_next_word_prunes_only_generation(text, words):
     model = bs.PCFGActionModel(bs.parse_grammar(text))
-    seen = 0
-    for st in _walk(model, words):
+    states = list(_walk(model, words))
+    for st in states:
         full = model.actions(st)
         for w in words:
             assert model.actions(st, w) == [
                 p for p in full if p[0][0] != bs.GEN or p[0][1] == w]
-        seen += 1
-    assert seen > 10
+    assert len(states) > 10
+    # The frontier-wide answer lists what the one-state path lists.
+    for w in (*words, None):
+        assert list(map(list, model.actions_for(states, w))) == [
+            model.actions(s, w) for s in states]
 
 
 def test_derivation_probability_is_rule_product():
@@ -332,37 +335,56 @@ def test_random_grammars_beam_equals_exact():
             assert abs(a - b) <= 1e-9
 
 
-def _narrow_beam_records() -> list:
-    """Surprisals, top parse and the ordered final beam of narrow searches
-    over the ties grammar and ``random_pcfg(0..5)``."""
+def _golden_cases() -> list:
+    """(name, grammar, sentence) for the ties grammar and ``random_pcfg(0..5)``."""
     cases = [("ties", bs.parse_grammar(TIES_TEXT), s) for s in TIES_SENTENCES]
     for seed in range(6):
         grammar = random_pcfg(seed)
         cases.append((f"random_pcfg({seed})", grammar,
                       sample_sentence(grammar, random.Random(1000 + seed))))
+    return cases
+
+
+def _beam_record(model, name, sent, wk, ak, ft) -> dict:
+    """Surprisals, top parse and the ordered final beam of one search, as
+    reprs, or the index of the word at which the beam died."""
+    rec = {"grammar": name, "sentence": " ".join(sent), "word_beam_k": wk,
+           "action_beam_k": ak, "fast_track_k": ft}
+    try:
+        if ak is None:
+            r = bs.word_sync_beam(model, sent, wk)
+        else:
+            r = bs.word_sync_beam(model, sent, wk, ak, ft)
+    except DeadBeamError as exc:
+        rec["dead_at"] = exc.word_index
+    else:
+        rec["surprisals"] = [repr(x) for x in r.surprisals]
+        rec["top_parse"] = r.top_parse
+        rec["top_parse_logprob"] = repr(r.top_parse_logprob)
+        rec["beam"] = [[" ".join(map(bs.serialize_action, st.history)),
+                        repr(st.logprob)]
+                       for st in r.beam]
+    return rec
+
+
+def _narrow_beam_records() -> list:
+    """Narrow searches over :func:`_golden_cases`."""
     records = []
-    for name, grammar, sent in cases:
+    for name, grammar, sent in _golden_cases():
         model = _LegalityChecked(bs.PCFGActionModel(grammar))
         for wk in (1, 2, 3, 4):
             for ak in (2, 4, 8):
                 for ft in (0, 2):
-                    rec = {"grammar": name, "sentence": " ".join(sent),
-                           "word_beam_k": wk, "action_beam_k": ak,
-                           "fast_track_k": ft}
-                    try:
-                        r = bs.word_sync_beam(model, sent, wk, ak, ft)
-                    except DeadBeamError as exc:
-                        rec["dead_at"] = exc.word_index
-                    else:
-                        rec["surprisals"] = [repr(x) for x in r.surprisals]
-                        rec["top_parse"] = r.top_parse
-                        rec["top_parse_logprob"] = repr(r.top_parse_logprob)
-                        rec["beam"] = [
-                            [" ".join(map(bs.serialize_action, st.history)),
-                             repr(st.logprob)]
-                            for st in r.beam]
-                    records.append(rec)
+                    records.append(_beam_record(model, name, sent, wk, ak, ft))
     return records
+
+
+def _wide_beam_records() -> list:
+    """Searches over :func:`_golden_cases` at the default widths
+    (``word_beam_k`` 10 and 100, default ``action_beam_k`` and
+    ``fast_track_k``), straight through the PCFG adapter."""
+    return [_beam_record(bs.PCFGActionModel(grammar), name, sent, wk, None, None)
+            for name, grammar, sent in _golden_cases() for wk in (10, 100)]
 
 
 def test_pruned_beam_matches_recorded():
@@ -371,6 +393,17 @@ def test_pruned_beam_matches_recorded():
     # float must not move.
     expected = json.loads((GOLDEN / "beam_ties.json").read_text())
     got = _narrow_beam_records()
+    assert len(got) == len(expected)
+    for g, e in zip(got, expected):
+        assert g == e
+
+
+def test_wide_beam_matches_recorded():
+    # Recorded from the search that called the model once per state and
+    # applied one action per call: at the default widths, too, survivors,
+    # their order and every float must not move.
+    expected = json.loads((GOLDEN / "beam_wide.json").read_text())
+    got = _wide_beam_records()
     assert len(got) == len(expected)
     for g, e in zip(got, expected):
         assert g == e

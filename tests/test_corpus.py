@@ -56,6 +56,23 @@ def test_parse_empty_label_rejected():
         parse_treebank("( (S (NN a)) (S (NN b)))")
 
 
+def test_parsed_nodes_equal_constructed_nodes():
+    # The parser builds nodes without the constructor; a whole-token leaf,
+    # a leaf cut by a newline and an internal node must each equal the one
+    # the constructor builds, and every leaf holds the one empty children.
+    (parsed,) = parse_treebank("(S (NN dog) (VP (VBZ runs\n)))")
+    built = Tree("S", [Tree("NN", word="dog"),
+                       Tree("VP", (Tree("VBZ", [], "runs"),))])
+    assert parsed == built
+    assert hash(parsed) == hash(built)
+    leaves = [parsed.children[0], parsed.children[1].children[0],
+              built.children[0], built.children[1].children[0]]
+    assert all(leaf.children is leaves[0].children == () for leaf in leaves)
+    assert type(parsed.children) is list
+    with pytest.raises(ValueError):
+        Tree("NN", [Tree("NN", word="dog")], "dogs")
+
+
 def test_parse_unwraps_ptb_top_bracket():
     trees = parse_treebank("( (S (NN dog)) )")
     assert trees[0].label == "S"
