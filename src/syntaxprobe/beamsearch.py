@@ -105,10 +105,6 @@ class ParserState:
         out.reverse()
         return tuple(out)
 
-    def innermost_open(self):
-        """(label, symbols of completed children) of the last open NT, or None."""
-        return None if self.frame is None else self.frame[0]
-
     @property
     def is_complete(self) -> bool:
         """The root constituent has been reduced."""
@@ -186,11 +182,9 @@ def expand(states: Sequence[ParserState], action_lists, word: str | None
     return generating, structural
 
 
-def apply_action(state: ParserState, action: tuple, logprob: float,
-                 validate: bool = False) -> ParserState:
-    """The successor of ``state`` under ``action``, which must be legal
-    (checked when ``validate`` is set): :func:`expand` of one action."""
-    if validate and not action_is_legal(state, action):
+def apply_action(state: ParserState, action: tuple, logprob: float) -> ParserState:
+    """:func:`expand` of one action; an illegal ``action`` is an InputError."""
+    if not action_is_legal(state, action):
         raise InputError(f"illegal action {serialize_action(action)} in state {state}")
     # The word is the action's last field: a GEN keeps its own word, and the
     # other kinds do not read it.

@@ -24,7 +24,7 @@ from dataclasses import dataclass, fields
 from . import corpus
 from .corpus import DEFAULT_BUCKETS
 from .errors import (DeadBeamError, FormatError, SyntaxProbeError, UsageError, gc_paused,
-                     open_text, report, write_text)
+                     landing, open_text, report, write_text)
 
 
 @dataclass
@@ -242,27 +242,26 @@ def cmd_stats(cfg: RunConfig, args) -> int:
 
 
 def cmd_gen(cfg: RunConfig, args) -> int:
-    """Every suite is generated before the first is written."""
     from . import suites
     lex = _load_lexicon(cfg, args)
     defs = suites.read_suite_defs(cfg.data_path("suite_defs"))
     res = suites.SuiteResources(*_resources(cfg, lex))
     seed = cfg.seed_value()
-    ids = defs.ids() if args.suite == "all" else [args.suite]
-    generated = [suites.generate_suite(
-        suite_id, defs, lex, seed,
-        resources=res,
-        words_per_category=cfg.words_per_category,
-        frames_per_word=cfg.frames_per_word,
-        filler_min_count=cfg.filler_min_count,
-        bucket_table=cfg.buckets,
-    ) for suite_id in ids]
-    for suite in generated:
+    for suite_id in defs.ids() if args.suite == "all" else [args.suite]:
+        suite = suites.generate_suite(
+            suite_id, defs, lex, seed,
+            resources=res,
+            words_per_category=cfg.words_per_category,
+            frames_per_word=cfg.frames_per_word,
+            filler_min_count=cfg.filler_min_count,
+            bucket_table=cfg.buckets,
+        )
         out = os.path.join(cfg.out, "suites", f"{suite.suite_id}.suite")
         suites.write_suite(suite, out)
         note = f" ({len(suite.shortfalls)} shortfalls)" if suite.shortfalls else ""
         print(f"gen: {suite.suite_id}: {len(suite.items)} items, "
               f"{suite.sentence_count()} sentences{note} -> {out}")
+        del suite  # before the next suite is generated
     return 0
 
 
@@ -302,12 +301,10 @@ def _model_spec(cfg: RunConfig, args):
 
 
 def cmd_score(cfg: RunConfig, args) -> int:
-    """Score every suite under one model, loaded once.  All suite files are
-    read before the first surprisal file is written; a dead beam stops the
-    call at its sentence, so that suite gets no surprisal file."""
+    """Score every suite under one model, loaded once; a dead beam stops the
+    call at its sentence."""
     from . import scoring, suites
-    loaded = [suites.read_suite(_require(path, "suite file"))
-              for path in args.suite_file]
+    paths = [_require(path, "suite file") for path in args.suite_file]
     kind, arg = _model_spec(cfg, args)
     name = args.model_name or kind
 
@@ -326,7 +323,8 @@ def cmd_score(cfg: RunConfig, args) -> int:
 
             def surprisals(tokens):
                 return beamsearch.word_sync_beam(model, tokens).surprisals
-        for path, suite in zip(args.suite_file, loaded):
+        for path in paths:
+            suite = suites.read_suite(path)
             records = []
             for item in suite.items:
                 for condition in suites.CONDITIONS:
@@ -345,26 +343,24 @@ def cmd_score(cfg: RunConfig, args) -> int:
             oov = sum(r.surprisals.count(math.inf) for r in records)
             print(f"score: {len(records)} sentences with {name}, "
                   f"{oov} tokens scored inf -> {out}")
+            del suite, records  # before the next suite is read
     return 0
 
 
 def cmd_eval(cfg: RunConfig, args) -> int:
-    """Evaluate each suite against the surprisal file in the same position.
-    Every input is read and aligned before the first output is written."""
+    """Evaluate each suite against the surprisal file in the same position."""
     from . import scoring, suites
     if len(args.suite_file) != len(args.surprisal_file):
         raise UsageError(f"{len(args.suite_file)} --suite-file paths but "
                          f"{len(args.surprisal_file)} --surprisal-file paths; "
                          "eval pairs them by position")
-    evaluated = []
+    name = args.model_name or "model"
     for suite_path, surprisal_path in zip(args.suite_file, args.surprisal_file):
         suite = suites.read_suite(_require(suite_path, "suite file"))
         records = scoring.read_surprisal_file(
             _require(surprisal_path, "surprisal file"))
-        evaluated.append((suite, *scoring.evaluate_suite(
-            suite, records, eps_tie=cfg.eps_tie, path=suite_path)))
-    name = args.model_name or "model"
-    for suite, results, cells in evaluated:
+        results, cells = scoring.evaluate_suite(suite, records, eps_tie=cfg.eps_tie,
+                                                path=suite_path)
         items_out = os.path.join(cfg.out, "eval", f"{suite.suite_id}.{name}.items.csv")
         scoring.write_items_csv(results, items_out, suite.suite_id, name)
         eval_out = os.path.join(cfg.out, "eval", f"{suite.suite_id}.{name}.eval.csv")
@@ -372,6 +368,7 @@ def cmd_eval(cfg: RunConfig, args) -> int:
         pooled = sum(r.correct for r in results) / len(results)
         print(f"eval: {suite.suite_id} x {name}: accuracy {pooled:.3f} "
               f"({len(results)} items) -> {eval_out}")
+        del suite, records, results, cells  # before the next suite is read
     return 0
 
 
@@ -463,7 +460,9 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config, os.environ,
                           {"seed": args.seed, "out": args.out})
-        with gc_paused():  # the stage's data dies with it (errors.gc_paused)
+        # The stage's data dies with it (errors.gc_paused), and its outputs
+        # land together (errors.landing).
+        with gc_paused(), landing():
             return _COMMANDS[args.command](cfg, args)
     except (SyntaxProbeError, OSError) as exc:
         return report(exc)

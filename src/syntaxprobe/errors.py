@@ -1,6 +1,6 @@
 """Exception hierarchy with stable machine-readable categories, the text
-file openers every reader and writer goes through, and the collector pause
-the stages and the beam search run under.
+file openers every reader and writer goes through, the block a stage's
+outputs land in together, and the collector pause of stages and searches.
 
 Every error raised by this package carries a ``category`` token that the CLI
 and the reference scorer print on stderr (:func:`report`), so scripted
@@ -13,6 +13,7 @@ import contextlib
 import gc
 import os
 import sys
+import threading
 
 
 class SyntaxProbeError(Exception):
@@ -170,19 +171,51 @@ def read_rows(path, header=None):
             raise FormatError(f"{path}:{lineno}: malformed line: {exc}") from exc
 
 
+_landing = threading.local()  # .block: the open block's (pending, made)
+
+
+@contextlib.contextmanager
+def landing():
+    """Land the body's artifacts together: each :func:`write_text` of the
+    body fills ``<path>.tmp``, and a clean exit renames them all onto their
+    paths, in write order.  On any exception every ``.tmp`` is removed, and
+    so is every directory the block created, so no output changes.  A path
+    written twice lands its last contents once.  A block opened inside
+    another joins it.  The renames are not atomic across files."""
+    if (block := getattr(_landing, "block", None)) is not None:
+        yield block
+        return
+    pending, made = _landing.block = {}, []  # path -> its .tmp; directories created
+    try:
+        yield pending, made
+        for path, tmp in pending.items():
+            os.replace(tmp, path)
+    except BaseException:
+        for tmp in pending.values():
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
+        for directory in reversed(made):
+            with contextlib.suppress(OSError):
+                os.rmdir(directory)
+        raise
+    finally:
+        _landing.block = None
+
+
 @contextlib.contextmanager
 def write_text(path):
     """The one way an artifact lands on disk: the body writes ``<path>.tmp``
-    (UTF-8, ``\\n`` written as is) and a clean exit renames it onto ``path``,
-    so a reader finds the whole file or none of it.  The parent directory is
-    created; on any exception the temporary file is removed."""
-    tmp = os.fspath(path) + ".tmp"
-    os.makedirs(os.path.dirname(tmp) or ".", exist_ok=True)
-    try:
+    (UTF-8, ``\\n`` written as is), which lands with the enclosing
+    :func:`landing` block, or on its own when there is none, so a reader
+    finds the whole file or none of it.  The parent directory is created."""
+    with landing() as (pending, made):
+        tmp = os.fspath(path) + ".tmp"
+        missing, directory = [], os.path.dirname(tmp)
+        while directory and not os.path.isdir(directory):
+            missing.append(directory)
+            directory = os.path.dirname(directory)
+        made.extend(reversed(missing))
+        os.makedirs(os.path.dirname(tmp) or ".", exist_ok=True)
+        pending[os.fspath(path)] = tmp
         with open(tmp, "w", encoding="utf-8", newline="") as fh:
             yield fh
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.remove(tmp)
-        raise

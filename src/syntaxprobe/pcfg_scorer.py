@@ -57,8 +57,7 @@ def _score(model: PCFGActionModel, states: dict, line: str) -> str:
             parent, _, token = definition.partition(":")
             if parent not in states:
                 raise FormatError(f"unknown parent id {parent!r} in {ref!r}")
-            state = apply_action(states[parent], parse_action(token), 0.0,
-                                 validate=True)
+            state = apply_action(states[parent], parse_action(token), 0.0)
         states[sid] = state
         batch.append(state)
     return "\t".join(map(format_action_list,

@@ -276,7 +276,7 @@ def test_validator_rejects_illegal_actions():
     opened = bs.apply_action(state, bs.nt("S"), 0.0)
     assert not bs.action_is_legal(opened, bs.REDUCE)  # no completed child yet
     with pytest.raises(InputError):
-        bs.apply_action(opened, bs.REDUCE, 0.0, validate=True)
+        bs.apply_action(opened, bs.REDUCE, 0.0)
     shifted = bs.apply_action(opened, bs.gen("a"), -1.0)
     assert bs.action_is_legal(shifted, bs.REDUCE)
     done = bs.apply_action(shifted, bs.REDUCE, 0.0)

@@ -2,12 +2,14 @@ import csv
 import gc
 import hashlib
 import inspect
+import itertools
 import json
 import math
 import os
 import pathlib
 import random
 import shlex
+import shutil
 import sys
 
 import pytest
@@ -457,8 +459,8 @@ def test_scorer_that_exits_before_its_header_names_its_status(tmp_path, capsys):
 
 def test_dead_beam_names_the_suite_file_and_sentence(tmp_path, capsys):
     # The second suite's ungrammatical sentence is outside the grammar's
-    # language {fast, slow} go: the call stops there, after the first
-    # suite's surprisals are written, and writes none for the second.
+    # language {fast, slow} go: the call stops there, and the first suite's
+    # surprisals do not land either.
     first, second = _two_tiny_suites(tmp_path)
     _corrupt(pathlib.Path(second), "slow go", "slow stop")
     out = tmp_path / "out"
@@ -469,7 +471,7 @@ def test_dead_beam_names_the_suite_file_and_sentence(tmp_path, capsys):
     assert capsys.readouterr().err == (
         f"error:dead-beam: {second}: tiny2.b2.fast.f00:ungram: no live parser "
         "states before word 1 ('stop')\n")
-    assert sorted(p.name for p in (out / "surprisals").iterdir()) == ["tiny.g.surp"]
+    assert not (out / "surprisals").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -559,6 +561,27 @@ def test_malformed_second_suite_writes_no_surprisals(tmp_path, capsys):
     assert rc == 1
     assert f"error:format-error: {bad}:" in capsys.readouterr().err
     assert not (out / "surprisals").exists()
+
+
+def test_a_suite_given_twice_lands_once(tmp_path):
+    # Both passes write the same path; it lands once, with the bytes of a
+    # one-suite call.
+    suite, grammar = str(_tiny_suite(tmp_path)), _tiny_grammar(tmp_path)
+    outputs = {}
+    for copies in (1, 2):
+        out = tmp_path / f"out{copies}"
+        base = ["--config", _write_config(tmp_path), "--out", str(out)]
+        assert run(base + ["score", "--suite-file", *[suite] * copies,
+                           "--model", f"pcfg:{grammar}", "--model-name", "g"]) == 0
+        surp = str(out / "surprisals" / "tiny.g.surp")
+        assert run(base + ["eval", "--suite-file", *[suite] * copies,
+                           "--surprisal-file", *[surp] * copies,
+                           "--model-name", "g"]) == 0
+        outputs[copies] = _files(out)
+    assert sorted(outputs[1]) == ["eval/tiny.g.eval.csv", "eval/tiny.g.items.csv",
+                                  "surprisals/tiny.g.surp"]
+    assert outputs[2] == outputs[1]
+    assert list(tmp_path.rglob("*.tmp")) == []
 
 
 def test_subprocess_model_starts_one_scorer_for_many_suites(tmp_path,
@@ -990,6 +1013,33 @@ def test_ingest_memory_does_not_grow_with_the_treebank(tmp_path):
     assert peaks[4] < 1.5 * peaks[1], peaks
 
 
+def test_eval_memory_does_not_grow_with_the_suites(toy_run, tmp_path):
+    # eval reads, evaluates and writes one suite at a time: four renamed
+    # copies of a suite peak about as high as one.
+    import tracemalloc
+    _, out, _ = toy_run
+    suite_text = (out / "suites" / "number_base.suite").read_text()
+    surp_text = (out / "surprisals" / "number_base.ngram5.surp").read_text()
+    paths = []
+    for i in range(4):
+        paths.append((tmp_path / f"copy{i}.suite", tmp_path / f"copy{i}.surp"))
+        for path, text in zip(paths[-1], (suite_text, surp_text)):
+            path.write_text(text.replace("number_base", f"number_base_{i}"))
+    peaks = {}
+    for copies in (1, 4):
+        suite_files, surp_files = zip(*paths[:copies])
+        tracemalloc.start()
+        try:
+            assert run(["--config", _toy_config(tmp_path), "--out",
+                        str(tmp_path / "out"), "eval",
+                        "--suite-file", *map(str, suite_files),
+                        "--surprisal-file", *map(str, surp_files)]) == 0
+            peaks[copies] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[4] < 1.5 * peaks[1], peaks
+
+
 def test_readers_hold_one_string_per_spelling(toy_run):
     _, out, _ = toy_run
     suite = out / "suites" / "number_base.suite"
@@ -1359,6 +1409,56 @@ def test_interrupted_ingest_leaves_no_partial_lexicon(tmp_path, capsys,
         run(base + ["ingest"])
     assert (out / "lexicon.tsv").read_bytes() == whole
     assert list(tmp_path.rglob("*.tmp")) == []
+
+
+def _interrupted_call(function, n):
+    """``function``, except that its ``n``-th call raises KeyboardInterrupt."""
+    calls = itertools.count(1)
+
+    def wrapper(*args, **kwargs):
+        if next(calls) == n:
+            raise KeyboardInterrupt
+        return function(*args, **kwargs)
+    return wrapper
+
+
+@pytest.mark.parametrize("stage", ["stats", "eval", "analyze", "report"])
+def test_interrupted_stage_lands_none_of_its_outputs(toy_run, tmp_path, monkeypatch,
+                                                      stage):
+    # The earlier run's outputs come from other inputs, so a file of the
+    # interrupted run that landed would differ from them.
+    from syntaxprobe import analysis
+    config, made, _ = toy_run
+    out = tmp_path / "out"
+    shutil.copytree(made, out)
+    base = ["--config", config, "--out", str(out)]
+    suite_files = sorted(map(str, (out / "suites").glob("*.suite")))
+    surps = [str(out / "surprisals" / f"{pathlib.Path(p).stem}.ngram5.surp")
+             for p in suite_files]
+    items = sorted(map(str, (out / "eval").glob("*.items.csv")))
+    evals = sorted(map(str, (out / "eval").glob("*.eval.csv")))
+    mini = tmp_path / "mini"
+    assert run(["--config", _write_config(tmp_path), "--out", str(mini), "ingest"]) == 0
+    earlier, again, (module, name, n) = {
+        "stats": (["stats", "--lexicon", str(mini / "lexicon.tsv")], ["stats"],
+                  (corpus, "vbn_fraction", 1)),
+        "eval": ([], ["--config", _toy_config(tmp_path, eps_tie="0.5"), "eval",
+                      "--suite-file", *suite_files, "--surprisal-file", *surps,
+                      "--model-name", "ngram5"],
+                 (scoring, "evaluate_suite", 2)),
+        "analyze": (["analyze", "--items", *items[:2]], ["analyze", "--items", *items],
+                    (analysis, "curve_rows", 1)),
+        "report": (["report", "--eval", *evals[:2]], ["report", "--eval", *evals],
+                   (analysis, "write_text", 1)),
+    }[stage]
+    if earlier:
+        assert run(base + earlier) == 0
+    before = _files(out)
+    monkeypatch.setattr(module, name, _interrupted_call(getattr(module, name), n))
+    with pytest.raises(KeyboardInterrupt):
+        run(base + again)
+    assert list(tmp_path.rglob("*.tmp")) == []
+    assert _files(out) == before
 
 
 def test_library_writer_creates_its_parent_directory(tmp_path):
