@@ -426,7 +426,9 @@ def write_grammar(grammar: ToyPCFG, path) -> None:
 @dataclass
 class BeamResult:
     """Per-word prefix marginals (log2), surprisals (bits), and the best
-    complete parse found after the final word."""
+    complete parse found after the final word.  ``capped_steps`` counts the
+    steps, the closing one included, that ``MAX_STRUCT_ROUNDS`` ended while
+    states that could still reach the beam were left unexpanded."""
 
     marginals: list
     surprisals: list
@@ -434,6 +436,7 @@ class BeamResult:
     top_parse_logprob: float
     complete_logprob: float
     beam: list
+    capped_steps: int
 
 
 _LOGPROB = attrgetter("logprob")
@@ -478,10 +481,12 @@ MAX_STRUCT_ROUNDS = 64
 
 
 def _advance(model: GenerativeActionModel, beam: list, word: str | None,
-             word_beam_k: int, action_beam_k: int, fast_track_k: int) -> list:
+             word_beam_k: int, action_beam_k: int, fast_track_k: int
+             ) -> tuple[list, bool]:
     """The next beam from ``beam``, best first: the ``word_beam_k`` best
     states whose last action generates ``word`` or, with ``word`` None,
-    the ``word_beam_k`` best complete parses.
+    the ``word_beam_k`` best complete parses; and whether
+    ``MAX_STRUCT_ROUNDS`` ended the step with a live frontier.
 
     Each structural round is one :meth:`~GenerativeActionModel.actions_for`
     call for the whole frontier and one :func:`expand` of it.  The top
@@ -514,7 +519,7 @@ def _advance(model: GenerativeActionModel, beam: list, word: str | None,
                 frontier.append(st)
     _rank_sort(done, word_beam_k)
     del done[word_beam_k:]
-    return done
+    return done, bool(frontier)
 
 
 def word_sync_beam(
@@ -545,15 +550,18 @@ def word_sync_beam(
 
     beam = [INITIAL_STATE]
     marginals = []
+    capped = 0
     with gc_paused():  # the states form no cycles; refcounting frees them
         for t, word in enumerate(sentence):
-            beam = _advance(model, beam, word, word_beam_k, action_beam_k,
-                            fast_track_k)
+            beam, cut = _advance(model, beam, word, word_beam_k,
+                                 action_beam_k, fast_track_k)
             if not beam:
                 raise DeadBeamError(t, word)
+            capped += cut
             marginals.append(log2sumexp(s.logprob for s in beam))
-        finals = _advance(model, beam, None, word_beam_k, action_beam_k,
-                          fast_track_k)
+        finals, cut = _advance(model, beam, None, word_beam_k, action_beam_k,
+                               fast_track_k)
+        capped += cut
 
     prev = 0.0
     surprisals = []
@@ -567,7 +575,7 @@ def word_sync_beam(
     else:
         result_parse, top_lp = None, NEG_INF
     return BeamResult(marginals, surprisals, result_parse, top_lp,
-                      log2sumexp(s.logprob for s in finals), beam)
+                      log2sumexp(s.logprob for s in finals), beam, capped)
 
 
 @dataclass
@@ -639,16 +647,25 @@ CLOSE_TIMEOUT_S = 10.0
 
 
 def parse_action_list(field: str) -> list:
-    """``[(action, log2prob), ...]`` from space-joined ``action=log2prob``."""
+    """``[(action, log2prob), ...]`` from space-joined ``action=log2prob``.
+
+    A log2prob must be a number <= 0 (``-inf`` included): NaN would leave
+    the ranking undefined, and the search relies on no action raising a
+    state's score (see :class:`GenerativeActionModel`).
+    """
     out = []
     for entry in field.split(" ") if field else ():
         token, _, lp = entry.rpartition("=")
         if not token:
             raise FormatError(f"bad scorer response entry {entry!r}")
+        action = parse_action(token)
         try:
-            out.append((parse_action(token), float(lp)))
-        except ValueError as exc:
-            raise FormatError(f"bad scorer response entry {entry!r}") from exc
+            value = float(lp)
+        except ValueError:
+            value = math.nan
+        if not value <= 0.0:  # NaN fails the comparison too
+            raise FormatError(f"bad scorer response entry {entry!r}")
+        out.append((action, value))
     return out
 
 

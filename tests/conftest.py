@@ -95,3 +95,58 @@ def sample_sentence(grammar, rng):
 
     expand(grammar.start)
     return out
+
+
+def random_recursive_pcfg(seed):
+    """A random PCFG whose rules may reach any nonterminal, the start symbol
+    included, so that its language is infinite; about half the first rules
+    put their own left-hand side first (left recursion).
+
+    Some nonterminals have a single unary rule of probability 1, to a later
+    nonterminal, so many partial derivations share a log probability.  The
+    last nonterminal always has a rule of words alone, and so has every
+    nonterminal without a unary rule: every nonterminal derives a sentence.
+    """
+    rng = random.Random(seed)
+    terminals = [f"w{i}" for i in range(3)]
+    nonterminals = ["S"] + [f"N{i}" for i in range(rng.randint(2, 4))]
+    symbols = nonterminals + terminals
+    rules = []
+    for i, lhs in enumerate(nonterminals):
+        if 0 < i < len(nonterminals) - 1 and rng.random() < 0.3:
+            later = rng.choice(nonterminals[i + 1:])
+            rules.append(beamsearch.Rule(lhs, (later,), 1.0))
+            continue
+        rhss = [tuple(rng.choice(terminals) for _ in range(rng.randint(1, 2)))]
+        for _ in range(rng.randint(1, 2)):
+            rhs = [rng.choice(symbols) for _ in range(rng.randint(1, 3))]
+            if rng.random() < 0.5:
+                rhs[0] = lhs
+            rhss.append(tuple(rhs))
+        rng.shuffle(rhss)
+        weights = [rng.choice((1.0, 1.0, rng.uniform(0.2, 1.0))) for _ in rhss]
+        total = sum(weights)
+        rules.extend(beamsearch.Rule(lhs, rhs, w / total)
+                     for rhs, w in zip(rhss, weights))
+    return beamsearch.ToyPCFG("S", rules)
+
+
+def sample_short_sentence(grammar, rng, max_words, max_symbols=200):
+    """A sentence sampled from ``grammar``, or None when the derivation
+    yields more than ``max_words`` words or expands more than
+    ``max_symbols`` symbols (a recursive grammar may not stop)."""
+    out = []
+    pending = [grammar.start]
+    for _ in range(max_symbols):
+        if not pending:
+            return out
+        symbol = pending.pop()
+        if symbol in grammar.terminals:
+            out.append(symbol)
+            if len(out) > max_words:
+                return None
+            continue
+        rules = grammar.by_lhs[symbol]
+        rule = rng.choices(rules, weights=[r.prob for r in rules])[0]
+        pending.extend(reversed(rule.rhs))
+    return out if not pending else None

@@ -245,6 +245,24 @@ def test_dead_beam_reports_word_index(two_parse_model):
     assert err.value.word_index == 1
 
 
+LEFT_RECURSIVE_TEXT = "0.5 S -> S S\n0.5 S -> a\n"
+
+
+def test_capped_steps_count_steps_cut_with_a_live_frontier():
+    # Every round of every step can open one more S, and every open S can
+    # generate the word: with room for all those states in the word beam,
+    # each step, the closing one included, ends at the cap.
+    model = bs.PCFGActionModel(bs.parse_grammar(LEFT_RECURSIVE_TEXT))
+    sent = ["a", "a"]
+    result = bs.word_sync_beam(model, sent, word_beam_k=10**4)
+    assert result.capped_steps == len(sent) + 1
+    assert 3000 < len(result.beam) < 10**4
+    assert result.top_parse == "(S (S a) (S a))"
+    # A grammar without recursion never reaches the cap.
+    dog = bs.PCFGActionModel(bs.parse_grammar(DOG_TEXT))
+    assert bs.word_sync_beam(dog, ["the", "dog", "barks"]).capped_steps == 0
+
+
 def test_exact_marginal_out_of_language(two_parse_model):
     result = bs.exact_marginal(two_parse_model, ["b"])
     assert result.marginals == [float("-inf")]
@@ -405,6 +423,21 @@ def test_wide_beam_matches_recorded():
     expected = json.loads((GOLDEN / "beam_wide.json").read_text())
     got = _wide_beam_records()
     assert len(got) == len(expected)
+    for g, e in zip(got, expected):
+        assert g == e
+
+
+def test_induced_beam_matches_recorded():
+    # The relative-frequency PCFG read off the toy treebank (as grammar
+    # text) and 60 of its sentences, searched at word_beam_k 10 and 100 with
+    # the default widths.  Unlike the cases above these prune: every search
+    # at 10, and 8 of the 60 at 100, differ from a search at 3000.
+    recorded = json.loads((GOLDEN / "beam_induced.json").read_text())
+    model = bs.PCFGActionModel(bs.parse_grammar(recorded["grammar"]))
+    got = [_beam_record(model, "induced", sent.split(), wk, None, None)
+           for wk in (10, 100) for sent in recorded["sentences"]]
+    expected = recorded["records"]
+    assert len(got) == len(expected) == 120
     for g, e in zip(got, expected):
         assert g == e
 
@@ -655,3 +688,29 @@ def test_client_raises_scorer_error(tmp_path, action):
         sent = ["the", "dog", "barks"]
         assert (bs.word_sync_beam(remote, sent).surprisals
                 == bs.word_sync_beam(local, sent).surprisals)
+
+
+@pytest.mark.parametrize("lp", ["nan", "NaN", "inf", "0.5", "1e-300", "x", ""])
+def test_scorer_response_rejects_nan_and_positive_log_probs(lp):
+    # A NaN leaves the ranking undefined, and a positive log2prob would let
+    # a state outscore its parent, which the search relies on never happening.
+    with pytest.raises(FormatError, match="bad scorer response entry"):
+        bs.parse_action_list(f"NT(S)=-1.0 REDUCE={lp}")
+
+
+def test_scorer_response_accepts_log_probs_up_to_zero():
+    got = bs.parse_action_list("NT(S)=-inf GEN(a)=-0.0 REDUCE=0.0 NT(B)=-1.5")
+    assert got == [(bs.nt("S"), -math.inf), (bs.gen("a"), 0.0),
+                   (bs.REDUCE, 0.0), (bs.nt("B"), -1.5)]
+
+
+def test_client_rejects_a_nan_from_the_scorer():
+    script = ("import sys\n"
+              f"print({bs.PROTOCOL_HEADER!r}, flush=True)\n"
+              "for line in sys.stdin:\n"
+              "    if line.startswith('QUIT'):\n"
+              "        break\n"
+              "    print('NT(S)=nan', flush=True)\n")
+    with bs.SubprocessActionModel([sys.executable, "-c", script]) as remote:
+        with pytest.raises(FormatError, match="'NT\\(S\\)=nan'"):
+            bs.word_sync_beam(remote, ["the"])
