@@ -234,7 +234,11 @@ class GenerativeActionModel:
     ``actions(state, next_word=None)`` returns a fresh list
     ``[(action, log2prob), ...]`` of legal actions, normalized within 1e-9
     over the full legal set; an implementation may prune generation actions
-    to ``next_word`` (the sum then being <= 1).  Scores must depend only on
+    to ``next_word`` (the sum then being <= 1).  Every log2prob is <= 0
+    as well, however close to 1 the list sums: the search relies on no
+    action raising a state's score, so that a state's descendants never
+    outscore it and a step can stop expanding states that already rank
+    below its word beam (see :func:`_advance`).  Scores must depend only on
     the state.  ``actions_for(states, next_word)`` returns one such sequence
     per state, in order; the search calls it once per round.  Its sequences
     may be shared and immutable (the PCFG adapter returns its cached
@@ -301,9 +305,12 @@ class PCFGActionModel(GenerativeActionModel):
     Rule choice is deferred: the conditional probability of each next action
     is the grammar mass of rules consistent with the children built so far.
     The per-constituent conditionals telescope to the rule probability, so
-    normalization over legal actions is exact by construction.  Action
-    lists are cached per open constituent; given ``next_word``, generation
-    actions are pruned to that word's, in the same order as the full list.
+    normalization over legal actions is exact by construction.  No
+    log2prob is above 0, in floats too: a child's mass is summed over a
+    subset of its parent's rules, in the same order, so it never exceeds
+    the parent's.  Action lists are cached per open constituent; given
+    ``next_word``, generation actions are pruned to that word's, in the
+    same order as the full list.
     """
 
     def __init__(self, grammar: ToyPCFG):
@@ -493,6 +500,16 @@ def _advance(model: GenerativeActionModel, beam: list, word: str | None,
     ``fast_track_k`` generating successors go straight through; the rest
     join the structural successors under the ``action_beam_k`` cutoff, and
     of the survivors those that are done leave the frontier.
+
+    Once ``word_beam_k`` states are done, a round drops every frontier
+    state scored strictly below the ``word_beam_k``-th best done one, so
+    the step ends as soon as no live state can still place.  The drop is
+    exact because no action raises a score (see
+    :class:`GenerativeActionModel`): a dropped state and all it leads to
+    rank below the final ``word_beam_k``, and a state at or above that
+    score keeps its rank under both cutoffs, since only states below it
+    are gone.  The beam, its order and its floats are those of running
+    every round.
     """
     done: list[ParserState] = []
     frontier = beam
@@ -510,13 +527,17 @@ def _advance(model: GenerativeActionModel, beam: list, word: str | None,
         _keep_best(pool, action_beam_k)
         if word is not None and not overflow:
             frontier = pool  # all structural: none is done
-            continue
-        frontier = []
-        for st in pool:
-            if (st.is_complete if word is None else st.chain[0][0] == GEN):
-                done.append(st)
-            else:
-                frontier.append(st)
+        else:
+            frontier = []
+            for st in pool:
+                if (st.is_complete if word is None else st.chain[0][0] == GEN):
+                    done.append(st)
+                else:
+                    frontier.append(st)
+        if len(done) >= word_beam_k:
+            done.sort(key=_LOGPROB, reverse=True)
+            floor = done[word_beam_k - 1].logprob
+            frontier = [st for st in frontier if st.logprob >= floor]
     _rank_sort(done, word_beam_k)
     del done[word_beam_k:]
     return done, bool(frontier)

@@ -99,13 +99,14 @@ def sample_sentence(grammar, rng):
 
 def random_recursive_pcfg(seed):
     """A random PCFG whose rules may reach any nonterminal, the start symbol
-    included, so that its language is infinite; about half the first rules
-    put their own left-hand side first (left recursion).
+    included, so that its language is infinite; about half the rules that
+    may recurse put their own left-hand side first (left recursion).
 
-    Some nonterminals have a single unary rule of probability 1, to a later
-    nonterminal, so many partial derivations share a log probability.  The
-    last nonterminal always has a rule of words alone, and so has every
-    nonterminal without a unary rule: every nonterminal derives a sentence.
+    Some nonterminals have a single rule of probability 1: a unary rule to
+    a later nonterminal, or one word.  With the many rules of equal weight
+    this gives many partial derivations the same log probability, and
+    actions of log probability 0.  Every nonterminal derives a sentence:
+    each one that is not unary to a later one has a rule of words alone.
     """
     rng = random.Random(seed)
     terminals = [f"w{i}" for i in range(3)]
@@ -113,9 +114,13 @@ def random_recursive_pcfg(seed):
     symbols = nonterminals + terminals
     rules = []
     for i, lhs in enumerate(nonterminals):
-        if 0 < i < len(nonterminals) - 1 and rng.random() < 0.3:
+        shape = rng.random() if i else 1.0
+        if shape < 0.3 and i < len(nonterminals) - 1:
             later = rng.choice(nonterminals[i + 1:])
             rules.append(beamsearch.Rule(lhs, (later,), 1.0))
+            continue
+        if shape < 0.5:
+            rules.append(beamsearch.Rule(lhs, (rng.choice(terminals),), 1.0))
             continue
         rhss = [tuple(rng.choice(terminals) for _ in range(rng.randint(1, 2)))]
         for _ in range(rng.randint(1, 2)):

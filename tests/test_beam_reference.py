@@ -11,6 +11,7 @@ dead-beam index, and make no more model calls.
 import random
 from unittest import mock
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from syntaxprobe import beamsearch as bs
@@ -106,6 +107,54 @@ def _check_against_reference(grammar_seed, sentence_seed, wk, ak, ft):
     assert calls <= want_calls
     assert states <= want_states
     assert capped <= want_capped
+
+
+# Two grammars where a frontier state left when word_beam_k states are
+# done still places: one scored between the best and the k-th best done
+# state (k = 2), and one tied with the k-th (k = 1) that wins on history.
+_BETWEEN_TEXT = """
+0.4 S -> A
+0.25 S -> B
+0.35 S -> C
+1.0 A -> a
+1.0 B -> a
+1.0 C -> D
+1.0 D -> a
+"""
+_TIED_TEXT = """
+0.5 S -> A
+0.5 S -> B
+1.0 A -> C
+1.0 C -> a
+1.0 B -> a
+"""
+
+
+@pytest.mark.parametrize("text, k, placed", [
+    (_BETWEEN_TEXT, 2, "NT(S) NT(C) NT(D) GEN(a)"),
+    (_TIED_TEXT, 1, "NT(S) NT(A) NT(C) GEN(a)"),
+], ids=["between", "tied"])
+def test_a_state_at_the_kth_score_is_kept(text, k, placed):
+    model = bs.PCFGActionModel(bs.parse_grammar(text))
+    want = _search(model, ["a"], k, None, 5, _reference_advance)
+    got = _search(model, ["a"], k, None, 5)
+    assert got[0] == want[0]
+    beam = [" ".join(map(bs.serialize_action, history))
+            for history, _ in got[0][5]]
+    assert beam[-1] == placed
+
+
+def test_a_settled_step_ends_before_the_cap():
+    # Left recursion lets every round open one more S, so the reference
+    # runs all MAX_STRUCT_ROUNDS rounds of the word step; with one done
+    # state scored above every S still open, the search stops at round 3.
+    model = bs.PCFGActionModel(bs.parse_grammar("0.5 S -> S S\n0.5 S -> a\n"))
+    want, want_capped, want_calls, _ = _search(model, ["a"], 1, None, 5,
+                                               _reference_advance)
+    got, capped, calls, _ = _search(model, ["a"], 1, None, 5)
+    assert got == want
+    assert (want_capped, capped) == (1, 0)
+    assert want_calls > MAX_STRUCT_ROUNDS and calls <= 4
 
 
 _NARROW = st.tuples(st.integers(1, 4), st.sampled_from((1, 2, 4, 8, 32)),

@@ -20,7 +20,7 @@ from syntaxprobe.errors import (
     OracleInfeasibleError,
 )
 
-from conftest import random_pcfg, sample_sentence
+from conftest import random_pcfg, random_recursive_pcfg, sample_sentence
 
 TWO_PARSE_TEXT = """
 0.3 S -> A
@@ -170,6 +170,28 @@ def test_next_word_prunes_only_generation(text, words):
     for w in (*words, None):
         assert list(map(list, model.actions_for(states, w))) == [
             model.actions(s, w) for s in states]
+
+
+def test_pcfg_log_probs_are_never_above_zero():
+    # The search's early stop relies on it.  Every open constituent of
+    # every grammar here, including the induced one, lists only scores <= 0.
+    induced = json.loads((GOLDEN / "beam_induced.json").read_text())["grammar"]
+    grammars = [bs.parse_grammar(t) for t in (DOG_TEXT, TIES_TEXT, induced)]
+    grammars += [random_pcfg(seed) for seed in range(20)]
+    grammars += [random_recursive_pcfg(seed) for seed in range(20)]
+    checked = 0
+    for grammar in grammars:
+        model = bs.PCFGActionModel(grammar)
+        stack = [(lhs, ()) for lhs in grammar.by_lhs]
+        while stack:
+            label, children = stack.pop()
+            full, _, _ = model._node_lists(label, children)
+            for action, lp in full:
+                assert lp <= 0.0, (label, children, action, lp)
+                if action != bs.REDUCE:
+                    stack.append((label, children + (action[1],)))
+            checked += len(full)
+    assert checked > 1000
 
 
 def test_derivation_probability_is_rule_product():
