@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -54,10 +55,22 @@ def toy_suites(toy_lex, suite_defs, resources):
     return get
 
 
+class CountingModel(beamsearch.PCFGActionModel):
+    """Records the number of states in each ``actions_for`` call."""
+
+    def __init__(self, grammar):
+        super().__init__(grammar)
+        self.batches = []
+
+    def actions_for(self, states, next_word=None):
+        self.batches.append(len(states))
+        return super().actions_for(states, next_word)
+
+
 # ---------------------------------------------------------------------------
-# Random small PCFGs for the beam-search properties: nonterminals are
-# stratified by level, so every grammar has a finite language and a finite,
-# enumerable parse set.
+# Random small PCFGs for the beam-search properties.  ``random_pcfg``
+# stratifies nonterminals by level, so every grammar has a finite language
+# and a finite, enumerable parse set; ``random_recursive_pcfg`` does not.
 
 
 def random_pcfg(seed):
@@ -81,19 +94,26 @@ def random_pcfg(seed):
     return beamsearch.ToyPCFG("S", rules)
 
 
-def sample_sentence(grammar, rng):
+def sample_sentence(grammar, rng, max_words=None):
+    """A sentence drawn from ``grammar`` top-down, left to right.  Given
+    ``max_words``, None once the derivation yields more words than that or
+    expands 50 times as many symbols: a recursive grammar need not stop."""
     out = []
-
-    def expand(symbol):
+    pending = [grammar.start]
+    budget = math.inf if max_words is None else 50 * max_words
+    while pending:
+        if budget <= 0:
+            return None
+        budget -= 1
+        symbol = pending.pop()
         if symbol in grammar.terminals:
             out.append(symbol)
-            return
+            if max_words is not None and len(out) > max_words:
+                return None
+            continue
         rules = grammar.by_lhs[symbol]
         rule = rng.choices(rules, weights=[r.prob for r in rules])[0]
-        for s in rule.rhs:
-            expand(s)
-
-    expand(grammar.start)
+        pending.extend(reversed(rule.rhs))
     return out
 
 
@@ -134,24 +154,3 @@ def random_recursive_pcfg(seed):
         rules.extend(beamsearch.Rule(lhs, rhs, w / total)
                      for rhs, w in zip(rhss, weights))
     return beamsearch.ToyPCFG("S", rules)
-
-
-def sample_short_sentence(grammar, rng, max_words, max_symbols=200):
-    """A sentence sampled from ``grammar``, or None when the derivation
-    yields more than ``max_words`` words or expands more than
-    ``max_symbols`` symbols (a recursive grammar may not stop)."""
-    out = []
-    pending = [grammar.start]
-    for _ in range(max_symbols):
-        if not pending:
-            return out
-        symbol = pending.pop()
-        if symbol in grammar.terminals:
-            out.append(symbol)
-            if len(out) > max_words:
-                return None
-            continue
-        rules = grammar.by_lhs[symbol]
-        rule = rng.choices(rules, weights=[r.prob for r in rules])[0]
-        pending.extend(reversed(rule.rhs))
-    return out if not pending else None

@@ -19,7 +19,7 @@ from syntaxprobe.beamsearch import (GEN, MAX_STRUCT_ROUNDS, _keep_best,
                                     _rank_sort, expand)
 from syntaxprobe.errors import DeadBeamError
 
-from conftest import random_recursive_pcfg, sample_short_sentence
+from conftest import CountingModel, random_recursive_pcfg, sample_sentence
 
 
 def _reference_advance(model, beam, word, word_beam_k, action_beam_k,
@@ -54,34 +54,22 @@ def _reference_advance(model, beam, word, word_beam_k, action_beam_k,
     return done, bool(frontier)
 
 
-class _Counting(bs.GenerativeActionModel):
-    """Passes ``actions_for`` through to ``model``, counting the calls and
-    the states they ask about."""
-
-    def __init__(self, model):
-        self.model = model
-        self.calls = 0
-        self.states = 0
-
-    def actions_for(self, states, next_word=None):
-        self.calls += 1
-        self.states += len(states)
-        return self.model.actions_for(states, next_word)
-
-
-def _search(model, sent, wk, ak, ft, advance=None):
+def _search(grammar, sent, wk, ak, ft, advance=None):
     """``(outcome, capped steps, model calls, states asked about)`` of one
     search: the outcome is the dead-beam word index, or the marginals,
     surprisals, top parse and final beam."""
-    counting = _Counting(model)
+    model = CountingModel(grammar)
     with mock.patch.object(bs, "_advance", advance or bs._advance):
         try:
-            r = bs.word_sync_beam(counting, sent, wk, ak, ft)
+            r = bs.word_sync_beam(model, sent, wk, ak, ft)
         except DeadBeamError as exc:
-            return exc.word_index, 0, counting.calls, counting.states
-    outcome = (r.marginals, r.surprisals, r.top_parse, r.top_parse_logprob,
-               r.complete_logprob, [(s.history, s.logprob) for s in r.beam])
-    return outcome, r.capped_steps, counting.calls, counting.states
+            outcome, capped = exc.word_index, 0
+        else:
+            outcome = (r.marginals, r.surprisals, r.top_parse,
+                       r.top_parse_logprob, r.complete_logprob,
+                       [(s.history, s.logprob) for s in r.beam])
+            capped = r.capped_steps
+    return outcome, capped, len(model.batches), sum(model.batches)
 
 
 def _sentence(grammar, seed):
@@ -89,7 +77,7 @@ def _sentence(grammar, seed):
     random string of its words (which may kill the beam)."""
     rng = random.Random(seed)
     for _ in range(20):
-        sent = sample_short_sentence(grammar, rng, max_words=4)
+        sent = sample_sentence(grammar, rng, max_words=4)
         if sent:
             return sent
     return [rng.choice(sorted(grammar.terminals))
@@ -98,11 +86,10 @@ def _sentence(grammar, seed):
 
 def _check_against_reference(grammar_seed, sentence_seed, wk, ak, ft):
     grammar = random_recursive_pcfg(grammar_seed)
-    model = bs.PCFGActionModel(grammar)
     sent = _sentence(grammar, sentence_seed)
     want, want_capped, want_calls, want_states = _search(
-        model, sent, wk, ak, ft, _reference_advance)
-    got, capped, calls, states = _search(model, sent, wk, ak, ft)
+        grammar, sent, wk, ak, ft, _reference_advance)
+    got, capped, calls, states = _search(grammar, sent, wk, ak, ft)
     assert got == want
     assert calls <= want_calls
     assert states <= want_states
@@ -135,9 +122,9 @@ _TIED_TEXT = """
     (_TIED_TEXT, 1, "NT(S) NT(A) NT(C) GEN(a)"),
 ], ids=["between", "tied"])
 def test_a_state_at_the_kth_score_is_kept(text, k, placed):
-    model = bs.PCFGActionModel(bs.parse_grammar(text))
-    want = _search(model, ["a"], k, None, 5, _reference_advance)
-    got = _search(model, ["a"], k, None, 5)
+    grammar = bs.parse_grammar(text)
+    want = _search(grammar, ["a"], k, None, 5, _reference_advance)
+    got = _search(grammar, ["a"], k, None, 5)
     assert got[0] == want[0]
     beam = [" ".join(map(bs.serialize_action, history))
             for history, _ in got[0][5]]
@@ -148,10 +135,10 @@ def test_a_settled_step_ends_before_the_cap():
     # Left recursion lets every round open one more S, so the reference
     # runs all MAX_STRUCT_ROUNDS rounds of the word step; with one done
     # state scored above every S still open, the search stops at round 3.
-    model = bs.PCFGActionModel(bs.parse_grammar("0.5 S -> S S\n0.5 S -> a\n"))
-    want, want_capped, want_calls, _ = _search(model, ["a"], 1, None, 5,
+    grammar = bs.parse_grammar("0.5 S -> S S\n0.5 S -> a\n")
+    want, want_capped, want_calls, _ = _search(grammar, ["a"], 1, None, 5,
                                                _reference_advance)
-    got, capped, calls, _ = _search(model, ["a"], 1, None, 5)
+    got, capped, calls, _ = _search(grammar, ["a"], 1, None, 5)
     assert got == want
     assert (want_capped, capped) == (1, 0)
     assert want_calls > MAX_STRUCT_ROUNDS and calls <= 4

@@ -20,7 +20,8 @@ from syntaxprobe.errors import (
     OracleInfeasibleError,
 )
 
-from conftest import random_pcfg, random_recursive_pcfg, sample_sentence
+from conftest import (CountingModel, random_pcfg, random_recursive_pcfg,
+                      sample_sentence)
 
 TWO_PARSE_TEXT = """
 0.3 S -> A
@@ -602,18 +603,6 @@ def test_subprocess_surprisals_equal_in_process(tmp_path, seed):
     assert searched >= len(sentences)
 
 
-class _CountingModel(bs.PCFGActionModel):
-    """Records the number of states in each ``actions_for`` call."""
-
-    def __init__(self, grammar):
-        super().__init__(grammar)
-        self.batches = []
-
-    def actions_for(self, states, next_word=None):
-        self.batches.append(len(states))
-        return super().actions_for(states, next_word)
-
-
 def test_one_request_per_round(tmp_path):
     # The scorer runs behind a wrapper that logs every request line it reads.
     path = _dog_grammar_file(tmp_path)
@@ -628,7 +617,7 @@ def test_one_request_per_round(tmp_path):
               "        yield line\n"
               "pcfg_scorer.serve(sys.argv[1], stdin=lines())\n")
     sent = ["the", "dog", "barks"]
-    counting = _CountingModel(bs.parse_grammar(DOG_TEXT))
+    counting = CountingModel(bs.parse_grammar(DOG_TEXT))
     bs.word_sync_beam(counting, sent, word_beam_k=4)
     with bs.SubprocessActionModel(
             [sys.executable, "-c", script, str(path), str(log)]) as remote:
@@ -643,7 +632,7 @@ def test_one_request_per_round(tmp_path):
 
 def test_client_ids_restart_each_sentence(tmp_path):
     path = _dog_grammar_file(tmp_path)
-    counting = _CountingModel(bs.parse_grammar(DOG_TEXT))
+    counting = CountingModel(bs.parse_grammar(DOG_TEXT))
     with bs.SubprocessActionModel(_scorer_argv(path)) as remote:
         bs.word_sync_beam(remote, ["the", "dog", "barks"], word_beam_k=8)
         first = len(remote._ids)
