@@ -697,7 +697,9 @@ def format_action_list(actions) -> str:
 class SubprocessActionModel(GenerativeActionModel):
     """Adapter speaking the external scorer protocol, version 2.
 
-    On startup the child prints the versioned header line.  A request is
+    The child is started with UTF-8 pipes, and must read and write UTF-8
+    (:mod:`syntaxprobe.pcfg_scorer` does, whatever its locale).  On startup
+    it prints the versioned header line.  A request is
     ``SCORE<TAB>next word (may be empty)<TAB>refs``; the space-joined refs
     name the states to score, each one of
 
@@ -716,14 +718,23 @@ class SubprocessActionModel(GenerativeActionModel):
     holds the chain, so an id is never reused while it is known.  The search
     scores every state's parent before the state, so each new state costs
     one definition; unknown ancestors are defined first otherwise.
+
+    Two more tables last one sentence, like the id table, and are cleared
+    with it at ``ID=`` and after a failed request: the token of each action
+    sent, and the parsed, validated tuple of each reply field received.  So
+    a field is parsed once per sentence however often it comes back, and
+    :meth:`actions_for` returns those shared tuples; :meth:`actions`
+    returns a fresh list.
     """
 
     def __init__(self, argv: Sequence[str]):
         self._proc = subprocess.Popen(
             list(argv), stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-            text=True, bufsize=1,
+            encoding="utf-8", bufsize=1,
         )
         self._ids: dict = {}  # id(chain) -> (state id, chain)
+        self._tokens: dict = {}  # action -> its token
+        self._lists: dict = {}  # reply field -> its parsed action tuple
         header = self._proc.stdout.readline().strip()
         if header != PROTOCOL_HEADER:
             self.close()
@@ -732,37 +743,57 @@ class SubprocessActionModel(GenerativeActionModel):
                 f"exit status {self._proc.returncode})"
             )
 
+    def _forget(self) -> None:
+        """Clear the per-sentence tables."""
+        self._ids.clear()
+        self._tokens.clear()
+        self._lists.clear()
+
+    def _define(self, node, refs: list) -> None:
+        """Append the ref that defines the state with chain ``node``, whose
+        parent is known; ``node`` None, the initial state, starts a sentence
+        and so clears the tables first."""
+        ids = self._ids
+        if node is None:
+            self._forget()
+            definition = ""
+        else:
+            action = node[0]
+            token = self._tokens.get(action)
+            if token is None:
+                token = self._tokens[action] = serialize_action(action)
+            definition = f"{ids[id(node[1])][0]}:{token}"
+        sid = str(len(ids))
+        ids[id(node)] = (sid, node)
+        refs.append(f"{sid}={definition}")
+
     def _add_refs(self, chain, refs: list) -> None:
-        """Append the refs that name the state with ``chain``, defining it
-        and its unknown ancestors, oldest first."""
-        if chain is None:
-            self._ids.clear()  # a new sentence
+        """Append the refs that define the state with ``chain`` and its
+        unknown ancestors, oldest first."""
         missing = []
         while id(chain) not in self._ids:
             missing.append(chain)
             if chain is None:
                 break
             chain = chain[1]
-        if not missing:
-            refs.append(self._ids[id(chain)][0])
         for node in reversed(missing):
-            if node is None:
-                definition = ""
-            else:
-                definition = (f"{self._ids[id(node[1])][0]}:"
-                              f"{serialize_action(node[0])}")
-            sid = str(len(self._ids))
-            self._ids[id(node)] = (sid, node)
-            refs.append(f"{sid}={definition}")
+            self._define(node, refs)
 
     def actions_for(self, states: Sequence[ParserState],
                     next_word: str | None = None) -> list:
         if not states:
             return []
+        ids = self._ids
         refs: list = []
         replies = []  # index of each state's list in the response
         for st in states:
-            self._add_refs(st.chain, refs)
+            chain = st.chain
+            if chain is not None and id(chain) in ids:
+                refs.append(ids[id(chain)][0])
+            elif chain is None or id(chain[1]) in ids:
+                self._define(chain, refs)
+            else:
+                self._add_refs(chain, refs)
             replies.append(len(refs) - 1)
         try:
             self._proc.stdin.write(f"SCORE\t{next_word or ''}\t{' '.join(refs)}\n")
@@ -775,17 +806,25 @@ class SubprocessActionModel(GenerativeActionModel):
             raise FormatError("scorer closed the stream mid-session")
         line = line.rstrip("\n")
         if line.startswith("ERR "):
-            self._ids.clear()  # the next request redefines from ``ID=``
+            self._forget()  # the next request redefines from ``ID=``
             raise FormatError(f"scorer error: {line[4:]}")
         fields = line.split("\t")
         if len(fields) != len(refs):
-            self._ids.clear()
+            self._forget()
             raise FormatError(f"scorer answered {len(fields)} of {len(refs)} "
                               "states")
-        return [parse_action_list(fields[i]) for i in replies]
+        lists = self._lists
+        out = []
+        for i in replies:
+            field = fields[i]
+            parsed = lists.get(field)
+            if parsed is None:
+                parsed = lists[field] = tuple(parse_action_list(field))
+            out.append(parsed)
+        return out
 
     def actions(self, state: ParserState, next_word: str | None = None):
-        return self.actions_for([state], next_word)[0]
+        return list(self.actions_for([state], next_word)[0])
 
     def close(self):
         """Send QUIT and reap the child, killing it if it does not exit

@@ -4,10 +4,11 @@ Run as ``python -m syntaxprobe.pcfg_scorer GRAMMAR_FILE``: announces the
 protocol header, then answers each ``SCORE<TAB>next word<TAB>refs`` request
 with one line holding the tab-joined action lists of its refs (see
 :class:`~syntaxprobe.beamsearch.SubprocessActionModel` for the wire format).
-It keeps a table from state id to parser state, so a new state
-``ID=PARENT:ACTION`` costs one legality-checked transition from its parent;
-``ID=`` (the initial state) clears the table.  A request's states are
-built first, in order, and then scored together by one
+Its standard streams are read and written as UTF-8, whatever the locale or
+``PYTHONIOENCODING`` says.  It keeps a table from state id to parser state,
+so a new state ``ID=PARENT:ACTION`` costs one legality-checked transition
+from its parent; ``ID=`` (the initial state) clears the table.  A request's
+states are built first, in order, and then scored together by one
 :meth:`~syntaxprobe.beamsearch.PCFGActionModel.actions_for` call of the
 PCFG adapter, which prunes generation actions to the requested next word
 when one is given (structural scores are unchanged, so a list sums to at
@@ -16,6 +17,12 @@ most 1).  A malformed or illegal request is answered with one
 not load ends the scorer before its header with one ``error:<category>:``
 line on stderr, with the CLI's tokens and exit codes: 1, or 2 for a file
 that cannot be read.
+
+Two more tables last the whole session, so that each distinct piece of
+protocol text is worked out once: the parsed action of each action token,
+and the formatted text of each action list the adapter returns.  The
+adapter returns its cached tuples, so the second is keyed by identity and
+holds no more lists than the adapter's own cache.
 """
 
 from __future__ import annotations
@@ -34,52 +41,77 @@ from .beamsearch import (
 from .errors import FormatError, SyntaxProbeError, report
 
 
-def _score(model: PCFGActionModel, states: dict, line: str) -> str:
-    """The response line to one request, updating ``states`` in order."""
-    fields = line.split("\t")
-    if len(fields) != 3 or fields[0] != "SCORE":
-        raise FormatError(
-            f"expected SCORE<TAB>next word<TAB>refs, got {line[:80]!r}")
-    _, next_word, refs = fields
-    batch = []
-    for ref in refs.split(" "):
-        sid, is_new, definition = ref.partition("=")
-        if not is_new:
-            state = states.get(sid)
-            if state is None:
-                raise FormatError(f"unknown state id {sid!r}")
-        elif not sid:
-            raise FormatError(f"ref {ref!r} has no state id")
-        elif not definition:
-            states.clear()  # a new sentence
-            state = INITIAL_STATE
-        else:
-            parent, _, token = definition.partition(":")
-            if parent not in states:
-                raise FormatError(f"unknown parent id {parent!r} in {ref!r}")
-            state = apply_action(states[parent], parse_action(token), 0.0)
-        states[sid] = state
-        batch.append(state)
-    return "\t".join(map(format_action_list,
-                         model.actions_for(batch, next_word or None)))
+class Session:
+    """One scorer session over ``model``: :meth:`reply` answers one request
+    line, and :func:`serve` runs one session over a pair of streams."""
+
+    def __init__(self, model: PCFGActionModel):
+        self.model = model
+        self.states: dict = {}  # state id -> parser state, for one sentence
+        self.actions: dict = {}  # action token -> parsed action
+        self.texts: dict = {}  # id(action list) -> (the list, its text)
+
+    def reply(self, line: str) -> str:
+        """The response line to one request (``ERR <reason>`` if it
+        cannot be answered), updating the states in order."""
+        try:
+            return self._score(line)
+        except SyntaxProbeError as exc:
+            return "ERR " + " ".join(str(exc).split())
+
+    def _score(self, line: str) -> str:
+        fields = line.split("\t")
+        if len(fields) != 3 or fields[0] != "SCORE":
+            raise FormatError(
+                f"expected SCORE<TAB>next word<TAB>refs, got {line[:80]!r}")
+        _, next_word, refs = fields
+        states = self.states
+        actions = self.actions
+        batch = []
+        for ref in refs.split(" "):
+            sid, is_new, definition = ref.partition("=")
+            if not is_new:
+                state = states.get(sid)
+                if state is None:
+                    raise FormatError(f"unknown state id {sid!r}")
+            elif not sid:
+                raise FormatError(f"ref {ref!r} has no state id")
+            elif not definition:
+                states.clear()  # a new sentence
+                state = INITIAL_STATE
+            else:
+                parent, _, token = definition.partition(":")
+                if parent not in states:
+                    raise FormatError(f"unknown parent id {parent!r} in {ref!r}")
+                action = actions.get(token)
+                if action is None:
+                    action = actions[token] = parse_action(token)
+                state = apply_action(states[parent], action, 0.0)
+            states[sid] = state
+            batch.append(state)
+        texts = self.texts
+        out = []
+        for action_list in self.model.actions_for(batch, next_word or None):
+            known = texts.get(id(action_list))
+            if known is None:
+                # Holding the list keeps its id from being reused.
+                known = texts[id(action_list)] = (
+                    action_list, format_action_list(action_list))
+            out.append(known[1])
+        return "\t".join(out)
 
 
 def serve(grammar_path: str, stdin=None, stdout=None) -> None:
     stdin = stdin if stdin is not None else sys.stdin
     stdout = stdout if stdout is not None else sys.stdout
-    model = PCFGActionModel(read_grammar(grammar_path))
+    session = Session(PCFGActionModel(read_grammar(grammar_path)))
     stdout.write(PROTOCOL_HEADER + "\n")
     stdout.flush()
-    states: dict = {}
     for line in stdin:
         line = line.rstrip("\n")
         if line == "QUIT":
             break
-        try:
-            reply = _score(model, states, line)
-        except SyntaxProbeError as exc:
-            reply = "ERR " + " ".join(str(exc).split())
-        stdout.write(reply + "\n")
+        stdout.write(session.reply(line) + "\n")
         stdout.flush()
 
 
@@ -89,6 +121,9 @@ def main(argv=None) -> int:
         print("usage: python -m syntaxprobe.pcfg_scorer GRAMMAR_FILE",
               file=sys.stderr)
         return 2
+    # The wire is UTF-8 on both sides: the client opens its pipes so too.
+    sys.stdin.reconfigure(encoding="utf-8")
+    sys.stdout.reconfigure(encoding="utf-8")
     try:
         serve(argv[0])  # answers a bad request with ERR and goes on
     except (SyntaxProbeError, OSError) as exc:

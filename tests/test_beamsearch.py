@@ -695,6 +695,7 @@ def test_client_raises_scorer_error(tmp_path, action):
         with pytest.raises(FormatError) as err:
             remote.actions(illegal)
         assert f"illegal action {bs.serialize_action(action)}" in str(err.value)
+        assert remote._ids == remote._tokens == remote._lists == {}
         # The session goes on, and the next search starts afresh.
         sent = ["the", "dog", "barks"]
         assert (bs.word_sync_beam(remote, sent).surprisals
@@ -725,3 +726,175 @@ def test_client_rejects_a_nan_from_the_scorer():
     with bs.SubprocessActionModel([sys.executable, "-c", script]) as remote:
         with pytest.raises(FormatError, match="'NT\\(S\\)=nan'"):
             bs.word_sync_beam(remote, ["the"])
+
+
+def test_scorer_wire_is_utf8_whatever_the_environment(tmp_path, monkeypatch):
+    # The scorer child inherits an ASCII stdio encoding; a word outside
+    # ASCII must still cross the pipe both ways.
+    path = tmp_path / "g.pcfg"
+    path.write_text("1.0 S -> D N V\n1.0 D -> the\n0.5 N -> caf\u00e9\n"
+                    "0.5 N -> dog\n1.0 V -> opens\n", encoding="utf-8")
+    sent = ["the", "caf\u00e9", "opens"]
+    local = bs.word_sync_beam(bs.PCFGActionModel(bs.read_grammar(path)), sent)
+    monkeypatch.setenv("PYTHONIOENCODING", "ascii")
+    with bs.SubprocessActionModel(_scorer_argv(path)) as remote:
+        got = bs.word_sync_beam(remote, sent)
+    assert got.surprisals == local.surprisals == [0.0, 1.0, 0.0]
+    assert got.top_parse == local.top_parse
+
+
+class _InProcessScorer:
+    """Stands in for a scorer child and its pipes: each request line the
+    client writes is answered at once by ``answer(line)``, in this process.
+    Requests and replies are logged."""
+
+    def __init__(self, answer):
+        self._answer = answer
+        self._out = [bs.PROTOCOL_HEADER + "\n"]
+        self.requests: list = []
+        self.replies: list = []
+        self.returncode = None
+        self.stdin = self.stdout = self
+
+    def write(self, text):
+        for line in text.splitlines():
+            if line == "QUIT":
+                self.returncode = 0
+                continue
+            reply = self._answer(line)
+            self.requests.append(line)
+            self.replies.append(reply)
+            self._out.append(reply + "\n")
+
+    def readline(self):
+        return self._out.pop(0) if self._out else ""
+
+    def flush(self):
+        pass
+
+    def close(self):
+        pass
+
+    def poll(self):
+        return self.returncode
+
+    def wait(self, timeout=None):
+        return self.returncode
+
+
+def _in_process_client(monkeypatch, answer):
+    """A SubprocessActionModel whose scorer is ``answer``, and its stand-in."""
+    proc = _InProcessScorer(answer)
+    with monkeypatch.context() as m:
+        m.setattr(bs.subprocess, "Popen", lambda argv, **kwargs: proc)
+        return bs.SubprocessActionModel(["scorer"]), proc
+
+
+def _induced():
+    """The induced PCFG and the 60 sentences of ``beam_induced.json``."""
+    recorded = json.loads((GOLDEN / "beam_induced.json").read_text())
+    return (bs.parse_grammar(recorded["grammar"]),
+            [sent.split() for sent in recorded["sentences"]])
+
+
+def _pcfg_session(grammar):
+    return pcfg_scorer.Session(bs.PCFGActionModel(grammar))
+
+
+def test_scorer_and_client_work_out_each_field_once(monkeypatch):
+    # Each side works out a distinct reply field at most once per sentence:
+    # the calls are bounded by the sum over sentences of the distinct
+    # fields, where parsing and formatting every field took one call each.
+    grammar, sentences = _induced()
+    calls = {"parse": 0, "format": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(bs, "parse_action_list",
+                        counted("parse", bs.parse_action_list))
+    monkeypatch.setattr(pcfg_scorer, "format_action_list",
+                        counted("format", pcfg_scorer.format_action_list))
+    local = bs.PCFGActionModel(grammar)
+    remote, proc = _in_process_client(monkeypatch, _pcfg_session(grammar).reply)
+    distinct = fields = 0
+    with remote:
+        for sent in sentences:
+            start = len(proc.replies)
+            got = bs.word_sync_beam(remote, sent, 10)
+            assert got.surprisals == bs.word_sync_beam(local, sent, 10).surprisals
+            seen = [f for reply in proc.replies[start:] for f in reply.split("\t")]
+            fields += len(seen)
+            distinct += len(set(seen))
+    assert (len(proc.requests), fields, distinct) == (5611, 24616, 1595)
+    assert calls["parse"] == distinct
+    assert 0 < calls["format"] <= distinct  # 166: formatted once a session
+
+
+def test_client_tables_hold_only_the_last_sentence(monkeypatch):
+    grammar, sentences = _induced()
+    remote, _ = _in_process_client(monkeypatch, _pcfg_session(grammar).reply)
+    fresh, _ = _in_process_client(monkeypatch, _pcfg_session(grammar).reply)
+    with remote, fresh:
+        for sent in sentences[:50]:
+            bs.word_sync_beam(remote, sent, 10)
+        bs.word_sync_beam(fresh, sentences[49], 10)
+        assert remote._lists == fresh._lists != {}
+        assert remote._tokens == fresh._tokens != {}
+        assert (sorted(int(sid) for sid, _ in remote._ids.values())
+                == list(range(len(fresh._ids))))
+
+
+def test_scorer_replay_formats_nothing_new(monkeypatch):
+    # The same requests served again are answered with the same lines and
+    # without one more formatted list.
+    grammar, sentences = _induced()
+    remote, proc = _in_process_client(monkeypatch, _pcfg_session(grammar).reply)
+    with remote:
+        for sent in sentences[:20]:
+            bs.word_sync_beam(remote, sent, 10)
+    session = _pcfg_session(grammar)
+    first = [session.reply(line) for line in proc.requests]
+    size = len(session.texts)
+    again = [session.reply(line) for line in proc.requests]
+    assert first == again == proc.replies
+    assert len(session.texts) == size
+
+
+@pytest.mark.parametrize("bad", ["NT(S)=nan", "REDUCE=0.5"])
+def test_client_checks_a_field_first_seen_late(monkeypatch, bad):
+    # Valid, distinct lists fill the client's table first; a bad list after
+    # them is still rejected.
+    answered = []
+
+    def answer(line):
+        n = len(line.split("\t")[2].split(" "))
+        answered.append(n)
+        field = bad if len(answered) > 20 else f"NT(S)=-{len(answered)}.0"
+        return "\t".join([field] * n)
+
+    remote, _ = _in_process_client(monkeypatch, answer)
+    state = bs.INITIAL_STATE
+    with remote:
+        for _ in range(20):
+            state = bs.apply_action(state, bs.nt("S"), 0.0)
+            remote.actions(state)
+        assert len(remote._lists) == 20
+        with pytest.raises(FormatError, match="bad scorer response entry"):
+            remote.actions(bs.apply_action(state, bs.nt("S"), 0.0))
+
+
+def test_client_actions_returns_a_fresh_list(monkeypatch):
+    model = bs.PCFGActionModel(bs.parse_grammar(DOG_TEXT))
+    remote, _ = _in_process_client(
+        monkeypatch, pcfg_scorer.Session(model).reply)
+    state = bs.apply_action(bs.INITIAL_STATE, bs.nt("S"), 0.0)
+    with remote:
+        got = remote.actions(state)
+        expected = model.actions(state)
+        assert got == expected
+        got.clear()
+        assert remote.actions(state) == expected
