@@ -233,8 +233,11 @@ class GenerativeActionModel:
 
     ``actions(state, next_word=None)`` returns a fresh list
     ``[(action, log2prob), ...]`` of legal actions, normalized within 1e-9
-    over the full legal set; an implementation may prune generation actions
-    to ``next_word`` (the sum then being <= 1).  Every log2prob is <= 0
+    over the full legal set.  Given ``next_word``, an implementation may
+    omit any action after which ``next_word`` cannot be generated, such as
+    another word's generation or a constituent that cannot begin with it
+    (the sum then being <= 1); such a state never reaches the word beam.
+    With no next word nothing may be omitted.  Every log2prob is <= 0
     as well, however close to 1 the list sums: the search relies on no
     action raising a state's score, so that a state's descendants never
     outscore it and a step can stop expanding states that already rank
@@ -298,6 +301,26 @@ class _TrieNode:
         self.next: dict = {}
 
 
+def _first_words(grammar: ToyPCFG) -> dict:
+    """Each nonterminal's first words: those that start one of its rules,
+    and those of each nonterminal that does, to a fixed point."""
+    nonterminals = grammar.nonterminals
+    first: dict = {a: set() for a in nonterminals}
+    corners: dict = {a: set() for a in nonterminals}
+    for r in grammar.rules:
+        sym = r.rhs[0]
+        (corners if sym in nonterminals else first)[r.lhs].add(sym)
+    grew = True
+    while grew:
+        grew = False
+        for a, starts in corners.items():
+            for b in starts:
+                if not first[b] <= first[a]:
+                    first[a] |= first[b]
+                    grew = True
+    return first
+
+
 class PCFGActionModel(GenerativeActionModel):
     """Top-down action model whose complete-sequence probabilities equal
     PCFG derivation probabilities.
@@ -308,9 +331,17 @@ class PCFGActionModel(GenerativeActionModel):
     normalization over legal actions is exact by construction.  No
     log2prob is above 0, in floats too: a child's mass is summed over a
     subset of its parent's rules, in the same order, so it never exceeds
-    the parent's.  Action lists are cached per open constituent; given
-    ``next_word``, generation actions are pruned to that word's, in the
-    same order as the full list.
+    the parent's.
+
+    Action lists are cached per open constituent.  Given ``next_word``, a
+    list keeps, in the order of the full list, only the actions after which
+    that word can still be generated: ``REDUCE``, the word's own ``GEN``,
+    and each ``NT(X)`` whose ``X`` can begin with the word.  A fresh ``X``
+    has no child, so it cannot be reduced before the word, and the word
+    would be its first (Stolcke 1995; Roark 2001).  No rule has an empty
+    right-hand side, so ``X`` can begin with a word exactly when the word
+    is in the left-corner closure of ``X``'s rules' first symbols, worked
+    out once from the grammar.  Equal lists are one shared tuple.
     """
 
     def __init__(self, grammar: ToyPCFG):
@@ -326,19 +357,28 @@ class PCFGActionModel(GenerativeActionModel):
                     node.mass += r.prob
                 node.stop += r.prob
             self._tries[lhs] = root
-        # (label, child symbols) -> (actions, structural actions,
-        # {word: actions pruned to that word's GEN, built on first use})
+        # (label, child symbols), or None before the first action ->
+        # (actions, {next word: actions given it, built on first use})
         self._lists: dict = {}
-        self._start = ((nt(grammar.start), 0.0),)
+        self._shared: dict = {}  # action tuple -> its one shared copy
+        self._first = _first_words(grammar)
 
-    def _node_lists(self, label: str, children: tuple) -> tuple:
+    def _share(self, actions: tuple) -> tuple:
+        return self._shared.setdefault(actions, actions)
+
+    def _node_lists(self, top) -> tuple:
+        """The cache entry of ``top``: before the first action only the
+        start symbol can open."""
+        if top is None:
+            return self._share(((nt(self.grammar.start), 0.0),)), {}
+        label, children = top
         node = self._tries.get(label)
         for sym in children:
             if node is None:
                 break
             node = node.next.get(sym)
         if node is None:
-            return (), (), {}
+            return (), {}
         out = []
         for sym, child in sorted(node.next.items()):
             lp = math.log2(child.mass / node.mass)
@@ -348,9 +388,16 @@ class PCFGActionModel(GenerativeActionModel):
                 out.append((gen(sym), lp))
         if node.stop > 0.0:
             out.append((REDUCE, math.log2(node.stop / node.mass)))
-        structural = tuple(p for p in out if p[0][0] != GEN)
-        return tuple(out), structural, dict.fromkeys(
-            p[0][1] for p in out if p[0][0] == GEN)
+        return self._share(tuple(out)), {}
+
+    def _lookahead(self, full: tuple, word: str) -> tuple:
+        """``full`` without the actions after which ``word`` cannot be
+        generated."""
+        first = self._first
+        return self._share(tuple(
+            p for p in full
+            if not (p[0][0] == GEN and p[0][1] != word
+                    or p[0][0] == NT and word not in first[p[0][1]])))
 
     def actions_for(self, states: Sequence[ParserState],
                     next_word: str | None = None) -> list:
@@ -360,22 +407,23 @@ class PCFGActionModel(GenerativeActionModel):
         append = out.append
         for state in states:
             frame = state.frame
-            if frame is None:
-                # Before the first action only the start symbol can open.
-                append(self._start if state.chain is None else ())
+            if frame is not None:
+                top = frame[0]
+            elif state.chain is None:
+                top = None
+            else:
+                append(())  # the root has closed
                 continue
-            top = frame[0]
             lists = cache.get(top)
             if lists is None:
-                lists = cache[top] = self._node_lists(*top)
+                lists = cache[top] = self._node_lists(top)
             if next_word is None:
                 append(lists[0])
                 continue
-            full, structural, by_word = lists
-            pruned = by_word.get(next_word, structural)
+            full, by_word = lists
+            pruned = by_word.get(next_word)
             if pruned is None:
-                pruned = by_word[next_word] = tuple(
-                    p for p in full if p[0][0] != GEN or p[0][1] == next_word)
+                pruned = by_word[next_word] = self._lookahead(full, next_word)
             append(pruned)
         return out
 

@@ -10,9 +10,10 @@ so a new state ``ID=PARENT:ACTION`` costs one legality-checked transition
 from its parent; ``ID=`` (the initial state) clears the table.  A request's
 states are built first, in order, and then scored together by one
 :meth:`~syntaxprobe.beamsearch.PCFGActionModel.actions_for` call of the
-PCFG adapter, which prunes generation actions to the requested next word
-when one is given (structural scores are unchanged, so a list sums to at
-most 1).  A malformed or illegal request is answered with one
+PCFG adapter, which, given the requested next word, omits the actions
+after which that word cannot be generated: other words' generation, and
+each constituent that cannot begin with it (the other scores are unchanged,
+so a list sums to at most 1).  A malformed or illegal request is answered with one
 ``ERR <reason>`` line, and the scorer goes on serving.  A grammar that does
 not load ends the scorer before its header with one ``error:<category>:``
 line on stderr, with the CLI's tokens and exit codes: 1, or 2 for a file
@@ -21,8 +22,8 @@ that cannot be read.
 Two more tables last the whole session, so that each distinct piece of
 protocol text is worked out once: the parsed action of each action token,
 and the formatted text of each action list the adapter returns.  The
-adapter returns its cached tuples, so the second is keyed by identity and
-holds no more lists than the adapter's own cache.
+adapter returns one shared tuple per distinct list, so the second is keyed
+by identity and formats each distinct list once.
 """
 
 from __future__ import annotations

@@ -67,6 +67,19 @@ class CountingModel(beamsearch.PCFGActionModel):
         return super().actions_for(states, next_word)
 
 
+class GenPrunedModel(CountingModel):
+    """The PCFG adapter under the older contract: given a next word, only
+    the generation actions of other words are dropped."""
+
+    def actions_for(self, states, next_word=None):
+        lists = super().actions_for(states)
+        if next_word is None:
+            return lists
+        return [tuple(p for p in actions
+                      if p[0][0] != beamsearch.GEN or p[0][1] == next_word)
+                for actions in lists]
+
+
 # ---------------------------------------------------------------------------
 # Random small PCFGs for the beam-search properties.  ``random_pcfg``
 # stratifies nonterminals by level, so every grammar has a finite language

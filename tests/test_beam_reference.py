@@ -1,4 +1,4 @@
-"""The word-synchronous beam search against a reference implementation.
+"""The word-synchronous beam search against reference implementations.
 
 ``_reference_advance`` is the step loop the search used before it dropped
 the frontier states that can no longer reach the word beam: it runs
@@ -6,6 +6,12 @@ structural rounds until the frontier is empty or ``MAX_STRUCT_ROUNDS`` is
 reached.  It stays here as an oracle: on any grammar and at any widths the
 search must give the same marginals, surprisals, top parse, final beam and
 dead-beam index, and make no more model calls.
+
+``GenPrunedModel`` is the PCFG adapter before it dropped, given the next
+word, each ``NT(X)`` whose ``X`` cannot begin that word.  Such a state can
+never reach the word beam, so wherever the ``action_beam_k`` cut binds on
+no pool the search with it must give the same outcome, again with no more
+model calls.
 """
 
 import random
@@ -19,7 +25,8 @@ from syntaxprobe.beamsearch import (GEN, MAX_STRUCT_ROUNDS, _keep_best,
                                     _rank_sort, expand)
 from syntaxprobe.errors import DeadBeamError
 
-from conftest import CountingModel, random_recursive_pcfg, sample_sentence
+from conftest import (CountingModel, GenPrunedModel, random_recursive_pcfg,
+                      sample_sentence)
 
 
 def _reference_advance(model, beam, word, word_beam_k, action_beam_k,
@@ -54,11 +61,11 @@ def _reference_advance(model, beam, word, word_beam_k, action_beam_k,
     return done, bool(frontier)
 
 
-def _search(grammar, sent, wk, ak, ft, advance=None):
+def _search(grammar, sent, wk, ak, ft, advance=None, model_type=CountingModel):
     """``(outcome, capped steps, model calls, states asked about)`` of one
     search: the outcome is the dead-beam word index, or the marginals,
     surprisals, top parse and final beam."""
-    model = CountingModel(grammar)
+    model = model_type(grammar)
     with mock.patch.object(bs, "_advance", advance or bs._advance):
         try:
             r = bs.word_sync_beam(model, sent, wk, ak, ft)
@@ -163,3 +170,40 @@ def test_narrow_search_matches_reference(grammar_seed, sentence_seed, widths):
 def test_default_width_search_matches_reference(grammar_seed, sentence_seed,
                                                 widths):
     _check_against_reference(grammar_seed, sentence_seed, *widths)
+
+
+def _check_against_gen_pruned(grammar_seed, sentence_seed, wk, ak, ft):
+    grammar = random_recursive_pcfg(grammar_seed)
+    sent = _sentence(grammar, sentence_seed)
+    cuts = []
+
+    def keep_best(states, k):
+        cuts.append(len(states) > k)
+        _keep_best(states, k)
+
+    with mock.patch.object(bs, "_keep_best", keep_best):
+        want, want_capped, want_calls, want_states = _search(
+            grammar, sent, wk, ak, ft, model_type=GenPrunedModel)
+    got, capped, calls, states = _search(grammar, sent, wk, ak, ft)
+    if any(cuts):
+        return  # the beam may keep a live state in a dead one's place
+    assert got == want
+    assert calls <= want_calls
+    assert states <= want_states
+    assert capped <= want_capped
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(grammar_seed=st.integers(0, 10**6), sentence_seed=st.integers(0, 10**6),
+       widths=_NARROW)
+@example(grammar_seed=0, sentence_seed=0, widths=(4, 32, 5))
+def test_narrow_search_matches_gen_pruned(grammar_seed, sentence_seed, widths):
+    _check_against_gen_pruned(grammar_seed, sentence_seed, *widths)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(grammar_seed=st.integers(0, 10**6), sentence_seed=st.integers(0, 10**6),
+       widths=_DEFAULT)
+def test_default_width_search_matches_gen_pruned(grammar_seed, sentence_seed,
+                                                 widths):
+    _check_against_gen_pruned(grammar_seed, sentence_seed, *widths)

@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies
 
 from syntaxprobe import beamsearch as bs
 from syntaxprobe import corpus
@@ -20,8 +21,8 @@ from syntaxprobe.errors import (
     OracleInfeasibleError,
 )
 
-from conftest import (CountingModel, random_pcfg, random_recursive_pcfg,
-                      sample_sentence)
+from conftest import (CountingModel, GenPrunedModel, random_pcfg,
+                      random_recursive_pcfg, sample_sentence)
 
 TWO_PARSE_TEXT = """
 0.3 S -> A
@@ -91,16 +92,47 @@ class _LegalityChecked(bs.GenerativeActionModel):
         return lists
 
 
-def _walk(model, words):
+def _walk(model, words, max_actions=None):
     """Every state reached depth-first from the initial state, following
-    generation actions only for ``words``."""
-    stack = [bs.INITIAL_STATE]
+    generation actions only for ``words``, and, given ``max_actions``, no
+    state past that many actions."""
+    stack = [(bs.INITIAL_STATE, 0)]
     while stack:
-        st = stack.pop()
+        st, depth = stack.pop()
         yield st
+        if depth == max_actions:
+            continue
         for action, lp in model.actions(st):
             if action[0] != bs.GEN or action[1] in words:
-                stack.append(bs.apply_action(st, action, lp))
+                stack.append((bs.apply_action(st, action, lp), depth + 1))
+
+
+def _can_begin(grammar, label, word):
+    """Whether some derivation of ``label`` starts with ``word``: a
+    depth-first search over the first symbols of the rules."""
+    seen = set()
+    stack = [label]
+    while stack:
+        lhs = stack.pop()
+        if lhs in seen:
+            continue
+        seen.add(lhs)
+        for rule in grammar.by_lhs[lhs]:
+            first = rule.rhs[0]
+            if first in grammar.nonterminals:
+                stack.append(first)
+            elif first == word:
+                return True
+    return False
+
+
+def _can_reach(grammar, action, word):
+    """Whether ``word`` can still be generated after ``action``."""
+    if action[0] == bs.GEN:
+        return action[1] == word
+    if action[0] == bs.NT:
+        return _can_begin(grammar, action[1], word)
+    return True  # REDUCE
 
 
 # ---------------------------------------------------------------------------
@@ -154,23 +186,41 @@ def test_action_scores_normalize(dog_model):
     assert seen > 5
 
 
-@pytest.mark.parametrize("text, words", [
-    (DOG_TEXT, ("the", "dog", "barks", "cat")),
-    (TIES_TEXT, ("a", "b", "c")),
-], ids=["dog", "ties"])
-def test_next_word_prunes_only_generation(text, words):
-    model = bs.PCFGActionModel(bs.parse_grammar(text))
-    states = list(_walk(model, words))
+def _check_next_word_drops(grammar, words, max_actions=None):
+    """Given a next word, every state of a walk lists its full list less
+    exactly the actions after which that word cannot be generated."""
+    model = bs.PCFGActionModel(grammar)
+    states = list(_walk(model, words, max_actions))
     for st in states:
         full = model.actions(st)
+        if full:
+            # With no next word nothing is dropped: the list is normalized.
+            assert abs(math.fsum(2.0 ** lp for _, lp in full) - 1.0) <= 1e-9
         for w in words:
             assert model.actions(st, w) == [
-                p for p in full if p[0][0] != bs.GEN or p[0][1] == w]
-    assert len(states) > 10
+                p for p in full if _can_reach(grammar, p[0], w)]
     # The frontier-wide answer lists what the one-state path lists.
     for w in (*words, None):
         assert list(map(list, model.actions_for(states, w))) == [
             model.actions(s, w) for s in states]
+    return states
+
+
+@pytest.mark.parametrize("text, words", [
+    (DOG_TEXT, ("the", "dog", "barks", "cat")),
+    (TIES_TEXT, ("a", "b", "c")),
+], ids=["dog", "ties"])
+def test_next_word_drops_actions_that_cannot_reach_it(text, words):
+    states = _check_next_word_drops(bs.parse_grammar(text), words)
+    assert len(states) > 10
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=strategies.integers(0, 10**6))
+def test_next_word_drops_on_recursive_grammars(seed):
+    grammar = random_recursive_pcfg(seed)
+    words = (*sorted(grammar.terminals), "unknown")
+    assert len(_check_next_word_drops(grammar, words, max_actions=8)) > 1
 
 
 def test_pcfg_log_probs_are_never_above_zero():
@@ -186,7 +236,7 @@ def test_pcfg_log_probs_are_never_above_zero():
         stack = [(lhs, ()) for lhs in grammar.by_lhs]
         while stack:
             label, children = stack.pop()
-            full, _, _ = model._node_lists(label, children)
+            full = model._node_lists((label, children))[0]
             for action, lp in full:
                 assert lp <= 0.0, (label, children, action, lp)
                 if action != bs.REDUCE:
@@ -465,6 +515,21 @@ def test_induced_beam_matches_recorded():
         assert g == e
 
 
+def test_induced_search_work_is_pinned():
+    # Calls, states answered and capped steps over the 60 induced sentences
+    # at word_beam_k 10 and 100.  Given the next word, the adapter drops
+    # each NT(X) whose X cannot begin it: with only generation actions
+    # dropped these were (5611, 24616, 43) and (9864, 107002, 126).
+    grammar, sentences = _induced()
+    got = {}
+    for k in (10, 100):
+        model = CountingModel(grammar)
+        capped = sum(bs.word_sync_beam(model, sent, k).capped_steps
+                     for sent in sentences)
+        got[k] = (len(model.batches), sum(model.batches), capped)
+    assert got == {10: (2982, 10639, 0), 100: (7235, 60112, 83)}
+
+
 # ---------------------------------------------------------------------------
 # Subprocess scorer protocol
 
@@ -480,13 +545,28 @@ def test_scorer_responses_match_recorded(tmp_path):
     # they cover every state of the dog walk, each with no next word, each
     # sentence word and an unknown word.  Each history is sent as a chain of
     # v2 definitions from ``0=``, and the list for every state on the chain
-    # must equal the recorded reply for that state and next word.
+    # must equal the recorded reply for that state and next word, less each
+    # NT(X) entry whose X cannot begin the next word: the replies were
+    # recorded when only generation actions were pruned.
     requests = [tuple(line.split("\t")[1:]) for line in
                 (GOLDEN / "scorer_dog.requests").read_text().splitlines()
                 if line != "QUIT"]
     replies = (GOLDEN / "scorer_dog.responses").read_text().splitlines()[1:]
     assert len(requests) == len(replies) == 155
-    recorded = dict(zip(requests, replies))
+    grammar = bs.parse_grammar(DOG_TEXT)
+    recorded = {}
+    dropped = 0
+    for (history, next_word), reply in zip(requests, replies):
+        kept = []
+        for entry in reply.split(" ") if reply else ():
+            action = bs.parse_action(entry.rpartition("=")[0])
+            if (next_word and action[0] == bs.NT
+                    and not _can_begin(grammar, action[1], next_word)):
+                dropped += 1
+            else:
+                kept.append(entry)
+        recorded[(history, next_word)] = " ".join(kept)
+    assert dropped == 33
 
     lines = []
     for history, next_word in requests:
@@ -819,7 +899,8 @@ def test_scorer_and_client_work_out_each_field_once(monkeypatch):
     monkeypatch.setattr(pcfg_scorer, "format_action_list",
                         counted("format", pcfg_scorer.format_action_list))
     local = bs.PCFGActionModel(grammar)
-    remote, proc = _in_process_client(monkeypatch, _pcfg_session(grammar).reply)
+    session = _pcfg_session(grammar)
+    remote, proc = _in_process_client(monkeypatch, session.reply)
     distinct = fields = 0
     with remote:
         for sent in sentences:
@@ -829,9 +910,32 @@ def test_scorer_and_client_work_out_each_field_once(monkeypatch):
             seen = [f for reply in proc.replies[start:] for f in reply.split("\t")]
             fields += len(seen)
             distinct += len(set(seen))
-    assert (len(proc.requests), fields, distinct) == (5611, 24616, 1595)
+    assert (len(proc.requests), fields, distinct) == (2982, 10639, 1364)
     assert calls["parse"] == distinct
-    assert 0 < calls["format"] <= distinct  # 166: formatted once a session
+    # The adapter shares equal lists, so the scorer formats each distinct
+    # list once a session, and no two of its texts are the same.
+    texts = [text for _, text in session.texts.values()]
+    assert calls["format"] == len(texts) == len(set(texts)) == 100
+
+
+def test_client_accepts_a_scorer_that_omits_nothing(monkeypatch):
+    # A scorer that drops only other words' generation actions still
+    # conforms.  At word_beam_k 10 no action_beam_k cut binds on the
+    # induced sentences, so the dead states it lists change nothing.
+    grammar, sentences = _induced()
+    remote, proc = _in_process_client(
+        monkeypatch, pcfg_scorer.Session(GenPrunedModel(grammar)).reply)
+    local = CountingModel(grammar)
+    with remote:
+        for sent in sentences[:20]:
+            got = bs.word_sync_beam(remote, sent, 10)
+            want = bs.word_sync_beam(local, sent, 10)
+            assert (got.surprisals, got.top_parse) == (want.surprisals,
+                                                       want.top_parse)
+    # It answers for more states, in more requests.
+    assert len(proc.requests) > len(local.batches)
+    assert (sum(len(line.split("\t")) for line in proc.replies)
+            > sum(local.batches))
 
 
 def test_client_tables_hold_only_the_last_sentence(monkeypatch):
