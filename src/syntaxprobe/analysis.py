@@ -75,8 +75,8 @@ def _chart(suite_id: str, model: str, rows, counts) -> dict:
     except (InputError, RankError) as exc:  # one exposure value, a singular design
         chart["curve_error"] = f"error:{exc.category}"
     else:
-        chart["curve"] = [{"log10_exposure": float(x), "accuracy": float(p),
-                           "band_lo": float(lo), "band_hi": float(hi)}
+        chart["curve"] = [{"log10_exposure": x, "accuracy": p, "band_lo": lo,
+                           "band_hi": hi}
                           for x, p, lo, hi in curve.samples]
         chart["curve_separated"] = curve.separated
     return chart

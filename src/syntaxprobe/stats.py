@@ -6,25 +6,25 @@ logistic fits of accuracy against exposure (optionally with cluster-robust
 standard errors standing in for by-item random intercepts), and a Pearson
 correlation test.  Nothing here aims to be a general stats library.
 
-The two special functions these need, the logistic sigmoid and the
-Student t tail, are implemented here on numpy and the standard library; the
-Wilson interval's normal quantile is the constant ``_Z95``.  numpy is
-imported inside the functions that use it, so importing this module (and
-the CLI stages that never fit) does not load it.  ``expit`` returns the same
-bits as the usual C implementation (``1/(1+exp(-x))`` with libm ``exp``), so
-written curves do not move by an ulp.
+Everything is standard library.  The logistic fits run on sufficient
+statistics: the design collapses to its distinct rows, each with its trials
+and successes, so an IRLS iteration costs O(distinct rows x k^2) however
+many observations there are.  Every sum over rows is ``math.fsum``, which
+rounds once and so does not depend on the order of the rows or on the
+Python version.  The two special functions, the logistic sigmoid and the
+Student t tail, are implemented here; the Wilson interval's normal quantile
+is the constant ``_Z95``.  ``expit`` returns the same bits as the usual C
+implementation (``1/(1+exp(-x))`` with libm ``exp``).
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from operator import mul
 
 from .errors import InputError, RankError, SeparationError
-
-if TYPE_CHECKING:
-    import numpy as np
 
 SIGNIFICANCE_TIERS = ((0.001, "***"), (0.01, "**"), (0.05, "*"))
 
@@ -47,17 +47,12 @@ def _expit1(v: float) -> float:
         return 0.0
 
 
-def expit(x) -> np.ndarray:
-    """Logistic sigmoid, element-wise.
-
-    Evaluated one element at a time with libm ``exp``: numpy's vectorised
-    ``exp`` differs from it in the last bit on a few percent of inputs.
-    """
-    import numpy as np
-
-    x = np.asarray(x, dtype=float)
-    return np.fromiter(map(_expit1, x.ravel().tolist()), float,
-                       x.size).reshape(x.shape)
+def expit(x):
+    """Logistic sigmoid of a number, or element-wise of a (nested) sequence
+    of numbers, as (nested) lists."""
+    if isinstance(x, numbers.Real):
+        return _expit1(x)
+    return [expit(v) for v in x]
 
 
 def _betacf(a: float, b: float, x: float) -> float:
@@ -173,20 +168,45 @@ class BinomialSummary:
 @dataclass
 class LogisticFit:
     labels: list[str]
-    coef: np.ndarray
-    se: np.ndarray
-    z: np.ndarray
-    p: np.ndarray
+    coef: list[float]
+    se: list[float]
+    z: list[float]  # nan where the se is zero (see fit_logistic)
+    p: list[float]
     converged: bool
-    cov: np.ndarray  # covariance of coef (CR1 when clustered)
+    cov: list[list[float]]  # covariance of coef (CR1 when clustered)
     cluster_robust: bool = False
 
 
-def _loglik(y, eta):
-    import numpy as np
+def _log1pexp(v: float) -> float:
+    """log(1 + e^v) without overflow."""
+    if v > 0.0:
+        return v + math.log1p(math.exp(-v))
+    return math.log1p(math.exp(v))
 
-    # log L = sum y*eta - log(1 + e^eta), stable via logaddexp
-    return float(np.sum(y * eta - np.logaddexp(0.0, eta)))
+
+def _solve(A, B) -> list[list[float]]:
+    """The k x m matrix X with A X = B, by Gaussian elimination with partial
+    pivoting (A is k x k; matrices are lists of rows).  A zero pivot, where
+    LAPACK reports a singular matrix, raises RankError."""
+    k = len(A)
+    M = [[*a, *b] for a, b in zip(A, B)]
+    for c in range(k):
+        pivot = max(range(c, k), key=lambda r: abs(M[r][c]))
+        if M[pivot][c] == 0.0:
+            raise RankError("singular information matrix")
+        M[c], M[pivot] = M[pivot], M[c]
+        for r in range(c + 1, k):
+            f = M[r][c] / M[c][c]
+            M[r] = [a - f * b for a, b in zip(M[r], M[c])]
+    X: list = [None] * k
+    for c in reversed(range(k)):
+        X[c] = [(M[c][k + j] - math.fsum(M[c][i] * X[i][j] for i in range(c + 1, k)))
+                / M[c][c] for j in range(len(B[0]))]
+    return X
+
+
+def _matmul(A, B) -> list[list[float]]:
+    return [[math.fsum(map(mul, a, b)) for b in zip(*B)] for a in A]
 
 
 def fit_logistic(
@@ -198,92 +218,121 @@ def fit_logistic(
     """Maximum-likelihood logistic regression via iteratively reweighted
     least squares (Newton steps on the log-likelihood).
 
-    An intercept column is prepended to ``X``; ``labels`` name the columns
-    of ``X`` (default ``x1``, ``x2``, ...) and the fit's labels start with
-    ``intercept``.
+    ``X`` is a sequence of rows.  An intercept column is prepended to it;
+    ``labels`` name the columns of ``X`` (default ``x1``, ``x2``, ...) and
+    the fit's labels start with ``intercept``.  The fit runs on the
+    design's distinct rows with their trials and successes, the binomial
+    form of the same likelihood.
 
     ``clusters`` switches the standard errors to the CR1 cluster-robust
     sandwich, the stand-in for by-item random intercepts in the exposure
-    models.  Complete separation (a coefficient running away while the
-    likelihood still improves) and singular information matrices raise.
+    models.  A term whose robust se is at most 1e-8 of its model-based se
+    (a contrast on which every cluster's score cancels, such as two models
+    that agree on every item) has no test: its z and p are nan.  Complete
+    separation (a coefficient running away while the likelihood still
+    improves) and singular information matrices raise.
     """
-    import numpy as np
-
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    y = np.asarray(y, dtype=float).ravel()
-    if X.shape[0] != y.shape[0]:
+    ys = [float(v) for v in y]
+    if len(X) != len(ys):
         raise InputError("X and y disagree on the number of rows")
-    if not np.all((y == 0) | (y == 1)):
+    if not ys:
+        raise InputError("no observations")
+    if not all(v == 0.0 or v == 1.0 for v in ys):
         raise InputError("outcomes must be binary 0/1")
-    if np.all(y == y[0]):
+    if all(v == ys[0] for v in ys):
         # Constant outcomes have no finite MLE: degenerate complete separation.
         raise SeparationError("all outcomes identical; intercept diverges")
-    X = np.hstack([np.ones((X.shape[0], 1)), X])
+    rows = [tuple(map(float, row)) for row in X]
+    width = len(rows[0])
+    if any(len(row) != width for row in rows):
+        raise InputError("rows of X differ in length")
     if labels is None:
-        labels = [f"x{j}" for j in range(1, X.shape[1])]
-    labels = ["intercept"] + list(labels)
-    if len(labels) != X.shape[1]:
+        labels = [f"x{j}" for j in range(1, width + 1)]
+    labels = ["intercept", *labels]
+    k = width + 1
+    if len(labels) != k:
         raise InputError("labels do not match design columns")
 
-    beta = np.zeros(X.shape[1])
-    ll_prev = _loglik(y, X @ beta)
+    # Sufficient statistics: each distinct row with its trials and successes.
+    index: dict = {}
+    row_of = [index.setdefault(row, len(index)) for row in rows]
+    design = [(1.0, *row) for row in index]
+    trials = [0] * len(design)
+    successes = [0] * len(design)
+    for r, v in zip(row_of, ys):
+        trials[r] += 1
+        successes[r] += int(v)
+    columns = list(zip(*design))
+
+    def linear(beta):
+        return [math.fsum(map(mul, row, beta)) for row in design]
+
+    def loglik(eta):
+        # log p = -log(1 + e^-eta) and log(1 - p) = -log(1 + e^eta)
+        return -math.fsum(s * _log1pexp(-e) + (n - s) * _log1pexp(e)
+                          for n, s, e in zip(trials, successes, eta))
+
+    def irls_terms(beta):
+        p = [_expit1(e) for e in linear(beta)]
+        # s(1 - p) - (n - s)p, not s - np: near p = 1, np would round away
+        # the residual that the successes leave.
+        resid = [s * (1.0 - q) - (n - s) * q for n, s, q in zip(trials, successes, p)]
+        w = [n * (q * (1.0 - q)) for n, q in zip(trials, p)]
+        score = [math.fsum(map(mul, col, resid)) for col in columns]
+        H = _matmul([list(map(mul, col, w)) for col in columns], design)
+        return p, score, H
+
+    beta = [0.0] * k
+    ll_prev = loglik(linear(beta))
     for _ in range(100):
-        eta = X @ beta
-        p = expit(eta)
-        w = p * (1.0 - p)
-        score = X.T @ (y - p)
-        if np.max(np.abs(score)) < 1e-10:
+        p, score, H = irls_terms(beta)
+        if max(map(abs, score)) < 1e-10:
             break
-        H = (X * w[:, None]).T @ X
-        try:
-            step = np.linalg.solve(H, score)
-        except np.linalg.LinAlgError as exc:
-            raise RankError("singular information matrix") from exc
-        beta = beta + step
-        ll = _loglik(y, X @ beta)
-        if np.max(np.abs(beta)) > 30.0 and ll > ll_prev + 1e-12:
+        step = _solve(H, [[s] for s in score])
+        beta = [b + s for b, (s,) in zip(beta, step)]
+        ll = loglik(linear(beta))
+        if max(map(abs, beta)) > 30.0 and ll > ll_prev + 1e-12:
             raise SeparationError(
                 "complete separation detected (coefficient magnitude > 30 "
                 "with improving likelihood)"
             )
         ll_prev = ll
-
-    eta = X @ beta
-    p = expit(eta)
-    w = p * (1.0 - p)
-    score = X.T @ (y - p)
-    converged = bool(np.max(np.abs(score)) < 1e-8)
-    H = (X * w[:, None]).T @ X
-    try:
-        bread = np.linalg.inv(H)
-    except np.linalg.LinAlgError as exc:
-        raise RankError("singular information matrix") from exc
+    else:
+        p, score, H = irls_terms(beta)
+    converged = max(map(abs, score)) < 1e-8
+    bread = _solve(H, [[float(i == j) for j in range(k)] for i in range(k)])
 
     cluster_robust = clusters is not None
     if cluster_robust:
-        clusters = np.asarray(clusters)
-        if clusters.shape[0] != X.shape[0]:
+        clusters = list(clusters)
+        if len(clusters) != len(rows):
             raise InputError("clusters do not match design rows")
-        groups = {}
-        for i, c in enumerate(clusters):
-            groups.setdefault(c, []).append(i)
+        groups: dict = {}  # cluster -> {distinct row: [trials, successes]}
+        for g, r, v in zip(clusters, row_of, ys):
+            counts = groups.setdefault(g, {}).setdefault(r, [0, 0])
+            counts[0] += 1
+            counts[1] += int(v)
         G = len(groups)
         if G < 2:
             raise InputError("cluster-robust errors need >= 2 clusters")
-        meat = np.zeros_like(H)
-        resid = y - p
-        for idx in groups.values():
-            s_g = X[idx].T @ resid[idx]
-            meat += np.outer(s_g, s_g)
-        cov = bread @ meat @ bread * (G / (G - 1))
+        # Each cluster's score: its cells' residuals times their rows.
+        cluster_scores = [
+            [math.fsum(terms) for terms in zip(*(
+                [x * (s * (1.0 - p[r]) - (n - s) * p[r]) for x in design[r]]
+                for r, (n, s) in cells.items()))]
+            for cells in groups.values()]
+        meat = _matmul(list(zip(*cluster_scores)), cluster_scores)
+        scale = G / (G - 1)
+        cov = [[v * scale for v in row] for row in _matmul(_matmul(bread, meat), bread)]
     else:
         cov = bread
-    se = np.sqrt(np.diag(cov))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        zval = np.where(se > 0, beta / se, np.inf)
-    pval = np.array([math.erfc(abs(zi) / math.sqrt(2.0)) for zi in zval])
-    return LogisticFit(list(labels), beta, se, zval, pval, converged, cov,
-                       cluster_robust)
+    # A robust se that is rounding noise beside the model-based one (a
+    # negative variance included) gives no test; erfc(nan) is nan.
+    se = [math.sqrt(max(cov[j][j], 0.0)) for j in range(k)]
+    zval = [beta[j] / se[j] if se[j] > 1e-8 * math.sqrt(max(bread[j][j], 0.0))
+            else math.nan for j in range(k)]
+    pval = [math.erfc(abs(z) / math.sqrt(2.0)) for z in zval]
+    return LogisticFit(labels, beta, se, zval, pval, converged, cov, cluster_robust)
 
 
 # ---------------------------------------------------------------------------
@@ -300,20 +349,20 @@ class CorrelationResult:
 
 def pearson_test(x, y) -> CorrelationResult:
     """Pearson r with the t-test two-sided p-value (n - 2 df)."""
-    import numpy as np
-
-    x = np.asarray(x, dtype=float).ravel()
-    y = np.asarray(y, dtype=float).ravel()
-    if x.shape != y.shape:
+    xs = [float(v) for v in x]
+    ys = [float(v) for v in y]
+    if len(xs) != len(ys):
         raise InputError("x and y must have equal length")
-    n = x.shape[0]
+    n = len(xs)
     if n < 3:
         raise InputError("pearson_test requires n >= 3")
-    dx, dy = x - x.mean(), y - y.mean()
-    sxx, syy = float(dx @ dx), float(dy @ dy)
+    mx, my = math.fsum(xs) / n, math.fsum(ys) / n
+    dx = [v - mx for v in xs]
+    dy = [v - my for v in ys]
+    sxx, syy = math.fsum(map(mul, dx, dx)), math.fsum(map(mul, dy, dy))
     if sxx == 0.0 or syy == 0.0:
         raise InputError("correlation undefined for constant input")
-    r = float(dx @ dy) / math.sqrt(sxx * syy)
+    r = math.fsum(map(mul, dx, dy)) / math.sqrt(sxx * syy)
     r = max(-1.0, min(1.0, r))
     if abs(r) == 1.0:
         return CorrelationResult(r, n, math.inf, 0.0)
@@ -330,16 +379,26 @@ def pearson_test(x, y) -> CorrelationResult:
 class CurveFit:
     """Logistic accuracy curve over log10 exposure, with sample points.
 
-    ``samples`` rows are (log10_exposure, p_hat, band_lo, band_hi) where the
-    band is +/- one standard error on the linear predictor, mapped through
-    the logistic.  ``separated`` flags the flat-curve fallback used when the
-    outcomes are all identical (complete separation).
+    ``samples`` rows are (log10_exposure, p_hat, band_lo, band_hi) tuples
+    where the band is +/- one standard error on the linear predictor, mapped
+    through the logistic.  ``separated`` flags the flat-curve fallback used
+    when the outcomes are all identical (complete separation).
     """
 
     fit: LogisticFit | None
     separated: bool
-    samples: np.ndarray
+    samples: list[tuple[float, float, float, float]]
     mean_accuracy: float
+
+
+def _linspace(lo: float, hi: float, n: int) -> list[float]:
+    """``n`` evenly spaced points from ``lo`` to ``hi``: ``i * step + lo``,
+    and the last point exactly ``hi``, the bits of the usual linspace."""
+    step = (hi - lo) / (n - 1) if n > 1 else 0.0
+    grid = [i * step + lo for i in range(n)]
+    if n > 1:
+        grid[-1] = hi
+    return grid
 
 
 def accuracy_curve(points, n_samples: int = 100, clusters=None) -> CurveFit:
@@ -347,32 +406,27 @@ def accuracy_curve(points, n_samples: int = 100, clusters=None) -> CurveFit:
 
     With ``clusters`` the bands use the cluster-robust covariance.
     """
-    import numpy as np
-
     pts = [(float(c), int(o)) for c, o in points]
     if not pts:
         raise InputError("no points")
-    counts = np.array([c for c, _ in pts])
-    outcomes = np.array([o for _, o in pts])
-    if np.any(counts <= 0):
+    if any(c <= 0 for c, _ in pts):
         raise InputError("exposure counts must be positive")
-    xs = np.log10(counts)
-    if np.unique(xs).size < 2:
+    xs = [math.log10(c) for c, _ in pts]
+    if len(set(xs)) < 2:
         raise InputError("need >= 2 distinct exposure values")
-    grid = np.linspace(xs.min(), xs.max(), n_samples)
-    mean_acc = float(outcomes.mean())
+    grid = _linspace(min(xs), max(xs), n_samples)
+    mean_acc = sum(o for _, o in pts) / len(pts)
     try:
-        fit = fit_logistic(xs[:, None], outcomes, labels=["log10_exposure"],
-                           clusters=clusters)
+        fit = fit_logistic([(x,) for x in xs], [o for _, o in pts],
+                           labels=["log10_exposure"], clusters=clusters)
     except SeparationError:
         eps = 1.0 / (2.0 * len(pts))
         flat = min(1.0 - eps, max(eps, mean_acc))
-        band = np.full_like(grid, flat)
-        samples = np.column_stack([grid, band, band, band])
-        return CurveFit(None, True, samples, mean_acc)
-    eta = fit.coef[0] + fit.coef[1] * grid
-    design = np.column_stack([np.ones_like(grid), grid])
-    se_eta = np.sqrt(np.einsum("ij,jk,ik->i", design, fit.cov, design))
-    samples = np.column_stack([grid, expit(eta), expit(eta - se_eta),
-                               expit(eta + se_eta)])
+        return CurveFit(None, True, [(x, flat, flat, flat) for x in grid], mean_acc)
+    (b0, b1), ((c00, c01), (c10, c11)) = fit.coef, fit.cov
+    samples = []
+    for x in grid:
+        eta = b0 + b1 * x
+        se_eta = math.sqrt(max(0.0, c00 + x * c10 + x * (c01 + x * c11)))
+        samples.append((x, _expit1(eta), _expit1(eta - se_eta), _expit1(eta + se_eta)))
     return CurveFit(fit, False, samples, mean_acc)

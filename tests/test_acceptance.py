@@ -289,8 +289,7 @@ GOLDEN_DIGESTS = os.path.join(os.path.dirname(__file__), "data", "golden",
 
 def test_pipeline_determinism(tmp_path):
     first = _run_pipeline(tmp_path, "run1")
-    # Every artifact but analysis/, whose floats depend on the BLAS build,
-    # must match the recorded digests byte for byte.
+    # Every artifact must match the recorded digests byte for byte.
     with open(GOLDEN_DIGESTS, encoding="utf-8") as fh:
         golden = {rel: digest for digest, rel in map(str.split, fh)}
     got = {}
@@ -298,9 +297,8 @@ def test_pipeline_determinism(tmp_path):
         for name in files:
             path = os.path.join(root, name)
             rel = os.path.relpath(path, str(first)).replace(os.sep, "/")
-            if not rel.startswith("analysis/"):
-                with open(path, "rb") as fh:
-                    got[rel] = hashlib.sha256(fh.read()).hexdigest()
+            with open(path, "rb") as fh:
+                got[rel] = hashlib.sha256(fh.read()).hexdigest()
     assert sorted(got) == sorted(golden)
     for rel, digest in sorted(golden.items()):
         assert got[rel] == digest, rel

@@ -7,7 +7,7 @@ from collections import Counter
 
 import pytest
 
-from syntaxprobe import analysis, cli, scoring
+from syntaxprobe import analysis, cli, scoring, stats
 from syntaxprobe.errors import AlignmentError, UsageError
 
 COUNTS = Counter({"fast": 2, "calm": 5, "wild": 30})
@@ -74,6 +74,31 @@ def test_analyze_rejects_a_target_the_lexicon_never_counted():
 def _tiny_rows(*models):
     return [dict(r, model=m) for m in models for r in _items()
             if r["suite"] == "tiny" and r["model"] == "a"]
+
+
+def test_a_term_with_zero_robust_variance_gets_no_test():
+    # Two models that agree on every item: each item's score for the model
+    # term cancels, so its cluster-robust variance is 0 up to rounding.  The
+    # same holds for the exposure fits, where every target is half correct.
+    # Such a term has no z or p, and no stars (it once read inf, 0, ***).
+    fits, _ = analysis.analyze(_groups(_tiny_rows("a", "b")), COUNTS.__getitem__,
+                               "lex.tsv")
+    no_test = ["0.000000", "0.000000", "nan", "nan", ""]
+    assert fits == [
+        ["tiny", "a", "exposure", "intercept", *no_test],
+        ["tiny", "a", "exposure", "occurrences", *no_test],
+        ["tiny", "b", "exposure", "intercept", *no_test],
+        ["tiny", "b", "exposure", "occurrences", *no_test],
+        ["tiny", "*", "supervision", "intercept", "0.000000", "1.184431", "0.0000", "1", ""],
+        ["tiny", "*", "supervision", "model:b", *no_test],
+        ["tiny", "*", "supervision", "bucket_log10", "0.000000", "1.234617", "0.0000", "1",
+         ""]]
+    # Without clusters the same contrast has its model-based se, not 0, and
+    # keeps its test.
+    rows = _tiny_rows("a", "b")
+    fit = stats.fit_logistic([[float(r["model"] == "b")] for r in rows],
+                             [r["correct"] for r in rows])
+    assert fit.se[1] > 0.5 and abs(fit.z[1]) < 1e-9 and fit.p[1] > 0.99
 
 
 def test_analyze_rejects_a_reference_model_the_suite_lacks():

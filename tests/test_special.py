@@ -1,5 +1,5 @@
 """The in-house special functions against scipy, and the import paths that
-load neither scipy nor (outside analyze) numpy.
+load neither scipy nor numpy: the runtime is the standard library.
 
 scipy is a test-only dependency: each comparison skips when it is missing.
 """
@@ -42,7 +42,8 @@ def _src_env():
 
 
 @pytest.mark.parametrize("module", [
-    "syntaxprobe", "syntaxprobe.cli", "syntaxprobe.pcfg_scorer"])
+    "syntaxprobe", "syntaxprobe.cli", "syntaxprobe.pcfg_scorer", "syntaxprobe.stats",
+    "syntaxprobe.analysis"])
 def test_entry_points_do_not_import_numpy(module):
     code = (f"import sys, {module}\n"
             "print(sorted(m for m in sys.modules\n"
@@ -70,11 +71,11 @@ def test_entry_points_load_only_their_modules(module, loaded):
     assert out.split() == loaded
 
 
-def test_only_analyze_imports_numpy(tmp_path):
+def test_no_stage_imports_numpy(tmp_path):
     # Each stage of the toy pipeline in a fresh interpreter; -X importtime
     # names every module the stage imports on stderr.  Each stage loads
     # exactly its package modules (cli runs as __main__, so it is not among
-    # them), and only analyze loads numpy.
+    # them), and none loads numpy.
     config = tmp_path / "probe.cfg"
     config.write_text("[syntaxprobe]\n"
                       f"corpus = {syntaxprobe.toydata.toy_treebank_path()}\n"
@@ -105,8 +106,49 @@ def test_only_analyze_imports_numpy(tmp_path):
         loaded = {m for m in imported if m.startswith("syntaxprobe")}
         assert loaded == {"syntaxprobe", "syntaxprobe.corpus", "syntaxprobe.errors"} | {
             f"syntaxprobe.{m}" for m in modules}, stage[0]
-        uses_numpy = any(m == "numpy" or m.startswith("numpy.") for m in imported)
-        assert uses_numpy == (stage[0] == "analyze"), stage[0]
+        assert not any(m == "numpy" or m.startswith("numpy.") for m in imported), stage[0]
+
+
+def test_analyze_and_report_run_on_the_standard_library(tmp_path):
+    # python -S keeps site-packages off sys.path, so a stage that needed an
+    # installed package would fail to import it.  The stages before analyze
+    # run in-process; analyze and report run in-process too, then again
+    # under -S, and must rewrite the same bytes.
+    from syntaxprobe import cli
+
+    config = tmp_path / "probe.cfg"
+    config.write_text("[syntaxprobe]\n"
+                      f"corpus = {syntaxprobe.toydata.toy_treebank_path()}\n"
+                      "lowercase = true\nseed = 13\nwords_per_category = 2\n"
+                      "frames_per_word = 20\n")
+    out = tmp_path / "out"
+    suite = str(out / "suites" / "argstruct_active_inf.suite")
+    items = str(out / "eval" / "argstruct_active_inf.m.items.csv")
+    evals = str(out / "eval" / "argstruct_active_inf.m.eval.csv")
+    fits = str(out / "analysis" / "fits.csv")
+    base = ["--config", str(config), "--out", str(out)]
+    for stage in (["ingest"], ["gen", "--suite", "argstruct_active_inf"], ["train-ngram"],
+                  ["score", "--suite-file", suite, "--model-name", "m"],
+                  ["eval", "--suite-file", suite, "--surprisal-file",
+                   str(out / "surprisals" / "argstruct_active_inf.m.surp"),
+                   "--model-name", "m"]):
+        assert cli.main(base + stage) == 0, stage
+    late = (["analyze", "--items", items], ["report", "--eval", evals, "--fits", fits])
+    written = ["analysis/fits.csv", "analysis/curves.csv", "analysis/charts.json",
+               "report/table.csv", "report/table.txt"]
+    for stage in late:
+        assert cli.main(base + stage) == 0, stage
+    want = {rel: (out / rel).read_bytes() for rel in written}
+    assert b"occurrences," in want["analysis/fits.csv"]  # a fit, not an error row
+    for rel in written:
+        (out / rel).unlink()
+    env = dict(os.environ, PYTHONPATH=str(
+        pathlib.Path(syntaxprobe.__file__).resolve().parent.parent))
+    for stage in late:
+        proc = subprocess.run([sys.executable, "-S", "-m", "syntaxprobe.cli"] + base + stage,
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+    assert {rel: (out / rel).read_bytes() for rel in written} == want
 
 
 def test_expit_matches_scipy_bits():
@@ -114,10 +156,10 @@ def test_expit_matches_scipy_bits():
     # Past -709.78 exp(-x) overflows and both give exactly 0.0.
     x = np.concatenate([np.linspace(-800.0, 800.0, 400_001),
                         np.random.default_rng(0).normal(0.0, 4.0, 50_000)])
-    got, want = expit(x), special.expit(x)
+    got, want = np.asarray(expit(x)), special.expit(x)
     assert got.shape == x.shape
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-    assert expit(x[:6].reshape(2, 3)).shape == (2, 3)
+    assert np.asarray(expit(x[:6].reshape(2, 3))).shape == (2, 3)
 
 
 def test_wilson_z_matches_norm_ppf():

@@ -227,9 +227,10 @@ def test_cov_diagonal_gives_se():
     y = (rng.random(200) < sigmoid(x)).astype(int)
     for clusters in (None, [i // 10 for i in range(200)]):
         fit = fit_logistic(x[:, None], y, clusters=clusters)
-        assert fit.cov.shape == (2, 2)
-        assert np.allclose(fit.cov, fit.cov.T)
-        assert np.array_equal(np.sqrt(np.diag(fit.cov)), fit.se)
+        cov = np.asarray(fit.cov)
+        assert cov.shape == (2, 2)
+        assert np.allclose(cov, cov.T)
+        assert np.array_equal(np.sqrt(np.diag(cov)), np.asarray(fit.se))
 
 
 # ---------------------------------------------------------------------------
@@ -292,10 +293,11 @@ def test_accuracy_curve_samples_and_bands():
     p = sigmoid(-0.5 + 1.0 * np.log10(counts))
     correct = (rng.random(400) < p).astype(int)
     curve = accuracy_curve(list(zip(counts, correct)), n_samples=50)
+    samples = np.asarray(curve.samples)
     assert not curve.separated
-    assert curve.samples.shape == (50, 4)
-    assert np.all(curve.samples[:, 2] <= curve.samples[:, 1])
-    assert np.all(curve.samples[:, 1] <= curve.samples[:, 3])
+    assert samples.shape == (50, 4)
+    assert np.all(samples[:, 2] <= samples[:, 1])
+    assert np.all(samples[:, 1] <= samples[:, 3])
 
 
 def test_accuracy_curve_clusters_change_bands_only():
@@ -305,16 +307,18 @@ def test_accuracy_curve_clusters_change_bands_only():
     points = list(zip(counts, correct))
     plain = accuracy_curve(points)
     robust = accuracy_curve(points, clusters=[i // 10 for i in range(400)])
+    plain_samples, robust_samples = np.asarray(plain.samples), np.asarray(robust.samples)
     assert robust.fit.cluster_robust
-    assert np.allclose(plain.samples[:, :2], robust.samples[:, :2])
-    assert not np.allclose(plain.samples[:, 2:], robust.samples[:, 2:])
+    assert np.allclose(plain_samples[:, :2], robust_samples[:, :2])
+    assert not np.allclose(plain_samples[:, 2:], robust_samples[:, 2:])
 
 
 def test_accuracy_curve_all_correct_falls_back_flat():
     curve = accuracy_curve([(2, 1), (10, 1), (100, 1)])
     assert curve.separated
     assert curve.fit is None
-    assert np.allclose(curve.samples[:, 1], curve.samples[0, 1])
+    samples = np.asarray(curve.samples)
+    assert np.allclose(samples[:, 1], samples[0, 1])
 
 
 def test_accuracy_curve_needs_two_exposures():
