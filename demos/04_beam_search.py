@@ -1,9 +1,10 @@
 """Word-synchronous beam search over a generative parsing model.
 
 A small PCFG stands in for a neural joint parse+word model: its action
-scores (open nonterminal, generate word, reduce) are exact, so beam
-marginals can be checked against exhaustive enumeration.  The same search
-also runs against an out-of-process scorer speaking the line protocol.
+scores (open nonterminal, generate word, reduce) are exact, and a word beam
+of 100 holds every live state of its sentence, so the search's marginals
+are exact there.  A narrower beam can only lose mass.  The same search also
+runs against an out-of-process scorer speaking the line protocol.
 """
 
 import math
@@ -26,24 +27,21 @@ grammar = bs.parse_grammar(GRAMMAR)
 model = bs.PCFGActionModel(grammar)
 sentence = ["the", "dog", "barks"]
 
-exact = bs.exact_marginal(model, sentence)
-print("exact parses of", " ".join(sentence))
-for tree, logprob in exact.parses:
-    print(f"  {2**logprob:.2f}  {tree}")
-
 result = bs.word_sync_beam(model, sentence, word_beam_k=100)
-print("\nprefix marginals (log2):")
+print("prefix marginals (log2):")
 for word, marginal, surprisal in zip(sentence, result.marginals,
                                      result.surprisals):
     print(f"  {word:8s} marginal {marginal:8.4f}  surprisal {surprisal:.4f} bits")
 print("top parse:", result.top_parse,
       f"(p = {2**result.top_parse_logprob:.2f})")
+print(f"sentence probability, both parses: {2**result.complete_logprob:.2f}")
 
-# With beams big enough to hold every live state the marginals are exact;
-# a word beam of 1 keeps a single hypothesis and can only lose mass.
+# The grammar's two parses of the sentence both fit a word beam of 100, so
+# those marginals are exact; a word beam of 1 keeps a single hypothesis
+# and can only lose mass.
 narrow = bs.word_sync_beam(model, sentence, word_beam_k=1, fast_track_k=1)
-print("\nword_beam_k=1 marginals:", [round(m, 4) for m in narrow.marginals])
-print("exact        marginals:", [round(m, 4) for m in exact.marginals])
+print("\nword_beam_k=1   marginals:", [round(m, 4) for m in narrow.marginals])
+print("word_beam_k=100 marginals:", [round(m, 4) for m in result.marginals])
 
 # The same search through the subprocess protocol.
 import tempfile, os

@@ -1,47 +1,38 @@
 """Word-synchronous beam search over generative parsing models.
 
-A generative action model scores parser actions (open a nonterminal,
-generate the next word, reduce) so that complete action sequences jointly
-score a sentence and its parse.  A parser state holds only its action
-chain, from which the top parse is rendered, and its open frames.  The
-search keeps hypotheses synchronized at word boundaries: one step expands
-states by structural actions under an action-level beam, and successors
-that generate the next word collect into the next word beam, with the top
-``fast_track_k`` generating successors bypassing the structural cutoff
-each round; given no word, the same step closes the parses after the last
-word.  The log sum over the surviving word beam approximates the prefix
-marginal, whose per-word differences are surprisals in bits.
+A generative action model scores the actions of :mod:`syntaxprobe.actions`
+so that complete action sequences jointly score a sentence and its parse.
+The search keeps hypotheses synchronized at word boundaries: one step
+expands states by structural actions under an action-level beam, and
+successors that generate the next word collect into the next word beam,
+with the top ``fast_track_k`` generating successors bypassing the
+structural cutoff each round; given no word, the same step closes the
+parses after the last word.  The log sum over the surviving word beam
+approximates the prefix marginal, whose per-word differences are
+surprisals in bits.
 
-Each structural round of the search is one call into the model and one
-into the transition: :meth:`GenerativeActionModel.actions_for` lists the
-actions of the whole frontier, and :func:`expand` applies them all,
-keeping only the generating successors that emit the word.  The in-repo
-model is an adapter over a small explicit PCFG, for which
-:func:`exact_marginal` enumerates the full action space; external scorers
-attach through a line-oriented subprocess protocol
-(:class:`SubprocessActionModel`) that answers each such call in one pipe
-round trip.
+A model implements one method, :meth:`GenerativeActionModel.actions_for`,
+which the search calls once per structural round for the whole frontier.
+The models here are an adapter over a small explicit PCFG
+(:class:`PCFGActionModel`) and the client of a line-oriented subprocess
+protocol (:class:`SubprocessActionModel`), through which an external
+scorer answers each such call in one pipe round trip.
 """
 
 from __future__ import annotations
 
 import math
+import shlex
 import subprocess
 from dataclasses import dataclass
 from itertools import compress, islice
 from operator import attrgetter, eq
 from typing import Sequence
 
-from .errors import (
-    DeadBeamError,
-    FormatError,
-    GrammarError,
-    InputError,
-    OracleInfeasibleError,
-    gc_paused,
-    open_text,
-    write_text,
-)
+from .actions import (GEN, INITIAL_STATE, NT, REDUCE, ParserState, bracket, expand, gen,
+                      nt, parse_action, serialize_action)
+from .errors import (DeadBeamError, FormatError, GrammarError, InputError, gc_paused,
+                     open_text, write_text)
 
 NEG_INF = float("-inf")
 
@@ -55,205 +46,31 @@ def log2sumexp(values) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Transition system
-
-
-NT = "NT"
-GEN = "GEN"
-REDUCE = ("REDUCE",)
-
-
-def nt(label: str) -> tuple:
-    return (NT, label)
-
-
-def gen(word: str) -> tuple:
-    return (GEN, word)
-
-
-class ParserState:
-    """Immutable search hypothesis: words generated, log2 prob, and the
-    derivation so far.
-
-    A successor shares all but O(1) of its parent, so an action costs the
-    same at any point in the sentence:
-
-    - ``frame`` is ``((label, child symbols), outer frame)`` for the
-      innermost open constituent, or None when nothing is open;
-    - ``chain`` is ``(last action, earlier chain)``, or None before the
-      first action.
-
-    ``history`` lists the chain, and :func:`bracket` renders it.
-    """
-
-    __slots__ = ("words", "logprob", "frame", "chain")
-
-    def __init__(self, words: int, logprob: float, frame=None, chain=None):
-        self.words = words
-        self.logprob = logprob
-        self.frame = frame
-        self.chain = chain
-
-    @property
-    def history(self) -> tuple:
-        """The actions taken so far, first to last."""
-        out = []
-        node = self.chain
-        while node is not None:
-            action, node = node
-            out.append(action)
-        out.reverse()
-        return tuple(out)
-
-    @property
-    def is_complete(self) -> bool:
-        """The root constituent has been reduced."""
-        return self.frame is None and self.chain is not None
-
-    def __repr__(self) -> str:
-        return (f"ParserState(words={self.words!r}, "
-                f"history={self.history!r}, logprob={self.logprob!r})")
-
-
-INITIAL_STATE = ParserState(0, 0.0)
-
-
-def action_is_legal(state: ParserState, action: tuple) -> bool:
-    """O(1) on the frame chain: NT needs an open constituent or no action
-    yet, GEN an open constituent, REDUCE one with a completed child."""
-    kind = action[0]
-    frame = state.frame
-    if kind == NT:
-        return frame is not None or state.chain is None
-    if kind == GEN:
-        return frame is not None
-    if kind == "REDUCE":
-        return frame is not None and bool(frame[0][1])
-    return False
-
-
-def expand(states: Sequence[ParserState], action_lists, word: str | None
-           ) -> tuple[list, list]:
-    """The successors of ``states`` under their ``(action, log2prob)``
-    lists, which must be legal, as ``(generating, structural)``: each in
-    order of state, then of action.  A GEN successor is kept only when it
-    generates ``word`` (with ``word`` None, none is).
-
-    The one place where an action changes a state's frames and chain.
-    Successors are filled in slot by slot, without the ``__init__`` call:
-    this is the search's hottest allocation.
-    """
-    generating: list[ParserState] = []
-    structural: list[ParserState] = []
-    keep_gen = generating.append
-    keep = structural.append
-    new = object.__new__
-    for state, actions in zip(states, action_lists):
-        words = state.words
-        logprob = state.logprob
-        frame = state.frame
-        chain = state.chain
-        for action, lp in actions:
-            kind = action[0]
-            if kind == NT:
-                succ = new(ParserState)
-                succ.words = words
-                succ.frame = ((action[1], ()), frame)
-                keep(succ)
-            elif kind == GEN:
-                if action[1] != word:
-                    continue
-                (label, symbols), outer = frame
-                succ = new(ParserState)
-                succ.words = words + 1
-                succ.frame = ((label, symbols + (word,)), outer)
-                keep_gen(succ)
-            else:  # REDUCE
-                (label, _), outer = frame
-                if outer is not None:  # else the root closes
-                    (olabel, osymbols), outer = outer
-                    outer = ((olabel, osymbols + (label,)), outer)
-                succ = new(ParserState)
-                succ.words = words
-                succ.frame = outer
-                keep(succ)
-            succ.logprob = logprob + lp
-            succ.chain = (action, chain)
-    return generating, structural
-
-
-def apply_action(state: ParserState, action: tuple, logprob: float) -> ParserState:
-    """:func:`expand` of one action; an illegal ``action`` is an InputError."""
-    if not action_is_legal(state, action):
-        raise InputError(f"illegal action {serialize_action(action)} in state {state}")
-    # The word is the action's last field: a GEN keeps its own word, and the
-    # other kinds do not read it.
-    generating, structural = expand((state,), (((action, logprob),),),
-                                    action[-1])
-    return (generating or structural)[0]
-
-
-def serialize_action(action: tuple) -> str:
-    if action[0] == NT:
-        return f"NT({action[1]})"
-    if action[0] == GEN:
-        return f"GEN({action[1]})"
-    return "REDUCE"
-
-
-def parse_action(token: str) -> tuple:
-    if token == "REDUCE":
-        return REDUCE
-    for kind in (NT, GEN):
-        if token.startswith(kind + "(") and token.endswith(")"):
-            return (kind, token[len(kind) + 1:-1])
-    raise FormatError(f"bad action token {token!r}")
-
-
-def bracket(history) -> str:
-    """Render a complete parse from its actions: ``NT(X)`` opens ``(X``,
-    ``GEN(w)`` adds ``w`` and ``REDUCE`` closes the innermost bracket."""
-    parts = []
-    for action in history:
-        if action[0] == NT:
-            parts.append(" (" + action[1])
-        elif action[0] == GEN:
-            parts.append(" " + action[1])
-        else:
-            parts.append(")")
-    return "".join(parts)[1:]
-
-
-# ---------------------------------------------------------------------------
 # Generative action models
 
 
 class GenerativeActionModel:
-    """Scoring contract used by the search.
+    """Scoring contract used by the search: one method, :meth:`actions_for`.
 
-    ``actions(state, next_word=None)`` returns a fresh list
-    ``[(action, log2prob), ...]`` of legal actions, normalized within 1e-9
-    over the full legal set.  Given ``next_word``, an implementation may
-    omit any action after which ``next_word`` cannot be generated, such as
-    another word's generation or a constituent that cannot begin with it
-    (the sum then being <= 1); such a state never reaches the word beam.
-    With no next word nothing may be omitted.  Every log2prob is <= 0
-    as well, however close to 1 the list sums: the search relies on no
-    action raising a state's score, so that a state's descendants never
-    outscore it and a step can stop expanding states that already rank
-    below its word beam (see :func:`_advance`).  Scores must depend only on
-    the state.  ``actions_for(states, next_word)`` returns one such sequence
-    per state, in order; the search calls it once per round.  Its sequences
-    may be shared and immutable (the PCFG adapter returns its cached
-    tuples), so callers must not mutate them.
+    ``actions_for(states, next_word=None)`` returns, for each state in
+    order, a sequence ``[(action, log2prob), ...]`` of its legal actions,
+    normalized within 1e-9 over the full legal set.  Given ``next_word``,
+    an implementation may omit any action after which ``next_word`` cannot
+    be generated, such as another word's generation or a constituent that
+    cannot begin with it (the sum then being <= 1); such a state never
+    reaches the word beam.  With no next word nothing may be omitted.
+    Every log2prob is <= 0 as well, however close to 1 the list sums: the
+    search relies on no action raising a state's score, so that a state's
+    descendants never outscore it and a step can stop expanding states that
+    already rank below its word beam (see :func:`_advance`).  Scores must
+    depend only on the state.  The search calls it once per round.  Its
+    sequences may be shared and immutable (the PCFG adapter returns its
+    cached tuples), so callers must not mutate them.
     """
-
-    def actions(self, state: ParserState, next_word: str | None = None):
-        raise NotImplementedError
 
     def actions_for(self, states: Sequence[ParserState],
                     next_word: str | None = None) -> list:
-        return [self.actions(s, next_word) for s in states]
+        raise NotImplementedError
 
 
 @dataclass(frozen=True)
@@ -647,64 +464,6 @@ def word_sync_beam(
                       log2sumexp(s.logprob for s in finals), beam, capped)
 
 
-@dataclass
-class ExactResult:
-    marginals: list
-    surprisals: list
-    complete_logprob: float
-    parses: list  # (bracketed string, log2 prob), best first
-
-
-def exact_marginal(model: GenerativeActionModel, sentence: Sequence[str],
-                   max_actions: int = 500) -> ExactResult:
-    """Exhaustive enumeration oracle for the search.
-
-    Enumerates every prefix-compatible action sequence (generation actions
-    must emit the observed words in order), accumulating exact prefix
-    probabilities; a sentence outside the grammar's language yields a
-    marginal of -inf at the failing word.  Any derivation path exceeding
-    ``max_actions`` raises, since the action set is then not known to be
-    finitely enumerable.
-    """
-    sentence = list(sentence)
-    if not sentence:
-        raise InputError("empty sentence")
-    n = len(sentence)
-    prefix_logs: list[list] = [[] for _ in range(n + 1)]
-    complete_logs: list = []
-    parses: list = []
-
-    stack = [(INITIAL_STATE, 0)]
-    while stack:
-        state, depth = stack.pop()
-        if depth > max_actions:
-            raise OracleInfeasibleError(
-                f"derivation exceeded {max_actions} actions; grammar not "
-                "finitely enumerable under this bound"
-            )
-        actions = model.actions(state)
-        if not actions:
-            if state.is_complete and state.words == n:
-                complete_logs.append(state.logprob)
-                parses.append((bracket(state.history), state.logprob))
-            continue
-        generating, structural = expand(
-            (state,), (actions,),
-            sentence[state.words] if state.words < n else None)
-        if generating:
-            prefix_logs[state.words + 1].extend(map(_LOGPROB, generating))
-        stack.extend((succ, depth + 1) for succ in generating + structural)
-
-    marginals = [log2sumexp(prefix_logs[t]) for t in range(1, n + 1)]
-    prev = 0.0
-    surprisals = []
-    for m in marginals:
-        surprisals.append(prev - m if m != NEG_INF else math.inf)
-        prev = m
-    parses.sort(key=lambda pair: (-pair[1], pair[0]))
-    return ExactResult(marginals, surprisals, log2sumexp(complete_logs), parses)
-
-
 # ---------------------------------------------------------------------------
 # Subprocess scorer protocol (line-oriented, versioned header)
 
@@ -760,7 +519,9 @@ class SubprocessActionModel(GenerativeActionModel):
     order, each a space-joined list of ``action=log2prob`` entries (empty:
     no legal actions).  A request the scorer cannot answer gets one
     ``ERR <reason>`` line instead, raised here as a FormatError, and the
-    session goes on.  ``QUIT`` ends it.
+    session goes on; so is a reply that is not UTF-8.  ``QUIT`` ends it.
+    A header that is wrong or not UTF-8 is a FormatError too, raised after
+    the child is reaped.
 
     The client keys its ids by the identity of a state's action chain, and
     holds the chain, so an id is never reused while it is known.  The search
@@ -776,14 +537,21 @@ class SubprocessActionModel(GenerativeActionModel):
     """
 
     def __init__(self, argv: Sequence[str]):
+        argv = list(argv)
         self._proc = subprocess.Popen(
-            list(argv), stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+            argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
             encoding="utf-8", bufsize=1,
         )
         self._ids: dict = {}  # id(chain) -> (state id, chain)
         self._tokens: dict = {}  # action -> its token
         self._lists: dict = {}  # reply field -> its parsed action tuple
-        header = self._proc.stdout.readline().strip()
+        try:
+            header = self._proc.stdout.readline().strip()
+        except UnicodeDecodeError as exc:
+            self.close()
+            raise FormatError(
+                f"scorer {shlex.join(argv)} announced a header that is not "
+                f"UTF-8 ({exc}; exit status {self._proc.returncode})") from None
         if header != PROTOCOL_HEADER:
             self.close()
             raise FormatError(
@@ -849,7 +617,11 @@ class SubprocessActionModel(GenerativeActionModel):
         except BrokenPipeError:
             line = ""  # the scorer has exited
         else:
-            line = self._proc.stdout.readline()
+            try:
+                line = self._proc.stdout.readline()
+            except UnicodeDecodeError as exc:
+                self._forget()
+                raise FormatError(f"scorer reply is not UTF-8: {exc}") from None
         if line == "":
             raise FormatError("scorer closed the stream mid-session")
         line = line.rstrip("\n")

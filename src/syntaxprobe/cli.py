@@ -85,11 +85,9 @@ def _blank_is(default, parse):
     return lambda text: parse(text) if text.strip() else default
 
 
-#: configparser's booleans, which ``invariance`` in the suite definitions
-#: reads too; a blank value is False.
-_BOOLEAN = (_blank_is(False, lambda text:
-                      configparser.ConfigParser.BOOLEAN_STATES[text.strip().lower()]),
-            "boolean")
+#: The one boolean rule, which ``invariance`` in the suite definitions
+#: follows too: configparser's booleans, and a blank value is False.
+_BOOLEAN = (corpus.parse_boolean, "boolean")
 
 #: Every typed key's (parse, rule): ``parse`` maps the key's text to its
 #: RunConfig value, raising ValueError, KeyError or FormatError against ``rule``.

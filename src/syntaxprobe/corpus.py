@@ -16,6 +16,7 @@ corpus holds one tree and one piece of text at a time.
 
 from __future__ import annotations
 
+import configparser
 import hashlib
 import io
 import re
@@ -542,6 +543,13 @@ def parse_bucket_table(spec: str) -> tuple[ExposureBucket, ...]:
         if b.lo <= a.hi:
             raise FormatError(f"overlapping buckets {a.id} and {b.id}")
     return tuple(buckets)
+
+
+def parse_boolean(text: str) -> bool:
+    """A boolean of the config or of a suite definition: configparser's
+    words in any case, or blank for False; anything else is a KeyError."""
+    word = text.strip().lower()
+    return configparser.ConfigParser.BOOLEAN_STATES[word] if word else False
 
 
 # ---------------------------------------------------------------------------

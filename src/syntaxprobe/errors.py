@@ -68,10 +68,6 @@ class DeadBeamError(SyntaxProbeError):
         self.word = word
 
 
-class OracleInfeasibleError(SyntaxProbeError):
-    category = "oracle-infeasible"
-
-
 class GrammarError(SyntaxProbeError):
     category = "grammar-error"
 

@@ -7,7 +7,8 @@ with one line holding the tab-joined action lists of its refs (see
 Its standard streams are read and written as UTF-8, whatever the locale or
 ``PYTHONIOENCODING`` says.  It keeps a table from state id to parser state,
 so a new state ``ID=PARENT:ACTION`` costs one legality-checked transition
-from its parent; ``ID=`` (the initial state) clears the table.  A request's
+from its parent (:func:`~syntaxprobe.actions.apply_action`); ``ID=`` (the
+initial state) clears the table.  A request's
 states are built first, in order, and then scored together by one
 :meth:`~syntaxprobe.beamsearch.PCFGActionModel.actions_for` call of the
 PCFG adapter, which, given the requested next word, omits the actions
@@ -30,15 +31,8 @@ from __future__ import annotations
 
 import sys
 
-from .beamsearch import (
-    INITIAL_STATE,
-    PROTOCOL_HEADER,
-    PCFGActionModel,
-    apply_action,
-    format_action_list,
-    parse_action,
-    read_grammar,
-)
+from .actions import INITIAL_STATE, apply_action, parse_action
+from .beamsearch import PROTOCOL_HEADER, PCFGActionModel, format_action_list, read_grammar
 from .errors import FormatError, SyntaxProbeError, report
 
 

@@ -42,6 +42,7 @@ from .corpus import (
     is_punct,
     lexicon_digest,
     majority_tag,
+    parse_boolean,
     parse_bucket_label,
 )
 from .errors import (EmptyPoolError, FormatError, GenerationError, InputError, open_text,
@@ -149,8 +150,8 @@ def parse_suite_defs(text: str, source: str = "<string>") -> SuiteDefs:
             for key, value in raw.items() if key.startswith("pool_")
         }
         try:
-            invariance = parser.getboolean(section, "invariance", fallback=False)
-        except ValueError:
+            invariance = parse_boolean(raw.get("invariance", ""))
+        except KeyError:
             raise FormatError(f"[{section}]: invariance must be a boolean, got "
                               f"{raw['invariance']!r}") from None
         region = raw.get("region", "")

@@ -1,9 +1,12 @@
 import math
 import random
+from dataclasses import dataclass
 
 import pytest
 
 from syntaxprobe import beamsearch, corpus, ngram, suites, toydata
+from syntaxprobe.actions import GEN, INITIAL_STATE, bracket, expand
+from syntaxprobe.errors import InputError
 
 
 @pytest.fixture(scope="session")
@@ -76,8 +79,74 @@ class GenPrunedModel(CountingModel):
         if next_word is None:
             return lists
         return [tuple(p for p in actions
-                      if p[0][0] != beamsearch.GEN or p[0][1] == next_word)
+                      if p[0][0] != GEN or p[0][1] == next_word)
                 for actions in lists]
+
+
+# ---------------------------------------------------------------------------
+# The exhaustive oracle for the search.
+
+
+class OracleInfeasible(Exception):
+    """A derivation ran past the oracle's action bound."""
+
+
+@dataclass
+class ExactResult:
+    marginals: list
+    surprisals: list
+    complete_logprob: float
+    parses: list  # (bracketed string, log2 prob), best first
+
+
+def exact_marginal(model, sentence, max_actions=500) -> ExactResult:
+    """Exhaustive enumeration oracle for the search.
+
+    Enumerates every prefix-compatible action sequence (generation actions
+    must emit the observed words in order), accumulating exact prefix
+    probabilities; a sentence outside the grammar's language yields a
+    marginal of -inf at the failing word.  Any derivation path exceeding
+    ``max_actions`` raises, since the action set is then not known to be
+    finitely enumerable.  The model is asked one state at a time, with no
+    next word, so it omits no action.
+    """
+    sentence = list(sentence)
+    if not sentence:
+        raise InputError("empty sentence")
+    n = len(sentence)
+    prefix_logs: list = [[] for _ in range(n + 1)]
+    complete_logs: list = []
+    parses: list = []
+
+    stack = [(INITIAL_STATE, 0)]
+    while stack:
+        state, depth = stack.pop()
+        if depth > max_actions:
+            raise OracleInfeasible(
+                f"derivation exceeded {max_actions} actions; grammar not "
+                "finitely enumerable under this bound")
+        (actions,) = model.actions_for((state,))
+        if not actions:
+            if state.is_complete and state.words == n:
+                complete_logs.append(state.logprob)
+                parses.append((bracket(state.history), state.logprob))
+            continue
+        generating, structural = expand(
+            (state,), (actions,),
+            sentence[state.words] if state.words < n else None)
+        if generating:
+            prefix_logs[state.words + 1].extend(s.logprob for s in generating)
+        stack.extend((succ, depth + 1) for succ in generating + structural)
+
+    marginals = [beamsearch.log2sumexp(prefix_logs[t]) for t in range(1, n + 1)]
+    prev = 0.0
+    surprisals = []
+    for m in marginals:
+        surprisals.append(prev - m if m != -math.inf else math.inf)
+        prev = m
+    parses.sort(key=lambda pair: (-pair[1], pair[0]))
+    return ExactResult(marginals, surprisals, beamsearch.log2sumexp(complete_logs),
+                       parses)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from syntaxprobe import (
     suites,
     toydata,
 )
-from conftest import random_pcfg, sample_sentence
+from conftest import exact_marginal, random_pcfg, sample_sentence
 
 
 def _ok(name):
@@ -168,7 +168,7 @@ def test_beam_search_vs_exact_enumeration():
         grammar = random_pcfg(seed)
         model = beamsearch.PCFGActionModel(grammar)
         sentence = sample_sentence(grammar, random.Random(1000 + seed))
-        exact = beamsearch.exact_marginal(model, sentence, max_actions=2000)
+        exact = exact_marginal(model, sentence, max_actions=2000)
         full = beamsearch.word_sync_beam(model, sentence, word_beam_k=10000)
         for a, b in zip(exact.marginals, full.marginals):
             assert abs(a - b) <= 1e-9, seed

@@ -21,8 +21,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from syntaxprobe import beamsearch as bs
-from syntaxprobe.beamsearch import (GEN, MAX_STRUCT_ROUNDS, _keep_best,
-                                    _rank_sort, expand)
+from syntaxprobe.actions import GEN, expand, serialize_action
+from syntaxprobe.beamsearch import MAX_STRUCT_ROUNDS, _keep_best, _rank_sort
 from syntaxprobe.errors import DeadBeamError
 
 from conftest import (CountingModel, GenPrunedModel, random_recursive_pcfg,
@@ -133,7 +133,7 @@ def test_a_state_at_the_kth_score_is_kept(text, k, placed):
     want = _search(grammar, ["a"], k, None, 5, _reference_advance)
     got = _search(grammar, ["a"], k, None, 5)
     assert got[0] == want[0]
-    beam = [" ".join(map(bs.serialize_action, history))
+    beam = [" ".join(map(serialize_action, history))
             for history, _ in got[0][5]]
     assert beam[-1] == placed
 

@@ -3,6 +3,7 @@ import json
 import math
 import random
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -13,16 +14,19 @@ from hypothesis import given, settings, strategies
 from syntaxprobe import beamsearch as bs
 from syntaxprobe import corpus
 from syntaxprobe import pcfg_scorer
+from syntaxprobe.actions import (GEN, INITIAL_STATE, NT, REDUCE, ParserState,
+                                 action_is_legal, apply_action, bracket, gen,
+                                 nt, parse_action, serialize_action)
 from syntaxprobe.errors import (
     DeadBeamError,
     FormatError,
     GrammarError,
     InputError,
-    OracleInfeasibleError,
 )
 
-from conftest import (CountingModel, GenPrunedModel, random_pcfg,
-                      random_recursive_pcfg, sample_sentence)
+from conftest import (CountingModel, GenPrunedModel, OracleInfeasible,
+                      exact_marginal, random_pcfg, random_recursive_pcfg,
+                      sample_sentence)
 
 TWO_PARSE_TEXT = """
 0.3 S -> A
@@ -88,7 +92,7 @@ class _LegalityChecked(bs.GenerativeActionModel):
         lists = self.model.actions_for(states, next_word)
         for st, actions in zip(states, lists):
             for action, _ in actions:
-                assert bs.action_is_legal(st, action), (st, action)
+                assert action_is_legal(st, action), (st, action)
         return lists
 
 
@@ -96,15 +100,15 @@ def _walk(model, words, max_actions=None):
     """Every state reached depth-first from the initial state, following
     generation actions only for ``words``, and, given ``max_actions``, no
     state past that many actions."""
-    stack = [(bs.INITIAL_STATE, 0)]
+    stack = [(INITIAL_STATE, 0)]
     while stack:
         st, depth = stack.pop()
         yield st
         if depth == max_actions:
             continue
         for action, lp in model.actions(st):
-            if action[0] != bs.GEN or action[1] in words:
-                stack.append((bs.apply_action(st, action, lp), depth + 1))
+            if action[0] != GEN or action[1] in words:
+                stack.append((apply_action(st, action, lp), depth + 1))
 
 
 def _can_begin(grammar, label, word):
@@ -128,9 +132,9 @@ def _can_begin(grammar, label, word):
 
 def _can_reach(grammar, action, word):
     """Whether ``word`` can still be generated after ``action``."""
-    if action[0] == bs.GEN:
+    if action[0] == GEN:
         return action[1] == word
-    if action[0] == bs.NT:
+    if action[0] == NT:
         return _can_begin(grammar, action[1], word)
     return True  # REDUCE
 
@@ -157,10 +161,10 @@ def test_grammar_validation():
 
 
 def test_action_serialization_round_trip():
-    for action in (bs.nt("NP"), bs.gen("dog"), bs.REDUCE):
-        assert bs.parse_action(bs.serialize_action(action)) == action
+    for action in (nt("NP"), gen("dog"), REDUCE):
+        assert parse_action(serialize_action(action)) == action
     with pytest.raises(FormatError):
-        bs.parse_action("SHIFT")
+        parse_action("SHIFT")
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +173,7 @@ def test_action_serialization_round_trip():
 
 def test_action_scores_normalize(dog_model):
     # Walk every state reachable while parsing the one sentence.
-    state = bs.INITIAL_STATE
+    state = INITIAL_STATE
     stack = [state]
     seen = 0
     while stack:
@@ -180,9 +184,9 @@ def test_action_scores_normalize(dog_model):
             assert abs(total - 1.0) <= 1e-9
             seen += 1
         for action, lp in actions:
-            if action[0] == bs.GEN and action[1] not in ("the", "dog", "barks"):
+            if action[0] == GEN and action[1] not in ("the", "dog", "barks"):
                 continue
-            stack.append(bs.apply_action(st, action, lp))
+            stack.append(apply_action(st, action, lp))
     assert seen > 5
 
 
@@ -239,7 +243,7 @@ def test_pcfg_log_probs_are_never_above_zero():
             full = model._node_lists((label, children))[0]
             for action, lp in full:
                 assert lp <= 0.0, (label, children, action, lp)
-                if action != bs.REDUCE:
+                if action != REDUCE:
                     stack.append((label, children + (action[1],)))
             checked += len(full)
     assert checked > 1000
@@ -248,13 +252,13 @@ def test_pcfg_log_probs_are_never_above_zero():
 def test_derivation_probability_is_rule_product():
     g = bs.parse_grammar("1.0 S -> A B\n0.7 A -> a\n0.3 A -> a a\n1.0 B -> b\n")
     model = bs.PCFGActionModel(g)
-    result = bs.exact_marginal(model, ["a", "b"])
+    result = exact_marginal(model, ["a", "b"])
     assert result.parses == [("(S (A a) (B b))", pytest.approx(math.log2(0.7)))]
 
 
 def test_two_parse_hand_example(two_parse_model):
     # Parses of "a" carry 0.3 and 0.2: 0.6 and 0.4 of the sentence mass.
-    result = bs.exact_marginal(two_parse_model, ["a"])
+    result = exact_marginal(two_parse_model, ["a"])
     assert result.marginals == [pytest.approx(math.log2(0.5))]
     assert result.complete_logprob == pytest.approx(math.log2(0.5))
     assert [p for _, p in result.parses] == [
@@ -278,7 +282,7 @@ def test_single_parse_surprisals_are_chain_probabilities(dog_model):
 
 def test_beam_equals_exact_when_all_states_fit(dog_model):
     sent = ["the", "dog", "barks"]
-    exact = bs.exact_marginal(dog_model, sent)
+    exact = exact_marginal(dog_model, sent)
     beam = bs.word_sync_beam(_LegalityChecked(dog_model), sent, word_beam_k=1000)
     for a, b in zip(exact.marginals, beam.marginals):
         assert abs(a - b) <= 1e-9
@@ -287,7 +291,7 @@ def test_beam_equals_exact_when_all_states_fit(dog_model):
 
 def test_narrow_beam_lower_bounds_exact(dog_model):
     sent = ["the", "dog", "barks"]
-    exact = bs.exact_marginal(dog_model, sent)
+    exact = exact_marginal(dog_model, sent)
     narrow = bs.word_sync_beam(dog_model, sent, word_beam_k=1, fast_track_k=1)
     for a, b in zip(exact.marginals, narrow.marginals):
         assert b <= a + 1e-12
@@ -302,7 +306,7 @@ def test_monotone_convergence(two_parse_model, dog_model):
                 for a, b in zip(prev, got):
                     assert b >= a - 1e-12
             prev = got
-        exact = bs.exact_marginal(model, sent).marginals
+        exact = exact_marginal(model, sent).marginals
         for a, b in zip(exact, prev):
             assert b == pytest.approx(a, abs=1e-9)
 
@@ -337,7 +341,7 @@ def test_capped_steps_count_steps_cut_with_a_live_frontier():
 
 
 def test_exact_marginal_out_of_language(two_parse_model):
-    result = bs.exact_marginal(two_parse_model, ["b"])
+    result = exact_marginal(two_parse_model, ["b"])
     assert result.marginals == [float("-inf")]
     assert result.complete_logprob == float("-inf")
     assert result.parses == []
@@ -346,8 +350,8 @@ def test_exact_marginal_out_of_language(two_parse_model):
 def test_exact_marginal_depth_bound():
     g = bs.parse_grammar("0.5 S -> S S\n0.5 S -> a\n")
     model = bs.PCFGActionModel(g)
-    with pytest.raises(OracleInfeasibleError):
-        bs.exact_marginal(model, ["a", "a"], max_actions=12)
+    with pytest.raises(OracleInfeasible):
+        exact_marginal(model, ["a", "a"], max_actions=12)
 
 
 def test_empty_sentence_and_bad_parameters(dog_model):
@@ -356,36 +360,36 @@ def test_empty_sentence_and_bad_parameters(dog_model):
     with pytest.raises(InputError):
         bs.word_sync_beam(dog_model, ["the"], word_beam_k=0)
     with pytest.raises(InputError):
-        bs.exact_marginal(dog_model, [])
+        exact_marginal(dog_model, [])
 
 
 def test_validator_rejects_illegal_actions():
-    state = bs.INITIAL_STATE
-    assert bs.action_is_legal(state, bs.nt("S"))
-    assert not bs.action_is_legal(state, bs.gen("a"))
-    assert not bs.action_is_legal(state, bs.REDUCE)
-    opened = bs.apply_action(state, bs.nt("S"), 0.0)
-    assert not bs.action_is_legal(opened, bs.REDUCE)  # no completed child yet
+    state = INITIAL_STATE
+    assert action_is_legal(state, nt("S"))
+    assert not action_is_legal(state, gen("a"))
+    assert not action_is_legal(state, REDUCE)
+    opened = apply_action(state, nt("S"), 0.0)
+    assert not action_is_legal(opened, REDUCE)  # no completed child yet
     with pytest.raises(InputError):
-        bs.apply_action(opened, bs.REDUCE, 0.0)
-    shifted = bs.apply_action(opened, bs.gen("a"), -1.0)
-    assert bs.action_is_legal(shifted, bs.REDUCE)
-    done = bs.apply_action(shifted, bs.REDUCE, 0.0)
+        apply_action(opened, REDUCE, 0.0)
+    shifted = apply_action(opened, gen("a"), -1.0)
+    assert action_is_legal(shifted, REDUCE)
+    done = apply_action(shifted, REDUCE, 0.0)
     assert done.is_complete
-    assert bs.bracket(done.history) == "(S a)"
+    assert bracket(done.history) == "(S a)"
 
 
 def test_is_complete_only_after_the_root_reduce():
-    assert not bs.INITIAL_STATE.is_complete
-    opened = bs.apply_action(bs.INITIAL_STATE, bs.nt("S"), 0.0)
+    assert not INITIAL_STATE.is_complete
+    opened = apply_action(INITIAL_STATE, nt("S"), 0.0)
     assert not opened.is_complete
-    inner = bs.apply_action(opened, bs.nt("A"), 0.0)
-    inner = bs.apply_action(inner, bs.gen("a"), 0.0)
-    inner = bs.apply_action(inner, bs.REDUCE, 0.0)
+    inner = apply_action(opened, nt("A"), 0.0)
+    inner = apply_action(inner, gen("a"), 0.0)
+    inner = apply_action(inner, REDUCE, 0.0)
     assert not inner.is_complete  # S is still open
-    done = bs.apply_action(inner, bs.REDUCE, 0.0)
+    done = apply_action(inner, REDUCE, 0.0)
     assert done.is_complete
-    assert bs.bracket(done.history) == "(S (A a))"
+    assert bracket(done.history) == "(S (A a))"
 
 
 def _with_preterminals(parse: str) -> str:
@@ -401,7 +405,7 @@ def test_bracket_from_history_reads_back_as_a_treebank_tree():
     for seed in range(6):
         grammar = random_pcfg(seed)
         sent = sample_sentence(grammar, random.Random(1000 + seed))
-        result = bs.exact_marginal(bs.PCFGActionModel(grammar), sent,
+        result = exact_marginal(bs.PCFGActionModel(grammar), sent,
                                    max_actions=2000)
         strings = [parse for parse, _ in result.parses]
         assert strings and len(set(strings)) == len(strings)
@@ -419,7 +423,7 @@ def test_random_grammars_beam_equals_exact():
         grammar = random_pcfg(seed)
         model = bs.PCFGActionModel(grammar)
         sent = sample_sentence(grammar, random.Random(1000 + seed))
-        exact = bs.exact_marginal(model, sent, max_actions=2000)
+        exact = exact_marginal(model, sent, max_actions=2000)
         beam = bs.word_sync_beam(_LegalityChecked(model), sent,
                                  word_beam_k=10000)
         for a, b in zip(exact.marginals, beam.marginals):
@@ -452,7 +456,7 @@ def _beam_record(model, name, sent, wk, ak, ft) -> dict:
         rec["surprisals"] = [repr(x) for x in r.surprisals]
         rec["top_parse"] = r.top_parse
         rec["top_parse_logprob"] = repr(r.top_parse_logprob)
-        rec["beam"] = [[" ".join(map(bs.serialize_action, st.history)),
+        rec["beam"] = [[" ".join(map(serialize_action, st.history)),
                         repr(st.logprob)]
                        for st in r.beam]
     return rec
@@ -559,8 +563,8 @@ def test_scorer_responses_match_recorded(tmp_path):
     for (history, next_word), reply in zip(requests, replies):
         kept = []
         for entry in reply.split(" ") if reply else ():
-            action = bs.parse_action(entry.rpartition("=")[0])
-            if (next_word and action[0] == bs.NT
+            action = parse_action(entry.rpartition("=")[0])
+            if (next_word and action[0] == NT
                     and not _can_begin(grammar, action[1], next_word)):
                 dropped += 1
             else:
@@ -609,6 +613,48 @@ def test_subprocess_scorer_bad_header():
         bs.SubprocessActionModel(argv)
 
 
+def test_subprocess_scorer_header_not_utf8_reaps_the_child(monkeypatch):
+    # The child's header is not UTF-8: the FormatError names the scorer, and
+    # comes after the child has read QUIT, exited and had both pipes closed.
+    script = ("import sys\n"
+              "sys.stdout.buffer.write(b'\\xff\\xfe header\\n')\n"
+              "sys.stdout.flush()\n"
+              "sys.stdin.readline()\n")
+    argv = [sys.executable, "-c", script]
+    started = []
+    popen = bs.subprocess.Popen
+
+    def recording_popen(*args, **kwargs):
+        started.append(popen(*args, **kwargs))
+        return started[-1]
+
+    monkeypatch.setattr(bs.subprocess, "Popen", recording_popen)
+    with pytest.raises(FormatError, match="announced a header that is not "
+                                          "UTF-8") as err:
+        bs.SubprocessActionModel(argv)
+    assert shlex.join(argv) in str(err.value)
+    (proc,) = started
+    assert proc.returncode == 0
+    assert proc.stdin.closed and proc.stdout.closed
+
+
+def test_client_reply_not_utf8_is_a_format_error():
+    # Like an ERR line, a reply that is not UTF-8 fails its request and
+    # clears the per-sentence tables.
+    script = ("import sys\n"
+              f"print({bs.PROTOCOL_HEADER!r}, flush=True)\n"
+              "for line in sys.stdin:\n"
+              "    if line.startswith('QUIT'):\n"
+              "        break\n"
+              "    sys.stdout.buffer.write(b'NT(S)=-1.0 \\xff\\n')\n"
+              "    sys.stdout.flush()\n")
+    with bs.SubprocessActionModel([sys.executable, "-c", script]) as remote:
+        with pytest.raises(FormatError, match="scorer reply is not UTF-8"):
+            remote.actions(apply_action(INITIAL_STATE, nt("S"), 0.0))
+        assert remote._ids == remote._tokens == remote._lists == {}
+    assert remote._proc.returncode == 0
+
+
 def test_scorer_reports_a_grammar_that_does_not_load(tmp_path):
     bad = tmp_path / "bad.pcfg"
     bad.write_text("0.5 S -> a\n")
@@ -642,7 +688,7 @@ def test_scorer_that_has_exited_is_a_format_error():
     with bs.SubprocessActionModel([sys.executable, "-c", script]) as model:
         model._proc.wait()  # the scorer is gone before the first request
         with pytest.raises(FormatError, match="scorer closed the stream mid-session"):
-            model.actions(bs.ParserState(0, 0.0))
+            model.actions(ParserState(0, 0.0))
 
 
 def _scorer_argv(path):
@@ -727,9 +773,9 @@ def test_client_ids_restart_each_sentence(tmp_path):
 def test_client_defines_unknown_ancestors(tmp_path):
     path = _dog_grammar_file(tmp_path)
     local = bs.PCFGActionModel(bs.parse_grammar(DOG_TEXT))
-    state = bs.INITIAL_STATE
-    for action in (bs.nt("S"), bs.nt("NP"), bs.nt("D"), bs.gen("the")):
-        state = bs.apply_action(state, action, 0.0)
+    state = INITIAL_STATE
+    for action in (nt("S"), nt("NP"), nt("D"), gen("the")):
+        state = apply_action(state, action, 0.0)
     with bs.SubprocessActionModel(_scorer_argv(path)) as remote:
         assert remote.actions(state, "x") == local.actions(state, "x")
         assert remote.actions(state) == local.actions(state)
@@ -765,16 +811,16 @@ def test_scorer_forgets_ids_at_new_sentence(tmp_path):
     assert forgotten.startswith("ERR unknown state id '1'")
 
 
-@pytest.mark.parametrize("action", [bs.gen("the"), bs.REDUCE],
+@pytest.mark.parametrize("action", [gen("the"), REDUCE],
                          ids=["gen-first", "reduce-first"])
 def test_client_raises_scorer_error(tmp_path, action):
     path = _dog_grammar_file(tmp_path)
     local = bs.PCFGActionModel(bs.parse_grammar(DOG_TEXT))
-    illegal = bs.ParserState(0, 0.0, chain=(action, None))
+    illegal = ParserState(0, 0.0, chain=(action, None))
     with bs.SubprocessActionModel(_scorer_argv(path)) as remote:
         with pytest.raises(FormatError) as err:
             remote.actions(illegal)
-        assert f"illegal action {bs.serialize_action(action)}" in str(err.value)
+        assert f"illegal action {serialize_action(action)}" in str(err.value)
         assert remote._ids == remote._tokens == remote._lists == {}
         # The session goes on, and the next search starts afresh.
         sent = ["the", "dog", "barks"]
@@ -792,8 +838,8 @@ def test_scorer_response_rejects_nan_and_positive_log_probs(lp):
 
 def test_scorer_response_accepts_log_probs_up_to_zero():
     got = bs.parse_action_list("NT(S)=-inf GEN(a)=-0.0 REDUCE=0.0 NT(B)=-1.5")
-    assert got == [(bs.nt("S"), -math.inf), (bs.gen("a"), 0.0),
-                   (bs.REDUCE, 0.0), (bs.nt("B"), -1.5)]
+    assert got == [(nt("S"), -math.inf), (gen("a"), 0.0),
+                   (REDUCE, 0.0), (nt("B"), -1.5)]
 
 
 def test_client_rejects_a_nan_from_the_scorer():
@@ -981,21 +1027,21 @@ def test_client_checks_a_field_first_seen_late(monkeypatch, bad):
         return "\t".join([field] * n)
 
     remote, _ = _in_process_client(monkeypatch, answer)
-    state = bs.INITIAL_STATE
+    state = INITIAL_STATE
     with remote:
         for _ in range(20):
-            state = bs.apply_action(state, bs.nt("S"), 0.0)
+            state = apply_action(state, nt("S"), 0.0)
             remote.actions(state)
         assert len(remote._lists) == 20
         with pytest.raises(FormatError, match="bad scorer response entry"):
-            remote.actions(bs.apply_action(state, bs.nt("S"), 0.0))
+            remote.actions(apply_action(state, nt("S"), 0.0))
 
 
 def test_client_actions_returns_a_fresh_list(monkeypatch):
     model = bs.PCFGActionModel(bs.parse_grammar(DOG_TEXT))
     remote, _ = _in_process_client(
         monkeypatch, pcfg_scorer.Session(model).reply)
-    state = bs.apply_action(bs.INITIAL_STATE, bs.nt("S"), 0.0)
+    state = apply_action(INITIAL_STATE, nt("S"), 0.0)
     with remote:
         got = remote.actions(state)
         expected = model.actions(state)

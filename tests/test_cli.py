@@ -457,6 +457,24 @@ def test_scorer_that_exits_before_its_header_names_its_status(tmp_path, capsys):
         "(got ''; exit status 2)\n")
 
 
+def test_scorer_whose_header_is_not_utf8_is_named(tmp_path, capsys):
+    # The CLI's line names the scorer command, where it once named no file.
+    script = tmp_path / "scorer.py"
+    script.write_text("import sys\n"
+                      "sys.stdout.buffer.write(b'\\xff\\xfe header\\n')\n"
+                      "sys.stdout.flush()\n"
+                      "sys.stdin.readline()\n")
+    scorer = shlex.join([sys.executable, str(script)])
+    rc = run(["--config", _write_config(tmp_path), "--out", str(tmp_path / "out"),
+              "score", "--suite-file", str(_tiny_suite(tmp_path)),
+              "--model", f"subprocess:{scorer}"])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(
+        f"error:format-error: scorer {scorer} announced a header that is not "
+        "UTF-8 ('utf-8' codec can't decode byte 0xff in position 0")
+    assert not (tmp_path / "out" / "surprisals").exists()
+
+
 def test_dead_beam_names_the_suite_file_and_sentence(tmp_path, capsys):
     # The second suite's ungrammatical sentence is outside the grammar's
     # language {fast, slow} go: the call stops there, and the first suite's

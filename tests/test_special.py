@@ -55,8 +55,9 @@ def test_entry_points_do_not_import_numpy(module):
 
 @pytest.mark.parametrize("module, loaded", [
     ("syntaxprobe", ["syntaxprobe"]),
-    ("syntaxprobe.pcfg_scorer", ["syntaxprobe", "syntaxprobe.beamsearch",
-                                 "syntaxprobe.errors", "syntaxprobe.pcfg_scorer"]),
+    ("syntaxprobe.pcfg_scorer", ["syntaxprobe", "syntaxprobe.actions",
+                                 "syntaxprobe.beamsearch", "syntaxprobe.errors",
+                                 "syntaxprobe.pcfg_scorer"]),
     # corpus checks the bucket table when the config is loaded.
     ("syntaxprobe.cli", ["syntaxprobe", "syntaxprobe.cli", "syntaxprobe.corpus",
                          "syntaxprobe.errors"]),

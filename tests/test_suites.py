@@ -59,6 +59,12 @@ def test_defs_invariance_takes_config_booleans(value):
     assert parse_suite_defs(_COPULA + f"invariance = {value}\n")["x"].invariance
 
 
+@pytest.mark.parametrize("value", ["", "  "], ids=["empty", "spaces"])
+def test_defs_blank_invariance_is_false_as_in_the_config(value):
+    # One rule for both files: a blank boolean reads False.
+    assert not parse_suite_defs(_COPULA + f"invariance ={value}\n")["x"].invariance
+
+
 def test_defs_invariance_typo_rejected():
     with pytest.raises(FormatError, match=r"\[x\]: invariance must be a boolean"):
         parse_suite_defs(_COPULA + "invariance = ture\n")
