@@ -28,8 +28,7 @@ def gen(word: str) -> tuple:
 
 
 class ParserState:
-    """Immutable search hypothesis: words generated, log2 prob, and the
-    derivation so far.
+    """Immutable search hypothesis: log2 prob and the derivation so far.
 
     A successor shares all but O(1) of its parent, so an action costs the
     same at any point in the sentence:
@@ -42,10 +41,9 @@ class ParserState:
     ``history`` lists the chain, and :func:`bracket` renders it.
     """
 
-    __slots__ = ("words", "logprob", "frame", "chain")
+    __slots__ = ("logprob", "frame", "chain")
 
-    def __init__(self, words: int, logprob: float, frame=None, chain=None):
-        self.words = words
+    def __init__(self, logprob: float, frame=None, chain=None):
         self.logprob = logprob
         self.frame = frame
         self.chain = chain
@@ -67,11 +65,10 @@ class ParserState:
         return self.frame is None and self.chain is not None
 
     def __repr__(self) -> str:
-        return (f"ParserState(words={self.words!r}, "
-                f"history={self.history!r}, logprob={self.logprob!r})")
+        return f"ParserState(history={self.history!r}, logprob={self.logprob!r})"
 
 
-INITIAL_STATE = ParserState(0, 0.0)
+INITIAL_STATE = ParserState(0.0)
 
 
 def action_is_legal(state: ParserState, action: tuple) -> bool:
@@ -105,7 +102,6 @@ def expand(states: Sequence[ParserState], action_lists, word: str | None
     keep = structural.append
     new = object.__new__
     for state, actions in zip(states, action_lists):
-        words = state.words
         logprob = state.logprob
         frame = state.frame
         chain = state.chain
@@ -113,7 +109,6 @@ def expand(states: Sequence[ParserState], action_lists, word: str | None
             kind = action[0]
             if kind == NT:
                 succ = new(ParserState)
-                succ.words = words
                 succ.frame = ((action[1], ()), frame)
                 keep(succ)
             elif kind == GEN:
@@ -121,7 +116,6 @@ def expand(states: Sequence[ParserState], action_lists, word: str | None
                     continue
                 (label, symbols), outer = frame
                 succ = new(ParserState)
-                succ.words = words + 1
                 succ.frame = ((label, symbols + (word,)), outer)
                 keep_gen(succ)
             else:  # REDUCE
@@ -130,7 +124,6 @@ def expand(states: Sequence[ParserState], action_lists, word: str | None
                     (olabel, osymbols), outer = outer
                     outer = ((olabel, osymbols + (label,)), outer)
                 succ = new(ParserState)
-                succ.words = words
                 succ.frame = outer
                 keep(succ)
             succ.logprob = logprob + lp

@@ -520,8 +520,8 @@ class SubprocessActionModel(GenerativeActionModel):
     no legal actions).  A request the scorer cannot answer gets one
     ``ERR <reason>`` line instead, raised here as a FormatError, and the
     session goes on; so is a reply that is not UTF-8.  ``QUIT`` ends it.
-    A header that is wrong or not UTF-8 is a FormatError too, raised after
-    the child is reaped.
+    A header that is wrong or not UTF-8 is a FormatError too, naming the
+    command and its exit status, raised after the child is reaped.
 
     The client keys its ids by the identity of a state's action chain, and
     holds the chain, so an id is never reused while it is known.  The search
@@ -548,16 +548,14 @@ class SubprocessActionModel(GenerativeActionModel):
         try:
             header = self._proc.stdout.readline().strip()
         except UnicodeDecodeError as exc:
+            problem = f"announced a header that is not UTF-8 ({exc}"
+        else:
+            problem = (None if header == PROTOCOL_HEADER else
+                       f"did not announce {PROTOCOL_HEADER!r} (got {header!r}")
+        if problem is not None:
             self.close()
-            raise FormatError(
-                f"scorer {shlex.join(argv)} announced a header that is not "
-                f"UTF-8 ({exc}; exit status {self._proc.returncode})") from None
-        if header != PROTOCOL_HEADER:
-            self.close()
-            raise FormatError(
-                f"scorer did not announce {PROTOCOL_HEADER!r} (got {header!r}; "
-                f"exit status {self._proc.returncode})"
-            )
+            raise FormatError(f"scorer {shlex.join(argv)} {problem}; "
+                              f"exit status {self._proc.returncode})")
 
     def _forget(self) -> None:
         """Clear the per-sentence tables."""

@@ -118,25 +118,25 @@ def exact_marginal(model, sentence, max_actions=500) -> ExactResult:
     complete_logs: list = []
     parses: list = []
 
-    stack = [(INITIAL_STATE, 0)]
+    stack = [(INITIAL_STATE, 0, 0)]  # (state, actions taken, words generated)
     while stack:
-        state, depth = stack.pop()
+        state, depth, words = stack.pop()
         if depth > max_actions:
             raise OracleInfeasible(
                 f"derivation exceeded {max_actions} actions; grammar not "
                 "finitely enumerable under this bound")
         (actions,) = model.actions_for((state,))
         if not actions:
-            if state.is_complete and state.words == n:
+            if state.is_complete and words == n:
                 complete_logs.append(state.logprob)
                 parses.append((bracket(state.history), state.logprob))
             continue
         generating, structural = expand(
-            (state,), (actions,),
-            sentence[state.words] if state.words < n else None)
+            (state,), (actions,), sentence[words] if words < n else None)
         if generating:
-            prefix_logs[state.words + 1].extend(s.logprob for s in generating)
-        stack.extend((succ, depth + 1) for succ in generating + structural)
+            prefix_logs[words + 1].extend(s.logprob for s in generating)
+        stack.extend((succ, depth + 1, words + 1) for succ in generating)
+        stack.extend((succ, depth + 1, words) for succ in structural)
 
     marginals = [beamsearch.log2sumexp(prefix_logs[t]) for t in range(1, n + 1)]
     prev = 0.0

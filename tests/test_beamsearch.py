@@ -688,7 +688,7 @@ def test_scorer_that_has_exited_is_a_format_error():
     with bs.SubprocessActionModel([sys.executable, "-c", script]) as model:
         model._proc.wait()  # the scorer is gone before the first request
         with pytest.raises(FormatError, match="scorer closed the stream mid-session"):
-            model.actions(ParserState(0, 0.0))
+            model.actions(ParserState(0.0))
 
 
 def _scorer_argv(path):
@@ -816,7 +816,7 @@ def test_scorer_forgets_ids_at_new_sentence(tmp_path):
 def test_client_raises_scorer_error(tmp_path, action):
     path = _dog_grammar_file(tmp_path)
     local = bs.PCFGActionModel(bs.parse_grammar(DOG_TEXT))
-    illegal = ParserState(0, 0.0, chain=(action, None))
+    illegal = ParserState(0.0, chain=(action, None))
     with bs.SubprocessActionModel(_scorer_argv(path)) as remote:
         with pytest.raises(FormatError) as err:
             remote.actions(illegal)

@@ -8,6 +8,7 @@ import math
 import os
 import pathlib
 import random
+import re
 import shlex
 import shutil
 import sys
@@ -440,12 +441,12 @@ def test_subprocess_spec_without_a_command_is_usage_error(tmp_path, capsys, spec
               "--suite-file", str(_tiny_suite(tmp_path)), "--model", spec])
     assert rc == 2
     assert f"error:usage-error: bad model spec {spec!r}" in capsys.readouterr().err
-    assert not (out / "surprisals").exists()
+    assert not out.exists()
 
 
 def test_scorer_that_exits_before_its_header_names_its_status(tmp_path, capsys):
     # The scorer prints its own usage-error line and exits 2 on a grammar
-    # file it cannot read; the CLI's line carries that status.
+    # file it cannot read; the CLI's line names the command and that status.
     scorer = shlex.join([sys.executable, "-m", "syntaxprobe.pcfg_scorer",
                          str(tmp_path / "missing.pcfg")])
     rc = run(["--config", _write_config(tmp_path), "--out", str(tmp_path / "out"),
@@ -453,8 +454,8 @@ def test_scorer_that_exits_before_its_header_names_its_status(tmp_path, capsys):
               "--model", f"subprocess:{scorer}"])
     assert rc == 1
     assert capsys.readouterr().err == (
-        "error:format-error: scorer did not announce '#syntax-probe-scorer v2' "
-        "(got ''; exit status 2)\n")
+        f"error:format-error: scorer {scorer} did not announce "
+        "'#syntax-probe-scorer v2' (got ''; exit status 2)\n")
 
 
 def test_scorer_whose_header_is_not_utf8_is_named(tmp_path, capsys):
@@ -510,6 +511,16 @@ def _two_tiny_suites(tmp_path):
     return [str(first), str(second)]
 
 
+def _golden():
+    """The README pipeline's recorded digests, as {relative path: sha256}."""
+    with open(DATA / "golden" / "toy_pipeline.sha256", encoding="utf-8") as fh:
+        return {rel: digest for digest, rel in map(str.split, fh)}
+
+
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 def test_one_score_and_one_eval_call_match_golden(tmp_path, capsys):
     # The golden digests come from the README config, which keeps the
     # defaults for these two keys.
@@ -530,14 +541,12 @@ def test_one_score_and_one_eval_call_match_golden(tmp_path, capsys):
     printed = capsys.readouterr().out.splitlines()
     assert sum(line.startswith("score: ") for line in printed) == 13
     assert sum(line.startswith("eval: ") for line in printed) == 13
-    with open(DATA / "golden" / "toy_pipeline.sha256", encoding="utf-8") as fh:
-        golden = {rel: digest for digest, rel in map(str.split, fh)}
+    golden = _golden()
     for stage in ("surprisals", "eval"):
         written = sorted(f"{stage}/{p.name}" for p in (out / stage).iterdir())
         assert written == sorted(r for r in golden if r.startswith(stage + "/"))
         for rel in written:
-            assert hashlib.sha256((out / rel).read_bytes()).hexdigest() \
-                == golden[rel], rel
+            assert _sha256(out / rel) == golden[rel], rel
 
 
 def test_eval_with_unequal_file_counts_is_usage_error(tmp_path, capsys):
@@ -569,16 +578,27 @@ def test_adapter_is_a_bad_model_spec(tmp_path, capsys):
     assert not (out / "surprisals").exists()
 
 
-def test_malformed_second_suite_writes_no_surprisals(tmp_path, capsys):
+@pytest.mark.parametrize("stage", ["score", "eval"])
+def test_malformed_second_suite_writes_no_surprisals(tmp_path, capsys, stage):
+    # The first suite is done before the second is read: its output does
+    # not land either, and no .tmp is left.
     good, bad = _two_tiny_suites(tmp_path)
+    config, model = _write_config(tmp_path), f"pcfg:{_tiny_grammar(tmp_path)}"
+    scored = tmp_path / "scored"
+    assert run(["--config", config, "--out", str(scored), "score",
+                "--suite-file", good, bad, "--model", model, "--model-name", "g"]) == 0
+    surps = [str(scored / "surprisals" / f"{s}.g.surp") for s in ("tiny", "tiny2")]
     _corrupt(pathlib.Path(bad), "\t2\tgram\t", "\ttwo\tgram\t")
+    args = {"score": ["--model", model],
+            "eval": ["--surprisal-file", *surps, "--model-name", "g"]}[stage]
     out = tmp_path / "out"
-    rc = run(["--config", _write_config(tmp_path), "--out", str(out),
-              "score", "--suite-file", good, bad,
-              "--model", f"pcfg:{_tiny_grammar(tmp_path)}"])
+    capsys.readouterr()
+    rc = run(["--config", config, "--out", str(out), stage,
+              "--suite-file", good, bad, *args])
     assert rc == 1
     assert f"error:format-error: {bad}:" in capsys.readouterr().err
-    assert not (out / "surprisals").exists()
+    assert not out.exists()
+    assert list(tmp_path.rglob("*.tmp")) == []
 
 
 def test_a_suite_given_twice_lands_once(tmp_path):
@@ -682,11 +702,12 @@ def test_bad_suite_row_is_format_error(tmp_path, capsys, old, new):
     lineno = _corrupt(suite_file, old, new)
     surp = tmp_path / "tiny.surp"
     surp.write_text(f"{scoring.SURPRISAL_HEADER} base=2\n")
-    base = ["--config", _write_config(tmp_path), "--out", str(tmp_path / "out")]
-    rc = run(base + ["eval", "--suite-file", str(suite_file),
-                     "--surprisal-file", str(surp)])
+    out = tmp_path / "out"
+    rc = run(["--config", _write_config(tmp_path), "--out", str(out), "eval",
+              "--suite-file", str(suite_file), "--surprisal-file", str(surp)])
     assert rc == 1
     assert f"error:format-error: {suite_file}:{lineno}:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("condition", ["maybe", "Gram", "target", "bucket"])
@@ -741,7 +762,7 @@ def test_unknown_suite_defs_key_names_file_section_and_key(tmp_path, capsys,
     key = line.split(" = ")[0]
     assert capsys.readouterr().err == (
         f"error:format-error: {defs}: [{section}]: unknown key {key!r}\n")
-    assert not (out / "suites").exists()
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("old, new", [
@@ -950,7 +971,23 @@ def test_analyze_rejects_a_lexicon_that_did_not_make_the_suite(toy_run, tmp_path
     err = capsys.readouterr().err
     assert err.startswith("error:alignment-error: target ")
     assert f"of suite number_base does not occur in lexicon {lexicon}" in err
-    assert not (out / "analysis").exists()
+    assert not out.exists()
+
+
+def test_eval_of_surprisals_from_outside_out_matches_golden(toy_run, tmp_path):
+    # Surprisals computed elsewhere go straight to eval: a copy of the
+    # pipeline's own file, read from outside out/, gives the same CSVs.
+    config, out, _ = toy_run
+    surp = tmp_path / "number_base.ngram5.surp"
+    shutil.copyfile(out / "surprisals" / surp.name, surp)
+    ext = tmp_path / "ext"
+    assert run(["--config", config, "--out", str(ext), "eval",
+                "--suite-file", str(out / "suites" / "number_base.suite"),
+                "--surprisal-file", str(surp), "--model-name", "ngram5"]) == 0
+    golden = _golden()
+    for name in ("items", "eval"):
+        rel = f"eval/number_base.ngram5.{name}.csv"
+        assert _sha256(ext / rel) == golden[rel], rel
 
 
 # ---------------------------------------------------------------------------
@@ -1077,6 +1114,24 @@ def test_readers_hold_one_string_per_spelling(toy_run):
         assert len({id(w) for w in words}) == len(set(words)) < len(words), reader
 
 
+def test_leaves_cut_by_a_newline_give_the_golden_lexicon_and_model(tmp_path):
+    # With a newline before each leaf's ')' no leaf is one token, and the
+    # parser falls back to one token per bracket and atom throughout.
+    text = toydata.toy_treebank_path().read_text(encoding="utf-8")
+    leaf = r"\(([^\s()]+) ([^\s()]+)\)"
+    split = re.sub(leaf, "(\\1 \\2\n)", text)
+    assert re.search(leaf, text) and not re.search(leaf, split)
+    treebank = tmp_path / "split_leaves.mrg"
+    treebank.write_text(split, encoding="utf-8")
+    config = _toy_config(tmp_path, corpus=str(treebank), filler_min_count="50",
+                         order="5")
+    out = tmp_path / "out"
+    golden = _golden()
+    for step, name in (("ingest", "lexicon.tsv"), ("train-ngram", "ngram.model")):
+        assert run(["--config", config, "--out", str(out), step]) == 0
+        assert _sha256(out / name) == golden[name], name
+
+
 def test_truncated_treebank_rewrites_no_artifact(tmp_path, capsys):
     # The stages fold the trees before the unclosed one, then stop: the
     # artifacts of the earlier run keep their bytes.
@@ -1125,10 +1180,11 @@ def test_truncated_treebank_rewrites_no_artifact(tmp_path, capsys):
 def test_bad_config_value_is_usage_error(tmp_path, capsys, monkeypatch, key,
                                          value, command):
     monkeypatch.setenv("SP_" + key.upper(), value)
-    rc = run(["--config", _write_config(tmp_path), "--out", str(tmp_path / "out")]
-             + command)
+    out = tmp_path / "out"
+    rc = run(["--config", _write_config(tmp_path), "--out", str(out)] + command)
     assert rc == 2
     assert f"error:usage-error: config key {key} " in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("text", [
