@@ -48,5 +48,5 @@ for suite_id in ("number_base", "number_polar_mod", "argstruct_active_inf",
 # reproduces the suite byte for byte, and a validation report is clean.
 suite = suites.generate_suite("number_base", defs, lex, seed=13,
                               resources=resources)
-report = suites.validate_suite(suite, lex)
-print("validation violations:", len(report.violations))
+violations = suites.validate_suite(suite, lex)
+print("validation violations:", len(violations))

@@ -23,7 +23,7 @@ for k, d in enumerate(model.discounts, start=1):
 
 sent = ["The", "president", "is", "good", "today", "."]
 print(f"\nsurprisals for {' '.join(sent)!r}:")
-for token, bits in model.score_sentences([sent])[0]:
+for token, bits in zip(sent, model.surprisals(sent)):
     print(f"  {token:10s} {bits:6.3f} bits")
 
 # Agreement through the local window: the model prefers the attested copula.

@@ -22,6 +22,11 @@ FITS_COLUMNS = ("suite", "model", "analysis", "term", "estimate", "se", "z", "p"
 CURVES_COLUMNS = ("suite", "model", "log10_exposure", "p_hat", "band_lo", "band_hi")
 
 
+def _outcome(text: str) -> int:
+    """A ``correct`` value: 0 or 1.  Anything else is a ValueError."""
+    return ("0", "1").index(text)
+
+
 def read_items(paths) -> dict:
     """``{suite: {model: rows}}`` from per-item CSVs.  A second row for a
     (suite, model, item_id), in any of the files, is an AlignmentError."""
@@ -29,7 +34,8 @@ def read_items(paths) -> dict:
     seen: dict = {}
     for path in paths:
         for row in scoring.read_items_csv(path, scoring.ITEMS_COLUMNS,
-                                          {"correct": int, "bucket": parse_bucket_label},
+                                          {"correct": _outcome,
+                                           "bucket": parse_bucket_label},
                                           key=("suite", "model", "item_id"), seen=seen):
             groups.setdefault(row["suite"], {}).setdefault(row["model"], []).append(row)
     return groups

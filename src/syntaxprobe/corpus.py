@@ -697,6 +697,14 @@ def write_lexicon(lex: LexiconStats, path) -> None:
             fh.write(_lexicon_row(word, lex.stats(word)))
 
 
+def _count(text: str) -> int:
+    """A lexicon count: an int >= 0.  Anything else is a ValueError."""
+    n = int(text)
+    if n < 0:
+        raise ValueError(f"negative count {text!r}")
+    return n
+
+
 def read_lexicon(path) -> LexiconStats:
     """Every line but the column line is a row, so words such as PTB's
     ``#`` come back."""
@@ -709,15 +717,15 @@ def read_lexicon(path) -> LexiconStats:
             if lex._fold(word) in lex._words:
                 raise ValueError(f"{word!r} listed twice")
             entry = lex._entry(word)
-            entry.total = int(total)
+            entry.total = _count(total)
             if pos:
                 for pair in pos.split(","):
                     tag, n = pair.rsplit(":", 1)
-                    entry.pos[tag] = int(n)
-            entry.obj_present = int(present)
-            entry.obj_absent = int(absent)
-            entry.inverted = int(inverted)
-            entry.vbn = int(vbn)
+                    entry.pos[tag] = _count(n)
+            entry.obj_present = _count(present)
+            entry.obj_absent = _count(absent)
+            entry.inverted = _count(inverted)
+            entry.vbn = _count(vbn)
     return lex
 
 

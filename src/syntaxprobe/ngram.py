@@ -162,10 +162,6 @@ class NGramModel:
             out.append(s)
         return out
 
-    def score_sentences(self, sentences: Iterable[Sequence[str]]):
-        """Per-token (token, surprisal-in-bits) lists, boundaries excluded."""
-        return [list(zip(sent, self.surprisals(sent))) for sent in sentences]
-
     def perplexity(self, sentences: Iterable[Sequence[str]]) -> float:
         surps = [s for sent in sentences for s in self.surprisals(sent)]
         if not surps:

@@ -132,26 +132,6 @@ def align(suite, records: Iterable[SurprisalRecord]) -> dict:
     return by_item
 
 
-def region_surprisal(item, record: SurprisalRecord, condition: str) -> float:
-    """Summed surprisal over the item's critical region (joint log prob) of
-    a record that :func:`align` has matched to the item."""
-    start, end = item.region(condition)
-    return math.fsum(record.surprisals[start:end])
-
-
-def item_accuracy(gram_bits: float, ungram_bits: float,
-                  eps_tie: float = DEFAULT_TIE_EPS) -> int:
-    """1 iff the grammatical region is strictly less surprising.
-
-    Ties within ``eps_tie`` bits count as failures; that rule is what makes
-    an n-gram score exactly 0 on suites whose conditions diverge outside
-    its context window.
-    """
-    if not (math.isfinite(gram_bits) and math.isfinite(ungram_bits)):
-        raise InputError("non-finite region surprisal")
-    return 1 if gram_bits < ungram_bits - eps_tie else 0
-
-
 @dataclass(frozen=True)
 class ItemResult:
     item_id: str
@@ -192,15 +172,18 @@ def summarize(outcomes: Iterable[tuple]) -> list[EvalCell]:
 
 
 def _region_bits(item, record: SurprisalRecord, condition: str, where) -> float:
-    """:func:`region_surprisal`, with a region token that is not finite, or
-    a sum too large for a float, an InputError naming ``where``."""
-    for i in range(*item.region(condition)):
+    """Summed surprisal over the item's critical region (its joint log
+    prob) in a record that :func:`align` has matched to the item.  A region
+    token that is not finite, or a sum too large for a float, is an
+    InputError naming ``where``."""
+    start, end = item.region(condition)
+    for i in range(start, end):
         if not math.isfinite(record.surprisals[i]):
             raise InputError(f"{where}: item {item.item_id} {condition}: "
                              f"critical region token {record.tokens[i]!r} at "
                              f"index {i} has surprisal {record.surprisals[i]!r}")
     try:
-        return region_surprisal(item, record, condition)
+        return math.fsum(record.surprisals[start:end])
     except OverflowError:
         raise InputError(f"{where}: item {item.item_id} {condition}: critical "
                          "region surprisal overflows a float") from None
@@ -209,6 +192,11 @@ def _region_bits(item, record: SurprisalRecord, condition: str, where) -> float:
 def evaluate_suite(suite, records: Iterable[SurprisalRecord],
                    eps_tie: float = DEFAULT_TIE_EPS, path=None):
     """Per-item results, in suite order, and their :func:`summarize` cells.
+
+    An item is correct iff its grammatical region is less surprising than
+    its ungrammatical one by more than ``eps_tie`` bits: ties count as
+    failures, which is what makes an n-gram score exactly 0 on suites whose
+    conditions diverge outside its context window.
 
     A critical region token whose surprisal is not finite (``inf`` for a
     token the model never saw), or a region whose sum overflows a float, is
@@ -223,7 +211,7 @@ def evaluate_suite(suite, records: Iterable[SurprisalRecord],
         g = _region_bits(item, pair["gram"], "gram", where)
         u = _region_bits(item, pair["ungram"], "ungram", where)
         results.append(ItemResult(item.item_id, item.bucket, item.category,
-                                  item.target, g, u, item_accuracy(g, u, eps_tie)))
+                                  item.target, g, u, int(g < u - eps_tie)))
     return results, summarize((r.bucket, r.category, r.correct) for r in results)
 
 
@@ -269,37 +257,41 @@ def read_items_csv(path, required=(), types=None, key=(), seen=None) -> list[dic
     """Rows of a table written by :func:`write_csv`, as dicts keyed by its
     header, with each column named in ``types`` converted by its type.  A
     header without every ``required`` column, a row with more or fewer
-    fields than the header, or a value its type rejects is a FormatError at
+    fields than the header, a value its type rejects, or a line the csv
+    module cannot read (a field past its size limit) is a FormatError at
     its line.  A row that repeats the ``key`` columns of a row in ``seen``
     (key -> line, shared across calls) is an AlignmentError naming both."""
     types = types or {}
     seen = {} if seen is None else seen
     with open_text(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        missing = [c for c in required if c not in header]
-        if missing:
-            raise FormatError(f"{path}:1: missing column(s) {', '.join(missing)}")
-        rows = []
-        for row in reader:
-            if None in row or None in row.values():
-                raise FormatError(f"{path}:{reader.line_num}: expected "
-                                  f"{len(header)} fields")
-            for column, convert in types.items():
-                try:
-                    row[column] = convert(row[column])
-                except ValueError:
-                    raise FormatError(
-                        f"{path}:{reader.line_num}: bad {column} "
-                        f"{row[column]!r}") from None
-            if key:
-                values = tuple(row[column] for column in key)
-                if values in seen:
-                    raise AlignmentError(
-                        f"{path}:{reader.line_num}: a second row for {', '.join(key)} "
-                        f"{values}, first read at {seen[values]}")
-                seen[values] = f"{path}:{reader.line_num}"
-            rows.append(row)
+        try:
+            header = reader.fieldnames or []
+            missing = [c for c in required if c not in header]
+            if missing:
+                raise FormatError(f"{path}:1: missing column(s) {', '.join(missing)}")
+            rows = []
+            for row in reader:
+                if None in row or None in row.values():
+                    raise FormatError(f"{path}:{reader.line_num}: expected "
+                                      f"{len(header)} fields")
+                for column, convert in types.items():
+                    try:
+                        row[column] = convert(row[column])
+                    except ValueError:
+                        raise FormatError(
+                            f"{path}:{reader.line_num}: bad {column} "
+                            f"{row[column]!r}") from None
+                if key:
+                    values = tuple(row[column] for column in key)
+                    if values in seen:
+                        raise AlignmentError(
+                            f"{path}:{reader.line_num}: a second row for "
+                            f"{', '.join(key)} {values}, first read at {seen[values]}")
+                    seen[values] = f"{path}:{reader.line_num}"
+                rows.append(row)
+        except csv.Error as exc:  # DictReader.line_num moves once a row is whole
+            raise FormatError(f"{path}:{reader.reader.line_num}: {exc}") from None
         return rows
 
 

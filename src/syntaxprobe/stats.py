@@ -20,7 +20,6 @@ implementation (``1/(1+exp(-x))`` with libm ``exp``).
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from operator import mul
 
@@ -40,19 +39,12 @@ def stars(p: float) -> str:
 # Special functions
 
 
-def _expit1(v: float) -> float:
+def expit(x: float) -> float:
+    """Logistic sigmoid ``1 / (1 + e^-x)``; 0.0 where ``e^-x`` overflows."""
     try:
-        return 1.0 / (1.0 + math.exp(-v))
+        return 1.0 / (1.0 + math.exp(-x))
     except OverflowError:
         return 0.0
-
-
-def expit(x):
-    """Logistic sigmoid of a number, or element-wise of a (nested) sequence
-    of numbers, as (nested) lists."""
-    if isinstance(x, numbers.Real):
-        return _expit1(x)
-    return [expit(v) for v in x]
 
 
 def _betacf(a: float, b: float, x: float) -> float:
@@ -273,7 +265,7 @@ def fit_logistic(
                           for n, s, e in zip(trials, successes, eta))
 
     def irls_terms(beta):
-        p = [_expit1(e) for e in linear(beta)]
+        p = [expit(e) for e in linear(beta)]
         # s(1 - p) - (n - s)p, not s - np: near p = 1, np would round away
         # the residual that the successes leave.
         resid = [s * (1.0 - q) - (n - s) * q for n, s, q in zip(trials, successes, p)]
@@ -401,11 +393,13 @@ def _linspace(lo: float, hi: float, n: int) -> list[float]:
     return grid
 
 
-def accuracy_curve(points, n_samples: int = 100, clusters=None) -> CurveFit:
-    """Fit accuracy ~ log10(exposure count) on raw (count, correct) pairs.
+#: Points of a curve's sample grid.
+CURVE_SAMPLES = 100
 
-    With ``clusters`` the bands use the cluster-robust covariance.
-    """
+
+def accuracy_curve(points) -> CurveFit:
+    """Fit accuracy ~ log10(exposure count) on raw (count, correct) pairs,
+    sampled at :data:`CURVE_SAMPLES` evenly spaced exposures."""
     pts = [(float(c), int(o)) for c, o in points]
     if not pts:
         raise InputError("no points")
@@ -414,11 +408,11 @@ def accuracy_curve(points, n_samples: int = 100, clusters=None) -> CurveFit:
     xs = [math.log10(c) for c, _ in pts]
     if len(set(xs)) < 2:
         raise InputError("need >= 2 distinct exposure values")
-    grid = _linspace(min(xs), max(xs), n_samples)
+    grid = _linspace(min(xs), max(xs), CURVE_SAMPLES)
     mean_acc = sum(o for _, o in pts) / len(pts)
     try:
         fit = fit_logistic([(x,) for x in xs], [o for _, o in pts],
-                           labels=["log10_exposure"], clusters=clusters)
+                           labels=["log10_exposure"])
     except SeparationError:
         eps = 1.0 / (2.0 * len(pts))
         flat = min(1.0 - eps, max(eps, mean_acc))
@@ -428,5 +422,5 @@ def accuracy_curve(points, n_samples: int = 100, clusters=None) -> CurveFit:
     for x in grid:
         eta = b0 + b1 * x
         se_eta = math.sqrt(max(0.0, c00 + x * c10 + x * (c01 + x * c11)))
-        samples.append((x, _expit1(eta), _expit1(eta - se_eta), _expit1(eta + se_eta)))
+        samples.append((x, expit(eta), expit(eta - se_eta), expit(eta + se_eta)))
     return CurveFit(fit, False, samples, mean_acc)

@@ -311,7 +311,7 @@ def _region(defn: SuiteDef, tokens, spans) -> tuple:
     return (len(tokens) - k, len(tokens))
 
 
-def _condition_frames(defn: SuiteDef, category: str, meta: dict):
+def _condition_frames(defn: SuiteDef, category: str, tense: str | None):
     """(gram frame+values, ungram frame+values) for one item."""
     (other,) = set(defn.categories) - {category}
     if defn.kind == "copula_agreement":
@@ -319,8 +319,7 @@ def _condition_frames(defn: SuiteDef, category: str, meta: dict):
         return (frame, {"verb": defn.values[f"verb_{category}"]}), \
                (frame, {"verb": defn.values[f"verb_{other}"]})
     if defn.kind == "polar_inversion":
-        frame = defn.frames[f"frame_{meta['tense']}"]
-        tense = meta["tense"]
+        frame = defn.frames[f"frame_{tense}"]
         return (frame, {"aux": defn.values[f"aux_{category}_{tense}"]}), \
                (frame, {"aux": defn.values[f"aux_{other}_{tense}"]})
     with_f, without_f = (defn.frames[k] for k in _KINDS[defn.kind].frames)
@@ -333,13 +332,14 @@ def instantiate(
     target: str,
     category: str,
     fillers: Mapping[str, str],
-    meta: dict | None = None,
+    tense: str | None = None,
 ) -> tuple[tuple, tuple]:
     """Realize one item: ((gram tokens, region span), (ungram tokens, region
-    span)).  ``validate_suite`` checks the regions and filler frequencies."""
+    span)); ``tense`` picks a polar inversion frame.  ``validate_suite``
+    checks the regions and filler frequencies."""
     assignment = dict(fillers, target=target)
     realized = []
-    for frame, cond_values in _condition_frames(defn, category, meta or {}):
+    for frame, cond_values in _condition_frames(defn, category, tense):
         tokens, spans = _render(frame, {**assignment, **cond_values})
         realized.append((tuple(tokens), _region(defn, tokens, spans)))
     return tuple(realized)
@@ -372,7 +372,7 @@ def _frame_variants(defn: SuiteDef) -> list:
 
 def _instances(defn: SuiteDef, variants: list, target: str, k: int,
                rng: random.Random):
-    """k deterministic (fillers, meta) frame instances for one target word:
+    """k deterministic (fillers, tense) frame instances for one target word:
     half of them, rounded down, past tense for polar inversion."""
     picked = []
     for tense, slot_names, combos in variants:
@@ -384,8 +384,7 @@ def _instances(defn: SuiteDef, variants: list, target: str, k: int,
             for_tense = f" for {tense} tense" if tense else ""
             raise GenerationError(f"{defn.suite_id}: only {len(options)} frame "
                                   f"variants{for_tense}, need {need}")
-        meta = {"tense": tense} if tense else {}
-        picked.extend((dict(zip(slot_names, options[i])), meta)
+        picked.extend((dict(zip(slot_names, options[i])), tense)
                       for i in rng.sample(range(len(options)), need))
     return picked
 
@@ -435,10 +434,10 @@ def generate_suite(
                 )
             for target in targets:
                 rng = _derived_rng(seed, suite_id, bucket.id, category, target)
-                for f_idx, (fillers, meta) in enumerate(
+                for f_idx, (fillers, tense) in enumerate(
                     _instances(defn, variants, target, frames_per_word, rng)
                 ):
-                    gram, ungram = instantiate(defn, target, category, fillers, meta)
+                    gram, ungram = instantiate(defn, target, category, fillers, tense)
                     items.append(TestItem(
                         f"{suite_id}.b{bucket.id}.{target}.f{f_idx:02d}", suite_id,
                         target, category, bucket.id, *gram, *ungram))
@@ -460,24 +459,17 @@ def generate_suite(
         },
         shortfalls=shortfalls,
     )
-    report = validate_suite(suite, lex, filler_min_count=filler_min_count)
-    if report.violations:
-        first = report.violations[0]
+    violations = validate_suite(suite, lex, filler_min_count=filler_min_count)
+    if violations:
         raise GenerationError(
             f"{suite_id}: generated suite failed validation "
-            f"({len(report.violations)} violations; first: {first})"
+            f"({len(violations)} violations; first: {violations[0]})"
         )
     return suite
 
 
 # ---------------------------------------------------------------------------
 # Validation
-
-
-@dataclass
-class ValidationReport:
-    violations: list  # (item_id or None, code, message)
-    warnings: list
 
 
 def diff_spans(a: tuple, b: tuple):
@@ -494,14 +486,15 @@ def diff_spans(a: tuple, b: tuple):
 
 def validate_suite(
     suite: TestSuite,
-    lex: LexiconStats | None = None,
+    lex: LexiconStats,
     *,
     filler_min_count: int = 50,
-) -> ValidationReport:
+) -> list:
     """Report-only check of item invariants, pair minimality, frequency
-    constraints, balance, and filter soundness."""
+    constraints, balance, and filter soundness: the ``(item_id or None,
+    code, message)`` violations.  A bucket whose lagging categories all
+    have a recorded shortfall is balanced."""
     violations = []
-    warnings = []
 
     def bad(item_id, code, message):
         violations.append((item_id, code, message))
@@ -526,12 +519,10 @@ def validate_suite(
             if n_target != 1:
                 bad(item.item_id, "target-count",
                     f"target occurs {n_target} times in {condition} sentence")
-            if lex is not None:
-                for tok in _rare_fillers(tokens, item.target, lex,
-                                         filler_min_count):
-                    bad(item.item_id, "filler-frequency",
-                        f"filler {tok!r} occurs {lex.count(tok)} times "
-                        f"(< {filler_min_count})")
+            for tok in _rare_fillers(tokens, item.target, lex, filler_min_count):
+                bad(item.item_id, "filler-frequency",
+                    f"filler {tok!r} occurs {lex.count(tok)} times "
+                    f"(< {filler_min_count})")
 
         _, gmid, umid = diff_spans(item.gram_tokens, item.ungram_tokens)
         if kind is None:
@@ -545,28 +536,23 @@ def validate_suite(
                 f"conditions differ as {list(gmid)!r} vs {list(umid)!r}, "
                 f"not per rule {suite.condition_rule!r}")
 
-        if lex is not None:
-            if suite.kind == "polar_inversion" and lex.stats(item.target).inverted > 0:
-                bad(item.item_id, "polar-overlap",
-                    f"target {item.target!r} occurs in inverted frames")
-            if suite.invariance and lex.stats(item.target).vbn > 0:
-                bad(item.item_id, "participle-evidence",
-                    f"target {item.target!r} has participle occurrences")
+        if suite.kind == "polar_inversion" and lex.stats(item.target).inverted > 0:
+            bad(item.item_id, "polar-overlap",
+                f"target {item.target!r} occurs in inverted frames")
+        if suite.invariance and lex.stats(item.target).vbn > 0:
+            bad(item.item_id, "participle-evidence",
+                f"target {item.target!r} has participle occurrences")
 
     shortfall_keys = {(b, c) for (b, c, _, _) in suite.shortfalls}
     all_cats = sorted({i.category for i in suite.items}
                       | {c for (_, c, _, _) in suite.shortfalls})
     for bucket in sorted(per_bucket):
         sizes = {cat: len(per_bucket[bucket].get(cat, set())) for cat in all_cats}
-        if len(set(sizes.values())) > 1:
-            biggest = max(sizes.values())
-            lagging = [c for c in all_cats if sizes[c] < biggest]
-            message = f"bucket {bucket}: category sizes {sizes}"
-            if all((bucket, c) in shortfall_keys for c in lagging):
-                warnings.append((None, "balance", message + " (recorded shortfall)"))
-            else:
-                bad(None, "balance", message)
-    return ValidationReport(violations, warnings)
+        biggest = max(sizes.values())
+        if any(sizes[c] < biggest and (bucket, c) not in shortfall_keys
+               for c in all_cats):
+            bad(None, "balance", f"bucket {bucket}: category sizes {sizes}")
+    return violations
 
 
 # ---------------------------------------------------------------------------

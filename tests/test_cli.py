@@ -656,6 +656,12 @@ def test_subprocess_model_starts_one_scorer_for_many_suites(tmp_path,
     "go\t1\tVB:one\t0\t0\t0\t0",  # non-integer pos count
     "go\t1\tVB:1\t0\t0\t0\t1.5",  # non-integer vbn count
     "Go\t1\tVB:1\t0\t0\t0\t0",    # the word of line 2 again, once case-folded
+    "run\t-50\tVB:1\t0\t0\t0\t0",  # negative total
+    "run\t1\tVB:-1\t0\t0\t0\t0",   # negative pos count
+    "run\t1\tVB:1\t-1\t0\t0\t0",   # negative evidence counts
+    "run\t1\tVB:1\t0\t-1\t0\t0",
+    "run\t1\tVB:1\t0\t0\t-1\t0",   # negative inverted count
+    "run\t1\tVB:1\t0\t0\t0\t-1",   # negative vbn count
 ])
 def test_bad_lexicon_row_is_format_error(tmp_path, capsys, row):
     lexicon = tmp_path / "lexicon.tsv"
@@ -820,6 +826,7 @@ _ITEMS_HEAD = "suite,model,item_id,bucket,category,target,gram_bits,ungram_bits,
 _ITEMS_ROW = "tiny,m,tiny.b2.fast.f00,2,singular,fast,1.0,2.0,1"
 _EVAL_HEAD = "suite,model,bucket,category,n,k,accuracy,ci_lo,ci_hi,p_above_chance"
 _EVAL_ROW = "tiny,m,2,all,1,1,1.000000,0.206543,1.000000,0.5"
+_HUGE = "x" * 131_073  # past the csv module's default field size limit
 
 
 @pytest.mark.parametrize("text, lineno", [
@@ -829,8 +836,10 @@ _EVAL_ROW = "tiny,m,2,all,1,1,1.000000,0.206543,1.000000,0.5"
     (f"{_ITEMS_HEAD}\n{_ITEMS_ROW}\n{_ITEMS_ROW[:-1]}yes\n", 3),
     (f"{_ITEMS_HEAD}\n{_ITEMS_ROW.replace(',2,', ',two,')}\n", 2),
     (f"{_ITEMS_HEAD}\n{_ITEMS_ROW}\n{_ITEMS_ROW.replace(',2,', ',0,')}\n", 3),
+    (f"{_ITEMS_HEAD}\n{_ITEMS_ROW}\n{_ITEMS_ROW[:-1]}2\n", 3),
+    (f"{_ITEMS_HEAD}\n{_ITEMS_ROW}\n{_ITEMS_ROW.replace(',fast,', f',{_HUGE},')}\n", 3),
 ], ids=["short-row", "long-row", "missing-column", "correct-not-int",
-        "bucket-not-int", "bucket-zero"])
+        "bucket-not-int", "bucket-zero", "correct-two", "field-too-large"])
 def test_bad_items_csv_is_format_error(tmp_path, capsys, text, lineno):
     items = tmp_path / "tiny.m.items.csv"
     items.write_text(text)
@@ -850,8 +859,10 @@ def test_bad_items_csv_is_format_error(tmp_path, capsys, text, lineno):
     ("fits", "suite,model,analysis,term,estimate,se,z,p\n"
      "tiny,*,supervision,model:m,0.1,0.1,1.0,0.3\n", 1),
     ("eval", f"{_EVAL_HEAD}\n{_EVAL_ROW[:-3]}n/a\n", 2),
+    ("fits", "suite,model,analysis,term,estimate,se,z,p,stars\n"
+     f"tiny,*,supervision,model:m,0.1,0.1,1.0,0.3,{_HUGE}\n", 2),
 ], ids=["eval-missing-category", "eval-short-row", "fits-missing-stars",
-        "eval-p-not-float"])
+        "eval-p-not-float", "fits-field-too-large"])
 def test_bad_report_input_is_format_error(tmp_path, capsys, which, text, lineno):
     evals = tmp_path / "tiny.m.eval.csv"
     evals.write_text(f"{_EVAL_HEAD}\n{_EVAL_ROW}\n")

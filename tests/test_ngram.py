@@ -112,7 +112,7 @@ def test_single_type_corpus_is_maximum_likelihood():
     with pytest.warns(UserWarning):
         model = ngram.train([["a", "a", "a"]], order=1)
     assert model.prob((), "a") == 1.0
-    assert model.score_sentences([["a"]]) == [[("a", 0.0)]]
+    assert model.surprisals(["a"]) == [0.0]
 
 
 def test_empty_corpus_raises():

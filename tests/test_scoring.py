@@ -9,9 +9,7 @@ from syntaxprobe.scoring import (
     SurprisalRecord,
     align,
     evaluate_suite,
-    item_accuracy,
     read_surprisal_file,
-    region_surprisal,
     sentence_id,
     summarize,
     write_surprisal_file,
@@ -43,24 +41,30 @@ def _records_for(item, gram_surps, ungram_surps):
 # Region surprisal and the tie rule
 
 
+def _one_item(item, gram_surps, ungram_surps, **kwargs):
+    """The one ItemResult of a one-item suite."""
+    results, _ = evaluate_suite(_suite([item]),
+                                _records_for(item, gram_surps, ungram_surps), **kwargs)
+    (result,) = results
+    return result
+
+
 def test_region_surprisal_singleton():
-    item = _item()
-    rec = SurprisalRecord(sentence_id(item.item_id, "gram"), item.gram_tokens,
-                          (0.1, 0.2, 3.2, 0.4, 0.5))
-    assert region_surprisal(item, rec, "gram") == pytest.approx(3.2)
+    result = _one_item(_item(), (0.1, 0.2, 3.2, 0.4, 0.5), (9.0, 9.0, 4.5, 9.0, 9.0))
+    assert (result.gram_bits, result.ungram_bits) == (3.2, 4.5)
 
 
 def test_region_surprisal_sums_multi_token():
-    item = _item(tokens=("The", "dog", "was", "cured", "yesterday", "."),
-                 utokens=("The", "dog", "cured", "yesterday", "."),
-                 region=(3, 6))
-    rec = SurprisalRecord(sentence_id(item.item_id, "gram"), item.gram_tokens,
-                          (0.0, 0.0, 0.0, 4.0, 2.0, 1.0))
-    assert region_surprisal(item, rec, "gram") == pytest.approx(7.0)
+    item = TestItem("s.b2.w.f00", "s", "cured", "transitive", 2,
+                    ("The", "dog", "was", "cured", "yesterday", "."), (3, 6),
+                    ("The", "dog", "cured", "yesterday", "."), (2, 5))
+    result = _one_item(item, (9.0, 9.0, 9.0, 4.0, 2.0, 1.0), (9.0, 9.0, 0.1, 0.2, 0.3))
+    assert result.gram_bits == pytest.approx(7.0)
+    assert result.ungram_bits == pytest.approx(0.6)
 
 
 def test_region_surprisal_alignment_error_names_index():
-    # region_surprisal trusts align; evaluate_suite reports the mismatch.
+    # The region sum trusts align; evaluate_suite reports the mismatch.
     item = _item()
     good = _records_for(item, [0.0] * 5, [0.0] * 5)
     rec = SurprisalRecord(good[0].sentence_id,
@@ -89,12 +93,17 @@ def test_non_finite_region_surprisal_is_input_error(ungram, token, value):
 
 
 def test_item_accuracy_rule():
-    assert item_accuracy(3.0, 5.0) == 1
-    assert item_accuracy(4.0, 4.0) == 0  # ties count as failures
-    assert item_accuracy(5.0, 3.0) == 0
-    assert item_accuracy(1.0, 1.0 + 5e-10) == 0  # within default epsilon
+    def correct(gram_bits, ungram_bits, **kwargs):
+        return _one_item(_item(), (0.0, 0.0, gram_bits, 0.0, 0.0),
+                         (0.0, 0.0, ungram_bits, 0.0, 0.0), **kwargs).correct
+    assert correct(3.0, 5.0) == 1
+    assert correct(4.0, 4.0) == 0  # ties count as failures
+    assert correct(4.0, 4.0, eps_tie=0.0) == 0  # exact ties too
+    assert correct(5.0, 3.0) == 0
+    assert correct(1.0, 1.0 + 5e-10) == 0  # within default epsilon
+    assert correct(1.0, 1.0 + 5e-10, eps_tie=0.0) == 1
     with pytest.raises(InputError):
-        item_accuracy(float("inf"), 1.0)
+        correct(math.inf, 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -292,25 +292,12 @@ def test_accuracy_curve_samples_and_bands():
     counts = rng.choice([2, 3, 5, 10, 20, 50, 100], size=400)
     p = sigmoid(-0.5 + 1.0 * np.log10(counts))
     correct = (rng.random(400) < p).astype(int)
-    curve = accuracy_curve(list(zip(counts, correct)), n_samples=50)
+    curve = accuracy_curve(list(zip(counts, correct)))
     samples = np.asarray(curve.samples)
     assert not curve.separated
-    assert samples.shape == (50, 4)
+    assert samples.shape == (100, 4)
     assert np.all(samples[:, 2] <= samples[:, 1])
     assert np.all(samples[:, 1] <= samples[:, 3])
-
-
-def test_accuracy_curve_clusters_change_bands_only():
-    rng = np.random.default_rng(9)
-    counts = rng.choice([2, 3, 5, 10, 20, 50, 100], size=400)
-    correct = (rng.random(400) < sigmoid(-0.5 + np.log10(counts))).astype(int)
-    points = list(zip(counts, correct))
-    plain = accuracy_curve(points)
-    robust = accuracy_curve(points, clusters=[i // 10 for i in range(400)])
-    plain_samples, robust_samples = np.asarray(plain.samples), np.asarray(robust.samples)
-    assert robust.fit.cluster_robust
-    assert np.allclose(plain_samples[:, :2], robust_samples[:, :2])
-    assert not np.allclose(plain_samples[:, 2:], robust_samples[:, 2:])
 
 
 def test_accuracy_curve_all_correct_falls_back_flat():

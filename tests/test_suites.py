@@ -190,7 +190,7 @@ def test_instantiate_polar_modifier_ungrammatical(suite_defs):
     _, (tokens, region) = instantiate(
         suite_defs["number_polar_mod"], "hearings", "plural",
         {"adjpair": "very big and important", "pred": "good"},
-        meta={"tense": "present"})
+        tense="present")
     assert tokens[:7] == ("Is", "the", "very", "big", "and", "important",
                           "hearings")
     assert tokens[region[0]:region[1]] == ("hearings",)
@@ -312,8 +312,8 @@ def test_minimal_pair_and_validation_clean(toy_suites, toy_lex):
     for suite_id in ("number_base", "number_polar_mod", "argstruct_active_inf",
                      "argstruct_passive_long", "argstruct_invariance"):
         suite = toy_suites(suite_id)
-        report = validate_suite(suite, toy_lex)
-        assert not report.violations, report.violations[:3]
+        violations = validate_suite(suite, toy_lex)
+        assert not violations, violations[:3]
 
 
 def test_validation_flags_corrupted_region(toy_suites, toy_lex):
@@ -324,17 +324,17 @@ def test_validation_flags_corrupted_region(toy_suites, toy_lex):
     corrupted = suites.TestSuite(
         suite.suite_id, suite.kind, suite.condition_rule,
         [broken] + suite.items[1:], suite.provenance, suite.shortfalls)
-    report = validate_suite(corrupted, toy_lex)
+    violations = validate_suite(corrupted, toy_lex)
     assert any(v[0] == item.item_id and v[1] == "bad-region"
-               for v in report.violations)
-    assert len([v for v in report.violations if v[1] == "bad-region"]) == 1
+               for v in violations)
+    assert len([v for v in violations if v[1] == "bad-region"]) == 1
 
 
 def test_validation_flags_low_frequency_filler(toy_suites):
     suite = toy_suites("number_base")
     lex = LexiconStats(lowercase=True)  # knows nothing: every filler fails
-    report = validate_suite(suite, lex)
-    assert any(v[1] == "filler-frequency" for v in report.violations)
+    violations = validate_suite(suite, lex)
+    assert any(v[1] == "filler-frequency" for v in violations)
 
 
 def test_validation_flags_minimal_pair_break(toy_suites, toy_lex):
@@ -346,8 +346,8 @@ def test_validation_flags_minimal_pair_break(toy_suites, toy_lex):
     corrupted = suites.TestSuite(
         suite.suite_id, suite.kind, suite.condition_rule,
         [tampered] + suite.items[1:], suite.provenance, suite.shortfalls)
-    report = validate_suite(corrupted, toy_lex)
-    assert any(v[1] == "minimal-pair" for v in report.violations)
+    violations = validate_suite(corrupted, toy_lex)
+    assert any(v[1] == "minimal-pair" for v in violations)
 
 
 @pytest.mark.parametrize("kind, gram, ungram, ok", [
@@ -368,14 +368,14 @@ def test_validation_pair_shape_follows_kind(kind, gram, ungram, ok):
     gram, ungram = tuple(gram.split()), tuple(ungram.split())
     item = suites.TestItem("s.b1.w.f00", "s", "w", "singular", 1,
                            gram, (0, len(gram)), ungram, (0, len(ungram)))
-    report = validate_suite(suites.TestSuite("s", kind, "r", [item]))
-    assert [v[1] for v in report.violations] == ([] if ok else ["minimal-pair"])
+    violations = validate_suite(suites.TestSuite("s", kind, "r", [item]),
+                                LexiconStats(lowercase=True), filler_min_count=0)
+    assert [v[1] for v in violations] == ([] if ok else ["minimal-pair"])
 
 
-def _codes(report, code):
+def _codes(violations, code):
     """The (item id, message) of each violation with ``code``."""
-    return [(item_id, message) for item_id, c, message in report.violations
-            if c == code]
+    return [(item_id, message) for item_id, c, message in violations if c == code]
 
 
 def test_validation_flags_duplicate_item_id(toy_suites, toy_lex):
@@ -383,16 +383,16 @@ def test_validation_flags_duplicate_item_id(toy_suites, toy_lex):
     suite = toy_suites("number_base")
     item = suite.items[0]
     doubled = dataclasses.replace(suite, items=[item] + suite.items)
-    report = validate_suite(doubled, toy_lex)
-    assert _codes(report, "duplicate-id") == [(item.item_id, "item id occurs twice")]
+    violations = validate_suite(doubled, toy_lex)
+    assert _codes(violations, "duplicate-id") == [(item.item_id, "item id occurs twice")]
 
 
 def test_validation_flags_target_count(toy_suites, toy_lex):
     import dataclasses
     suite = toy_suites("number_base")
     item = dataclasses.replace(suite.items[0], target="absent-word")
-    report = validate_suite(dataclasses.replace(suite, items=[item]), toy_lex)
-    assert _codes(report, "target-count") == [
+    violations = validate_suite(dataclasses.replace(suite, items=[item]), toy_lex)
+    assert _codes(violations, "target-count") == [
         (item.item_id, "target occurs 0 times in gram sentence"),
         (item.item_id, "target occurs 0 times in ungram sentence")]
 
@@ -402,9 +402,9 @@ def test_validation_flags_polar_overlap(toy_suites, toy_trees):
     target = suite.items[0].target
     inverted = corpus.parse_treebank(
         f"(SQ (VBZ Is) (NP (DT the) (NN {target})) (ADJP (JJ good)) (. ?))")
-    report = validate_suite(suite, corpus.build_lexicon(toy_trees + inverted,
-                                                        lowercase=True))
-    flagged = _codes(report, "polar-overlap")
+    lex = corpus.build_lexicon(toy_trees + inverted, lowercase=True)
+    violations = validate_suite(suite, lex)
+    flagged = _codes(violations, "polar-overlap")
     assert flagged == [(i.item_id, f"target {target!r} occurs in inverted frames")
                        for i in suite.items if i.target == target]
 
@@ -415,9 +415,9 @@ def test_validation_flags_participle_evidence(toy_suites, toy_trees):
     target = suite.items[0].target
     participle = corpus.parse_treebank(
         f"(S (NP (NN man)) (VP (VBD was) (VP (VBN {target}))) (. .))")
-    report = validate_suite(suite, corpus.build_lexicon(toy_trees + participle,
-                                                        lowercase=True))
-    flagged = _codes(report, "participle-evidence")
+    lex = corpus.build_lexicon(toy_trees + participle, lowercase=True)
+    violations = validate_suite(suite, lex)
+    flagged = _codes(violations, "participle-evidence")
     assert flagged == [(i.item_id, f"target {target!r} has participle occurrences")
                        for i in suite.items if i.target == target]
 
@@ -429,13 +429,17 @@ def test_validation_flags_unbalanced_bucket(toy_suites, toy_lex):
     kept = [i for i in suite.items
             if not (i.bucket == first.bucket and i.category == first.category)]
     # Without a recorded shortfall, the missing category is a violation.
-    report = validate_suite(dataclasses.replace(suite, items=kept, shortfalls=[]),
-                            toy_lex)
-    flagged = _codes(report, "balance")
+    violations = validate_suite(dataclasses.replace(suite, items=kept, shortfalls=[]),
+                                toy_lex)
+    flagged = _codes(violations, "balance")
     assert [item_id for item_id, _ in flagged] == [None]
     assert flagged[0][1].startswith(f"bucket {first.bucket}: category sizes ")
     assert f"'{first.category}': 0" in flagged[0][1]
-    assert report.warnings == []
+    # With the shortfall recorded, the bucket is balanced.
+    shortfall = (first.bucket, first.category, 20, 0)
+    violations = validate_suite(dataclasses.replace(suite, items=kept,
+                                                    shortfalls=[shortfall]), toy_lex)
+    assert _codes(violations, "balance") == []
 
 
 def test_filter_soundness_on_generated_suites(toy_suites, toy_lex):
