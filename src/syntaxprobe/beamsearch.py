@@ -24,10 +24,9 @@ from __future__ import annotations
 import math
 import shlex
 import subprocess
-from dataclasses import dataclass
 from itertools import compress, islice
 from operator import attrgetter, eq
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .actions import (GEN, INITIAL_STATE, NT, REDUCE, ParserState, bracket, expand, gen,
                       nt, parse_action, serialize_action)
@@ -73,8 +72,7 @@ class GenerativeActionModel:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(NamedTuple):
     lhs: str
     rhs: tuple
     prob: float
@@ -295,8 +293,7 @@ def write_grammar(grammar: ToyPCFG, path) -> None:
 # Search
 
 
-@dataclass
-class BeamResult:
+class BeamResult(NamedTuple):
     """Per-word prefix marginals (log2), surprisals (bits), and the best
     complete parse found after the final word.  ``capped_steps`` counts the
     steps, the closing one included, that ``MAX_STRUCT_ROUNDS`` ended while

@@ -7,7 +7,10 @@ comes from an INI file (``[syntaxprobe]`` section), overridden by
 ``SP_``-prefixed environment variables, overridden by flags.
 
 This module parses arguments, builds the config and dispatches; each stage
-imports the modules it runs when it runs, so it loads only those.
+imports the modules it runs when it runs, so it loads only those, and of the
+standard library only what they use: records are ``typing.NamedTuple``
+classes, whose creation loads nothing (no ``inspect``), and only ``gen``,
+which hashes, loads ``hashlib``.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import itertools
 import math
 import os
 import shlex
-from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 from . import corpus
 from .corpus import DEFAULT_BUCKETS
@@ -27,8 +30,7 @@ from .errors import (DeadBeamError, FormatError, SyntaxProbeError, UsageError, g
                      landing, open_text, report, write_text)
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     corpus: str = ""
     dependencies: str = ""
     suite_defs: str = ""
@@ -67,9 +69,6 @@ class RunConfig:
                    "transitivity": toydata.default_transitivity_path,
                    "irregular": toydata.default_irregular_path}[key]
         return getattr(self, key) or str(default())
-
-
-_CONFIG_KEYS = tuple(f.name for f in fields(RunConfig))
 
 
 def _number(kind, lo, hi=math.inf):
@@ -124,10 +123,10 @@ def load_config(path: str | None, env: dict, overrides: dict) -> RunConfig:
         section = parser["syntaxprobe"] if parser.has_section("syntaxprobe") \
             else parser["DEFAULT"]
         for key in section:
-            if key not in _CONFIG_KEYS:
+            if key not in RunConfig._fields:
                 raise UsageError(f"unknown config key {key!r} in {path}")
             texts[key] = section[key]
-    for key in _CONFIG_KEYS:
+    for key in RunConfig._fields:
         env_key = "SP_" + key.upper()
         if env_key in env:
             texts[key] = env[env_key]

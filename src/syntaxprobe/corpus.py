@@ -17,14 +17,12 @@ corpus holds one tree and one piece of text at a time.
 from __future__ import annotations
 
 import configparser
-import hashlib
 import io
 import re
 from collections import Counter
-from dataclasses import dataclass, field
 from enum import Enum
 from itertools import islice
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import (FormatError, InputError, TreebankParseError, open_text, read_rows,
                      write_text)
@@ -274,16 +272,19 @@ def read_treebank(path) -> list[Tree]:
 # Lexicon statistics
 
 
-@dataclass
 class WordStats:
-    """Evidence accumulated for one word form."""
+    """Evidence accumulated for one word form; its counts are incremented in
+    place, so it is a slotted class, not a tuple."""
 
-    total: int = 0
-    pos: Counter = field(default_factory=Counter)
-    obj_present: int = 0
-    obj_absent: int = 0
-    inverted: int = 0
-    vbn: int = 0
+    __slots__ = ("total", "pos", "obj_present", "obj_absent", "inverted", "vbn")
+
+    def __init__(self):
+        self.total = self.obj_present = self.obj_absent = self.inverted = self.vbn = 0
+        self.pos = Counter()
+
+    def __eq__(self, other):
+        return (isinstance(other, WordStats)
+                and all(getattr(self, k) == getattr(other, k) for k in self.__slots__))
 
 
 _EMPTY = WordStats()
@@ -471,8 +472,7 @@ def read_dependency_sidecar(path) -> dict[int, frozenset]:
 # Exposure buckets
 
 
-@dataclass(frozen=True)
-class ExposureBucket:
+class ExposureBucket(NamedTuple):
     """Inclusive count range labeled by the end of the range."""
 
     id: int
@@ -562,8 +562,7 @@ class TransitivityClass(Enum):
     EXCLUDED = "excluded"
 
 
-@dataclass(frozen=True)
-class TransitivityCall:
+class TransitivityCall(NamedTuple):
     marked: str
     klass: TransitivityClass
     reason: str
@@ -731,6 +730,7 @@ def read_lexicon(path) -> LexiconStats:
 
 def lexicon_digest(lex: LexiconStats) -> str:
     """Stable content hash used in suite provenance."""
+    import hashlib  # here, not at the top: only gen hashes
     h = hashlib.sha256()
     h.update(b"lowercase=%d\n" % int(lex.lowercase))
     for word in lex.words():

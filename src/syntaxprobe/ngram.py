@@ -38,7 +38,6 @@ from __future__ import annotations
 import math
 import warnings
 from collections import Counter
-from dataclasses import dataclass, field
 from itertools import compress, islice
 from operator import itemgetter
 from typing import Iterable, Sequence
@@ -51,26 +50,37 @@ UNK = "<unk>"
 NEG_INF = float("-inf")
 
 
-@dataclass
 class NGramModel:
-    order: int
-    support: tuple[str, ...]           # prediction vocabulary, sorted
-    discounts: list[tuple[float, float, float]]   # per order, 1-based at [k-1]
-    grams: list[dict]                  # per order: gram -> adjusted count
-    map_singletons: bool = False
-    fallback_orders: tuple[int, ...] = ()
-    # Order -> why its discounts fell back to 0.5 (_estimate_discounts).
-    # Filled by train only; the model file keeps just fallback_orders.
-    discount_fallbacks: dict = field(default_factory=dict, compare=False,
-                                     repr=False)
-
-    def __post_init__(self):
-        self._support_set = set(self.support)
+    def __init__(self, order: int, support: tuple[str, ...],
+                 discounts: list[tuple[float, float, float]], grams: list[dict],
+                 map_singletons: bool = False, fallback_orders: tuple[int, ...] = (),
+                 discount_fallbacks: dict | None = None):
+        self.order = order
+        self.support = support              # prediction vocabulary, sorted
+        self.discounts = discounts          # per order, 1-based at [k-1]
+        self.grams = grams                  # per order: gram -> adjusted count
+        self.map_singletons = map_singletons
+        self.fallback_orders = fallback_orders
+        # Order -> why its discounts fell back to 0.5 (_estimate_discounts).
+        # Filled by train only; the model file keeps just fallback_orders.
+        self.discount_fallbacks = discount_fallbacks or {}
+        self._support_set = set(support)
         # BOS-padded, order-sized window of raw tokens -> surprisal in bits.
-        # A plain attribute, not a field, so == and repr ignore it.
         self._memo: dict[tuple[str, ...], float] = {}
         # Per order, context -> [total, n1, n2, n3+]; see _context_stats.
-        self._contexts: list[dict | None] = [None] * len(self.grams)
+        self._contexts: list[dict | None] = [None] * len(grams)
+
+    # What == and repr compare: the model file's rows.  The memo, the
+    # context tables and discount_fallbacks, which no file keeps, are left out.
+    _ROWS = ("order", "support", "discounts", "grams", "map_singletons",
+             "fallback_orders")
+
+    def __eq__(self, other):
+        return isinstance(other, NGramModel) and all(
+            getattr(self, k) == getattr(other, k) for k in self._ROWS)
+
+    def __repr__(self):
+        return f"NGramModel({', '.join(f'{k}={getattr(self, k)!r}' for k in self._ROWS)})"
 
     # -- lookups ----------------------------------------------------------
 

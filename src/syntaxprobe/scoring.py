@@ -16,8 +16,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import (AlignmentError, FormatError, InputError, open_text, read_rows,
                      write_text)
@@ -29,18 +28,27 @@ _BASE_SCALES = {"base=2": 1.0, "base=e": 1.0 / math.log(2.0)}
 DEFAULT_TIE_EPS = 1e-9
 
 
-@dataclass(frozen=True)
-class SurprisalRecord:
+class _SurprisalFields(NamedTuple):
     sentence_id: str
     tokens: tuple
     surprisals: tuple
 
-    def __post_init__(self):
-        if len(self.tokens) != len(self.surprisals):
+
+class SurprisalRecord(_SurprisalFields):
+    """One sentence's tokens and their surprisals, as many of each."""
+
+    __slots__ = ()
+
+    def __new__(cls, sentence_id: str, tokens: tuple, surprisals: tuple):
+        if len(tokens) != len(surprisals):
             raise InputError(
-                f"{self.sentence_id}: {len(self.tokens)} tokens vs "
-                f"{len(self.surprisals)} surprisals"
+                f"{sentence_id}: {len(tokens)} tokens vs {len(surprisals)} surprisals"
             )
+        return super().__new__(cls, sentence_id, tokens, surprisals)
+
+    @classmethod
+    def _make(cls, iterable):  # _replace builds through _make: check it too
+        return cls(*iterable)
 
 
 def sentence_id(item_id: str, condition: str) -> str:
@@ -132,8 +140,7 @@ def align(suite, records: Iterable[SurprisalRecord]) -> dict:
     return by_item
 
 
-@dataclass(frozen=True)
-class ItemResult:
+class ItemResult(NamedTuple):
     item_id: str
     bucket: int
     category: str
@@ -147,8 +154,7 @@ class ItemResult:
 # Aggregation
 
 
-@dataclass(frozen=True)
-class EvalCell:
+class EvalCell(NamedTuple):
     bucket: int
     category: str  # "all" pools categories within the bucket
     summary: BinomialSummary

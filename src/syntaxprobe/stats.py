@@ -20,8 +20,8 @@ implementation (``1/(1+exp(-x))`` with libm ``exp``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from operator import mul
+from typing import NamedTuple
 
 from .errors import InputError, RankError, SeparationError
 
@@ -137,8 +137,7 @@ def binom_test_above(k: int, n: int) -> float:
     return numer / 2 ** n
 
 
-@dataclass(frozen=True)
-class BinomialSummary:
+class BinomialSummary(NamedTuple):
     k: int
     n: int
     accuracy: float
@@ -157,8 +156,7 @@ class BinomialSummary:
 # Logistic regression (IRLS)
 
 
-@dataclass
-class LogisticFit:
+class LogisticFit(NamedTuple):
     labels: list[str]
     coef: list[float]
     se: list[float]
@@ -331,8 +329,7 @@ def fit_logistic(
 # Correlation
 
 
-@dataclass(frozen=True)
-class CorrelationResult:
+class CorrelationResult(NamedTuple):
     r: float
     n: int
     t: float
@@ -367,8 +364,7 @@ def pearson_test(x, y) -> CorrelationResult:
 # Accuracy-vs-exposure curves
 
 
-@dataclass
-class CurveFit:
+class CurveFit(NamedTuple):
     """Logistic accuracy curve over log10 exposure, with sample points.
 
     ``samples`` rows are (log10_exposure, p_hat, band_lo, band_hi) tuples

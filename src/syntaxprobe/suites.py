@@ -25,12 +25,11 @@ and filler combinations are built once; every target draws from them.
 from __future__ import annotations
 
 import configparser
-import hashlib
 import itertools
 import random
 import re
-from dataclasses import dataclass, field
-from typing import Mapping
+from types import MappingProxyType
+from typing import Mapping, NamedTuple, Sequence
 
 from .corpus import (
     DEFAULT_BUCKETS,
@@ -52,8 +51,7 @@ NOUN_CATEGORIES = ("singular", "plural")
 VERB_CATEGORIES = ("transitive", "intransitive")
 
 
-@dataclass(frozen=True)
-class _Kind:
+class _Kind(NamedTuple):
     rule: str           # the condition rule suite files record
     categories: tuple   # sorted, the order generation walks them
     frames: tuple       # frame keys a definition gives
@@ -82,8 +80,7 @@ _COMMON_KEYS = ("kind", "categories", "region", "target_tag", "invariance")
 # Definitions file
 
 
-@dataclass
-class SuiteDef:
+class SuiteDef(NamedTuple):
     suite_id: str
     kind: str
     categories: tuple
@@ -95,8 +92,7 @@ class SuiteDef:
     invariance: bool = False
 
 
-@dataclass
-class SuiteDefs:
+class SuiteDefs(NamedTuple):
     defs: dict
     digest: str
 
@@ -174,6 +170,7 @@ def parse_suite_defs(text: str, source: str = "<string>") -> SuiteDefs:
         )
     if not defs:
         raise FormatError("suite definitions file has no sections")
+    import hashlib  # here, not at the top: only gen hashes
     return SuiteDefs(defs, hashlib.sha256(text.encode()).hexdigest())
 
 
@@ -195,8 +192,7 @@ def read_suite_defs(path) -> SuiteDefs:
 CONDITIONS = ("gram", "ungram")
 
 
-@dataclass(frozen=True)
-class TestItem:
+class TestItem(NamedTuple):
     __test__ = False  # not a pytest class, despite the name
 
     item_id: str
@@ -216,16 +212,15 @@ class TestItem:
         return self.gram_region if condition == "gram" else self.ungram_region
 
 
-@dataclass
-class TestSuite:
+class TestSuite(NamedTuple):
     __test__ = False  # not a pytest class, despite the name
 
     suite_id: str
     kind: str
     condition_rule: str
     items: list
-    provenance: dict = field(default_factory=dict)
-    shortfalls: list = field(default_factory=list)  # (bucket, category, wanted, got)
+    provenance: Mapping = MappingProxyType({})
+    shortfalls: Sequence = ()  # (bucket, category, wanted, got) rows
     invariance: bool = False
 
     def sentence_count(self) -> int:
@@ -236,11 +231,10 @@ class TestSuite:
 # Target pools
 
 
-@dataclass
-class SuiteResources:
+class SuiteResources(NamedTuple):
     """What generation needs beyond the lexicon: transitivity calls, irregular verbs."""
 
-    transitivity_calls: Mapping = field(default_factory=dict)
+    transitivity_calls: Mapping = MappingProxyType({})
     irregular: frozenset = frozenset()
 
 
@@ -274,6 +268,7 @@ def candidate_pool(lex: LexiconStats, suite_def: SuiteDef, category: str,
 
 
 def _derived_rng(*parts) -> random.Random:
+    import hashlib
     key = ":".join(str(p) for p in parts)
     digest = hashlib.sha256(key.encode()).digest()
     return random.Random(int.from_bytes(digest[:8], "big"))

@@ -15,9 +15,9 @@ is exactly its output.
 
 from __future__ import annotations
 
+import pathlib
 import re
 from collections import Counter
-from importlib import resources
 
 TARGET_FILL = 105  # filler floor: clears the >=50 threshold, above all buckets
 
@@ -262,8 +262,10 @@ def build_toy_treebank() -> str:
 # Shipped data files
 
 
-def _data_path(name: str):
-    return resources.files("syntaxprobe").joinpath("data", name)
+def _data_path(name: str) -> pathlib.Path:
+    # Beside this module, as the package ships them; importlib.resources
+    # would find the same file at more start-up cost (on 3.12 it loads inspect).
+    return pathlib.Path(__file__).with_name("data") / name
 
 
 def toy_treebank_path():

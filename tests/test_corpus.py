@@ -269,6 +269,14 @@ def test_lexicon_tsv_round_trip(tmp_path, toy_lex):
     assert corpus.lexicon_digest(again) == corpus.lexicon_digest(toy_lex)
 
 
+def test_lexicons_one_count_apart_differ(toy_trees):
+    one = build_lexicon(toy_trees, lowercase=True)
+    other = build_lexicon(toy_trees, lowercase=True)
+    assert one == other
+    other._entry(one.words()[0]).vbn += 1
+    assert one != other and other != one
+
+
 def test_lexicon_keeps_words_that_start_with_pound(tmp_path):
     # PTB writes the pound sign as (# #); only the column line is skipped.
     lex = build_lexicon(parse_treebank("(S (NP (# #) (CD 200)) (NN million))\n"

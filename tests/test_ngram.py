@@ -226,6 +226,10 @@ def test_discount_fallbacks_name_each_order_and_cause(toy_trees, tmp_path):
         single = ngram.train([["a", "a", "a"]], order=1)
     assert single.discount_fallbacks == {1: "degenerate count-of-counts n1=0 n2=0"}
     assert single.fallback_orders == (1,)
+    ngram.write_model(single, tmp_path / "single.model")
+    back = ngram.read_model(tmp_path / "single.model")
+    assert back.discount_fallbacks == {} and back.fallback_orders == (1,)
+    assert back == single and repr(back) == repr(single)
     sentences = [[w for w, _ in t.terminals()] for t in toy_trees]
     with pytest.warns(UserWarning, match="D3 formula"):
         toy = ngram.train(sentences, order=5)

@@ -4,6 +4,8 @@ import random
 import pytest
 
 from syntaxprobe import scoring
+from syntaxprobe.beamsearch import Rule
+from syntaxprobe.corpus import DEFAULT_BUCKETS
 from syntaxprobe.errors import AlignmentError, FormatError, InputError
 from syntaxprobe.scoring import (
     SurprisalRecord,
@@ -14,6 +16,7 @@ from syntaxprobe.scoring import (
     summarize,
     write_surprisal_file,
 )
+from syntaxprobe.stats import BinomialSummary
 from syntaxprobe.suites import TestItem, TestSuite
 
 
@@ -196,6 +199,32 @@ def test_surprisal_file_errors(tmp_path):
                     "id:gram\t0\tw\t1.0\nid:gram\t2\tx\t1.0\n")
     with pytest.raises(FormatError, match="non-sequential"):
         read_surprisal_file(path)
+
+
+def test_surprisal_record_needs_one_surprisal_per_token():
+    with pytest.raises(InputError, match="^s:gram: 2 tokens vs 1 surprisals$"):
+        SurprisalRecord("s:gram", ("a", "b"), (1.0,))
+
+
+def test_replacing_a_surprisal_record_field_keeps_the_length_check():
+    record = SurprisalRecord("s:gram", ("a", "b"), (1.0, 2.0))
+    assert record._replace(surprisals=(3.0, 4.0)).surprisals == (3.0, 4.0)
+    with pytest.raises(InputError, match="^s:gram: 1 tokens vs 2 surprisals$"):
+        record._replace(tokens=("a",))
+
+
+def test_assigning_a_record_field_is_attribute_error():
+    item = _item()
+    for record, field in [
+            (item, "target"),
+            (_records_for(item, [1.0] * 5, [1.0] * 5)[0], "surprisals"),
+            (scoring.ItemResult(item.item_id, 2, "singular", "w", 1.0, 2.0, 1), "correct"),
+            (summarize([(2, "singular", 1)])[0], "summary"),
+            (BinomialSummary.from_counts(1, 2), "accuracy"),
+            (DEFAULT_BUCKETS[0], "hi"),
+            (Rule("S", ("a",), 1.0), "prob")]:
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
 
 
 def test_empty_file_gives_empty_list(tmp_path):

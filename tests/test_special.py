@@ -1,5 +1,6 @@
 """The in-house special functions against scipy, and the import paths that
-load neither scipy nor numpy: the runtime is the standard library.
+load neither scipy nor numpy: the runtime is the standard library, and each
+stage loads only the parts of it that it uses.
 
 scipy is a test-only dependency: each comparison skips when it is missing.
 """
@@ -53,6 +54,11 @@ def test_entry_points_do_not_import_numpy(module):
     assert out.strip() == "[]"
 
 
+#: Standard-library modules that cost start-up time and that no entry point
+#: loads; of the stages, only gen, which hashes, loads hashlib.
+_COSTLY = ("dataclasses", "hashlib", "inspect")
+
+
 @pytest.mark.parametrize("module, loaded", [
     ("syntaxprobe", ["syntaxprobe"]),
     ("syntaxprobe.pcfg_scorer", ["syntaxprobe", "syntaxprobe.actions",
@@ -66,7 +72,7 @@ def test_entry_points_load_only_their_modules(module, loaded):
     # The package re-exports nothing, so its __init__ loads no submodule.
     code = (f"import sys, {module}\n"
             "print(' '.join(sorted(m for m in sys.modules\n"
-            "                      if m.startswith('syntaxprobe'))))")
+            f"                      if m.startswith('syntaxprobe') or m in {_COSTLY})))")
     out = subprocess.run([sys.executable, "-c", code], env=_src_env(),
                          check=True, capture_output=True, text=True).stdout
     assert out.split() == loaded
@@ -76,7 +82,7 @@ def test_no_stage_imports_numpy(tmp_path):
     # Each stage of the toy pipeline in a fresh interpreter; -X importtime
     # names every module the stage imports on stderr.  Each stage loads
     # exactly its package modules (cli runs as __main__, so it is not among
-    # them), and none loads numpy.
+    # them), none loads numpy, and none but gen loads a _COSTLY module.
     config = tmp_path / "probe.cfg"
     config.write_text("[syntaxprobe]\n"
                       f"corpus = {syntaxprobe.toydata.toy_treebank_path()}\n"
@@ -108,6 +114,8 @@ def test_no_stage_imports_numpy(tmp_path):
         assert loaded == {"syntaxprobe", "syntaxprobe.corpus", "syntaxprobe.errors"} | {
             f"syntaxprobe.{m}" for m in modules}, stage[0]
         assert not any(m == "numpy" or m.startswith("numpy.") for m in imported), stage[0]
+        assert set(_COSTLY) & set(imported) == ({"hashlib"} if stage[0] == "gen"
+                                                 else set()), stage[0]
 
 
 def test_analyze_and_report_run_on_the_standard_library(tmp_path):

@@ -14,6 +14,7 @@ with ``math.log10``, as ``stats`` and ``analysis`` do.  numpy's SIMD
 on some builds, so the grid the old code drew depended on the machine.
 """
 
+import decimal
 import math
 
 import numpy as np
@@ -27,6 +28,13 @@ def _reference_expit(x):
     x = np.asarray(x, dtype=float)
     return np.fromiter(map(stats.expit, x.ravel().tolist()), float,
                        x.size).reshape(x.shape)
+
+
+def _exact_expit(x: float) -> float:
+    """1 / (1 + e^-x) to 50 significant digits, rounded once to a float."""
+    ctx = decimal.Context(prec=50)
+    e = ctx.exp(decimal.Decimal(x).copy_negate())
+    return float(ctx.divide(1, ctx.add(1, e)))
 
 
 def _reference_loglik(y, eta):
@@ -342,8 +350,12 @@ def test_pearson_and_expit_match_reference():
         got, want = stats.pearson_test(x.tolist(), y.tolist()), _reference_pearson_test(x, y)
         assert got.n == want.n
         _close([got.r, got.t, got.p], [want.r, want.t, want.p])
-    x = rng.normal(0.0, 20.0, size=5000)
-    assert [stats.expit(v) for v in x.tolist()] == _reference_expit(x).tolist()
+    # expit against the correctly rounded sigmoid: libm's exp and the two
+    # roundings after it stay within 2 ulp of the exact value.
+    for v in rng.normal(0.0, 20.0, size=5000).tolist():
+        want = _exact_expit(v)
+        assert abs(stats.expit(v) - want) <= 2 * math.ulp(want), v
+    assert stats.expit(-800.0) == 0.0 and stats.expit(800.0) == 1.0
 
 
 @pytest.mark.parametrize("bad, match", [

@@ -319,8 +319,7 @@ def test_minimal_pair_and_validation_clean(toy_suites, toy_lex):
 def test_validation_flags_corrupted_region(toy_suites, toy_lex):
     suite = toy_suites("number_base")
     item = suite.items[0]
-    import dataclasses
-    broken = dataclasses.replace(item, gram_region=(0, 99))
+    broken = item._replace(gram_region=(0, 99))
     corrupted = suites.TestSuite(
         suite.suite_id, suite.kind, suite.condition_rule,
         [broken] + suite.items[1:], suite.provenance, suite.shortfalls)
@@ -340,9 +339,7 @@ def test_validation_flags_low_frequency_filler(toy_suites):
 def test_validation_flags_minimal_pair_break(toy_suites, toy_lex):
     suite = toy_suites("number_base")
     item = suite.items[0]
-    import dataclasses
-    tampered = dataclasses.replace(
-        item, ungram_tokens=item.ungram_tokens[:-1] + ("mangled",))
+    tampered = item._replace(ungram_tokens=item.ungram_tokens[:-1] + ("mangled",))
     corrupted = suites.TestSuite(
         suite.suite_id, suite.kind, suite.condition_rule,
         [tampered] + suite.items[1:], suite.provenance, suite.shortfalls)
@@ -379,19 +376,17 @@ def _codes(violations, code):
 
 
 def test_validation_flags_duplicate_item_id(toy_suites, toy_lex):
-    import dataclasses
     suite = toy_suites("number_base")
     item = suite.items[0]
-    doubled = dataclasses.replace(suite, items=[item] + suite.items)
+    doubled = suite._replace(items=[item] + suite.items)
     violations = validate_suite(doubled, toy_lex)
     assert _codes(violations, "duplicate-id") == [(item.item_id, "item id occurs twice")]
 
 
 def test_validation_flags_target_count(toy_suites, toy_lex):
-    import dataclasses
     suite = toy_suites("number_base")
-    item = dataclasses.replace(suite.items[0], target="absent-word")
-    violations = validate_suite(dataclasses.replace(suite, items=[item]), toy_lex)
+    item = suite.items[0]._replace(target="absent-word")
+    violations = validate_suite(suite._replace(items=[item]), toy_lex)
     assert _codes(violations, "target-count") == [
         (item.item_id, "target occurs 0 times in gram sentence"),
         (item.item_id, "target occurs 0 times in ungram sentence")]
@@ -423,13 +418,12 @@ def test_validation_flags_participle_evidence(toy_suites, toy_trees):
 
 
 def test_validation_flags_unbalanced_bucket(toy_suites, toy_lex):
-    import dataclasses
     suite = toy_suites("number_base")
     first = suite.items[0]
     kept = [i for i in suite.items
             if not (i.bucket == first.bucket and i.category == first.category)]
     # Without a recorded shortfall, the missing category is a violation.
-    violations = validate_suite(dataclasses.replace(suite, items=kept, shortfalls=[]),
+    violations = validate_suite(suite._replace(items=kept, shortfalls=[]),
                                 toy_lex)
     flagged = _codes(violations, "balance")
     assert [item_id for item_id, _ in flagged] == [None]
@@ -437,8 +431,8 @@ def test_validation_flags_unbalanced_bucket(toy_suites, toy_lex):
     assert f"'{first.category}': 0" in flagged[0][1]
     # With the shortfall recorded, the bucket is balanced.
     shortfall = (first.bucket, first.category, 20, 0)
-    violations = validate_suite(dataclasses.replace(suite, items=kept,
-                                                    shortfalls=[shortfall]), toy_lex)
+    violations = validate_suite(suite._replace(items=kept, shortfalls=[shortfall]),
+                                toy_lex)
     assert _codes(violations, "balance") == []
 
 
