@@ -55,5 +55,3 @@ for suite_id in ("number_base", "argstruct_passive"):
 # The building blocks are available directly as well.
 print("wilson_ci(8, 10)      =", tuple(round(v, 3) for v in stats.wilson_ci(8, 10)))
 print("binom_test_above(5,10) =", stats.binom_test_above(5, 10))
-result = stats.pearson_test([1, 2, 3, 4], [1, 3, 2, 4])
-print(f"pearson r={result.r:.2f} t={result.t:.3f} p={result.p:.3f}")

@@ -1,20 +1,21 @@
-"""Binomial intervals and tests, logistic regression by IRLS, Pearson r.
+"""Binomial intervals and tests, logistic regression by IRLS, accuracy curves.
 
-The accuracy analyses need exactly four tools: a Wilson score interval for
-per-bucket accuracies, an exact one-sided binomial test against chance,
+The accuracy analyses need exactly three tools: a Wilson score interval for
+per-bucket accuracies, an exact one-sided binomial test against chance, and
 logistic fits of accuracy against exposure (optionally with cluster-robust
-standard errors standing in for by-item random intercepts), and a Pearson
-correlation test.  Nothing here aims to be a general stats library.
+standard errors standing in for by-item random intercepts), which also give
+the sampled accuracy curves.  Nothing here aims to be a general stats
+library.
 
 Everything is standard library.  The logistic fits run on sufficient
 statistics: the design collapses to its distinct rows, each with its trials
 and successes, so an IRLS iteration costs O(distinct rows x k^2) however
 many observations there are.  Every sum over rows is ``math.fsum``, which
 rounds once and so does not depend on the order of the rows or on the
-Python version.  The two special functions, the logistic sigmoid and the
-Student t tail, are implemented here; the Wilson interval's normal quantile
-is the constant ``_Z95``.  ``expit`` returns the same bits as the usual C
-implementation (``1/(1+exp(-x))`` with libm ``exp``).
+Python version.  The one special function, the logistic sigmoid, is
+implemented here; the Wilson interval's normal quantile is the constant
+``_Z95``.  ``expit`` returns the same bits as the usual C implementation
+(``1/(1+exp(-x))`` with libm ``exp``).
 """
 
 from __future__ import annotations
@@ -45,56 +46,6 @@ def expit(x: float) -> float:
         return 1.0 / (1.0 + math.exp(-x))
     except OverflowError:
         return 0.0
-
-
-def _betacf(a: float, b: float, x: float) -> float:
-    """Continued fraction for I_x(a, b), modified Lentz evaluation.
-
-    Called on the side of the mean where it converges, in O(sqrt(max(a, b)))
-    terms."""
-    tiny = 1e-300
-    c = 1.0
-    d = 1.0 - (a + b) * x / (a + 1.0)
-    d = 1.0 / (d if abs(d) > tiny else tiny)
-    h = d
-    for m in range(1, 10_001):
-        for aa in (m * (b - m) * x / ((a + 2 * m - 1.0) * (a + 2 * m)),
-                   -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1.0))):
-            d = 1.0 + aa * d
-            d = 1.0 / (d if abs(d) > tiny else tiny)
-            c = 1.0 + aa / c
-            c = c if abs(c) > tiny else tiny
-            h *= d * c
-        if abs(d * c - 1.0) < 1e-16:
-            break
-    return h
-
-
-def _betainc(a: float, b: float, x: float, y: float) -> float:
-    """Regularized incomplete beta I_x(a, b); ``y`` is 1 - x, passed in
-    unrounded so the tails keep their relative accuracy."""
-    if x <= 0.0:
-        return 0.0
-    if y <= 0.0:
-        return 1.0
-    if a + b < 171.0:  # math.gamma is accurate to a few ulps below overflow
-        log_norm = math.log(math.gamma(a + b) / (math.gamma(a) * math.gamma(b)))
-    else:
-        log_norm = math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
-    front = math.exp(log_norm + a * math.log(x) + b * math.log(y))
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _betacf(a, b, x) / a
-    return 1.0 - front * _betacf(b, a, y) / b
-
-
-def t_sf(t: float, df: float) -> float:
-    """Student t survival function P(T > t) with ``df`` degrees of freedom.
-
-    Relative error is ~2e-13 up to df = 340; beyond, the lgamma difference
-    cancels, and at df = 1e7 the error is ~2e-9."""
-    tt = t * t
-    tail = 0.5 * _betainc(df / 2.0, 0.5, df / (df + tt), tt / (df + tt))
-    return tail if t >= 0 else 1.0 - tail
 
 
 # ---------------------------------------------------------------------------
@@ -326,41 +277,6 @@ def fit_logistic(
 
 
 # ---------------------------------------------------------------------------
-# Correlation
-
-
-class CorrelationResult(NamedTuple):
-    r: float
-    n: int
-    t: float
-    p: float
-
-
-def pearson_test(x, y) -> CorrelationResult:
-    """Pearson r with the t-test two-sided p-value (n - 2 df)."""
-    xs = [float(v) for v in x]
-    ys = [float(v) for v in y]
-    if len(xs) != len(ys):
-        raise InputError("x and y must have equal length")
-    n = len(xs)
-    if n < 3:
-        raise InputError("pearson_test requires n >= 3")
-    mx, my = math.fsum(xs) / n, math.fsum(ys) / n
-    dx = [v - mx for v in xs]
-    dy = [v - my for v in ys]
-    sxx, syy = math.fsum(map(mul, dx, dx)), math.fsum(map(mul, dy, dy))
-    if sxx == 0.0 or syy == 0.0:
-        raise InputError("correlation undefined for constant input")
-    r = math.fsum(map(mul, dx, dy)) / math.sqrt(sxx * syy)
-    r = max(-1.0, min(1.0, r))
-    if abs(r) == 1.0:
-        return CorrelationResult(r, n, math.inf, 0.0)
-    tval = r * math.sqrt((n - 2) / (1.0 - r * r))
-    p = 2.0 * t_sf(abs(tval), n - 2)
-    return CorrelationResult(r, n, tval, min(1.0, p))
-
-
-# ---------------------------------------------------------------------------
 # Accuracy-vs-exposure curves
 
 
@@ -382,10 +298,9 @@ class CurveFit(NamedTuple):
 def _linspace(lo: float, hi: float, n: int) -> list[float]:
     """``n`` evenly spaced points from ``lo`` to ``hi``: ``i * step + lo``,
     and the last point exactly ``hi``, the bits of the usual linspace."""
-    step = (hi - lo) / (n - 1) if n > 1 else 0.0
+    step = (hi - lo) / (n - 1)
     grid = [i * step + lo for i in range(n)]
-    if n > 1:
-        grid[-1] = hi
+    grid[-1] = hi
     return grid
 
 

@@ -360,7 +360,7 @@ def test_ptb_frequency_participle_correlation(ptb_lexicon):
         if s.pos.get("VBD", 0) > 0:
             xs.append(s.total)
             ys.append(s.vbn / s.total)
-    result = stats.pearson_test(xs, ys)
-    assert abs(result.r - 0.39) <= 0.05
-    assert result.p < 0.001
+    r, p = pytest.importorskip("scipy.stats").pearsonr(xs, ys)
+    assert abs(r - 0.39) <= 0.05
+    assert p < 0.001
     _ok("frequency/participle-share correlation matches on the WSJ treebank")

@@ -1037,6 +1037,32 @@ def test_client_checks_a_field_first_seen_late(monkeypatch, bad):
             remote.actions(apply_action(state, nt("S"), 0.0))
 
 
+@pytest.mark.parametrize("extra", [-1, 1], ids=["too-few", "too-many"])
+def test_client_rejects_a_reply_with_the_wrong_field_count(monkeypatch, extra):
+    # A short reply would index past its end and a long one would pass
+    # unnoticed: the client raises instead, and the next request defines
+    # its states afresh from ``ID=``.
+    model = bs.PCFGActionModel(bs.parse_grammar(DOG_TEXT))
+    session = pcfg_scorer.Session(model)
+    garble = [True]
+
+    def answer(line):
+        fields = session.reply(line).split("\t")
+        if garble:
+            garble.pop()
+            fields = fields[:-1] if extra < 0 else fields + fields[-1:]
+        return "\t".join(fields)
+
+    remote, proc = _in_process_client(monkeypatch, answer)
+    state = apply_action(INITIAL_STATE, nt("S"), 0.0)
+    with remote:
+        with pytest.raises(FormatError, match=f"scorer answered {2 + extra} of 2 states"):
+            remote.actions(state)
+        assert remote._ids == remote._tokens == remote._lists == {}
+        assert remote.actions(state) == model.actions(state)
+    assert [line.split("\t")[2] for line in proc.requests] == ["0= 1=0:NT(S)"] * 2
+
+
 def test_client_actions_returns_a_fresh_list(monkeypatch):
     model = bs.PCFGActionModel(bs.parse_grammar(DOG_TEXT))
     remote, _ = _in_process_client(

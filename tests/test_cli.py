@@ -122,6 +122,26 @@ def test_missing_upstream_artifact(tmp_path, capsys):
     assert "error:usage-error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, stage, message", [
+    ("corpus", "ingest", "no corpus configured (config key 'corpus')"),
+    ("seed", "gen", "a seed is required (config key 'seed' or --seed)"),
+], ids=["corpus", "seed"])
+def test_blank_corpus_or_seed_is_usage_error(tmp_path, capsys, monkeypatch,
+                                             key, stage, message):
+    # gen reads the lexicon before the seed, so ingest runs first.
+    base = ["--config", _write_config(tmp_path), "--out", str(tmp_path / "out")]
+    if stage == "gen":
+        assert run(base + ["ingest"]) == 0
+    before = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
+    monkeypatch.setenv(f"SP_{key.upper()}", "")
+    args = base + [stage] + (["--suite", "number_base"] if stage == "gen" else [])
+    assert run(args) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"error:usage-error: {message}" in err
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 # ---------------------------------------------------------------------------
 # Golden mini pipeline
 

@@ -354,6 +354,14 @@ def test_absent_verb_excluded_with_reason():
     assert calls["verb"].reason == "not-in-corpus"
 
 
+def test_verb_without_object_evidence_excluded_with_reason():
+    # In the corpus, but never seen with or without an object.
+    calls = classify_transitivity(_verb_lex(0, 0, total=3), {"verb": "transitive"})
+    assert calls["verb"].klass is TransitivityClass.EXCLUDED
+    assert calls["verb"].reason == "no-object-evidence"
+    assert calls["verb"].obj_fraction is None
+
+
 @given(st.integers(0, 40), st.integers(0, 40), st.integers(1, 20))
 def test_transitive_monotone_in_object_evidence(present, absent, extra):
     base = classify_transitivity(_verb_lex(present, absent),

@@ -5,7 +5,6 @@ stage loads only the parts of it that it uses.
 scipy is a test-only dependency: each comparison skips when it is missing.
 """
 
-import math
 import os
 import pathlib
 import re
@@ -17,7 +16,7 @@ import pytest
 
 import syntaxprobe
 import syntaxprobe.toydata
-from syntaxprobe.stats import _Z95, expit, pearson_test
+from syntaxprobe.stats import _Z95, expit
 
 
 @pytest.mark.parametrize("module", ["syntaxprobe.cli", "syntaxprobe.pcfg_scorer"])
@@ -172,16 +171,3 @@ def test_expit_matches_scipy_bits():
 def test_wilson_z_matches_norm_ppf():
     scipy_stats = pytest.importorskip("scipy.stats")
     assert _Z95 == scipy_stats.norm.ppf(0.5 + 0.95 / 2.0)
-
-
-def test_pearson_p_matches_student_t():
-    scipy_stats = pytest.importorskip("scipy.stats")
-    rng = np.random.default_rng(2)
-    for df in range(1, 201):
-        x = rng.normal(size=df + 2)
-        for rho in (0.05, 0.5, 0.95, 0.99):
-            y = rho * x + math.sqrt(1.0 - rho * rho) * rng.normal(size=df + 2)
-            result = pearson_test(x, y)
-            want = min(1.0, 2.0 * float(scipy_stats.t.sf(abs(result.t), df)))
-            assert math.isclose(result.p, want, rel_tol=1e-12, abs_tol=0.0), \
-                (df, rho, result.p, want)

@@ -13,7 +13,6 @@ from syntaxprobe.stats import (
     accuracy_curve,
     binom_test_above,
     fit_logistic,
-    pearson_test,
     wilson_ci,
 )
 
@@ -231,33 +230,6 @@ def test_cov_diagonal_gives_se():
         assert cov.shape == (2, 2)
         assert np.allclose(cov, cov.T)
         assert np.array_equal(np.sqrt(np.diag(cov)), np.asarray(fit.se))
-
-
-# ---------------------------------------------------------------------------
-# Pearson
-
-
-def test_pearson_perfect_lines():
-    x = [1.0, 2.0, 3.0, 4.0]
-    assert pearson_test(x, [2 * v + 1 for v in x]).r == pytest.approx(1.0)
-    assert pearson_test([1, 2, 3], [3, 2, 1]).r == pytest.approx(-1.0)
-
-
-def test_pearson_hand_computed():
-    # x=[1,2,3,4], y=[1,3,2,4]: cov=4/3-ish by hand -> r = 4/5; with n-2=2
-    # degrees of freedom, t = 4*sqrt(2)/3 and the two-sided p is exactly
-    # 1 - t/sqrt(t^2+2) = 1/5.
-    result = pearson_test([1, 2, 3, 4], [1, 3, 2, 4])
-    assert result.r == pytest.approx(0.8, abs=1e-12)
-    assert result.t == pytest.approx(4 * math.sqrt(2) / 3, abs=1e-12)
-    assert result.p == pytest.approx(0.2, abs=1e-9)
-
-
-def test_pearson_validation():
-    with pytest.raises(InputError):
-        pearson_test([1, 2], [1, 2])
-    with pytest.raises(InputError):
-        pearson_test([1, 1, 1], [1, 2, 3])
 
 
 # ---------------------------------------------------------------------------

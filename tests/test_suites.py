@@ -158,6 +158,18 @@ def test_invariance_pool_is_active_only(toy_lex, suite_defs, resources):
     assert "cured" not in pool  # has a participle occurrence
 
 
+def test_passive_pool_drops_irregular_verbs(toy_lex, suite_defs, resources):
+    # An irregular verb's past form is not its participle, so "was {target}"
+    # would not be a passive; the active suites keep it.
+    verb = suites.candidate_pool(toy_lex, suite_defs["argstruct_passive"],
+                                 "transitive", resources)[0]
+    marked = resources._replace(irregular=resources.irregular | {verb})
+    assert verb not in suites.candidate_pool(
+        toy_lex, suite_defs["argstruct_passive"], "transitive", marked)
+    assert verb in suites.candidate_pool(
+        toy_lex, suite_defs["argstruct_active_past"], "transitive", marked)
+
+
 def test_invariance_pool_folds_the_case_of_marks(toy_lex, suite_defs, resources):
     # classify_transitivity reads "Transitive" as "transitive"; the pools too.
     marks = {w: call.marked.capitalize()
