@@ -9,9 +9,10 @@ the word filters used by suite generation.
 
 The lexicon is one fold over the whole corpus: :func:`build_lexicon`
 numbers its trees from 1 in file order, the way a dependency sidecar
-numbers its sentences.  :func:`iter_treebank` reads a file a piece at a
-time and yields each tree as its bracket closes, so a stage that folds the
-corpus holds one tree and one piece of text at a time.
+numbers its sentences, and walks each tree once.  :func:`iter_treebank`
+reads a file a piece at a time and yields each tree as its bracket closes,
+so a stage that folds the corpus holds one tree and one piece of text at a
+time.  A read shares one node among the equal leaves it parses.
 """
 
 from __future__ import annotations
@@ -51,7 +52,8 @@ class Tree:
 
     Terminals carry ``word`` and use ``label`` for the POS tag; their
     ``children`` is the one shared empty tuple.  Internal nodes have a
-    ``children`` list and a ``word`` of None.
+    ``children`` list and a ``word`` of None.  Trees are values: a read
+    shares one node among equal leaves, so no node may be mutated.
     """
 
     __slots__ = ("label", "children", "word")
@@ -172,10 +174,10 @@ def _iter_trees(pieces):
     the whole text, and a parse error raises :class:`_Malformed` with the
     index of its token, so its offset does not depend on the cuts.  Labels
     and words go through one dict per call, so each spelling is held as one
-    string; so do whole leaves, so each distinct leaf is split once.
+    string; so do whole leaves, so each distinct leaf is one node.
     """
     memo = {}.setdefault
-    leaves: dict[str, tuple] = {}
+    leaves: dict[str, Tree] = {}
     stack: list[list] = []  # open brackets: [token index, label, children, word]
     k0 = 0
     for piece in pieces:
@@ -192,11 +194,11 @@ def _iter_trees(pieces):
                     label = tok[1:]
                     stack.append([k, memo(label, label) if label else None, [], None])
                     continue
-                leaf = leaves.get(tok)
-                if leaf is None:
+                node = leaves.get(tok)
+                if node is None:
                     tag, word = tok[1:-1].split()
-                    leaf = leaves[tok] = (memo(tag, tag), memo(word, word))
-                node = _node(leaf[0], _NO_CHILDREN, leaf[1])
+                    node = leaves[tok] = _node(memo(tag, tag), _NO_CHILDREN,
+                                               memo(word, word))
             elif tok[0] == "\n":
                 continue
             elif not stack:
@@ -236,7 +238,8 @@ def _iter_trees(pieces):
 def parse_treebank(text: str) -> list[Tree]:
     """Parse a sequence of bracketed trees.
 
-    Lines whose first non-blank character is ``#`` are comments.  Raises
+    Lines whose first non-blank character is ``#`` are comments.  Equal
+    leaves are one shared node, so the trees must not be mutated.  Raises
     :class:`TreebankParseError` with the offset in ``text`` of the offending
     bracket or token on unbalanced input or empty labels.
     """
@@ -250,7 +253,8 @@ def iter_treebank(path):
     """Yield the trees of a file one at a time, reading it a piece at a
     time; a parse error, raised when the parse reaches it, reads
     ``<path>:<line>: ...``.  Only then is the whole file read, to find the
-    error's offset and line."""
+    error's offset and line.  Equal leaves of the file are one shared node,
+    so the trees must not be mutated."""
     try:
         with open_text(path) as fh:
             yield from _iter_trees(_pieces(fh))
@@ -371,43 +375,23 @@ class _BaseLabels(dict):
         return base
 
 
-def _object_evidence(tree: Tree, base: _BaseLabels) -> list:
-    """(verb, has_following_np) pairs for VP-internal verbs; a trace NP
-    after the verb counts as its object."""
-    evidence = []
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        if node.word is not None:
-            continue
-        children = node.children
-        if base[node.label] == "VP":
-            for i, child in enumerate(children):
-                if child.word is not None and child.label in DEFAULT_OBJECT_TAGS:
-                    has_np = any(sib.word is None and base[sib.label] == "NP"
-                                 for sib in children[i + 1:])
-                    evidence.append((child.word, has_np))
-        stack.extend(reversed(children))
-    return evidence
-
-
 def build_lexicon(
     trees: Iterable[Tree],
     *,
     lowercase: bool = False,
     dependencies: Mapping[int, frozenset] | None = None,
 ) -> LexiconStats:
-    """Fold trees into a :class:`LexiconStats`.
-
-    ``dependencies`` optionally maps 1-based sentence ids to the set of
-    1-based surface-token indices (as :meth:`Tree.terminals` counts them)
-    that head an ``obj`` relation; for those sentences the sidecar replaces
-    the phrase-structure object heuristic.  ``trees`` is read once, so a
+    """Fold trees into a :class:`LexiconStats`, reading ``trees`` once, so a
     generator such as :func:`iter_treebank` folds without a tree list.
 
-    The trees are counted per distinct ``(word, tag)``, ``(verb,
-    has_object)`` and inverted noun, and each count is added to its word's
-    entry once, at the end.
+    One preorder walk per tree collects its ``(word, tag)`` pairs and each
+    VP-internal verb's ``(verb, has_object)`` pair; a trace NP after the verb
+    is its object.  ``dependencies`` optionally maps 1-based sentence ids to
+    the 1-based surface-token indices (as :meth:`Tree.terminals` counts them)
+    that head an ``obj`` relation; a sentence it covers takes its pairs from
+    it.  Only a tree whose first surface word is an auxiliary is searched for
+    an inverted subject.  Each distinct pair and inverted noun is counted, and
+    each count is added to its word's entry once, at the end.
     """
     tagged: Counter = Counter()
     objects: Counter = Counter()
@@ -415,19 +399,31 @@ def build_lexicon(
     base = _BaseLabels()
     sent_id = 0
     for sent_id, tree in enumerate(trees, start=1):
-        if dependencies is not None and sent_id in dependencies:
-            terms = list(tree.terminals())
-            obj_heads = dependencies[sent_id]
-            objects.update((word, idx in obj_heads)
-                           for idx, (word, tag) in enumerate(terms, start=1)
-                           if tag in DEFAULT_OBJECT_TAGS)
-        else:
-            terms = tree.terminals()
-            objects.update(_object_evidence(tree, base))
+        obj_heads = dependencies.get(sent_id) if dependencies is not None else None
+        terms, evidence, stack = [], [], [tree]
+        while stack:
+            node = stack.pop()
+            if node.word is None:
+                children = node.children
+                if obj_heads is None and base[node.label] == "VP":
+                    for i, child in enumerate(children):
+                        if child.word is not None and child.label in DEFAULT_OBJECT_TAGS:
+                            has_np = any(sib.word is None and base[sib.label] == "NP"
+                                         for sib in children[i + 1:])
+                            evidence.append((child.word, has_np))
+                stack.extend(reversed(children))
+            elif node.label != "-NONE-":
+                terms.append((node.word, node.label))
+        if obj_heads is not None:
+            evidence = [(word, idx in obj_heads)
+                        for idx, (word, tag) in enumerate(terms, start=1)
+                        if tag in DEFAULT_OBJECT_TAGS]
         tagged.update(terms)
-        inverted_noun = _detect_inversion(tree)
-        if inverted_noun is not None:
-            inverted[inverted_noun] += 1
+        objects.update(evidence)
+        if terms and terms[0][0].lower() in DEFAULT_AUX_FORMS:
+            inverted_noun = _detect_inversion(tree)
+            if inverted_noun is not None:
+                inverted[inverted_noun] += 1
     if not sent_id:
         raise InputError("build_lexicon requires at least one tree")
 

@@ -340,14 +340,16 @@ def instantiate(
     return tuple(realized)
 
 
-def _rare_fillers(tokens, target: str, lex: LexiconStats, filler_min_count: int):
+def _rare_fillers(tokens, target: str, rare: dict, lex: LexiconStats, min_count: int):
     """Non-target, non-punctuation tokens below the frequency threshold, in
-    sentence order."""
+    sentence order; ``rare`` keeps each token's verdict for one suite, and
+    the target test stays outside it, since each item has its own target."""
     for tok in tokens:
-        if tok == target or is_punct(tok):
-            continue
-        if lex.count(tok) < filler_min_count:
-            yield tok
+        if tok != target:
+            if tok not in rare:
+                rare[tok] = not is_punct(tok) and lex.count(tok) < min_count
+            if rare[tok]:
+                yield tok
 
 
 def _frame_variants(defn: SuiteDef) -> list:
@@ -497,6 +499,7 @@ def validate_suite(
     kind = _KINDS.get(suite.kind)
     seen_ids = set()
     per_bucket: dict = {}
+    rare: dict[str, bool] = {}
     for item in suite.items:
         if item.item_id in seen_ids:
             bad(item.item_id, "duplicate-id", "item id occurs twice")
@@ -514,7 +517,7 @@ def validate_suite(
             if n_target != 1:
                 bad(item.item_id, "target-count",
                     f"target occurs {n_target} times in {condition} sentence")
-            for tok in _rare_fillers(tokens, item.target, lex, filler_min_count):
+            for tok in _rare_fillers(tokens, item.target, rare, lex, filler_min_count):
                 bad(item.item_id, "filler-frequency",
                     f"filler {tok!r} occurs {lex.count(tok)} times "
                     f"(< {filler_min_count})")

@@ -73,6 +73,12 @@ def test_parsed_nodes_equal_constructed_nodes():
         Tree("NN", [Tree("NN", word="dog")], "dogs")
 
 
+def test_a_read_shares_equal_leaves():
+    (parsed,) = parse_treebank("(S (NN a) (VP (NN a)))")
+    assert parsed.children[0] is parsed.children[1].children[0]
+    assert parsed == Tree("S", [Tree("NN", word="a"), Tree("VP", [Tree("NN", word="a")])])
+
+
 def test_parse_unwraps_ptb_top_bracket():
     trees = parse_treebank("( (S (NN dog)) )")
     assert trees[0].label == "S"

@@ -317,7 +317,7 @@ def test_linspace_matches_numpy_bits():
         assert stats._linspace(lo, hi, n) == np.linspace(lo, hi, n).tolist()
 
 
-def test_pearson_and_expit_match_reference():
+def test_expit_matches_reference():
     rng = np.random.default_rng(8)
     # expit against the correctly rounded sigmoid: libm's exp and the two
     # roundings after it stay within 2 ulp of the exact value.

@@ -404,6 +404,21 @@ def test_validation_flags_target_count(toy_suites, toy_lex):
         (item.item_id, "target occurs 0 times in ungram sentence")]
 
 
+def test_validation_reports_a_rare_filler_that_another_item_targets():
+    items = [suites.TestItem(f"s.b1.{target}.f00", "s", target, "singular", 1,
+                             gram, (0, len(gram)), ungram, (0, len(ungram)))
+             for target, gram, ungram in [
+                 ("zorp", ("the", "zorp", "is", "."), ("the", "zorp", "are", ".")),
+                 ("blick", ("the", "blick", "is", "glorp", "zorp", "."),
+                  ("the", "blick", "are", "glorp", "zorp", "."))]]
+    lex = corpus.build_lexicon(corpus.parse_treebank("(S (DT the) (VBZ is) (VBP are))"))
+    violations = validate_suite(suites.TestSuite("s", "copula_agreement", "r", items),
+                                lex, filler_min_count=1)
+    assert _codes(violations, "filler-frequency") == [
+        ("s.b1.blick.f00", f"filler {tok!r} occurs 0 times (< 1)")
+        for tok in ("glorp", "zorp", "glorp", "zorp")]
+
+
 def test_validation_flags_polar_overlap(toy_suites, toy_trees):
     suite = toy_suites("number_polar")
     target = suite.items[0].target

@@ -294,3 +294,9 @@ def test_fold_reads_a_trace_object_and_a_sidecar():
     lex = build_lexicon([tree], dependencies=deps)
     assert (lex.stats("saw").obj_absent, lex.stats("sees").obj_present) == (1, 1)
     assert lex == _reference_lexicon([tree], dependencies=deps)
+    # A question whose first leaf is empty: its first surface word opens it.
+    (tree,) = parse_treebank("(SQ (-NONE- *T*) (VBZ Is) (NP (DT the) (NN plan))"
+                             " (ADJP (JJ good)))")
+    lex = build_lexicon([tree])
+    assert lex.stats("plan").inverted == 1
+    assert lex == _reference_lexicon([tree])
